@@ -13,6 +13,13 @@ cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# The benchmark is a cargo workspace of its own that drives the crates
+# through their public API (benchmark/README.md): its gate — fmt, clippy
+# -D warnings, and a --quick smoke of all four workloads in both modes —
+# runs here so a crates/ API change that breaks it fails CI, not the
+# benchmark driver.
+benchmark/check.sh
+
 # Smoke-run the side-table kernel microbench (tiny iteration budget):
 # catches kernel regressions and keeps BENCH_kernels.json reproducible.
 # OTF_BENCH_OUT diverts the JSON so a CI run never dirties the tree.

@@ -167,8 +167,9 @@ impl GcShared {
     /// see the module invariant.  `bytes_traced` is the finished trace's
     /// live-byte counter, seeding the unswept-garbage estimate:
     /// `used − leased-LABs − traced − allocated-during-cycle`, clamped
-    /// at zero.  For partial collections the untraced old generation
-    /// inflates the estimate (garbage is *over*-estimated, delaying the
+    /// at zero (live LABs are leased whole, so the estimate runs low by
+    /// under one LAB per mutator).  For partial collections the untraced
+    /// old generation inflates it (garbage is *over*-estimated, delaying the
     /// full trigger, never firing it early); the estimate is corrected
     /// downward by every swept segment and zeroed at finalization, and
     /// allocation failure still requests a full collection directly, so

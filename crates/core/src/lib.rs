@@ -180,18 +180,24 @@ impl Gc {
         self.shared.heap.free_list_granules()
     }
 
-    /// Total objects allocated so far.
+    /// Total objects allocated so far, as published by the mutators at
+    /// LAB refill, handshake ack, [`Mutator::parked`] entry, every 64 KB
+    /// and drop (DESIGN.md §4.10): exact whenever every mutator is parked
+    /// or dropped; otherwise never ahead, and behind each live mutator by
+    /// less than one LAB's worth (plus under 64 KB of large objects).
     pub fn objects_allocated(&self) -> u64 {
         self.shared.heap.objects_allocated()
     }
 
-    /// Total bytes allocated so far.
+    /// Total bytes allocated so far (see [`Gc::objects_allocated`] for
+    /// when it is exact).
     pub fn bytes_allocated(&self) -> u64 {
         self.shared.heap.bytes_allocated()
     }
 
     /// A snapshot of all collection statistics, including the pause-time
-    /// histograms.
+    /// histograms.  Its allocation and barrier counters lag as
+    /// [`Gc::objects_allocated`] documents.
     pub fn stats(&self) -> GcStats {
         let inner = self.shared.stats.lock();
         GcStats {

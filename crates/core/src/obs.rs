@@ -16,13 +16,15 @@
 //! * [`Obs::alloc_stall`] — allocation stalls alone (also folded into
 //!   `pause`), the only path where a mutator waits for the collector.
 //! * [`Obs::barrier_slow`] — write-barrier slow-path hits (barriers that
-//!   took a graying branch rather than a plain store + card mark).
+//!   took a graying branch rather than a plain store + card mark); each
+//!   mutator adds its own count at its flush boundaries (DESIGN.md
+//!   §4.10), so it is exact once every mutator is parked or dropped.
 //!
 //! Histogram recording is always on: the record path is lock-free and
 //! allocation-free (see [`otf_support::hist`]) and only runs on paths
 //! that are already slow (a handshake transition, a blocking
-//! allocation), never on the per-store barrier fast path, where only a
-//! single relaxed counter increment is added to the *graying* branches.
+//! allocation), never on the per-store barrier path, where a graying
+//! branch costs one increment of a mutator-private counter.
 //!
 //! Event tracing is off by default.  [`Obs::event`] costs exactly one
 //! predictable branch on a plain `bool` loaded from the `Obs` struct
@@ -351,7 +353,7 @@ pub(crate) struct Obs {
     /// lazy back-end moves onto the allocation path shows up in p99.99
     /// comparisons instead of hiding outside the stall histogram.
     pub lab_refill: Histogram,
-    /// Write-barrier slow-path hits (graying branches taken).
+    /// Write-barrier slow-path hits (graying branches), as flushed so far.
     pub barrier_slow: AtomicU64,
     /// Handshake-watchdog trips: times a handshake stalled past the
     /// configured threshold and the collector reported instead of hanging

@@ -268,9 +268,11 @@ impl GcShared {
         // Full collection when the heap is "almost full" (§3.3) — but only
         // after some allocation progress, to avoid re-triggering endlessly
         // on a mostly-live heap.  `used_granules` counts whole LABs at
-        // grant time, so subtract the leased-but-uncarved portion: with
-        // many mutators (one LAB each) the raw figure reads mostly-empty
-        // buffers as pressure and fires premature full collections.
+        // grant time, so subtract the LAB leases: with many mutators
+        // (one LAB each) the raw figure reads mostly-empty buffers as
+        // pressure and fires premature full collections.  A lease comes
+        // off whole until its LAB retires (DESIGN.md §4.10), so `used`
+        // runs low — and the trigger late — by under one LAB per mutator.
         // In lazy-sweep mode, granules the published epoch has not yet
         // reclaimed still sit in `used_granules` even though they are
         // dead: subtract the epoch's unswept-garbage estimate so the
@@ -703,7 +705,7 @@ mod tests {
         let sh = small(); // 1 MB heap
         let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32; // 80%
         let c = sh.heap.alloc_chunk(granules, granules).unwrap();
-        sh.heap.note_lab_lease(c.len);
+        sh.heap.refill_lab(&mut otf_heap::Lab::new(), c);
         sh.control.add_allocated(128 << 10); // past the progress floor
         sh.evaluate_triggers();
         sh.control.begin_shutdown();
@@ -715,12 +717,14 @@ mod tests {
     }
 
     #[test]
-    fn carved_lab_granules_still_fire_full_trigger() {
+    fn retired_lab_granules_still_fire_full_trigger() {
         let sh = small();
         let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32;
         let c = sh.heap.alloc_chunk(granules, granules).unwrap();
-        sh.heap.note_lab_lease(c.len);
-        sh.heap.note_lab_carve(c.len); // all of it now holds objects
+        let mut lab = otf_heap::Lab::new();
+        sh.heap.refill_lab(&mut lab, c);
+        lab.try_carve(granules).unwrap(); // all of it now holds objects
+        sh.heap.retire_lab(&mut lab);
         sh.control.add_allocated(128 << 10);
         sh.evaluate_triggers();
         assert_eq!(

@@ -105,10 +105,11 @@ pub struct MutatorShared {
     pub id: u64,
     /// The mutator's handshake status (its "perception of the period").
     pub status: AtomicU8,
-    /// Write-barrier epoch: odd while the mutator is inside a gray-producing
-    /// operation.  The collector's trace-termination check only believes an
-    /// empty gray queue after observing every epoch even (closing the
-    /// CAS-color-then-push window).
+    /// Write-barrier epoch: odd while the mutator is inside an operation
+    /// that may produce a gray (root marking, or a barrier outside the
+    /// idle period — DESIGN.md §4.10).  The collector's trace-termination
+    /// check only believes an empty gray queue after observing every epoch
+    /// even (closing the CAS-color-then-push window).
     pub epoch: AtomicUsize,
     /// Park state (see [`ParkState`]).
     pub park: Mutex<ParkState>,
@@ -144,7 +145,7 @@ impl MutatorShared {
         self.status.store(Status::Async as u8, Ordering::Release);
     }
 
-    /// Enters a gray-producing region (write barrier / root marking).
+    /// Enters a gray-producing region (graying barrier / root marking).
     #[inline]
     pub fn epoch_enter(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);

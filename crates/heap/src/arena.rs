@@ -134,10 +134,13 @@ impl Arena {
         self.words[idx].load(order)
     }
 
-    /// Stores the raw word at word index `idx`.
+    /// Zeroes `n` words from word index `first` (one bounds check for the
+    /// whole range, not one per word).
     #[inline]
-    pub fn store_word(&self, idx: usize, value: u64, order: Ordering) {
-        self.words[idx].store(value, order);
+    pub fn zero_words(&self, first: usize, n: usize) {
+        for w in &self.words[first..first + n] {
+            w.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Reads and decodes the header of `obj` (acquire: pairs with the

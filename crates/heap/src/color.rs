@@ -161,7 +161,16 @@ impl ColorTable {
     /// protocol still ends with the release store of the start-granule
     /// color ([`set`](ColorTable::set)), which orders the whole fill
     /// before the object becomes visible.
+    #[inline]
     pub fn fill(&self, start: usize, len: usize, color: Color) {
+        // Shorter than a word (the interior of nearly every new object):
+        // the word kernel's call and alignment prologue would cost more.
+        if len < 8 {
+            for b in &self.bytes[start..start + len] {
+                b.store(color as u8, Ordering::Release);
+            }
+            return;
+        }
         tablescan::bulk_fill(&self.bytes, start, start + len, color as u8);
     }
 

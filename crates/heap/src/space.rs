@@ -67,10 +67,11 @@ pub struct HeapSpace {
     backend: Backend,
     /// Granules currently held by objects or leased LABs.
     used_granules: AtomicUsize,
-    /// Granules leased to LABs but not yet carved into objects (see
-    /// [`HeapSpace::note_lab_lease`]).  Subtracted from the trigger
-    /// policy's used figure so mostly-empty LABs don't read as pressure.
+    /// Granules of every live LAB lease (see
+    /// [`HeapSpace::refill_lab`]).  Subtracted from the trigger policy's
+    /// used figure so mostly-empty LABs don't read as pressure.
     lab_leased: AtomicUsize,
+    /// Totals handed over in batches ([`HeapSpace::note_allocated`]).
     objects_allocated: AtomicU64,
     bytes_allocated: AtomicU64,
 }
@@ -223,16 +224,27 @@ impl HeapSpace {
         }
     }
 
-    /// Total objects ever allocated.
+    /// Objects allocated, as reported so far through
+    /// [`note_allocated`](HeapSpace::note_allocated).
     #[inline]
     pub fn objects_allocated(&self) -> u64 {
         self.objects_allocated.load(Ordering::Relaxed)
     }
 
-    /// Total bytes ever allocated (granule-rounded).
+    /// Bytes allocated (granule-rounded), as reported so far through
+    /// [`note_allocated`](HeapSpace::note_allocated).
     #[inline]
     pub fn bytes_allocated(&self) -> u64 {
         self.bytes_allocated.load(Ordering::Relaxed)
+    }
+
+    /// Adds a batch of installed objects to the allocation totals.
+    /// [`install_object`](Self::install_object) counts nothing: allocating
+    /// threads count privately and report here at their own boundaries, so
+    /// the per-object path writes no shared cache line.
+    pub fn note_allocated(&self, objects: u64, bytes: u64) {
+        self.objects_allocated.fetch_add(objects, Ordering::Relaxed);
+        self.bytes_allocated.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Allocates a chunk of at least `min` granules (preferring up to
@@ -360,41 +372,39 @@ impl HeapSpace {
         }
     }
 
-    /// Records `granules` leased into a mutator LAB (bumped at chunk
-    /// grant time by the caller).  The leased-unused figure is the
-    /// correction term for the collection-trigger policy: `used_granules`
-    /// counts whole LABs as used the moment they are granted, so without
-    /// it many mostly-empty LABs read as heap pressure and fire premature
-    /// full collections.
-    #[inline]
-    pub fn note_lab_lease(&self, granules: u32) {
+    /// Leases `chunk` to `lab`, retiring whatever `lab` held before.
+    /// The lease figure is the correction term for the collection-trigger
+    /// policy: `used_granules` counts whole LABs as used the moment they
+    /// are granted, so without it many mostly-empty LABs read as heap
+    /// pressure and fire premature full collections.  The whole chunk
+    /// goes on here and comes off in [`retire_lab`](Self::retire_lab);
+    /// carving objects out of the LAB in between touches nothing shared.
+    pub fn refill_lab(&self, lab: &mut Lab, chunk: Chunk) {
+        self.retire_lab(lab);
         self.lab_leased
-            .fetch_add(granules as usize, Ordering::Relaxed);
+            .fetch_add(chunk.len as usize, Ordering::Relaxed);
+        (lab.start, lab.cur, lab.end) = (chunk.start, chunk.start, chunk.end());
     }
 
-    /// Records `granules` carved out of a LAB into an object (no longer
-    /// leased-unused).
-    #[inline]
-    pub fn note_lab_carve(&self, granules: u32) {
+    /// Ends `lab`'s lease and returns its uncarved tail to the free lists.
+    pub fn retire_lab(&self, lab: &mut Lab) {
         self.lab_leased
-            .fetch_sub(granules as usize, Ordering::Relaxed);
+            .fetch_sub((lab.end - lab.start) as usize, Ordering::Relaxed);
+        if lab.cur < lab.end {
+            self.free_chunk(Chunk::new(lab.cur, lab.end - lab.cur));
+        }
+        *lab = Lab::new();
     }
 
-    /// Records `granules` of LAB remainder retired back to the free
-    /// lists (freed without ever holding an object).
-    #[inline]
-    pub fn note_lab_retire(&self, granules: u32) {
-        self.lab_leased
-            .fetch_sub(granules as usize, Ordering::Relaxed);
-    }
-
-    /// Granules currently leased to LABs but not yet carved into objects.
+    /// Granules of every live LAB lease: the leased-but-uncarved space,
+    /// over-stated by what each live LAB has carved (under one LAB per
+    /// allocating thread).
     #[inline]
     pub fn lab_leased_granules(&self) -> usize {
         self.lab_leased.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently leased to LABs but not yet carved into objects.
+    /// [`lab_leased_granules`](Self::lab_leased_granules) in bytes.
     #[inline]
     pub fn lab_leased_bytes(&self) -> usize {
         self.lab_leased_granules() * GRANULE
@@ -410,25 +420,18 @@ impl HeapSpace {
     /// release ordering.  A concurrent scanner either sees the final color
     /// (and can safely read the header) or a `Free`/`Interior` byte (and
     /// skips one granule).
+    /// Nothing is counted here (see [`note_allocated`](Self::note_allocated)).
     pub fn install_object(&self, start: usize, shape: &ObjShape, color: Color) -> ObjectRef {
         let size = shape.size_granules();
         let obj = ObjectRef::from_granule(start);
         // Zero every word so stale reference slots from a previous object
         // can never be traced.
-        let first_word = obj.word();
-        let n_words = size * crate::addr::WORDS_PER_GRANULE;
-        for w in first_word..first_word + n_words {
-            self.arena.store_word(w, 0, Ordering::Relaxed);
-        }
+        self.arena
+            .zero_words(obj.word(), size * crate::addr::WORDS_PER_GRANULE);
         self.arena.write_header(obj, shape.encode_header());
-        if size > 1 {
-            self.colors.fill(start + 1, size - 1, Color::Interior);
-        }
+        self.colors.fill(start + 1, size - 1, Color::Interior);
         self.ages.set(start, INFANT_AGE);
         self.colors.set(start, color); // release: publishes the object
-        self.objects_allocated.fetch_add(1, Ordering::Relaxed);
-        self.bytes_allocated
-            .fetch_add((size * GRANULE) as u64, Ordering::Relaxed);
         obj
     }
 
@@ -485,9 +488,11 @@ impl HeapSpace {
 }
 
 /// A mutator-private local allocation buffer: a leased chunk bump-allocated
-/// without synchronization (the paper's thread-local allocation).
+/// without synchronization (the paper's thread-local allocation).  Chunks
+/// go in and out through [`HeapSpace::refill_lab`] / [`HeapSpace::retire_lab`].
 #[derive(Debug, Default)]
 pub struct Lab {
+    start: u32,
     cur: u32,
     end: u32,
 }
@@ -495,13 +500,7 @@ pub struct Lab {
 impl Lab {
     /// An empty LAB (first allocation will refill).
     pub fn new() -> Lab {
-        Lab { cur: 0, end: 0 }
-    }
-
-    /// Remaining granules.
-    #[inline]
-    pub fn remaining(&self) -> u32 {
-        self.end - self.cur
+        Lab::default()
     }
 
     /// Tries to carve `n` granules; returns the start granule.
@@ -514,27 +513,6 @@ impl Lab {
         } else {
             None
         }
-    }
-
-    /// Replaces the LAB with `chunk`, returning the old remainder (to be
-    /// given back to the free lists) if any.
-    pub fn refill(&mut self, chunk: Chunk) -> Option<Chunk> {
-        let old = self.take_remainder();
-        self.cur = chunk.start;
-        self.end = chunk.end();
-        old
-    }
-
-    /// Takes the unallocated remainder out of the LAB, leaving it empty.
-    pub fn take_remainder(&mut self) -> Option<Chunk> {
-        let rest = if self.cur < self.end {
-            Some(Chunk::new(self.cur, self.end - self.cur))
-        } else {
-            None
-        };
-        self.cur = 0;
-        self.end = 0;
-        rest
     }
 }
 
@@ -609,6 +587,9 @@ mod tests {
         // Slots are zeroed.
         assert!(h.arena().load_ref_slot(obj, 0).is_null());
         assert!(h.arena().load_ref_slot(obj, 1).is_null());
+        // Installing counts nothing; the totals move when told.
+        assert_eq!((h.objects_allocated(), h.bytes_allocated()), (0, 0));
+        h.note_allocated(1, shape.size_bytes() as u64);
         assert_eq!(h.objects_allocated(), 1);
         assert_eq!(h.bytes_allocated(), shape.size_bytes() as u64);
     }
@@ -724,15 +705,24 @@ mod tests {
     #[test]
     fn lab_lease_accounting() {
         let h = small_heap();
+        let mut lab = Lab::new();
+        h.retire_lab(&mut lab); // an empty LAB retires to nothing
         assert_eq!(h.lab_leased_granules(), 0);
-        h.note_lab_lease(100);
+        let used = h.used_granules();
+        h.refill_lab(&mut lab, h.alloc_chunk(100, 100).unwrap());
         assert_eq!(h.lab_leased_granules(), 100);
-        h.note_lab_carve(30);
-        h.note_lab_carve(20);
-        assert_eq!(h.lab_leased_granules(), 50);
-        h.note_lab_retire(50);
-        assert_eq!(h.lab_leased_granules(), 0);
+        // Carving is private: the whole lease stays on the books.
+        lab.try_carve(30).unwrap();
+        lab.try_carve(20).unwrap();
+        assert_eq!(h.lab_leased_granules(), 100);
+        // A refill retires the old lease whole and frees its tail.
+        h.refill_lab(&mut lab, h.alloc_chunk(40, 40).unwrap());
+        assert_eq!(h.lab_leased_granules(), 40);
+        assert_eq!(h.used_granules(), used + 50 + 40);
+        h.retire_lab(&mut lab);
         assert_eq!(h.lab_leased_bytes(), 0);
+        assert_eq!(h.used_granules(), used + 50);
+        assert!(lab.try_carve(1).is_none(), "a retired LAB is empty");
     }
 
     #[test]
@@ -746,22 +736,16 @@ mod tests {
 
     #[test]
     fn lab_carving() {
+        let h = small_heap();
         let mut lab = Lab::new();
         assert!(lab.try_carve(1).is_none());
-        assert!(lab.refill(Chunk::new(10, 8)).is_none());
-        assert_eq!(lab.try_carve(3), Some(10));
-        assert_eq!(lab.try_carve(5), Some(13));
+        h.refill_lab(&mut lab, h.alloc_chunk(8, 8).unwrap());
+        assert_eq!(lab.try_carve(3), Some(1));
+        assert_eq!(lab.try_carve(5), Some(4));
         assert!(lab.try_carve(1).is_none());
-        assert!(lab.take_remainder().is_none());
-    }
-
-    #[test]
-    fn lab_refill_returns_remainder() {
-        let mut lab = Lab::new();
-        lab.refill(Chunk::new(0, 10));
-        lab.try_carve(4);
-        let old = lab.refill(Chunk::new(100, 20)).unwrap();
-        assert_eq!(old, Chunk::new(4, 6));
-        assert_eq!(lab.try_carve(20), Some(100));
+        // Fully carved: retiring frees nothing.
+        let free = h.free_list_granules();
+        h.retire_lab(&mut lab);
+        assert_eq!(h.free_list_granules(), free);
     }
 }

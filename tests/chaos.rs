@@ -11,10 +11,10 @@
 
 use std::time::{Duration, Instant};
 
-use otf_gengc::gc::{AllocError, Gc, GcConfig};
+use otf_gengc::gc::{AllocError, Gc, GcConfig, Mutator};
 use otf_gengc::heap::ObjShape;
 use otf_gengc::support::fault::{self, FaultPlan, FaultRule};
-use otf_gengc::workloads::{driver, Chaos};
+use otf_gengc::workloads::{driver, Chaos, Workload};
 
 /// The three collector variants every schedule runs under.
 fn variants() -> [GcConfig; 3] {
@@ -109,6 +109,107 @@ fn chaos_matrix_verifies_clean_under_fault_plans() {
                 );
             }
         }
+    }
+}
+
+/// Two mutators that keep their tokens reachable only through holder
+/// slots and move them by swapping: between the two stores of a swap the
+/// overwritten token lives in a "register" alone, so a barrier that
+/// judged the period idle when it was not (and grayed nothing) loses it
+/// to the cycle it raced.  Every fourth swap also stores a freshly
+/// allocated token into a holder that is old by then: only the idle
+/// path's card mark keeps that one alive through the next partial.
+struct TokenShuffle;
+
+impl TokenShuffle {
+    const HOLDERS: usize = 64;
+    const SWAPS: usize = 3000;
+}
+
+impl Workload for TokenShuffle {
+    fn name(&self) -> &'static str {
+        "token-shuffle"
+    }
+
+    fn threads(&self) -> usize {
+        2
+    }
+
+    fn run(&self, thread: usize, seed: u64, m: &mut Mutator) {
+        let (holder, token) = (ObjShape::new(1, 0), ObjShape::new(0, 1));
+        let garbage = ObjShape::new(0, 14);
+        for id in 0..Self::HOLDERS {
+            let h = m.alloc(&holder).unwrap();
+            m.root_push(h);
+            let tok = m.alloc(&token).unwrap();
+            m.write_data(tok, 0, id as u64);
+            m.write_ref(h, 0, tok);
+        }
+        let mut rng = seed ^ thread as u64;
+        let mut pick = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng >> 33) as usize % Self::HOLDERS
+        };
+        for swap in 0..Self::SWAPS {
+            let (src, dst) = (m.root_get(pick()), m.root_get(pick()));
+            let (a, b) = (m.read_ref(src, 0), m.read_ref(dst, 0));
+            m.write_ref(src, 0, b);
+            m.write_ref(dst, 0, a);
+            if swap % 4 == 0 {
+                let id = m.read_data(a, 0);
+                let fresh = m.alloc(&token).unwrap();
+                m.write_data(fresh, 0, id);
+                m.write_ref(dst, 0, fresh);
+            }
+            for _ in 0..8 {
+                m.alloc(&garbage).unwrap();
+            }
+        }
+        let mut seen = [false; Self::HOLDERS];
+        for i in 0..Self::HOLDERS {
+            let tok = m.read_ref(m.root_get(i), 0);
+            assert!(!tok.is_null(), "holder {i} lost its token");
+            assert_eq!(m.header(tok).size_granules(), token.size_granules());
+            let id = m.read_data(tok, 0) as usize;
+            assert!(
+                id < Self::HOLDERS && !seen[id],
+                "token {id} corrupt or duplicated"
+            );
+            seen[id] = true;
+        }
+    }
+}
+
+/// The write barrier's idle fast path (DESIGN.md §4.10) under a stretched
+/// race window: *every* `write_ref` sleeps between reading its period
+/// and acting on it, while 64 KB young generations keep the collector
+/// running handshake 1 → handshake 3 → trace underneath.  No token may be
+/// lost and the heap must verify clean in gen, nogen and aging.
+#[test]
+fn barrier_window_delays_never_lose_a_moved_reference() {
+    let _serial = fault::exclusive();
+    for cfg in variants() {
+        fault::install(
+            FaultPlan::new(0xBA22).rule(FaultRule::at("mutator.barrier.window").delaying(1.0, 20)),
+        );
+        let (result, violations) =
+            driver::run_workload_verified(&TokenShuffle, cfg.with_young_size(64 << 10), 0xBA22);
+        let log = fault::uninstall();
+        assert!(
+            violations.is_empty(),
+            "barrier-window delays under {:?} left heap violations: {violations:?}",
+            cfg.mode
+        );
+        assert!(
+            log.len() >= 2 * TokenShuffle::SWAPS,
+            "the delay plan barely fired"
+        );
+        let cycles = result.stats.cycles.len();
+        assert!(
+            cycles >= 3,
+            "only {cycles} cycles raced the barriers under {:?}",
+            cfg.mode
+        );
     }
 }
 

@@ -5,6 +5,8 @@
 //! real concurrency (mutator threads running against the collector
 //! thread) with small heaps so many cycles happen.
 
+use std::time::{Duration, Instant};
+
 use otf_gengc::gc::{CycleKind, Gc, GcConfig};
 use otf_gengc::heap::{ObjShape, ObjectRef};
 
@@ -493,15 +495,25 @@ fn stats_record_partial_and_full_cycles() {
     for _ in 0..20_000 {
         let _ = m.alloc(&shape).unwrap();
     }
-    m.parked(|| gc.collect_full_blocking());
+    m.parked(|| {
+        // The allocations can finish before the collector thread has
+        // picked up the partial they requested; a full collection asked
+        // for now would subsume it.  Let one partial complete first.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gc.stats().partial_count() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gc.collect_full_blocking();
+    });
     let stats = gc.stats();
     assert!(stats.partial_count() > 0, "expected partial collections");
     assert!(stats.full_count() > 0, "expected a full collection");
     assert!(stats
         .cycles_of(CycleKind::Partial)
         .all(|c| c.kind == CycleKind::Partial));
-    assert!(stats.gc_active > std::time::Duration::ZERO);
-    assert!(stats.objects_allocated >= 20_000);
+    assert!(stats.gc_active > Duration::ZERO);
+    // Exact, not a lower bound: `parked` flushed the mutator's counts.
+    assert_eq!(stats.objects_allocated, 20_000);
     drop(m);
     gc.shutdown();
 }
@@ -550,4 +562,46 @@ fn yellow_objects_survive_the_cycle_they_are_born_in() {
     }
     drop(m);
     gc.shutdown();
+}
+
+/// The staleness contract of the allocation totals (DESIGN.md §4.10):
+/// while mutators run, `Gc::objects_allocated()` never runs ahead of the
+/// truth and trails it by less than one LAB's worth of objects per live
+/// mutator; with every mutator parked it is exact.
+#[test]
+fn allocation_totals_lag_by_under_one_lab_per_mutator_and_are_exact_when_parked() {
+    // Both mutators live on this one thread, so neither may ever block
+    // (the other could not answer the handshake): commit the whole heap
+    // up front — it holds everything the loop allocates — while the 64 KB
+    // young generation still keeps partial collections running.
+    let gc = Gc::new(small(GcConfig::generational()).with_initial_heap(4 << 20));
+    let shape = ObjShape::new(1, 2); // 2 granules
+    let per_lab = (gc.config().lab_granules as usize / shape.size_granules()) as u64;
+    let mut a = gc.mutator();
+    let mut b = gc.mutator();
+    let mut truth = 0u64;
+    let mut worst = 0u64;
+    for round in 0..20_000 {
+        a.alloc(&shape).unwrap();
+        b.alloc(&shape).unwrap();
+        truth += 2;
+        let seen = gc.objects_allocated();
+        assert!(seen <= truth, "totals ran ahead: {seen} > {truth}");
+        worst = worst.max(truth - seen);
+        if round % 4096 == 4095 {
+            a.parked(|| b.parked(|| assert_eq!(gc.objects_allocated(), truth)));
+            assert_eq!(
+                gc.stats().bytes_allocated,
+                truth * shape.size_bytes() as u64
+            );
+        }
+    }
+    assert!(
+        worst <= 2 * per_lab,
+        "totals trailed by {worst} objects; two LABs hold {}",
+        2 * per_lab
+    );
+    assert!(worst > 0, "20 000 allocations never left a count private");
+    drop((a, b));
+    assert_eq!(gc.shutdown().objects_allocated, truth);
 }

@@ -20,6 +20,11 @@ fn tiny(cfg: GcConfig) -> GcConfig {
 /// answered by a live (never parked, never allocating) mutator — and
 /// returns the Gc for inspection.
 fn run_cooperating_cycles(cfg: GcConfig, cycles: usize) -> Gc {
+    // The fault registry is process-global: without the guard these
+    // cycles steal the hits (and the panic) of the plan that
+    // `injected_panic_produces_a_coherent_recovery_event_story` installs
+    // on a parallel test thread.
+    let _serial = otf_gengc::support::fault::exclusive();
     let gc = Gc::new(tiny(cfg));
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
