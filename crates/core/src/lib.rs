@@ -294,6 +294,14 @@ impl Gc {
         self.shared.heap.colors().get(obj.granule()).is_object()
     }
 
+    /// Diagnostic: every chunk on the free lists, sorted by start granule
+    /// (all shards plus the block store on the sharded back-end).  Whole
+    /// only where [`verify_heap`](Gc::verify_heap) is: at a quiescent
+    /// point, after it has forced any lazy sweep to completion.
+    pub fn debug_free_chunks(&self) -> Vec<otf_heap::Chunk> {
+        self.shared.heap.free_list_snapshot()
+    }
+
     /// Walks the heap and checks the collector's structural invariants
     /// (parse integrity, free-pool agreement, no dangling references, and
     /// the inter-generational card invariant).  Returns every violation

@@ -278,19 +278,23 @@ impl EventRing {
             .saturating_sub(RING_CAP as u64)
     }
 
-    /// Wait-free multi-producer record.
-    fn record(&self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
+    /// Wait-free multi-producer record.  The clock is read *after* the
+    /// slot is claimed, so a thread cannot sit on an old timestamp while
+    /// later events take earlier slots; what reordering remains (two
+    /// claims racing to their clock reads) `drain` sorts out.
+    fn record(&self, now_ns: impl FnOnce() -> u64, kind: EventKind, a: u64, b: u64) {
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[pos as usize & (RING_CAP - 1)];
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
+        slot.t_ns.store(now_ns(), Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.seq.store(pos + 1, Ordering::Release);
     }
 
-    /// Snapshot of the retained events, oldest first.  Slots being
-    /// overwritten concurrently are skipped (sequence mismatch).
+    /// Snapshot of the retained events, oldest first by timestamp (slot
+    /// order breaks ties).  Slots being overwritten concurrently are
+    /// skipped (sequence mismatch).
     fn drain(&self) -> Vec<GcEvent> {
         let head = self.head.load(Ordering::Acquire);
         let start = head.saturating_sub(RING_CAP as u64);
@@ -307,6 +311,7 @@ impl EventRing {
                 b: slot.b.load(Ordering::Relaxed),
             });
         }
+        out.sort_by_key(|e| e.t_ns);
         out
     }
 }
@@ -420,7 +425,7 @@ impl Obs {
         if !self.enabled {
             return;
         }
-        self.ring.record(self.now_ns(), kind, a, b);
+        self.ring.record(|| self.now_ns(), kind, a, b);
     }
 
     /// Collector side: a handshake was posted.  Must be called *before*
@@ -539,6 +544,33 @@ mod tests {
         assert_eq!(evs[3].kind, EventKind::CycleEnd);
         // Timestamps never go backwards for single-threaded recording.
         assert!(evs.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    }
+
+    /// Two threads record at once: the drain is in timestamp order, loses
+    /// nothing, and keeps each thread's own events in program order.
+    #[test]
+    fn concurrent_events_drain_in_timestamp_order() {
+        const PER_THREAD: u64 = RING_CAP as u64 / 4;
+        let obs = Obs::new(true, 1);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (obs, start) = (&obs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        obs.event(EventKind::SweepProgress, i, t);
+                    }
+                });
+            }
+        });
+        let evs = obs.events();
+        assert_eq!(evs.len() as u64, 2 * PER_THREAD);
+        assert!(evs.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        for t in 0..2 {
+            let own: Vec<u64> = evs.iter().filter(|e| e.b == t).map(|e| e.a).collect();
+            assert_eq!(own, (0..PER_THREAD).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl HeapSpace {
         self.alloc_chunk_on(0, min, preferred)
     }
 
-    /// The original single-list allocation path: free-list best-fit, then
+    /// The original single-list allocation path: free-list good-fit, then
     /// bump the frontier inside the committed region.
     fn alloc_unsharded(
         freelists: &FreeLists,

@@ -5,6 +5,7 @@
 //! real concurrency (mutator threads running against the collector
 //! thread) with small heaps so many cycles happen.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use otf_gengc::gc::{CycleKind, Gc, GcConfig};
@@ -448,6 +449,84 @@ fn unreachable_objects_are_reclaimed_by_full_collection() {
     );
     drop(m);
     gc.shutdown();
+}
+
+/// A db-shaped comb — 2-granule objects, every other one dead — swept
+/// into the free-space pool by real collections: each hole between two
+/// survivors must come back as its own chunk, and once the survivors die
+/// too the holes must have merged, so that no two pooled chunks touch.
+/// (On the sharded back-end two pools may hold the two sides of a block
+/// boundary; nothing else may be adjacent.)
+#[test]
+fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
+    const TEETH: usize = 6000;
+    let block = otf_gengc::heap::BLOCK_GRANULES;
+    for survivors_die in [false, true] {
+        let mut gc = Gc::new(
+            GcConfig::generational()
+                .with_max_heap(8 << 20)
+                .with_initial_heap(8 << 20)
+                .with_young_size(4 << 20),
+        );
+        let sharded = gc.config().alloc_shards > 0;
+        let mut m = gc.mutator();
+        let shape = ObjShape::new(1, 1);
+        assert_eq!(shape.size_granules(), 2);
+        // Even teeth form a rooted chain, odd teeth are garbage at once.
+        let head = m.alloc(&shape).unwrap();
+        let root = m.root_push(head);
+        let mut live = HashSet::from([head.granule()]);
+        let mut dead = Vec::new();
+        let mut tail = head;
+        for i in 1..2 * TEETH {
+            let obj = m.alloc(&shape).unwrap();
+            if i % 2 == 0 {
+                m.write_ref(tail, 0, obj);
+                tail = obj;
+                live.insert(obj.granule());
+            } else {
+                dead.push(obj.granule());
+            }
+        }
+        assert_eq!(m.root_get(root), head);
+        m.parked(|| gc.collect_full_blocking());
+        m.parked(|| gc.collect_full_blocking());
+        if survivors_die {
+            // The holes are pooled by now.  The sweep skips them, so each
+            // survivor arrives as a 2-granule run of its own, and only
+            // the pool can merge it with the holes on either side.
+            m.root_pop();
+            m.parked(|| gc.collect_full_blocking());
+            m.parked(|| gc.collect_full_blocking());
+        }
+        gc.stop_collector();
+        let violations = gc.verify_heap();
+        assert!(violations.is_empty(), "heap violations: {violations:?}");
+
+        let free = gc.debug_free_chunks();
+        for w in free.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(a.end() <= b.start, "overlapping chunks {a:?} {b:?}");
+            let at_block_seam = sharded && (a.end() as usize).is_multiple_of(block);
+            assert!(a.end() < b.start || at_block_seam, "{a:?} {b:?} not merged");
+        }
+        let chunk_over = |g: usize| {
+            let i = free.partition_point(|c| c.end() as usize <= g);
+            free.get(i).copied().filter(|c| c.start as usize <= g)
+        };
+        for &g in &dead {
+            let c = chunk_over(g).unwrap_or_else(|| panic!("dead tooth {g} not pooled"));
+            let fenced = live.contains(&(g - 2)) && live.contains(&(g + 2));
+            if fenced && !survivors_die {
+                assert_eq!((c.start as usize, c.len), (g, 2), "hole at {g} is {c:?}");
+            }
+        }
+        for &g in &live {
+            assert_eq!(chunk_over(g).is_some(), survivors_die, "tooth {g}");
+        }
+        drop(m);
+        gc.shutdown();
+    }
 }
 
 #[test]
