@@ -98,9 +98,13 @@ step bench-lazy bench lazy '"cycle_gate_ok": true' '"parity_ok": true' \
 # The full integration suites again with four GC workers: every
 # collector-driven test (correctness, chaos, observability) must hold
 # when the packet schedule fans out across the work-stealing pool, not
-# just on the serial one-worker drain.
+# just on the serial one-worker drain.  The sweep's own unit and
+# differential tests ride along (as the pool's do in the shards cell):
+# every default-configured sweep in them becomes a page-partitioned one.
 step cell-threads env OTF_GC_THREADS=4 \
     cargo test -q --offline --test chaos --test gc_correctness
+step cell-threads-sweep env OTF_GC_THREADS=4 \
+    cargo test -q --offline -p otf-gc --lib sweep
 
 # And again with the sharded heap back-end: the GC protocol must be
 # oblivious to the allocator substrate.  The free-space pool's own
@@ -116,9 +120,12 @@ step cell-shards-pool env OTF_GC_SHARDS=4 \
 # alone and combined with the sharded heap and parallel mark — the
 # combined cell drives every packet the plans can select (parallel
 # trace lanes, lazy finalize + publish, sharded free-lists) through the
-# packet scheduler at once.
+# packet scheduler at once.  The sweep tests ride along here too (the
+# filter also selects the lazy module's eager-parity tests).
 step cell-lazy env OTF_GC_LAZY_SWEEP=1 \
     cargo test -q --offline --test chaos --test gc_correctness
+step cell-lazy-sweep env OTF_GC_LAZY_SWEEP=1 \
+    cargo test -q --offline -p otf-gc --lib sweep
 step cell-combined env OTF_GC_LAZY_SWEEP=1 OTF_GC_SHARDS=4 OTF_GC_THREADS=4 \
     cargo test -q --offline --test chaos --test gc_correctness
 

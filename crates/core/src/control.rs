@@ -172,8 +172,7 @@ impl Control {
     /// Signals shutdown and wakes everything.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        self.wake.notify_all();
-        self.done_cond.notify_all();
+        self.notify_waiters();
     }
 
     /// Whether shutdown has been signalled.
@@ -189,8 +188,14 @@ impl Control {
     /// longer happen.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        // Lock-then-notify on both condvars so a waiter between its flag
-        // check and its wait cannot miss the wakeup.
+        self.notify_waiters();
+    }
+
+    /// Wakes both condvars after a flag store.  Lock-then-notify, so a
+    /// waiter between its flag check and its wait cannot miss the wakeup
+    /// (`Gc::stop_collector` joins a collector that may be exactly there
+    /// in `next_request`).
+    fn notify_waiters(&self) {
         {
             let _p = self.pending.lock();
             self.wake.notify_all();

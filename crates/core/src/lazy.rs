@@ -31,7 +31,7 @@
 //! matching-epoch params and frontier — the stamp makes the claim
 //! ABA-proof across publishes without a lock on the refill hot path.
 //! The segment cursor partitions `[1, frontier)` exactly as the PR 5
-//! parallel sweep does (including the `object_end` straddler snap), and
+//! parallel sweep does (including `sweep_range`'s straddler rule), and
 //! every granule therefore belongs to exactly one claimant — no double
 //! free, and no resurrection because concurrent allocation uses the
 //! allocation color which the epoch's pinned `clear` never matches.
@@ -274,28 +274,18 @@ impl GcShared {
         // segment must be swept exactly once, so the verdict is ignored
         // (as at `collector.worker`).
         let _ = fault::point("mutator.lazy_sweep.segment");
-        let colors = self.heap.colors();
         let seg_stop = (seg_start + SWEEP_SEGMENT_GRANULES).min(frontier);
-        // Straddler snap, identical to the parallel sweep: a leading
-        // Interior run belongs to the previous segment's claimant.
-        let snapped = if seg_start == 1 {
-            1
-        } else {
-            colors.object_end(seg_start - 1, frontier)
-        };
         let mut counters = Counters::default();
         let mut buf = SweepBuf::new(seg_start + SWEEP_PROGRESS_STRIDE);
-        if snapped < seg_stop {
-            self.sweep_range(
-                &params,
-                snapped,
-                seg_stop,
-                frontier,
-                &mut counters,
-                None,
-                &mut buf,
-            );
-        }
+        self.sweep_range(
+            &params,
+            seg_start,
+            seg_stop,
+            frontier,
+            &mut counters,
+            None,
+            &mut buf,
+        );
         Self::flush_run(&mut buf.run, &mut buf.batch);
         // Run-reclaim injection window, before the reclaimed runs become
         // visible to other allocators (verdict ignored, as above).

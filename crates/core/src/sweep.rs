@@ -1,31 +1,50 @@
-//! The concurrent sweep (Figures 2 and 5).
+//! The concurrent sweep (Figures 2 and 5), run at a time.
 //!
-//! Sweep walks the color table linearly from the first granule to the
-//! allocation frontier:
+//! Sweep reads the color table linearly from the first granule to the
+//! allocation frontier.  Its unit of work is the **run**, not the object
+//! (DESIGN.md §4.12), so a sweep costs O(table bytes / 8 + runs + chunks
+//! freed) — it follows what dies, not what lives:
 //!
-//! * **clear-colored** objects are reclaimed: their granules become `Free`
-//!   and contiguous reclaimed runs are coalesced into one chunk for the
-//!   free lists;
-//! * **black** objects stay black — in the simple generational variant
-//!   this *is* promotion ("if we do not turn these objects white during
-//!   the sweep, then black objects are in the old generation", §3);
-//! * **allocation-colored** objects (created during the cycle — the
-//!   paper's yellow) are left untouched, so they are *not* promoted (§4);
-//!   thanks to the color toggle they need no recoloring either (§5);
-//! * in the **aging** variant, survivors below the tenuring threshold are
-//!   recolored to the allocation color and their age incremented
-//!   (Figure 5), so only objects that reach the threshold stay black.
+//! * a stretch of **survivors the sweep has no business with** — free
+//!   space, and objects of the one color the cycle leaves untouched — is
+//!   crossed by one word-at-a-time `skip_survivors` scan that counts the
+//!   object starts and occupied granules it passes.  That color is
+//!   `Black` in the simple generational variant (black stays black: this
+//!   *is* promotion, §3) and the pinned mark/allocation color in the
+//!   non-generational baseline.  `objects_survived`, `bytes_survived`
+//!   and (non-generational) `bytes_alloc_colored` are those counts;
+//! * a **dead run** — a clear-colored start and everything up to the
+//!   first byte that is neither clear nor `Interior` — is measured by one
+//!   `dead_run_end` scan, which also counts its start bytes, then filled
+//!   `Free`, age-zeroed and turned into one chunk for the free lists;
+//! * every other object start is **visited** singly, as before:
+//!   allocation-colored objects in the generational variants (created
+//!   during the cycle — the paper's yellow; counted, left untouched, so
+//!   *not* promoted, §4; the color toggle spares them a recoloring, §5),
+//!   a leaked `Gray` (kept, conservatively, as marked), and under
+//!   **aging** every survivor, since each needs its age touched:
+//!   survivors below the tenuring threshold are recolored to the
+//!   allocation color with one more birthday (Figure 5), so only objects
+//!   that reach the threshold stay black.
 //!
-//! Races with concurrent allocation are benign by construction: sweep
-//! skips `Free`/`Interior` bytes one granule at a time and never re-inserts
-//! already-free space into the free lists (see `otf_heap::freelist`).
+//! Races with concurrent allocation are benign by construction.  Every
+//! `Interior` byte inside a dead run belongs to a dead object, because
+//! the last start byte before it is clear-colored; an object being
+//! installed shows a `Free` start byte until it is published with the
+//! allocation color, and either byte ends the run.  Sweep never
+//! re-inserts already-free space into the free lists (see
+//! `otf_heap::freelist`).  The one thing a race can touch is a
+//! statistic: the `Interior` tail of an in-flight object is crossed as
+//! if it were a survivor's and adds to `bytes_survived`.
 //!
 //! With `gc_threads > 1` the sweep is **page-partitioned** (DESIGN.md
 //! §4.4): `[1, frontier)` is cut into page-aligned segments claimed from a
 //! shared cursor.  An object belongs to the segment its *start* granule
-//! falls in; a worker snaps its segment start past any leading `Interior`
-//! run (the straddling object is swept whole by the previous segment's
-//! owner, with `object_end` bounded by the frontier, not the segment).
+//! falls in: a sweeper begins at the first start byte of its segment (a
+//! leading `Interior` run is the tail of an object the previous segment's
+//! owner accounts for whole), searches for starts only below its
+//! segment's end, and follows only the `Interior` tail of its last
+//! object beyond it, up to the frontier.
 //! Reclaimed runs never coalesce across a segment boundary, and each
 //! worker flushes its own chunk batches to the free lists independently.
 //! On the sharded heap back-end (DESIGN.md §4.5) a flush routes each
@@ -182,7 +201,6 @@ impl GcShared {
         cx: &mut CycleCx,
     ) {
         let t0 = Instant::now();
-        let colors = self.heap.colors();
         let mut buf = SweepBuf::new(SWEEP_PROGRESS_STRIDE);
         loop {
             let seg_start = cursor.fetch_add(SWEEP_SEGMENT_GRANULES, Ordering::SeqCst);
@@ -194,29 +212,15 @@ impl GcShared {
             // swept exactly once — so the verdict is ignored.
             let _ = fault::point("collector.worker");
             let seg_stop = (seg_start + SWEEP_SEGMENT_GRANULES).min(frontier);
-            // Snap to the first object boundary at or after seg_start: a
-            // leading Interior run belongs to an object starting in an
-            // earlier segment, and that segment's owner sweeps it whole.
-            // If the previous owner is concurrently filling that dead
-            // straddler `Free`, snapping may stop early inside its extent
-            // — harmless, since `sweep_range` only acts on start bytes
-            // and skips Free/Interior space.
-            let snapped = if seg_start == 1 {
-                1
-            } else {
-                colors.object_end(seg_start - 1, frontier)
-            };
-            if snapped < seg_stop {
-                self.sweep_range(
-                    params,
-                    snapped,
-                    seg_stop,
-                    frontier,
-                    &mut cx.counters,
-                    Some(&mut cx.pages),
-                    &mut buf,
-                );
-            }
+            self.sweep_range(
+                params,
+                seg_start,
+                seg_stop,
+                frontier,
+                &mut cx.counters,
+                Some(&mut cx.pages),
+                &mut buf,
+            );
             // Never coalesce a reclaimed run across a segment boundary —
             // the adjacent segment may belong to another worker.
             Self::flush_run(&mut buf.run, &mut buf.batch);
@@ -225,9 +229,12 @@ impl GcShared {
         self.obs.note_worker_sweep(w, dur_ns(t0.elapsed()));
     }
 
-    /// Sweeps every object whose start granule lies in `[start, stop)`.
-    /// `frontier` bounds the *extent* parse, so an object straddling
-    /// `stop` is still processed whole by this call.
+    /// Sweeps every object whose start granule lies in `[start, stop)`,
+    /// a run at a time (module docs; DESIGN.md §4.12).  `frontier` bounds
+    /// the *extent* scans, so an object straddling `stop` is still
+    /// processed whole by this call; a leading `Interior` run at a
+    /// segment start (`start > 1`) is the tail of such a straddler and
+    /// is the previous segment's owner's to free or count.
     ///
     /// This is the kernel shared by both sweep back-ends.  The eager
     /// collector paths pass their `CycleCx` split into `counters` +
@@ -255,94 +262,146 @@ impl GcShared {
         } = *params;
         let colors = self.heap.colors();
         let ages = self.heap.ages();
+        // The one survivor color that needs nothing from this sweep: it
+        // is counted on the way past, never visited.  Under aging every
+        // survivor needs its age touched, so no color passes.
+        let pass = if aging.is_some() {
+            Color::Free
+        } else {
+            trace_target
+        };
+        // Granules crossed by the survivor skip: `pass`-colored objects
+        // and their interiors (plus, stats-only, the interior of an
+        // object caught mid-installation).
+        let survived = |counters: &mut Counters, granules: usize| {
+            let bytes = (granules * GRANULE) as u64;
+            counters.bytes_survived += bytes;
+            if pass == alloc {
+                counters.bytes_alloc_colored += bytes;
+            }
+        };
 
-        let mut g = start;
+        let mut g = if start == 1 {
+            start
+        } else {
+            colors.next_color_above(start, stop, Color::Interior)
+        };
+        if g >= stop {
+            // No object starts in this segment.  Not the same as falling
+            // through the loop below: a giant filling the whole segment
+            // had its tail counted by its own segment's sweeper, and the
+            // straddler rule after the loop would count it again.
+            return;
+        }
         while g < stop {
             if g >= buf.next_mark {
                 self.obs
                     .event(EventKind::SweepProgress, g as u64, frontier as u64);
                 buf.next_mark = g + SWEEP_PROGRESS_STRIDE;
             }
-            // Fast path: skip reclaimed / unallocated / in-flight space
-            // with relaxed word-at-a-time loads.  Such space is never
-            // reclaimed again, so any pending run must be flushed before
-            // crossing it (we must not merge chunks into space someone
-            // else may own).
-            let next = colors.skip_non_object(g, stop);
+            // Each scan stops at the next progress mark as well as at
+            // `stop`, so a heap that frees nothing still reports its
+            // sweep rate on the stride.
+            let lim = stop.min(buf.next_mark);
+            let (next, objects, granules) = colors.skip_survivors(g, lim, pass);
             if next != g {
-                Self::flush_run(&mut buf.run, &mut buf.batch);
-                if buf.batch.len() >= SWEEP_FLUSH_CHUNKS {
-                    self.heap.free_chunk_batch(&buf.batch);
-                    buf.batch.clear();
-                    self.obs
-                        .event(EventKind::SweepProgress, g as u64, frontier as u64);
-                }
+                // Space that is never reclaimed (again) by this sweep was
+                // crossed, so the pending run ends here: chunks must not
+                // merge into space someone else may own.
+                counters.objects_survived += objects as u64;
+                survived(counters, granules);
+                self.close_run(buf, g, frontier);
                 g = next;
+                if g == lim {
+                    continue;
+                }
+            }
+            // The color table alone drives the parse: extents are runs
+            // of Interior bytes, so sweep never touches the arena at all
+            // (headers included) — the non-moving free-chunk records
+            // live in side storage too.
+            let color = colors.get(g); // acquire pairs with allocation
+            if color == clear {
+                // Reclaim the whole dead run: free ← free ∪ run;
+                // color(run) ← blue.  Start bytes are searched for below
+                // `lim` only; the Interior tail of the run's last object
+                // is followed beyond it.
+                let (mut end, objects) = colors.dead_run_end(g, lim, clear);
+                if end == lim {
+                    end = colors.object_end(lim - 1, frontier);
+                }
+                counters.objects_freed += objects as u64;
+                counters.bytes_freed += ((end - g) * GRANULE) as u64;
+                colors.fill(g, end - g, Color::Free);
+                // Zeroes interior ages as well as the starts': harmless,
+                // ages are read at start bytes only (DESIGN.md §4.12).
+                ages.clear(g, end - g);
+                // A run cut at a progress mark resumes where it stopped.
+                let begin = match buf.run {
+                    Some(r) if r.end() as usize == g => r.start as usize,
+                    _ => {
+                        Self::flush_run(&mut buf.run, &mut buf.batch);
+                        g
+                    }
+                };
+                buf.run = Some(Chunk::new(begin as u32, (end - begin) as u32));
+                g = end;
                 continue;
             }
-            // The color table alone drives the parse: the object's
-            // extent is its run of Interior bytes, so sweep never touches
-            // the arena at all (headers included) — the non-moving
-            // free-chunk records live in side storage too.
-            let color = colors.get(g); // acquire pairs with allocation
+            // A visited survivor: created during the cycle, below the
+            // tenuring threshold, or — for robustness — a leaked gray,
+            // treated as live.
+            self.close_run(buf, g, frontier);
             let obj_end = colors.object_end(g, frontier);
-            let size = obj_end - g;
-            if color == clear {
-                // Reclaim: free ← free ∪ x; color(x) ← blue.
-                counters.objects_freed += 1;
-                counters.bytes_freed += (size * GRANULE) as u64;
-                colors.fill(g, size, Color::Free);
-                ages.set(g, 0);
-                buf.run = Some(match buf.run.take() {
-                    Some(r) if r.end() as usize == g => Chunk::new(r.start, r.len + size as u32),
-                    Some(r) => {
-                        buf.batch.push(r);
-                        Chunk::new(g as u32, size as u32)
+            counters.objects_survived += 1;
+            counters.bytes_survived += ((obj_end - g) * GRANULE) as u64;
+            if color == alloc {
+                counters.bytes_alloc_colored += ((obj_end - g) * GRANULE) as u64;
+            }
+            match aging {
+                Some(threshold) => {
+                    if let Some(p) = pages.as_mut() {
+                        p.touch_byte(otf_heap::Space::AgeTable, g);
                     }
-                    None => Chunk::new(g as u32, size as u32),
-                });
-            } else {
-                // Survivor (traced, created-during-cycle, or — for
-                // robustness — a leaked gray, treated as live).
-                Self::flush_run(&mut buf.run, &mut buf.batch);
-                if buf.batch.len() >= SWEEP_FLUSH_CHUNKS {
-                    self.heap.free_chunk_batch(&buf.batch);
-                    buf.batch.clear();
-                    self.obs
-                        .event(EventKind::SweepProgress, g as u64, frontier as u64);
+                    let age = ages.get(g);
+                    if age < threshold {
+                        // Young survivor: stays in the young
+                        // generation with one more birthday.
+                        colors.set(g, alloc);
+                        ages.set(g, age + 1);
+                    } else if color == Color::Gray {
+                        colors.set(g, Color::Black);
+                    }
                 }
-                counters.objects_survived += 1;
-                counters.bytes_survived += (size * GRANULE) as u64;
-                if color == alloc {
-                    counters.bytes_alloc_colored += (size * GRANULE) as u64;
-                }
-                match aging {
-                    Some(threshold) => {
-                        if let Some(p) = pages.as_mut() {
-                            p.touch_byte(otf_heap::Space::AgeTable, g);
-                        }
-                        let age = ages.get(g);
-                        if age < threshold {
-                            // Young survivor: stays in the young
-                            // generation with one more birthday.
-                            colors.set(g, alloc);
-                            ages.set(g, age + 1);
-                        } else if color == Color::Gray {
-                            colors.set(g, Color::Black);
-                        }
+                None => {
+                    if color == Color::Gray {
+                        // A gray that escaped the trace: keep it
+                        // conservatively as marked.
+                        colors.set(g, trace_target);
                     }
-                    None => {
-                        if color == Color::Gray {
-                            // A gray that escaped the trace: keep it
-                            // conservatively as marked.
-                            colors.set(g, trace_target);
-                        }
-                        // Simple variant: black stays black (promotion);
-                        // allocation color untouched.
-                    }
+                    // Simple variant: allocation color untouched.
                 }
             }
             g = obj_end;
+        }
+        // A skipped survivor straddling `stop`: its tail is this call's
+        // to count (the next segment's owner starts past it).
+        if g == stop && stop < frontier {
+            survived(counters, colors.object_end(stop - 1, frontier) - stop);
+        }
+    }
+
+    /// Ends the pending reclaimed run before the sweep crosses space it
+    /// does not reclaim, and publishes the batch to the free lists once
+    /// it is full, so concurrent allocation never starves behind a long
+    /// sweep.
+    fn close_run(&self, buf: &mut SweepBuf, g: usize, frontier: usize) {
+        Self::flush_run(&mut buf.run, &mut buf.batch);
+        if buf.batch.len() >= SWEEP_FLUSH_CHUNKS {
+            self.heap.free_chunk_batch(&buf.batch);
+            buf.batch.clear();
+            self.obs
+                .event(EventKind::SweepProgress, g as u64, frontier as u64);
         }
     }
 
@@ -361,6 +420,7 @@ mod tests {
     use crate::config::GcConfig;
     use crate::cycle::CycleCx;
     use otf_heap::{ObjShape, ObjectRef};
+    use otf_support::check::{run_cases, Gen};
 
     fn setup(cfg: GcConfig) -> (GcShared, CycleCx) {
         let sh = GcShared::new(cfg.with_max_heap(1 << 20).with_initial_heap(1 << 20));
@@ -670,5 +730,279 @@ mod tests {
                 parallel.heap.ages().get(po.granule())
             );
         }
+    }
+
+    /// The object-at-a-time sweep the run kernels replaced, kept as the
+    /// differential oracle: one skip, one acquire load and one extent
+    /// scan per object start, serially over `[1, frontier)`.
+    fn sweep_oracle(sh: &GcShared, counters: &mut Counters) {
+        let SweepParams {
+            clear,
+            alloc,
+            aging,
+            trace_target,
+        } = sh.sweep_params();
+        let colors = sh.heap.colors();
+        let ages = sh.heap.ages();
+        let frontier = sh.heap.frontier_granule();
+        let mut run: Option<Chunk> = None;
+        let mut batch = Vec::new();
+        let mut g = 1;
+        while g < frontier {
+            let next = colors.next_color_above(g, frontier, Color::Interior);
+            if next != g {
+                GcShared::flush_run(&mut run, &mut batch);
+                g = next;
+                continue;
+            }
+            let color = colors.get(g);
+            let obj_end = colors.object_end(g, frontier);
+            let size = obj_end - g;
+            if color == clear {
+                counters.objects_freed += 1;
+                counters.bytes_freed += (size * GRANULE) as u64;
+                colors.fill(g, size, Color::Free);
+                ages.set(g, 0);
+                run = Some(match run.take() {
+                    Some(r) if r.end() as usize == g => Chunk::new(r.start, r.len + size as u32),
+                    Some(r) => {
+                        batch.push(r);
+                        Chunk::new(g as u32, size as u32)
+                    }
+                    None => Chunk::new(g as u32, size as u32),
+                });
+            } else {
+                GcShared::flush_run(&mut run, &mut batch);
+                counters.objects_survived += 1;
+                counters.bytes_survived += (size * GRANULE) as u64;
+                if color == alloc {
+                    counters.bytes_alloc_colored += (size * GRANULE) as u64;
+                }
+                match aging {
+                    Some(threshold) => {
+                        let age = ages.get(g);
+                        if age < threshold {
+                            colors.set(g, alloc);
+                            ages.set(g, age + 1);
+                        } else if color == Color::Gray {
+                            colors.set(g, Color::Black);
+                        }
+                    }
+                    None => {
+                        if color == Color::Gray {
+                            colors.set(g, trace_target);
+                        }
+                    }
+                }
+            }
+            g = obj_end;
+        }
+        GcShared::flush_run(&mut run, &mut batch);
+        sh.heap.free_chunk_batch(&batch);
+    }
+
+    /// A generated heap image: color and age bytes for granules
+    /// `1..colors.len()`, plus how many `Interior` granules belong to
+    /// objects caught mid-installation (`Free` start byte) — the only
+    /// bytes the run sweep may count that the oracle does not.
+    struct Image {
+        colors: Vec<u8>,
+        ages: Vec<u8>,
+        inflight: u64,
+    }
+
+    impl Image {
+        fn push_object(&mut self, start: Color, granules: usize, age: u8) {
+            self.colors.push(start as u8);
+            self.ages.push(age);
+            self.colors
+                .extend(std::iter::repeat_n(Color::Interior as u8, granules - 1));
+            // Interior ages are never read; give them the start's value
+            // so the comparison below sees who writes them.
+            self.ages.extend(std::iter::repeat_n(age, granules - 1));
+        }
+
+        /// Installs the image on a fresh heap: one frontier bump covers
+        /// it, so the free lists start empty.
+        fn install(&self, sh: &GcShared) {
+            let n = (self.colors.len() - 1) as u32;
+            let c = sh.heap.alloc_chunk(n, n).expect("image fits the heap");
+            assert_eq!(c.start, 1);
+            for g in 1..self.colors.len() {
+                sh.heap.colors().set(g, Color::from_byte(self.colors[g]));
+                sh.heap.ages().set(g, self.ages[g]);
+            }
+        }
+    }
+
+    /// Draws an image of roughly `target` granules under the given clear
+    /// color: small and 1-granule objects of every color, free gaps,
+    /// in-flight objects, rare `Gray` leaks, and — wherever a sweep
+    /// segment boundary comes within reach — a giant that straddles it or
+    /// a dead run that ends exactly on it.  The last object is dead or
+    /// live at random, so dead runs also end exactly at the frontier.
+    fn random_image(g: &mut Gen, target: usize, clear: Color, alloc: Color) -> Image {
+        let mut im = Image {
+            colors: vec![Color::Free as u8],
+            ages: vec![0],
+            inflight: 0,
+        };
+        while im.colors.len() < target {
+            let at = im.colors.len();
+            let to_boundary = SWEEP_SEGMENT_GRANULES - (at - 1) % SWEEP_SEGMENT_GRANULES;
+            let color = match g.usize_in(0..16) {
+                0..=5 => clear,
+                6..=10 => Color::Black,
+                11..=13 => alloc,
+                14 => Color::Gray,
+                _ => Color::Free,
+            };
+            let age = g.usize_in(0..5) as u8;
+            if to_boundary <= 64 && g.bool() {
+                // Boundary cases: end exactly on the boundary, or
+                // straddle it (by a little, or by more than a segment).
+                let granules = match g.usize_in(0..3) {
+                    0 => to_boundary,
+                    1 => to_boundary + g.usize_in(1..40),
+                    _ => to_boundary + SWEEP_SEGMENT_GRANULES + g.usize_in(0..40),
+                };
+                let color = if color == Color::Free { clear } else { color };
+                im.push_object(color, granules, age);
+            } else if color == Color::Free {
+                if g.bool() {
+                    // Mid-installation: interiors written, start not yet.
+                    let tail = g.usize_in(1..6);
+                    im.push_object(Color::Free, 1 + tail, 0);
+                    im.inflight += tail as u64;
+                } else {
+                    let gap = g.usize_in(1..20);
+                    im.colors
+                        .extend(std::iter::repeat_n(Color::Free as u8, gap));
+                    im.ages.extend(std::iter::repeat_n(0, gap));
+                }
+            } else {
+                let granules = match g.usize_in(0..8) {
+                    0..=2 => 1,
+                    3..=6 => g.usize_in(2..7),
+                    _ => g.usize_in(7..60),
+                };
+                im.push_object(color, granules, age);
+            }
+        }
+        im
+    }
+
+    fn sweep_counters(c: &Counters) -> [u64; 5] {
+        [
+            c.objects_freed,
+            c.bytes_freed,
+            c.objects_survived,
+            c.bytes_survived,
+            c.bytes_alloc_colored,
+        ]
+    }
+
+    fn table_bytes(sh: &GcShared, len: usize) -> (Vec<u8>, Vec<u8>) {
+        (
+            (0..len)
+                .map(|g| sh.heap.colors().get_raw_relaxed(g))
+                .collect(),
+            (0..len).map(|g| sh.heap.ages().get(g)).collect(),
+        )
+    }
+
+    /// The run-at-a-time sweep against the object-at-a-time oracle, on
+    /// generated tables: all three modes × both toggle states, through
+    /// the serial sweep, the page-partitioned sweep and the lazy segment
+    /// path.  Colors, ages and the five sweep counters must agree; the
+    /// serial free lists chunk for chunk, the partitioned ones in total.
+    #[test]
+    fn run_sweep_matches_object_sweep_oracle() {
+        let modes: [fn() -> GcConfig; 3] = [
+            GcConfig::generational,
+            || GcConfig::aging(3),
+            GcConfig::non_generational,
+        ];
+        run_cases("run_sweep_matches_oracle", 0x5EE9, 24, |g| {
+            let target = if g.usize_in(0..4) == 0 {
+                g.usize_in(20_000..44_000)
+            } else {
+                g.usize_in(2..3_000)
+            };
+            for (mode, toggled) in (0..3).flat_map(|m| [(m, false), (m, true)]) {
+                let build = |cfg: GcConfig| {
+                    let (sh, cx) = setup(cfg);
+                    if toggled {
+                        sh.colors.toggle();
+                    }
+                    (sh, cx)
+                };
+                let (oracle, _) = build(modes[mode]());
+                let clear = oracle.colors.clear_color();
+                let alloc = oracle.colors.allocation_color();
+                let image = random_image(g, target, clear, alloc);
+                let len = image.colors.len();
+                image.install(&oracle);
+                let mut expect = Counters::default();
+                sweep_oracle(&oracle, &mut expect);
+                let mut expect_tables = table_bytes(&oracle, len);
+                // The one deliberate difference in the tables: the oracle
+                // zeroes a freed object's age at its start byte, the run
+                // sweep over the whole freed run (interiors included).
+                for g in 1..len {
+                    if image.colors[g] != expect_tables.0[g]
+                        && expect_tables.0[g] == Color::Free as u8
+                    {
+                        expect_tables.1[g] = 0;
+                    }
+                }
+                let expect = sweep_counters(&expect);
+                // Stats-only fuzz: in-flight interiors count as survived
+                // (and, where survivors are all allocation-colored, as
+                // that too).  A partitioned sweep drops the ones leading
+                // a segment, so there the fuzz is only an upper bound.
+                let fuzz = image.inflight * GRANULE as u64;
+                let check = |what: &str, got: [u64; 5], exact: bool| {
+                    let ctx = format!("{what} mode={mode} toggled={toggled} len={len}");
+                    assert_eq!(got[..3], expect[..3], "{ctx}");
+                    let alloc_fuzz = if mode == 2 { fuzz } else { 0 };
+                    for (i, fuzz) in [(3, fuzz), (4, alloc_fuzz)] {
+                        let over = got[i].checked_sub(expect[i]).expect(&ctx);
+                        assert!(over <= fuzz && (!exact || over == fuzz), "{ctx} [{i}]");
+                    }
+                };
+
+                let (serial, mut cx) = build(modes[mode]().with_gc_threads(1));
+                image.install(&serial);
+                serial.sweep(&mut cx);
+                check("serial", sweep_counters(&cx.counters), true);
+                assert_eq!(table_bytes(&serial, len), expect_tables, "serial");
+                assert_eq!(
+                    serial.heap.free_list_snapshot(),
+                    oracle.heap.free_list_snapshot()
+                );
+
+                let (parallel, mut cx) = build(modes[mode]().with_gc_threads(3));
+                image.install(&parallel);
+                parallel.sweep(&mut cx);
+                check("parallel", sweep_counters(&cx.counters), false);
+                assert_eq!(table_bytes(&parallel, len), expect_tables, "parallel");
+                assert_eq!(
+                    parallel.heap.free_list_granules(),
+                    oracle.heap.free_list_granules()
+                );
+
+                let (lazy, _) = build(modes[mode]().with_lazy_sweep(true));
+                image.install(&lazy);
+                lazy.lazy_publish(0);
+                lazy.lazy_finalize(crate::lazy::LazyWho::Collector);
+                check("lazy", sweep_counters(&lazy.lazy_take_counters()), false);
+                assert_eq!(table_bytes(&lazy, len), expect_tables, "lazy");
+                assert_eq!(
+                    lazy.heap.free_list_granules(),
+                    oracle.heap.free_list_granules()
+                );
+            }
+        });
     }
 }

@@ -71,6 +71,14 @@ impl AgeTable {
         self.bytes[granule].store(age, Ordering::Relaxed);
     }
 
+    /// Zeroes the ages of `[start, start + len)` — the sweep clearing a
+    /// whole reclaimed run at once (word-wide stores; only the sweeper
+    /// owns these granules, as for [`set`](AgeTable::set)).
+    #[inline]
+    pub fn clear(&self, start: usize, len: usize) {
+        otf_support::tablescan::bulk_zero(&self.bytes, start, start + len);
+    }
+
     /// Increments the age at `granule`, saturating at `cap` (the tenuring
     /// threshold).  Returns the new age.
     #[inline]
@@ -100,6 +108,18 @@ mod tests {
         let t = AgeTable::new(4);
         t.set(1, INFANT_AGE);
         assert_eq!(t.get(1), 1);
+    }
+
+    #[test]
+    fn clear_zeroes_exactly_the_range() {
+        let t = AgeTable::new(40);
+        for g in 0..40 {
+            t.set(g, 3);
+        }
+        t.clear(5, 30);
+        for g in 0..40 {
+            assert_eq!(t.get(g), if (5..35).contains(&g) { 0 } else { 3 });
+        }
     }
 
     #[test]

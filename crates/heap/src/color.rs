@@ -180,7 +180,7 @@ impl ColorTable {
     /// sweep may legitimately miss); before reading an object's *header*
     /// the caller must re-load the byte with [`get`](ColorTable::get)
     /// (acquire) to pair with the allocator's publication store.  The
-    /// word-at-a-time scans ([`skip_non_object`](ColorTable::skip_non_object),
+    /// word-at-a-time scans ([`next_color_above`](ColorTable::next_color_above),
     /// [`object_end`](ColorTable::object_end)) are the same protocol eight
     /// bytes at a time; `otf_support::tablescan` documents the mixed-size
     /// memory-model argument.
@@ -189,25 +189,15 @@ impl ColorTable {
         self.bytes[granule].load(Ordering::Relaxed)
     }
 
-    /// Advances from `from` over `Free`/`Interior` granules, returning the
-    /// first granule in `[from, to)` that holds an object color (or `to`).
-    /// This is the sweep's fast-skip loop over reclaimed and unallocated
-    /// space — a word-at-a-time relaxed scan (see
-    /// [`get_raw_relaxed`](ColorTable::get_raw_relaxed) for why relaxed
-    /// suffices; the caller re-loads the found byte with acquire before
-    /// touching the object).
-    #[inline]
-    pub fn skip_non_object(&self, from: usize, to: usize) -> usize {
-        self.next_color_above(from, to, Color::Interior)
-    }
-
     /// Returns the first granule in `[from, to)` whose byte encodes a
-    /// color strictly above `floor` (or `to`).  `floor = Interior` is the
-    /// sweep's [`skip_non_object`](ColorTable::skip_non_object);
-    /// `floor = Yellow` finds black/gray bytes directly — the whole of
-    /// `InitFullCollection`'s search, since `Gray` and `Black` are the
-    /// only byte values above `Yellow` and interior granules always hold
-    /// `Interior`.
+    /// color strictly above `floor` (or `to`).  `floor = Interior` finds
+    /// the next object start; `floor = Yellow` finds black/gray bytes
+    /// directly — the whole of `InitFullCollection`'s search, since
+    /// `Gray` and `Black` are the only byte values above `Yellow` and
+    /// interior granules always hold `Interior`.  A word-at-a-time
+    /// relaxed scan (see [`get_raw_relaxed`](ColorTable::get_raw_relaxed)
+    /// for why relaxed suffices; the caller re-loads the found byte with
+    /// acquire before touching the object).
     #[inline]
     pub fn next_color_above(&self, from: usize, to: usize, floor: Color) -> usize {
         tablescan::find_byte_not_in(&self.bytes, from, to, floor as u8)
@@ -220,6 +210,26 @@ impl ColorTable {
     #[inline]
     pub fn object_end(&self, start: usize, to: usize) -> usize {
         tablescan::find_run_end(&self.bytes, (start + 1).min(to), to, Color::Interior as u8)
+    }
+
+    /// The sweep's survivor skip (DESIGN.md §4.12): returns
+    /// `(next, objects, granules)`, where `next` is the first granule in
+    /// `[from, to)` holding an object color other than `pass` (or `to`),
+    /// and the skipped stretch `[from, next)` held `objects` starts of
+    /// color `pass` and `granules` non-`Free` bytes.  `pass = Free` passes
+    /// no object color, so every object start stops the skip.
+    #[inline]
+    pub fn skip_survivors(&self, from: usize, to: usize, pass: Color) -> (usize, usize, usize) {
+        tablescan::skip_and_count(&self.bytes, from, to, Color::Interior as u8, pass as u8)
+    }
+
+    /// The sweep's dead-run scan (DESIGN.md §4.12): returns
+    /// `(end, objects)`, where `[from, end)` is the longest stretch of
+    /// `[from, to)` holding only `clear` and `Interior` bytes and
+    /// `objects` is the number of `clear` start bytes in it.
+    #[inline]
+    pub fn dead_run_end(&self, from: usize, to: usize, clear: Color) -> (usize, usize) {
+        tablescan::pair_run_end(&self.bytes, from, to, clear as u8, Color::Interior as u8)
     }
 
     /// Number of granules in `[from, to)` holding exactly `color`

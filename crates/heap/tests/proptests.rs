@@ -158,8 +158,9 @@ fn random_color_table(g: &mut Gen) -> ColorTable {
     t
 }
 
-/// Word-kernel `skip_non_object` / `next_color_above` / `object_end` /
-/// `count_matching` match byte loops over `get_raw_relaxed`.
+/// Word-kernel `next_color_above` / `object_end` / `count_matching` and
+/// the sweep's counting scans `skip_survivors` / `dead_run_end` match
+/// byte loops over `get_raw_relaxed`.
 #[test]
 fn color_kernels_match_byte_loops() {
     run_cases("color_kernels_match_byte_loops", 0x50AA, 256, |g| {
@@ -167,10 +168,33 @@ fn color_kernels_match_byte_loops() {
         let to = g.usize_in(0..t.len() + 1);
         let from = g.usize_in(0..to + 1);
 
-        let skip_oracle = (from..to)
+        let start_oracle = (from..to)
             .find(|&i| t.get_raw_relaxed(i) > Color::Interior as u8)
             .unwrap_or(to);
-        assert_eq!(t.skip_non_object(from, to), skip_oracle);
+        assert_eq!(t.next_color_above(from, to, Color::Interior), start_oracle);
+
+        // `Free` passes no object color; the others pass exactly one.
+        for pass in [Color::Free, Color::White, Color::Yellow, Color::Black] {
+            let stops = |b: u8| b > Color::Interior as u8 && b != pass as u8;
+            let next = (from..to)
+                .find(|&i| stops(t.get_raw_relaxed(i)))
+                .unwrap_or(to);
+            let skipped = || (from..next).map(|i| t.get_raw_relaxed(i));
+            let objects = skipped().filter(|&b| b > Color::Interior as u8).count();
+            let granules = skipped().filter(|&b| b != Color::Free as u8).count();
+            assert_eq!(t.skip_survivors(from, to, pass), (next, objects, granules));
+        }
+
+        for clear in [Color::White, Color::Yellow] {
+            let in_run = |b: u8| b == clear as u8 || b == Color::Interior as u8;
+            let end = (from..to)
+                .find(|&i| !in_run(t.get_raw_relaxed(i)))
+                .unwrap_or(to);
+            let objects = (from..end)
+                .filter(|&i| t.get_raw_relaxed(i) == clear as u8)
+                .count();
+            assert_eq!(t.dead_run_end(from, to, clear), (end, objects));
+        }
 
         let above_oracle = (from..to)
             .find(|&i| t.get_raw_relaxed(i) > Color::Yellow as u8)

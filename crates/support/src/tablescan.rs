@@ -15,7 +15,9 @@
 //! Production collectors do exactly this over their side metadata
 //! (MMTk's bulk side-metadata scans, Nofl's word-level sweeps over
 //! per-granule mark bytes); these kernels are the same idea reduced to
-//! the five operations our tables need.
+//! the operations our tables need: two searches, a count, a fill, and
+//! the two counting scans ([`skip_and_count`], [`pair_run_end`]) that let
+//! the sweep work a run at a time.
 //!
 //! # Memory model
 //!
@@ -133,10 +135,10 @@ impl Adapt {
 const FIRST_HITS_TO_BYTE: u8 = 2;
 
 thread_local! {
-    /// [`find_byte_not_in`]'s mode (the sweep's `skip_non_object`, the
-    /// card scan's `next_dirty`).
+    /// [`find_byte_not_in`]'s mode (the color table's `next_color_above`,
+    /// the card scan's `next_dirty`).
     static ADAPT_SKIP: Cell<Adapt> = const { Cell::new(Adapt::WORD_MODE) };
-    /// [`find_run_end`]'s mode (the sweep's `object_end`).
+    /// [`find_run_end`]'s mode (the color table's `object_end`).
     static ADAPT_RUN: Cell<Adapt> = const { Cell::new(Adapt::WORD_MODE) };
 }
 
@@ -466,6 +468,117 @@ pub fn count_matching(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> 
     count
 }
 
+/// Shared body of the two counting scans: walks `[from, to)` to the
+/// first byte that stops the scan and sums `N` per-byte counts over the
+/// bytes before it.  `flags` maps a word to its `(stops, counts)` flag
+/// masks, lane for lane (the masks above are exact per lane); the
+/// unaligned head and the sub-word tail run it on a one-byte word, so a
+/// kernel has a single definition.
+#[inline(always)]
+fn scan_counting<const N: usize>(
+    bytes: &[AtomicU8],
+    from: usize,
+    to: usize,
+    flags: impl Fn(u64) -> (u64, [u64; N]),
+) -> (usize, [usize; N]) {
+    let mut counts = [0; N];
+    if from >= to {
+        return (to, counts);
+    }
+    // Scans `word` (its lanes above `live` are padding); on a stop,
+    // counts only the lanes below the stopping one.
+    let mut scan = |word: u64, live: u64| {
+        let (stops, c) = flags(word);
+        let stop = (stops & live != 0).then(|| first_flag(stops & live));
+        let below = stop.map_or(live, |k| (1u64 << (k * WORD)) - 1);
+        for i in 0..N {
+            counts[i] += (c[i] & below).count_ones() as usize;
+        }
+        stop
+    };
+    let mut g = from;
+    let mut byte_end = align_up(bytes, g).min(to);
+    loop {
+        // Unaligned head on the first pass, sub-word tail on the second.
+        while g < byte_end {
+            if scan(u64::from(bytes[g].load(Ordering::Relaxed)), 0xff).is_some() {
+                return (g, counts);
+            }
+            g += 1;
+        }
+        if g == to {
+            return (to, counts);
+        }
+        while g + WORD <= to {
+            // SAFETY: as in find_byte_not_in.
+            if let Some(k) = scan(unsafe { load_word(bytes, g) }, u64::MAX) {
+                return (g + k, counts);
+            }
+            g += WORD;
+        }
+        byte_end = to;
+    }
+}
+
+/// Skip-and-count: returns `(index, above, nonzero)`, where `index` is
+/// the first position in `[from, to)` whose byte is `> max` **and**
+/// `!= pass` (or `to`), `above` is how many of the bytes skipped on the
+/// way were `> max` (so equal to `pass`), and `nonzero` how many were
+/// not `0`.  `max` must be `< 0x80`; a `pass <= max` passes nothing
+/// extra and the search degenerates to [`find_byte_not_in`].
+///
+/// The run-at-a-time sweep's survivor skip: with `max = Interior` and
+/// `pass` the one object color the sweep leaves alone, `above` counts
+/// the survivors skipped and `nonzero` the granules they occupy — the
+/// objects are counted without being parsed.
+///
+/// # Panics
+///
+/// Panics if `to > bytes.len()` or `max >= 0x80`.
+pub fn skip_and_count(
+    bytes: &[AtomicU8],
+    from: usize,
+    to: usize,
+    max: u8,
+    pass: u8,
+) -> (usize, usize, usize) {
+    assert!(to <= bytes.len());
+    assert!(max < 0x80, "skip_and_count requires max < 0x80");
+    if use_reference() {
+        return reference::skip_and_count(bytes, from, to, max, pass);
+    }
+    let vp = splat(pass);
+    let (index, [above, nonzero]) = scan_counting(bytes, from, to, |w| {
+        let gt = gt_mask(w, max);
+        (gt & !zero_mask(w ^ vp), [gt, gt_mask(w, 0)])
+    });
+    (index, above, nonzero)
+}
+
+/// Two-value run end: returns `(end, count_a)`, where `end` is the first
+/// index in `[from, to)` whose byte is neither `a` nor `b` (or `to`) and
+/// `count_a` is the number of `a` bytes in `[from, end)`.
+///
+/// The run-at-a-time sweep's dead-run scan: `a` is the cycle's clear
+/// color and `b` is `Interior`, so one call measures a whole run of dead
+/// objects and counts them by their start bytes.
+///
+/// # Panics
+///
+/// Panics if `to > bytes.len()`.
+pub fn pair_run_end(bytes: &[AtomicU8], from: usize, to: usize, a: u8, b: u8) -> (usize, usize) {
+    assert!(to <= bytes.len());
+    if use_reference() {
+        return reference::pair_run_end(bytes, from, to, a, b);
+    }
+    let (va, vb) = (splat(a), splat(b));
+    let (end, [count_a]) = scan_counting(bytes, from, to, |w| {
+        let is_a = zero_mask(w ^ va);
+        ((is_a | zero_mask(w ^ vb)) ^ HIGH, [is_a])
+    });
+    (end, count_a)
+}
+
 /// Fills `[from, to)` with `value` (release stores, word-wide in the
 /// aligned body).  See the module docs for when a fill additionally
 /// needs a caller-side publication store.
@@ -540,6 +653,40 @@ pub mod reference {
             .count()
     }
 
+    /// Byte-loop [`skip_and_count`](super::skip_and_count).
+    pub fn skip_and_count(
+        bytes: &[AtomicU8],
+        from: usize,
+        to: usize,
+        max: u8,
+        pass: u8,
+    ) -> (usize, usize, usize) {
+        assert!(to <= bytes.len());
+        let byte = |g: usize| bytes[g].load(Ordering::Relaxed);
+        let end = (from..to)
+            .find(|&g| byte(g) > max && byte(g) != pass)
+            .unwrap_or(to);
+        let skipped = from..end;
+        let above = skipped.clone().filter(|&g| byte(g) > max).count();
+        (end, above, skipped.filter(|&g| byte(g) != 0).count())
+    }
+
+    /// Byte-loop [`pair_run_end`](super::pair_run_end).
+    pub fn pair_run_end(
+        bytes: &[AtomicU8],
+        from: usize,
+        to: usize,
+        a: u8,
+        b: u8,
+    ) -> (usize, usize) {
+        assert!(to <= bytes.len());
+        let byte = |g: usize| bytes[g].load(Ordering::Relaxed);
+        let end = (from..to)
+            .find(|&g| byte(g) != a && byte(g) != b)
+            .unwrap_or(to);
+        (end, (from..end).filter(|&g| byte(g) == a).count())
+    }
+
     /// Byte-loop [`bulk_fill`](super::bulk_fill).
     pub fn bulk_fill(bytes: &[AtomicU8], from: usize, to: usize, value: u8) {
         assert!(to <= bytes.len());
@@ -601,6 +748,14 @@ mod tests {
         assert_eq!(find_byte_not_in(&t, 7, 7, 1), 7);
         assert_eq!(find_run_end(&t, 16, 16, 5), 16);
         assert_eq!(count_matching(&t, 3, 3, 5), 0);
+        // The counting scans agree with their references on an empty
+        // range and on `from > to` (both return `to`, nothing counted).
+        for (from, to) in [(7, 7), (16, 16), (9, 7), (16, 0)] {
+            assert_eq!(skip_and_count(&t, from, to, 1, 5), (to, 0, 0));
+            assert_eq!(pair_run_end(&t, from, to, 5, 1), (to, 0));
+            assert_eq!(reference::skip_and_count(&t, from, to, 1, 5), (to, 0, 0));
+            assert_eq!(reference::pair_run_end(&t, from, to, 5, 1), (to, 0));
+        }
         bulk_fill(&t, 9, 9, 1); // no-op
         assert_eq!(snapshot(&t), vec![5; 16]);
     }
@@ -697,6 +852,80 @@ mod tests {
                 snapshot(&t)
             );
         });
+    }
+
+    #[test]
+    fn differential_skip_and_count() {
+        run_cases("diff_skip_and_count", 0x5CA8, 1024, |g| {
+            let t = random_table(g);
+            let to = g.usize_in(0..t.len() + 1);
+            let from = g.usize_in(0..to + 1);
+            let max = g.usize_in(0..4) as u8;
+            // pass <= max (passes nothing extra) as well as pass > max.
+            let pass = g.usize_in(0..7) as u8;
+            assert_eq!(
+                skip_and_count(&t, from, to, max, pass),
+                reference::skip_and_count(&t, from, to, max, pass),
+                "from={from} to={to} max={max} pass={pass} table={:?}",
+                snapshot(&t)
+            );
+        });
+    }
+
+    #[test]
+    fn differential_pair_run_end() {
+        run_cases("diff_pair_run_end", 0x5CA9, 1024, |g| {
+            let t = random_table(g);
+            let to = g.usize_in(0..t.len() + 1);
+            let from = g.usize_in(0..to + 1);
+            let a = g.usize_in(0..7) as u8;
+            let b = g.usize_in(0..7) as u8;
+            assert_eq!(
+                pair_run_end(&t, from, to, a, b),
+                reference::pair_run_end(&t, from, to, a, b),
+                "from={from} to={to} a={a} b={b} table={:?}",
+                snapshot(&t)
+            );
+        });
+    }
+
+    /// The counting kernels stop in every lane of a word, from every
+    /// start alignment, on ranges shorter than a word as well as longer,
+    /// and report the counts of exactly the bytes before the stop.
+    #[test]
+    fn counting_kernels_stop_in_every_lane() {
+        for hit in 0..24 {
+            // Survivors (5, with interiors 1) and free space (0) up to
+            // the hit; a 2 is the visited color / the run terminator.
+            let mut v: Vec<u8> = (0..32).map(|i| [5, 1, 1, 0][i % 4]).collect();
+            v[hit] = 2;
+            let t = table(&v);
+            // Dead objects (2, with interiors 1) up to a terminator 0.
+            let mut d: Vec<u8> = (0..32).map(|i| [2, 1, 1][i % 3]).collect();
+            d[hit] = 0;
+            let dt = table(&d);
+            for from in 0..=hit {
+                for to in [hit, hit + 1, hit + 3, 32] {
+                    assert_eq!(
+                        skip_and_count(&t, from, to, 1, 5),
+                        reference::skip_and_count(&t, from, to, 1, 5),
+                        "hit={hit} from={from} to={to}"
+                    );
+                    assert_eq!(
+                        pair_run_end(&dt, from, to, 2, 1),
+                        reference::pair_run_end(&dt, from, to, 2, 1),
+                        "hit={hit} from={from} to={to}"
+                    );
+                }
+            }
+            let (idx, above, nonzero) = skip_and_count(&t, 0, 32, 1, 5);
+            assert_eq!(idx, hit);
+            assert_eq!(above, v[..hit].iter().filter(|&&b| b == 5).count());
+            assert_eq!(nonzero, v[..hit].iter().filter(|&&b| b != 0).count());
+            let (end, dead) = pair_run_end(&dt, 0, 32, 2, 1);
+            assert_eq!(end, hit);
+            assert_eq!(dead, d[..hit].iter().filter(|&&b| b == 2).count());
+        }
     }
 
     #[test]
