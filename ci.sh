@@ -109,11 +109,14 @@ step cell-threads-sweep env OTF_GC_THREADS=4 \
 # And again with the sharded heap back-end: the GC protocol must be
 # oblivious to the allocator substrate.  The free-space pool's own
 # property and churn tests ride along: every shard and the block store
-# is one of those pools.
+# is one of those pools.  So do the hole-queue LAB tests of both layers
+# (DESIGN.md §4.13): the heap's `lab_*` tests build both back-ends
+# themselves, the mutator's then run on a four-shard heap.
 step cell-shards env OTF_GC_SHARDS=4 \
     cargo test -q --offline --test chaos --test gc_correctness
 step cell-shards-pool env OTF_GC_SHARDS=4 \
-    cargo test -q --offline -p otf-heap --lib freelist
+    cargo test -q --offline -p otf-heap -p otf-gc --lib -- \
+    freelist space::tests::lab mutator::tests
 
 # And with the lazy sweep forced on: the chaos and correctness suites
 # must hold when every configuration sweeps at allocation time, both
@@ -121,11 +124,14 @@ step cell-shards-pool env OTF_GC_SHARDS=4 \
 # combined cell drives every packet the plans can select (parallel
 # trace lanes, lazy finalize + publish, sharded free-lists) through the
 # packet scheduler at once.  The sweep tests ride along here too (the
-# filter also selects the lazy module's eager-parity tests).
+# filter also selects the lazy module's eager-parity tests), and the
+# hole-queue LAB tests of both layers: under this cell a mutator's refill
+# asks the lazy sweep for a run before it visits the pool.
 step cell-lazy env OTF_GC_LAZY_SWEEP=1 \
     cargo test -q --offline --test chaos --test gc_correctness
 step cell-lazy-sweep env OTF_GC_LAZY_SWEEP=1 \
-    cargo test -q --offline -p otf-gc --lib sweep
+    cargo test -q --offline -p otf-heap -p otf-gc --lib -- \
+    sweep space::tests::lab mutator::tests
 step cell-combined env OTF_GC_LAZY_SWEEP=1 OTF_GC_SHARDS=4 OTF_GC_THREADS=4 \
     cargo test -q --offline --test chaos --test gc_correctness
 

@@ -161,10 +161,18 @@ impl Mutator {
         Ok(obj)
     }
 
+    #[inline]
     fn acquire_granules(&mut self, n: u32) -> Result<usize, AllocError> {
-        if let Some(s) = self.lab.try_carve(n) {
-            return Ok(s as usize);
+        match self.lab.try_carve(n) {
+            Some(s) => Ok(s as usize),
+            None => self.acquire_granules_slow(n),
         }
+    }
+
+    /// Everything past the open hole: the next private hole, then one
+    /// refill (DESIGN.md §4.13).  Only the refill meets anything shared —
+    /// the pool, the clock, the histogram, the flush.
+    fn acquire_granules_slow(&mut self, n: u32) -> Result<usize, AllocError> {
         let lab_granules = self.shared.config.lab_granules;
         if n >= lab_granules / 2 {
             // Large object: allocate its chunk directly (it is carved into
@@ -180,27 +188,26 @@ impl Mutator {
             }
             return Ok(c.start as usize);
         }
+        if let Some(s) = self.lab.carve(n) {
+            return Ok(s as usize);
+        }
         otf_support::fault::point("mutator.lab.refill");
-        // The refill latency histogram times the whole chunk acquisition
-        // in *both* sweep modes, so sweep work moved onto the allocation
+        // The refill latency histogram times the whole acquisition in
+        // *both* sweep modes, so sweep work moved onto the allocation
         // path in lazy mode is visible in p99.99 comparisons instead of
         // hiding outside the stall histogram.
         let refill_start = Instant::now();
-        let refilled = match self.lazy_refill_chunk(n, lab_granules) {
-            Some(c) => Ok(c),
-            None => self.alloc_chunk_blocking(n, lab_granules),
-        };
+        let refilled = self.refill(n, lab_granules);
         self.shared
             .obs
             .note_lab_refill(dur_ns(refill_start.elapsed()));
-        let chunk = refilled?;
-        self.shared.heap.refill_lab(&mut self.lab, chunk);
-        // Report what the retired LAB held before carving the new one.
+        refilled?;
+        // Report what the retired queue held before carving the new one.
         self.flush_accounting();
-        match self.lab.try_carve(n) {
+        match self.lab.carve(n) {
             Some(s) => Ok(s as usize),
             None => {
-                // The fresh LAB was too short for the request.  Hand it
+                // The fresh queue had no hole for the request.  Hand it
                 // back so the granules are not leaked and fail the
                 // allocation instead of aborting the process.
                 debug_assert!(false, "fresh LAB cannot satisfy {n} granules");
@@ -208,6 +215,25 @@ impl Mutator {
                 Err(self.alloc_failure(n))
             }
         }
+    }
+
+    /// Replaces the used-up queue: a lazy segment's run if the sweep has
+    /// one for us (a one-hole queue), else one exchange with the pool,
+    /// else — the heap is dry — whatever chunk the blocking path ends up
+    /// with.
+    fn refill(&mut self, n: u32, lab_granules: u32) -> Result<(), AllocError> {
+        let chunk = match self.lazy_refill_chunk(n, lab_granules) {
+            Some(c) => c,
+            None => {
+                let heap = &self.shared.heap;
+                if heap.exchange_lab(&mut self.lab, self.shard, n, lab_granules) {
+                    return Ok(());
+                }
+                self.alloc_chunk_blocking(n, lab_granules)?
+            }
+        };
+        self.shared.heap.refill_lab(&mut self.lab, chunk);
+        Ok(())
     }
 
     /// The terminal allocation error for a request of `n` granules:
@@ -501,11 +527,12 @@ impl Mutator {
             .obs
             .note_handshake_ack(Status::from_byte(sc), dur_ns(pause_start.elapsed()));
         self.shared.notify_handshake();
-        self.flush_accounting(); // the ack is out; we are off the fast path anyway
-                                 // Hand the CPU to the collector right away: the shorter the
-                                 // sync1/sync2 windows are, the less the snapshot barrier
-                                 // conservatively retains (on a machine with spare cores this is a
-                                 // no-op; on an oversubscribed one it keeps handshakes prompt).
+        // The ack is out; we are off the fast path anyway.
+        self.flush_accounting();
+        // Hand the CPU to the collector right away: the shorter the
+        // sync1/sync2 windows are, the less the snapshot barrier
+        // conservatively retains (on a machine with spare cores this is a
+        // no-op; on an oversubscribed one it keeps handshakes prompt).
         std::thread::yield_now();
     }
 
@@ -591,9 +618,9 @@ impl Mutator {
 
 impl Drop for Mutator {
     fn drop(&mut self) {
-        // Return the LAB, report what is still private (many short-lived
-        // mutators each allocating under a flush interval must still
-        // reach the §3.3 trigger) and leave the handshake protocol.
+        // Return the whole queue, report what is still private (many
+        // short-lived mutators each allocating under a flush interval must
+        // still reach the §3.3 trigger) and leave the handshake protocol.
         self.shared.heap.retire_lab(&mut self.lab);
         self.flush_accounting();
         self.shared.deregister_mutator(&self.me);
@@ -617,6 +644,32 @@ mod tests {
 
     fn set_mutator_status(m: &Mutator, s: Status) {
         m.me.status.store(s as u8, Ordering::Release);
+    }
+
+    /// Cuts free space into pooled holes of `hole` granules, each fenced
+    /// by one granule that stays held, dealt round the shards (a
+    /// mutator's refill visits its home pool): `count` of them, or with
+    /// `None` the whole heap, what is left over taken out of circulation.
+    /// Returns the granules in use afterwards.
+    fn fragment(shared: &GcShared, hole: u32, count: Option<usize>) -> usize {
+        let heap = &shared.heap;
+        let mut holes = Vec::new();
+        'cut: while count.is_none_or(|n| holes.len() < n) {
+            for shard in 0..heap.shard_count() {
+                let Some(c) = heap.alloc_chunk_on(shard, hole, hole) else {
+                    break 'cut;
+                };
+                holes.push(c);
+                if heap.alloc_chunk_on(shard, 1, 1).is_none() {
+                    break 'cut;
+                }
+            }
+        }
+        if count.is_none() {
+            while heap.alloc_chunk(1, hole).is_some() {}
+        }
+        heap.free_chunk_batch(&holes);
+        heap.used_granules()
     }
 
     #[test]
@@ -759,15 +812,21 @@ mod tests {
     #[test]
     fn lab_refill_and_handshake_ack_flush() {
         let (shared, mut m) = setup(GcConfig::generational().with_lab_granules(64));
+        // Eight-granule holes: one refill queues eight of them.
+        fragment(&shared, 8, None);
         let shape = ObjShape::new(0, 0); // one granule
         for _ in 0..64 {
             m.alloc(&shape).unwrap();
         }
+        // Moving from hole to hole is private: no flush, no second refill.
         assert_eq!(shared.heap.objects_allocated(), 0);
-        // The 65th allocation finds the LAB full: the refill reports the
-        // 64 objects the retired LAB holds.
+        assert_eq!(shared.obs.lab_refill.count(), 1);
+        assert_eq!(shared.heap.lab_leased_granules(), 64);
+        // The 65th allocation finds the queue used up: the refill reports
+        // the 64 objects the retired queue holds.
         m.alloc(&shape).unwrap();
         assert_eq!(shared.heap.objects_allocated(), 64);
+        assert_eq!(shared.obs.lab_refill.count(), 2);
         shared.post_handshake(Status::Sync1);
         m.cooperate();
         assert_eq!(shared.heap.objects_allocated(), 65);
@@ -876,18 +935,29 @@ mod tests {
         // Regression for the premature-full-collection bug: three
         // mutators each lease a 256 KB LAB on a 1 MB heap and install one
         // tiny object.  Raw `used_bytes` crosses the trigger (70% here),
-        // but almost all of it is leased-unused LAB space.
+        // but almost all of it is leased-unused LAB space.  The heap is
+        // all 1000-granule holes, so each of those LABs is a queue of 16
+        // or 17 of them, leased in one refill.
+        const LAB: usize = 16384;
         let mut cfg = GcConfig::generational()
             .with_max_heap(1 << 20)
             .with_initial_heap(1 << 20)
-            .with_lab_granules(16384);
+            .with_lab_granules(LAB as u32);
         cfg.full_trigger_fraction = 0.7;
         let shared = Arc::new(GcShared::new(cfg));
+        fragment(&shared, 1000, None);
         let mut muts: Vec<Mutator> = (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
-        for m in &mut muts {
+        for (i, m) in muts.iter_mut().enumerate() {
             let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
             m.root_push(r);
+            let leased = shared.heap.lab_leased_granules();
+            assert!(
+                leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
+                "{leased} granules leased by {} LABs",
+                i + 1
+            );
         }
+        assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
         assert!(
             shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
             "test premise: raw used crosses the 70% trigger"
@@ -899,18 +969,20 @@ mod tests {
             "mostly-empty LABs fired a premature full collection"
         );
         // The other side of the same accounting: a lease is subtracted
-        // whole for as long as its LAB lives, so LABs carved nearly full
-        // (and the 64 KB flushes on the way) still read as empty — the
-        // trigger runs late by under one LAB per live mutator — and the
-        // space counts as used the moment the LABs retire.
-        let filler = ObjShape::new(0, 125); // 63 granules
+        // whole for as long as its queue lives, so queues carved nearly
+        // empty (and the 64 KB flushes on the way) still read as unused —
+        // the trigger runs late by under one LAB per live mutator — and
+        // the space counts as used the moment the queues retire.
+        let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
         for m in &mut muts {
-            for _ in 0..250 {
+            for _ in 0..155 {
                 m.alloc(&filler).unwrap();
             }
         }
+        assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
         assert!(!shared.control.has_request());
         drop(muts);
+        assert_eq!(shared.heap.lab_leased_granules(), 0);
         assert_eq!(
             shared.control.next_request(),
             Some(crate::stats::CycleKind::Full)
@@ -920,24 +992,37 @@ mod tests {
     #[test]
     fn lab_lease_accounting_balances_on_drop() {
         let (shared, mut m) = setup(GcConfig::generational());
-        let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
-        // The whole lease stays on the books while the LAB is live, no
-        // matter how much of it is carved.
         let lab = shared.config.lab_granules as usize;
-        assert_eq!(shared.heap.lab_leased_granules(), lab);
-        let _ = m.alloc(&ObjShape::new(0, 100)).unwrap();
-        assert_eq!(shared.heap.lab_leased_granules(), lab);
+        // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
+        // a piece of the 56th.
+        let fenced = fragment(&shared, 37, None);
+        let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
+        // The whole lease stays on the books while the queue is live, no
+        // matter how much of it is carved.
+        let leased = shared.heap.lab_leased_granules();
+        assert_eq!(leased, lab);
+        assert_eq!(shared.heap.used_granules(), fenced + leased);
+        let _ = m.alloc(&ObjShape::new(0, 50)).unwrap();
+        assert_eq!(shared.heap.lab_leased_granules(), leased);
+        // Mixed sizes leave a tail in nearly every hole; whatever the
+        // queue, a live mutator never holds more than one LAB.
+        let mut objects = 1 + ObjShape::new(0, 50).size_granules();
+        for i in 0..2000 {
+            let shape = ObjShape::new(0, i % 40);
+            m.alloc(&shape).unwrap();
+            objects += shape.size_granules();
+            assert!(shared.heap.lab_leased_granules() <= lab);
+        }
+        assert!(shared.obs.lab_refill.count() > 10);
         drop(m);
         assert_eq!(
             shared.heap.lab_leased_granules(),
             0,
-            "retiring the LAB must return the whole lease"
+            "retiring the queue must return the whole lease"
         );
-        // Only the two objects are still in use (plus the null granule).
-        assert_eq!(
-            shared.heap.used_granules(),
-            1 + 1 + ObjShape::new(0, 100).size_granules()
-        );
+        // Only the objects are still in use: every tail and every hole
+        // not reached went back.
+        assert_eq!(shared.heap.used_granules(), fenced + objects);
     }
 
     #[test]
@@ -950,6 +1035,10 @@ mod tests {
                 .with_max_heap(64 << 20)
                 .with_initial_heap(64 << 20),
         ));
+        // A third of the heap is 40-granule holes: the LABs below are
+        // queues of them, a tail in nearly every one, until the pools run
+        // out and the rest comes off the frontier.
+        let fenced = fragment(&shared, 40, Some(32_000));
         // "Collector is tracing": every store below takes a graying
         // branch, so the expected slow-path count is known exactly.
         shared.tracing.store(true, Ordering::Release);
@@ -992,8 +1081,12 @@ mod tests {
         // Everything still in use is an object: no LAB tail leaked.
         assert_eq!(
             shared.heap.used_bytes() as u64,
-            THREADS * per_thread_bytes + otf_heap::GRANULE as u64
+            THREADS * per_thread_bytes + (fenced * otf_heap::GRANULE) as u64
         );
+        // The holes were used: far fewer refills than holes, far more
+        // than the frontier alone would have taken.
+        let refills = shared.obs.lab_refill.count();
+        assert!(refills > 600 && refills < 6_000, "{refills} refills");
     }
 
     #[test]

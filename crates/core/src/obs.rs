@@ -455,8 +455,9 @@ impl Obs {
         self.pause.record(stall_ns);
     }
 
-    /// Mutator side: a LAB refill acquired its chunk after `ns`
-    /// nanoseconds (lazy segment sweep and/or allocator call).
+    /// Mutator side: a LAB refill took `ns` nanoseconds — one sample per
+    /// exchange (a lazy segment sweep, or up to 64 holes from the pool,
+    /// or the blocking path), not per hole.
     pub(crate) fn note_lab_refill(&self, ns: u64) {
         self.lab_refill.record(ns);
     }

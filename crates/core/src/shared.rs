@@ -723,7 +723,7 @@ mod tests {
         let c = sh.heap.alloc_chunk(granules, granules).unwrap();
         let mut lab = otf_heap::Lab::new();
         sh.heap.refill_lab(&mut lab, c);
-        lab.try_carve(granules).unwrap(); // all of it now holds objects
+        lab.carve(granules).unwrap(); // all of it now holds objects
         sh.heap.retire_lab(&mut lab);
         sh.control.add_allocated(128 << 10);
         sh.evaluate_triggers();

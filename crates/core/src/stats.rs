@@ -220,11 +220,15 @@ pub struct GcStats {
     /// Free granules held by the global block store (unsharded: the
     /// single free list).
     pub store_free_granules: u64,
-    /// Histogram of LAB-refill chunk-acquisition latency, in
-    /// nanoseconds, recorded in both sweep modes.  Under
-    /// `GcConfig::lazy_sweep` the refill sweeps an epoch segment first,
-    /// so sweep work moved onto mutators is visible here (and in the
-    /// p99.99 comparison against eager mode) instead of hiding.
+    /// Histogram of LAB-refill latency, in nanoseconds, recorded in both
+    /// sweep modes.  One sample is one *exchange* with the pool — the
+    /// previous queue's leftovers back, up to 64 holes out (DESIGN.md
+    /// §4.13) — not one hole, so its quantiles are those of a whole
+    /// queue: the count, and count × mean as a share of mutator time, are
+    /// what compare across the change.  Under `GcConfig::lazy_sweep` the
+    /// refill sweeps an epoch segment first, so sweep work moved onto
+    /// mutators is visible here (and in the p99.99 comparison against
+    /// eager mode) instead of hiding.
     pub lab_refill: Snapshot,
     /// Lazy sweep only: cumulative granules reclaimed *at allocation* —
     /// by mutator segment sweeps (LAB refill sweep-to-allocate and the

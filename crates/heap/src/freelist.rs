@@ -59,6 +59,12 @@ impl Chunk {
     }
 }
 
+/// The most chunks one [`FreeLists::exchange`] hands out, hence the most
+/// holes a LAB queues: enough that a heap of 5-object holes is crossed at
+/// one pool visit per ~300 objects, few enough that the visit stays a few
+/// microseconds.
+pub const LAB_MAX_HOLES: usize = 64;
+
 /// "No record": ends a bin list, the spare-slot chain, and marks a list
 /// head's `prev`.
 const NIL: u32 = u32::MAX;
@@ -223,38 +229,20 @@ impl Pool {
         }
     }
 
-    /// Pools `[start, start + len)` as it is, without coalescing.
-    fn add(&mut self, start: u32, len: u32) {
-        debug_assert!(len > 0);
-        let bin = bin_of(len);
+    /// Links record `n` at the head of `bin`'s list.
+    fn link(&mut self, n: u32, bin: usize) {
         let head = self.heads[bin];
-        let node = Node {
-            start,
-            len,
-            prev: NIL,
-            next: head,
-        };
-        let n = if self.spare == NIL {
-            self.nodes.push(node);
-            self.nodes.len() as u32 - 1
-        } else {
-            let n = self.spare;
-            self.spare = self.nodes[n as usize].next;
-            self.nodes[n as usize] = node;
-            n
-        };
+        self.nodes[n as usize].prev = NIL;
+        self.nodes[n as usize].next = head;
         if head != NIL {
             self.nodes[head as usize].prev = n;
         }
         self.heads[bin] = n;
         self.nonempty |= 1 << bin;
-        self.by_start.insert(start, n);
-        self.by_end.insert(start + len, n);
-        self.free_granules += len as u64;
     }
 
-    /// Unpools record `n` and returns its chunk.
-    fn remove(&mut self, n: u32) -> Chunk {
+    /// Unlinks record `n` from its bin's list.
+    fn unlink(&mut self, n: u32) {
         let node = self.nodes[n as usize];
         if node.next != NIL {
             self.nodes[node.next as usize].prev = node.prev;
@@ -268,6 +256,36 @@ impl Pool {
                 self.nonempty &= !(1 << bin);
             }
         }
+    }
+
+    /// Pools `[start, start + len)` as it is, without coalescing.
+    fn add(&mut self, start: u32, len: u32) {
+        debug_assert!(len > 0);
+        let node = Node {
+            start,
+            len,
+            prev: NIL,
+            next: NIL,
+        };
+        let n = if self.spare == NIL {
+            self.nodes.push(node);
+            self.nodes.len() as u32 - 1
+        } else {
+            let n = self.spare;
+            self.spare = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        self.link(n, bin_of(len));
+        self.by_start.insert(start, n);
+        self.by_end.insert(start + len, n);
+        self.free_granules += len as u64;
+    }
+
+    /// Unpools record `n` and returns its chunk.
+    fn remove(&mut self, n: u32) -> Chunk {
+        let node = self.nodes[n as usize];
+        self.unlink(n);
         self.nodes[n as usize].next = self.spare;
         self.spare = n;
         self.by_start.remove(node.start);
@@ -325,11 +343,38 @@ impl Pool {
                 n
             }
         };
-        let Chunk { start, len } = self.remove(n);
-        if len > preferred {
-            self.add(start + preferred, len - preferred);
+        let Node { start, len, .. } = self.nodes[n as usize];
+        if len <= preferred {
+            return Some(self.remove(n));
         }
-        Some(Chunk::new(start, len.min(preferred)))
+        // Split in place: the record keeps its slot and its end, so only
+        // the start key moves, and the bin only if the class changed.
+        let rest = len - preferred;
+        if bin_of(rest) != bin_of(len) {
+            self.unlink(n);
+            self.link(n, bin_of(rest));
+        }
+        let node = &mut self.nodes[n as usize];
+        (node.start, node.len) = (start + preferred, rest);
+        self.by_start.remove(start);
+        self.by_start.insert(start + preferred, n);
+        self.free_granules -= preferred as u64;
+        Some(Chunk::new(start, preferred))
+    }
+
+    /// [`FreeLists::exchange`] on the locked pool.
+    fn exchange(&mut self, give: &[Chunk], min: u32, budget: u32, out: &mut Vec<Chunk>) {
+        for &c in give {
+            self.insert_coalescing(c);
+        }
+        let mut left = budget;
+        while out.len() < LAB_MAX_HOLES && left >= min {
+            let Some(c) = self.alloc(min, left) else {
+                break;
+            };
+            left -= c.len;
+            out.push(c);
+        }
     }
 
     /// Every pooled chunk, sorted by start.
@@ -445,6 +490,22 @@ impl FreeLists {
             "bad alloc request {min}/{preferred}"
         );
         self.locked(|p| p.alloc(min, preferred))
+    }
+
+    /// Gives back, then takes, in one critical section — a LAB's whole
+    /// traffic with the pool (DESIGN.md §4.13).  Exactly
+    /// `insert(c)` for every `c` of `give` followed by
+    /// `alloc(min, budget − taken so far)` until the budget cannot cover
+    /// another `min`, [`LAB_MAX_HOLES`] chunks are out, or the pool has
+    /// no chunk of `min` left: the same chunks in the same order, for one
+    /// lock acquisition.  The chunks are appended to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min == 0` or `budget < min`.
+    pub fn exchange(&self, give: &[Chunk], min: u32, budget: u32, out: &mut Vec<Chunk>) {
+        assert!(min > 0 && budget >= min, "bad exchange {min}/{budget}");
+        self.locked(|p| p.exchange(give, min, budget, out));
     }
 
     /// Total free granules in the pool.
@@ -599,6 +660,12 @@ mod oracle {
 
         pub fn largest(&self) -> u32 {
             self.by_size.keys().next_back().map_or(0, |&(len, _)| len)
+        }
+
+        /// Every pooled chunk, sorted by start.
+        pub fn chunks(&self) -> Vec<Chunk> {
+            let runs = self.by_start.iter();
+            runs.map(|(&start, &len)| Chunk::new(start, len)).collect()
         }
     }
 }
@@ -942,15 +1009,105 @@ mod tests {
                     snap.windows(2).all(|w| w[0].end() < w[1].start),
                     "not maximal runs"
                 );
-                let want: Vec<Chunk> = oracle
-                    .by_start
-                    .iter()
-                    .map(|(&s, &l)| Chunk::new(s, l))
-                    .collect();
-                assert_eq!(snap, want);
+                assert_eq!(snap, oracle.chunks());
                 assert_eq!(f.largest_chunk(), oracle.largest());
             }
         });
+    }
+
+    /// `alloc` shrinks a longer chunk's record where it sits: same slot,
+    /// same end key, a new bin only when the remainder changes class.
+    #[test]
+    fn split_keeps_the_record_and_rebins_only_across_classes() {
+        let f = FreeLists::new();
+        f.insert(Chunk::new(100, 1000));
+        f.insert(Chunk::new(5000, 900));
+        let mut p = f.inner.lock();
+        // 900 → 896 stays in its bin, at its head; 896 → 40 does not.
+        assert_eq!(bin_of(900), bin_of(896));
+        assert_eq!(p.alloc(4, 4), Some(Chunk::new(5000, 4)));
+        p.check();
+        assert_eq!(p.heads[bin_of(896)], p.by_end.get(5900).unwrap());
+        assert_eq!(p.alloc(856, 856), Some(Chunk::new(5004, 856)));
+        p.check();
+        assert_eq!(p.by_start.get(5860), p.by_end.get(5900));
+        assert_eq!((p.nodes.len(), p.spare), (2, NIL), "no slot changed hands");
+        assert_eq!(p.snapshot(), [Chunk::new(100, 1000), Chunk::new(5860, 40)]);
+        assert_eq!(p.free_granules, 1040);
+    }
+
+    /// `exchange` against the calls it stands for — `insert` for each
+    /// chunk given, then `alloc` while the budget lasts — on a twin pool:
+    /// the same chunks in the same order.  The B-tree oracle follows both
+    /// (every chunk taken is carved out of it), so the pool stays a set of
+    /// disjoint maximal runs, and `Pool::check` runs after every step.
+    #[test]
+    fn exchange_matches_inserts_then_allocs() {
+        use std::cell::Cell;
+        // Steps that split a chunk at least as long as what was left of
+        // the budget, and steps that found only shorter ones.
+        let (split, whole) = (Cell::new(0), Cell::new(0));
+        run_cases("exchange_matches_inserts_then_allocs", 0xE8C4, 96, |g| {
+            let (f, twin) = (FreeLists::new(), FreeLists::new());
+            let mut oracle = oracle::Pool::default();
+            let mut held = vec![true; SPAN as usize];
+            for _ in 0..g.usize_in(1..60) {
+                // What a LAB hands back: tails and skipped holes, a few
+                // granules each — or, now and then, one long run.
+                let from = g.u32_in(1..SPAN);
+                let to = g.u32_in(from..SPAN) + 1;
+                let give = if g.usize_in(0..4) == 0 {
+                    let to = to.min(from + 400);
+                    cut_runs(&mut held, (from, to), to - from, g, |_| false)
+                } else {
+                    let to = to.min(from + 600);
+                    cut_runs(&mut held, (from, to), 12, g, |g| g.bool())
+                };
+                let min = g.u32_in(1..12);
+                let budget = if g.bool() {
+                    g.u32_in(min..65)
+                } else {
+                    g.u32_in(min..2049)
+                };
+
+                let mut got = Vec::new();
+                f.exchange(&give, min, budget, &mut got);
+                f.inner.lock().check();
+
+                let mut want = Vec::new();
+                let mut left = budget;
+                for &c in &give {
+                    twin.insert(c);
+                    oracle.insert_coalescing(c);
+                }
+                while want.len() < LAB_MAX_HOLES && left >= min {
+                    let Some(c) = twin.alloc(min, left) else {
+                        break;
+                    };
+                    if c.len == left && oracle.largest() > left {
+                        split.set(split.get() + 1);
+                    } else {
+                        whole.set(whole.get() + 1);
+                    }
+                    left -= c.len;
+                    want.push(c);
+                    assert!(held[c.start as usize..c.end() as usize].iter().all(|&h| !h));
+                    held[c.start as usize..c.end() as usize].fill(true);
+                    oracle.carve(c);
+                }
+                assert_eq!(got, want, "exchange({give:?}, {min}, {budget})");
+                assert!(
+                    got.len() == LAB_MAX_HOLES || left < min || oracle.largest() < min,
+                    "stopped early: {left} of {budget} left, min {min}"
+                );
+                assert!(got.iter().all(|c| c.len >= min));
+
+                assert_eq!(f.free_granules(), oracle.free_granules);
+                assert_eq!(f.snapshot(), oracle.chunks());
+                assert_eq!(twin.snapshot(), oracle.chunks());
+            }
+        });
+        assert!(split.get() > 50 && whole.get() > 50, "{split:?} {whole:?}");
     }
 
     /// Two threads allocate from and free into one pool at once; nothing

@@ -55,7 +55,7 @@ pub use arena::Arena;
 pub use block::{BlockStore, BLOCK_GRANULES};
 pub use card::{CardTable, MAX_CARD_SIZE, MIN_CARD_SIZE};
 pub use color::{Color, ColorTable};
-pub use freelist::{Chunk, FreeLists};
+pub use freelist::{Chunk, FreeLists, LAB_MAX_HOLES};
 pub use layout::{Header, ObjShape, MAX_CLASS_ID, MAX_REF_SLOTS, MAX_SIZE_GRANULES};
 pub use page::{PageTracker, Space};
 pub use shard::ShardedAlloc;

@@ -72,10 +72,40 @@ impl ShardedAlloc {
         preferred: u32,
         committed_granules: usize,
     ) -> Option<Chunk> {
-        let home = &self.shards[shard];
-        if let Some(c) = home.alloc(min, preferred) {
-            return Some(c);
+        self.shards[shard]
+            .alloc(min, preferred)
+            .or_else(|| self.lease_or_steal(shard, min, preferred, committed_granules))
+    }
+
+    /// A LAB's visit (DESIGN.md §4.13): up to `budget` granules of the
+    /// home pool in one [`FreeLists::exchange`], and when that pool has
+    /// nothing of `min` granules, one chunk the way [`alloc`](Self::alloc)
+    /// would go on to find it.  (What the LAB gives back has its owners
+    /// to go to: the caller routes it through
+    /// [`free_batch`](Self::free_batch) first.)
+    pub fn exchange(
+        &self,
+        shard: usize,
+        min: u32,
+        budget: u32,
+        committed_granules: usize,
+        out: &mut Vec<Chunk>,
+    ) {
+        self.shards[shard].exchange(&[], min, budget, out);
+        if out.is_empty() {
+            out.extend(self.lease_or_steal(shard, min, budget, committed_granules));
         }
+    }
+
+    /// Past the home pool: a whole-block lease, then sibling pools.
+    fn lease_or_steal(
+        &self,
+        shard: usize,
+        min: u32,
+        preferred: u32,
+        committed_granules: usize,
+    ) -> Option<Chunk> {
+        let home = &self.shards[shard];
         // Lease whole blocks.  A lease starting at block 0 loses granule
         // 0 to the null reservation; if the trimmed run is then too
         // short, park it in the home pool and lease again (block 0 is

@@ -4,9 +4,10 @@
 //! free lists and the bump frontier, and provides the two operations the
 //! collector and mutators build on:
 //!
-//! * **chunk allocation** — free-list first-fit with splitting, falling
+//! * **chunk allocation** — free-list good-fit with splitting, falling
 //!   back to bumping the frontier inside the committed region (mutators
-//!   lease LAB-sized chunks and bump-allocate privately inside them);
+//!   lease a LAB's worth of chunks at a time — a queue of holes — and
+//!   bump-allocate privately through them);
 //! * **object installation** — writing a new object into owned memory and
 //!   *publishing* it with a release store of its start-granule color, the
 //!   ordering that makes the concurrent color-table heap walk safe.
@@ -293,9 +294,18 @@ impl HeapSpace {
         min: u32,
         preferred: u32,
     ) -> Option<Chunk> {
-        if let Some(c) = freelists.alloc(min, preferred) {
-            return Some(c);
-        }
+        freelists
+            .alloc(min, preferred)
+            .or_else(|| Self::bump_frontier(frontier, arena, min, preferred))
+    }
+
+    /// Carves a chunk off never-allocated space inside the committed region.
+    fn bump_frontier(
+        frontier: &AtomicUsize,
+        arena: &Arena,
+        min: u32,
+        preferred: u32,
+    ) -> Option<Chunk> {
         loop {
             let cur = frontier.load(Ordering::Acquire);
             let committed = arena.committed_granules();
@@ -372,28 +382,91 @@ impl HeapSpace {
         }
     }
 
-    /// Leases `chunk` to `lab`, retiring whatever `lab` held before.
+    /// Leases `chunk` to `lab` as a one-hole queue, retiring whatever
+    /// `lab` held before.
     /// The lease figure is the correction term for the collection-trigger
     /// policy: `used_granules` counts whole LABs as used the moment they
     /// are granted, so without it many mostly-empty LABs read as heap
-    /// pressure and fire premature full collections.  The whole chunk
-    /// goes on here and comes off in [`retire_lab`](Self::retire_lab);
-    /// carving objects out of the LAB in between touches nothing shared.
+    /// pressure and fire premature full collections.  The whole lease
+    /// goes on here (or in [`exchange_lab`](Self::exchange_lab)) and comes
+    /// off when the queue is given up; carving objects out of the LAB in
+    /// between touches nothing shared.
     pub fn refill_lab(&self, lab: &mut Lab, chunk: Chunk) {
         self.retire_lab(lab);
         self.lab_leased
             .fetch_add(chunk.len as usize, Ordering::Relaxed);
-        (lab.start, lab.cur, lab.end) = (chunk.start, chunk.start, chunk.end());
+        lab.leased = chunk.len;
+        lab.holes.push(chunk);
     }
 
-    /// Ends `lab`'s lease and returns its uncarved tail to the free lists.
-    pub fn retire_lab(&self, lab: &mut Lab) {
-        self.lab_leased
-            .fetch_sub((lab.end - lab.start) as usize, Ordering::Relaxed);
-        if lab.cur < lab.end {
-            self.free_chunk(Chunk::new(lab.cur, lab.end - lab.cur));
+    /// One pool exchange on behalf of `shard` (DESIGN.md §4.13): what is
+    /// left of `lab`'s queue goes back and up to `budget` granules come
+    /// out as up to [`LAB_MAX_HOLES`](crate::LAB_MAX_HOLES) chunks of at
+    /// least `min` (`budget >= min > 0`), the old lease off the books and
+    /// the new one on.  On the unsharded back-end
+    /// that is one critical section, topped by a frontier bump when the
+    /// pool had nothing; on the sharded one the leftovers are routed to
+    /// their owners first, then the home pool is visited once, then the
+    /// block store.  `false` — and an empty, lease-free `lab` — when
+    /// nothing of `min` granules could be had without collecting or
+    /// growing.
+    pub fn exchange_lab(&self, lab: &mut Lab, shard: usize, min: u32, budget: u32) -> bool {
+        // The same hook, and the same meaning, as in `alloc_chunk_on`:
+        // the heap "is" dry.  The queue stays as it was.
+        if otf_support::fault::point("heap.alloc_chunk") {
+            return false;
         }
-        *lab = Lab::new();
+        lab.close();
+        let given: usize = lab.tails.iter().map(|c| c.len as usize).sum();
+        match &self.backend {
+            Backend::Unsharded {
+                freelists,
+                frontier,
+            } => {
+                freelists.exchange(&lab.tails, min, budget, &mut lab.holes);
+                if lab.holes.is_empty() {
+                    lab.holes
+                        .extend(Self::bump_frontier(frontier, &self.arena, min, budget));
+                }
+            }
+            Backend::Sharded(s) => {
+                if given > 0 {
+                    s.free_batch(&lab.tails);
+                }
+                let committed = self.arena.committed_granules();
+                s.exchange(
+                    shard % s.shard_count(),
+                    min,
+                    budget,
+                    committed,
+                    &mut lab.holes,
+                );
+            }
+        }
+        lab.tails.clear();
+        let taken: usize = lab.holes.iter().map(|c| c.len as usize).sum();
+        debug_assert!(taken <= budget as usize, "lease {taken} over {budget}");
+        // One write per counter: `used` moves by the difference, the
+        // lease figure from the old queue's total to the new one's.
+        self.used_granules
+            .fetch_add(taken.wrapping_sub(given), Ordering::Relaxed);
+        self.lab_leased
+            .fetch_add(taken.wrapping_sub(lab.leased as usize), Ordering::Relaxed);
+        lab.leased = taken as u32;
+        // The pool hands out its best chunks first; `Lab::carve` pops.
+        lab.holes.reverse();
+        taken > 0
+    }
+
+    /// Ends `lab`'s lease and returns everything uncarved — tails, skipped
+    /// and unopened holes — to the free lists.
+    pub fn retire_lab(&self, lab: &mut Lab) {
+        lab.close();
+        self.lab_leased
+            .fetch_sub(lab.leased as usize, Ordering::Relaxed);
+        lab.leased = 0;
+        self.free_chunk_batch(&lab.tails);
+        lab.tails.clear();
     }
 
     /// Granules of every live LAB lease: the leased-but-uncarved space,
@@ -487,14 +560,26 @@ impl HeapSpace {
     }
 }
 
-/// A mutator-private local allocation buffer: a leased chunk bump-allocated
-/// without synchronization (the paper's thread-local allocation).  Chunks
-/// go in and out through [`HeapSpace::refill_lab`] / [`HeapSpace::retire_lab`].
+/// A mutator-private local allocation buffer (the paper's thread-local
+/// allocation): a queue of leased holes, bump-allocated one after the
+/// other without synchronization.  A hole's unusable tail, and a hole too
+/// short for the request that reached it, wait here until the next visit
+/// to the pool takes them back — so the mutator meets the pool once per
+/// queue, not once per hole (DESIGN.md §4.13).  Queues go in and out
+/// through [`HeapSpace::exchange_lab`], [`HeapSpace::refill_lab`] and
+/// [`HeapSpace::retire_lab`].
 #[derive(Debug, Default)]
 pub struct Lab {
-    start: u32,
+    /// The open hole: `[cur, end)` is uncarved.
     cur: u32,
     end: u32,
+    /// Leased holes not opened yet; the next one is the last.
+    holes: Vec<Chunk>,
+    /// Leased space this queue will not use any more.
+    tails: Vec<Chunk>,
+    /// Granules of the whole queue as leased: what `lab_leased` holds for
+    /// this LAB.
+    leased: u32,
 }
 
 impl Lab {
@@ -503,7 +588,8 @@ impl Lab {
         Lab::default()
     }
 
-    /// Tries to carve `n` granules; returns the start granule.
+    /// Tries to carve `n` granules out of the open hole; returns the start
+    /// granule.
     #[inline]
     pub fn try_carve(&mut self, n: u32) -> Option<u32> {
         if self.cur + n <= self.end {
@@ -513,6 +599,33 @@ impl Lab {
         } else {
             None
         }
+    }
+
+    /// [`try_carve`](Self::try_carve), moving on through the queue: the
+    /// open hole's tail and every hole shorter than `n` are set aside for
+    /// the pool.  `None` when the queue is used up.
+    pub fn carve(&mut self, n: u32) -> Option<u32> {
+        loop {
+            if let Some(start) = self.try_carve(n) {
+                return Some(start);
+            }
+            self.set_aside_open_hole();
+            let hole = self.holes.pop()?;
+            (self.cur, self.end) = (hole.start, hole.end());
+        }
+    }
+
+    fn set_aside_open_hole(&mut self) {
+        if self.cur < self.end {
+            self.tails.push(Chunk::new(self.cur, self.end - self.cur));
+        }
+        (self.cur, self.end) = (0, 0);
+    }
+
+    /// Sets aside everything uncarved.
+    fn close(&mut self) {
+        self.set_aside_open_hole();
+        self.tails.append(&mut self.holes);
     }
 }
 
@@ -712,17 +825,141 @@ mod tests {
         h.refill_lab(&mut lab, h.alloc_chunk(100, 100).unwrap());
         assert_eq!(h.lab_leased_granules(), 100);
         // Carving is private: the whole lease stays on the books.
-        lab.try_carve(30).unwrap();
+        lab.carve(30).unwrap();
         lab.try_carve(20).unwrap();
-        assert_eq!(h.lab_leased_granules(), 100);
+        assert_eq!((h.lab_leased_granules(), lab.leased), (100, 100));
         // A refill retires the old lease whole and frees its tail.
         h.refill_lab(&mut lab, h.alloc_chunk(40, 40).unwrap());
         assert_eq!(h.lab_leased_granules(), 40);
         assert_eq!(h.used_granules(), used + 50 + 40);
         h.retire_lab(&mut lab);
-        assert_eq!(h.lab_leased_bytes(), 0);
+        assert_eq!((h.lab_leased_bytes(), lab.leased), (0, 0));
         assert_eq!(h.used_granules(), used + 50);
-        assert!(lab.try_carve(1).is_none(), "a retired LAB is empty");
+        assert!(lab.carve(1).is_none(), "a retired LAB is empty");
+    }
+
+    /// Both back-ends, with everything past the pool out of reach: the
+    /// heap is carved into `holes` (each fenced by one held granule), the
+    /// rest is taken out of circulation, and the holes are freed.
+    fn heaps_of_holes(holes: &[u32]) -> [HeapSpace; 2] {
+        [
+            HeapSpace::new(1 << 18, 1 << 18),
+            HeapSpace::with_shards(1 << 18, 1 << 18, 2),
+        ]
+        .map(|h| {
+            let cut: Vec<Chunk> = holes
+                .iter()
+                .map(|&len| {
+                    let hole = h.alloc_chunk(len, len).unwrap();
+                    h.alloc_chunk(1, 1).unwrap();
+                    hole
+                })
+                .collect();
+            while h.alloc_chunk(1, 1 << 14).is_some() {}
+            h.free_chunk_batch(&cut);
+            assert_eq!(
+                h.free_list_granules(),
+                holes.iter().map(|&l| l as u64).sum::<u64>()
+            );
+            h
+        })
+    }
+
+    #[test]
+    fn lab_queues_every_hole_one_exchange_brings() {
+        for h in heaps_of_holes(&[8, 3, 5]) {
+            let used = h.used_granules();
+            let mut lab = Lab::new();
+            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
+            // The whole pool in one visit, leased and off the free lists.
+            assert_eq!((h.lab_leased_granules(), lab.leased), (16, 16));
+            assert_eq!((h.free_list_granules(), h.used_granules()), (0, used + 16));
+            // Best chunk first, and no shared counter moves on the way
+            // from hole to hole.
+            let a = lab.carve(8).unwrap();
+            let b = lab.carve(5).unwrap();
+            let c = lab.carve(3).unwrap();
+            assert!(a != b && b != c && lab.carve(1).is_none());
+            assert_eq!(
+                (h.lab_leased_granules(), h.used_granules()),
+                (16, used + 16)
+            );
+            // Nothing is left anywhere: the next visit comes back empty.
+            assert!(!h.exchange_lab(&mut lab, 0, 1, 64));
+            assert_eq!((h.lab_leased_granules(), lab.leased), (0, 0));
+            assert_eq!(h.used_granules(), used + 16);
+        }
+    }
+
+    #[test]
+    fn lab_hole_shorter_than_the_request_goes_back_at_the_next_exchange() {
+        for h in heaps_of_holes(&[8, 3]) {
+            let used = h.used_granules();
+            let mut lab = Lab::new();
+            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
+            let first = lab.carve(2).unwrap();
+            // 6 granules are left in the open hole and 3 in the next: a
+            // request for 7 passes over both, and they wait in the LAB.
+            assert_eq!(lab.carve(7), None);
+            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (0, 11));
+            // The exchange gives them back before it takes: the 6-granule
+            // tail is what a request for 4 gets (the 3 stay pooled).
+            assert!(h.exchange_lab(&mut lab, 0, 4, 64));
+            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (3, 6));
+            assert_eq!(lab.carve(4), Some(first + 2));
+            h.retire_lab(&mut lab);
+            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (5, 0));
+            assert_eq!(h.used_granules(), used + 2 + 4);
+        }
+    }
+
+    #[test]
+    fn lab_lease_stays_under_budget_and_balances_at_retire() {
+        const BUDGET: u32 = 64;
+        let holes: Vec<u32> = (0..300).map(|i| 2 + i * 7 % 23).collect();
+        for h in heaps_of_holes(&holes) {
+            let used = h.used_granules();
+            let mut lab = Lab::new();
+            let (mut objects, mut exchanges) = (0, 0);
+            'full: for i in 0.. {
+                let n = 1 + i * 5 % 6;
+                let start = loop {
+                    if let Some(start) = lab.carve(n) {
+                        break start;
+                    }
+                    if !h.exchange_lab(&mut lab, 0, n, BUDGET) {
+                        break 'full;
+                    }
+                    exchanges += 1;
+                    assert!(lab.leased <= BUDGET);
+                    assert_eq!(h.lab_leased_granules(), lab.leased as usize);
+                };
+                assert_eq!(h.colors().get(start as usize), Color::Free);
+                objects += n as usize;
+            }
+            // Holes of 2..24 granules: a 64-granule budget spans several.
+            assert!(exchanges > 20 && exchanges < holes.len() / 2, "{exchanges}");
+            h.retire_lab(&mut lab);
+            assert_eq!(h.lab_leased_granules(), 0);
+            assert_eq!(h.used_granules(), used + objects, "a tail leaked");
+            let free: u32 = holes.iter().sum();
+            assert_eq!(h.free_list_granules(), free as u64 - objects as u64);
+        }
+    }
+
+    #[test]
+    fn lab_exchange_falls_back_to_the_frontier_and_to_a_block_lease() {
+        for h in [
+            HeapSpace::new(1 << 16, 1 << 16),
+            HeapSpace::with_shards(1 << 16, 1 << 16, 2),
+        ] {
+            let mut lab = Lab::new();
+            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
+            assert_eq!((h.lab_leased_granules(), h.used_granules()), (64, 1 + 64));
+            assert_eq!(lab.carve(2), Some(1), "granule 0 stays reserved");
+            h.retire_lab(&mut lab);
+            assert_eq!((h.lab_leased_granules(), h.used_granules()), (0, 1 + 2));
+        }
     }
 
     #[test]
@@ -740,9 +977,11 @@ mod tests {
         let mut lab = Lab::new();
         assert!(lab.try_carve(1).is_none());
         h.refill_lab(&mut lab, h.alloc_chunk(8, 8).unwrap());
-        assert_eq!(lab.try_carve(3), Some(1));
+        // The queued hole opens on the slow path, not in `try_carve`.
+        assert!(lab.try_carve(3).is_none());
+        assert_eq!(lab.carve(3), Some(1));
         assert_eq!(lab.try_carve(5), Some(4));
-        assert!(lab.try_carve(1).is_none());
+        assert!(lab.carve(1).is_none());
         // Fully carved: retiring frees nothing.
         let free = h.free_list_granules();
         h.retire_lab(&mut lab);

@@ -451,6 +451,41 @@ fn unreachable_objects_are_reclaimed_by_full_collection() {
     gc.shutdown();
 }
 
+/// The heap the comb tests run on: large enough that no collection
+/// starts on its own while the comb is built.
+fn comb_heap(cfg: GcConfig) -> GcConfig {
+    cfg.with_max_heap(8 << 20)
+        .with_initial_heap(8 << 20)
+        .with_young_size(4 << 20)
+}
+
+/// A comb of `2 * teeth` two-granule objects: the even teeth form a chain
+/// from a root this pushes, the odd teeth are garbage at once.  Returns
+/// the head, the granules of the live teeth and those of the dead ones.
+fn build_comb(
+    m: &mut otf_gengc::gc::Mutator,
+    teeth: usize,
+) -> (ObjectRef, HashSet<usize>, Vec<usize>) {
+    let shape = ObjShape::new(1, 1);
+    assert_eq!(shape.size_granules(), 2);
+    let head = m.alloc(&shape).unwrap();
+    m.root_push(head);
+    let mut live = HashSet::from([head.granule()]);
+    let mut dead = Vec::new();
+    let mut tail = head;
+    for i in 1..2 * teeth {
+        let obj = m.alloc(&shape).unwrap();
+        if i % 2 == 0 {
+            m.write_ref(tail, 0, obj);
+            tail = obj;
+            live.insert(obj.granule());
+        } else {
+            dead.push(obj.granule());
+        }
+    }
+    (head, live, dead)
+}
+
 /// A db-shaped comb — 2-granule objects, every other one dead — swept
 /// into the free-space pool by real collections: each hole between two
 /// survivors must come back as its own chunk, and once the survivors die
@@ -462,32 +497,11 @@ fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
     const TEETH: usize = 6000;
     let block = otf_gengc::heap::BLOCK_GRANULES;
     for survivors_die in [false, true] {
-        let mut gc = Gc::new(
-            GcConfig::generational()
-                .with_max_heap(8 << 20)
-                .with_initial_heap(8 << 20)
-                .with_young_size(4 << 20),
-        );
+        let mut gc = Gc::new(comb_heap(GcConfig::generational()));
         let sharded = gc.config().alloc_shards > 0;
         let mut m = gc.mutator();
-        let shape = ObjShape::new(1, 1);
-        assert_eq!(shape.size_granules(), 2);
-        // Even teeth form a rooted chain, odd teeth are garbage at once.
-        let head = m.alloc(&shape).unwrap();
-        let root = m.root_push(head);
-        let mut live = HashSet::from([head.granule()]);
-        let mut dead = Vec::new();
-        let mut tail = head;
-        for i in 1..2 * TEETH {
-            let obj = m.alloc(&shape).unwrap();
-            if i % 2 == 0 {
-                m.write_ref(tail, 0, obj);
-                tail = obj;
-                live.insert(obj.granule());
-            } else {
-                dead.push(obj.granule());
-            }
-        }
+        let root = m.root_len();
+        let (head, live, dead) = build_comb(&mut m, TEETH);
         assert_eq!(m.root_get(root), head);
         m.parked(|| gc.collect_full_blocking());
         m.parked(|| gc.collect_full_blocking());
@@ -527,6 +541,105 @@ fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
         drop(m);
         gc.shutdown();
     }
+}
+
+/// Allocating into a comb: every hole takes one object, and a LAB is a
+/// queue of up to 64 of them, so the refills are a small fraction of the
+/// allocations — in every mode, with the heap verifying clean around the
+/// mutator's live queue.
+#[test]
+fn comb_holes_are_allocated_at_one_refill_per_queue() {
+    const TEETH: usize = 6000;
+    const N: u64 = 4000;
+    for cfg in [
+        GcConfig::generational(),
+        GcConfig::non_generational(),
+        GcConfig::aging(4),
+    ] {
+        let mut gc = Gc::new(comb_heap(cfg));
+        let mut m = gc.mutator();
+        let (_, live, dead) = build_comb(&mut m, TEETH);
+        m.parked(|| gc.collect_full_blocking());
+        m.parked(|| gc.collect_full_blocking());
+        let before = gc.stats().lab_refill.count();
+        let shape = ObjShape::new(1, 1);
+        let mut in_holes = 0;
+        for _ in 0..N {
+            let obj = m.alloc(&shape).unwrap();
+            assert!(!live.contains(&obj.granule()), "allocated over a survivor");
+            in_holes += u64::from(dead.binary_search(&obj.granule()).is_ok());
+        }
+        let refills = gc.stats().lab_refill.count() - before;
+        assert!(
+            refills <= N / 32,
+            "{refills} refills for {N} objects ({:?})",
+            gc.config().mode
+        );
+        // The pool serves before the frontier does (a lazy sweep hands
+        // its first segments' runs over one at a time, and the mutator's
+        // old queue had frontier space left).
+        assert!(in_holes >= N / 2, "only {in_holes} of {N} objects in holes");
+        gc.stop_collector();
+        let violations = gc.verify_heap();
+        assert!(violations.is_empty(), "heap violations: {violations:?}");
+        drop(m);
+        gc.shutdown();
+    }
+}
+
+/// One mutator sits parked on a whole LAB's queue while another fills a
+/// 1 MiB heap with garbage.  Nothing triggers a collection here but a
+/// failed allocation, so the first cycle must come only once the heap is
+/// genuinely full — all of it but the sitter's lease and the runner's own
+/// — and then as a blocking full collection the runner comes back from,
+/// not as `OutOfMemory`.
+#[test]
+fn parked_mutator_on_a_full_queue_does_not_starve_the_other() {
+    const HEAP: usize = 1 << 20;
+    let mut cfg = GcConfig::non_generational()
+        .with_max_heap(HEAP)
+        .with_initial_heap(HEAP);
+    cfg.full_trigger_fraction = 1.0;
+    let lab_bytes = cfg.lab_granules as usize * 16;
+    let mut gc = Gc::new(cfg);
+    let mut sitter = gc.mutator();
+    let mut runner = gc.mutator();
+    let kept = sitter.alloc(&ObjShape::new(0, 0)).unwrap();
+    sitter.root_push(kept);
+    let done = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            sitter.parked(|| done.wait());
+            // The queue was kept across the park.
+            let before = gc.stats().lab_refill.count();
+            sitter.alloc(&ObjShape::new(0, 0)).unwrap();
+            assert_eq!(gc.stats().lab_refill.count(), before);
+        });
+        let shape = ObjShape::new(1, 5); // 64 bytes
+        let mut before_first_cycle = None;
+        for i in 0..3 * HEAP / shape.size_bytes() {
+            if before_first_cycle.is_none() && gc.cycles_completed() > 0 {
+                before_first_cycle = Some(i * shape.size_bytes());
+            }
+            if let Err(e) = runner.alloc(&shape) {
+                panic!("allocation {i} failed with {e} on a heap of garbage");
+            }
+        }
+        let filled = before_first_cycle.expect("3 MiB through a 1 MiB heap without a cycle");
+        assert!(
+            filled + 3 * lab_bytes >= HEAP,
+            "first collection after only {filled} bytes"
+        );
+        let stats = gc.stats();
+        assert!(stats.alloc_stall.count() >= 2, "no blocking collection");
+        assert!(stats.cycles.iter().all(|c| c.kind == CycleKind::Full));
+        done.wait();
+    });
+    gc.stop_collector();
+    let violations = gc.verify_heap();
+    assert!(violations.is_empty(), "heap violations: {violations:?}");
+    drop((sitter, runner));
+    gc.shutdown();
 }
 
 #[test]
