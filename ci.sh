@@ -30,24 +30,6 @@ FAIL  $name"
     fi
 }
 
-# bench NAME PATTERN...: smoke-runs target/release/bench_NAME --quick
-# (tiny iteration budget; OTF_BENCH_OUT diverts the JSON so a CI run never
-# dirties the tree), then requires every pattern in the emitted JSON — a
-# malformed emitter or a gate verdict other than the pinned one fails.
-bench() {
-    bench_name=$1
-    shift
-    out=target/BENCH_${bench_name}_ci.json
-    OTF_BENCH_QUICK=1 OTF_BENCH_OUT=$out \
-        "./target/release/bench_$bench_name" --quick || return 1
-    for pattern in "\"bench\": \"$bench_name\"" "$@"; do
-        grep -q "$pattern" "$out" || {
-            echo "$out: no $pattern"
-            return 1
-        }
-    done
-}
-
 step build cargo build --release --offline --workspace --all-targets
 step test cargo test -q --offline --workspace
 step fmt cargo fmt --check
@@ -59,41 +41,6 @@ step clippy cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # runs here so a crates/ API change that breaks it fails CI, not the
 # benchmark driver.
 step benchmark-check benchmark/check.sh
-
-# The side-table kernel microbench: catches kernel regressions and keeps
-# BENCH_kernels.json reproducible.
-step bench-kernels bench kernels
-
-# The pause-time benchmark.  The binary itself exits non-zero on
-# non-monotone pause quantiles or if the per-phase durations fail to
-# sum to within 5% of cycle wall time (the packet scheduler's bucket
-# spans telescope the whole cycle — a ratio outside that band means a
-# phase got double-sampled, unattributed, or billed to two slots); the
-# patterns pin the phase-sum verdict.
-step bench-pauses bench pauses '"workload": "db"' '"phase_sum_ok": true'
-
-# The parallel back-end benchmark (work-stealing mark + page-partitioned
-# sweep).  The binary exits non-zero on any heap violation across the
-# workload × config × gc_threads matrix or if a scaling gate fails; the
-# patterns additionally pin the gate verdicts in the emitted JSON.
-step bench-parallel bench parallel '"n1_parity": true' '"p999_ok": true' \
-    '"overlap_parity_ok": true' '"overlap_gate_ok": true' \
-    '"overlap_reduction_db_gen_n4"'
-
-# The allocator scalability benchmark (sharded block-store back-end vs
-# the single free list at 1/4/16 mutator threads).  The binary exits
-# non-zero on any heap violation or if a gate fails; the patterns pin the
-# verdicts: sharded N=1 throughput parity with the unsharded oracle, and
-# no allocation-stall regression from sharding.
-step bench-scale bench scale '"n1_parity": true' '"alloc_stall_ok": true'
-
-# The lazy-sweep benchmark (mutators sweep-to-allocate, collector goes
-# mark-only).  The binary exits non-zero on any heap violation across the
-# workload × config × sweep-mode matrix or if a gate fails; the patterns
-# pin the verdicts: db/gen cycle-time reduction, end-state parity between
-# sweep modes, and the allocation-stall p99.99 envelope.
-step bench-lazy bench lazy '"cycle_gate_ok": true' '"parity_ok": true' \
-    '"stall_ok": true' '"refill_ok": true'
 
 # The full integration suites again with four GC workers: every
 # collector-driven test (correctness, chaos, observability) must hold
@@ -144,17 +91,6 @@ step cell-combined env OTF_GC_LAZY_SWEEP=1 OTF_GC_SHARDS=4 OTF_GC_THREADS=4 \
 # explicitly, so the env default does not change their meaning.
 step cell-restarts env OTF_GC_MAX_RESTARTS=3 OTF_GC_LAZY_SWEEP=1 \
     OTF_GC_SHARDS=4 OTF_GC_THREADS=4 \
-    cargo test -q --offline --test chaos --test gc_correctness --test plan_equivalence
-
-# And with the overlapped cards∥roots∥trace group (DESIGN.md §4.9)
-# stacked on the parallel+lazy+sharded cell: the suites must hold when
-# the gray producers run concurrently with the trace lanes and the
-# termination check extends over open producer buckets.  Note the
-# plan-equivalence overlap arms run *both* schedules regardless — this
-# cell additionally forces every other collector in those suites
-# (correctness graphs, chaos storms) onto the overlapped schedule.
-step cell-overlap env OTF_GC_OVERLAP=1 OTF_GC_THREADS=4 OTF_GC_LAZY_SWEEP=1 \
-    OTF_GC_SHARDS=4 \
     cargo test -q --offline --test chaos --test gc_correctness --test plan_equivalence
 
 # Chaos smoke: the fixed-seed fault-injection matrix (debug build — the

@@ -69,7 +69,6 @@ fn storm_plan(seed: u64) -> FaultPlan {
                 .yielding(0.2),
         )
         .rule(FaultRule::at("collector.phase").delaying(0.5, 500))
-        .rule(FaultRule::at("collector.card_scan").delaying(0.5, 500))
         .rule(FaultRule::at("collector.handshake.wait").yielding(0.3))
 }
 
@@ -239,12 +238,10 @@ fn check_panic_containment(seed: u64, bound: Duration) -> bool {
 /// One round of the recovery gate: kill the collector at its trace
 /// phase (hit 4 of `collector.phase`: cycle-start, hs1, hs2, hs3,
 /// trace) with restarts enabled, then demand a completed full
-/// collection, no poison, and a clean heap.  In the overlap arm the
-/// same hit fires inside the group chain-open — the panic lands with
-/// the card-scan and root-mark producer buckets open, so the abort has
-/// to close the whole group.  Returns the observables the gate checks
-/// plus the injection log for the reproducibility comparison.
-fn recovery_round(seed: u64, overlap: bool) -> (bool, u64, u64, usize, Vec<FaultEvent>) {
+/// collection, no poison, and a clean heap.  Returns the observables
+/// the gate checks plus the injection log for the reproducibility
+/// comparison.
+fn recovery_round(seed: u64) -> (bool, u64, u64, usize, Vec<FaultEvent>) {
     fault::install(
         FaultPlan::new(seed).rule(
             FaultRule::at("collector.phase")
@@ -259,8 +256,7 @@ fn recovery_round(seed: u64, overlap: bool) -> (bool, u64, u64, usize, Vec<Fault
             .with_max_heap(8 << 20)
             .with_young_size(64 << 10)
             .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1)
-            .with_overlap_phases(overlap),
+            .with_collector_restart_backoff_ms(1),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(1, 2);
@@ -292,27 +288,26 @@ fn recovery_round(seed: u64, overlap: bool) -> (bool, u64, u64, usize, Vec<Fault
 /// into an aborted cycle plus a restart (never poison, never a hang,
 /// never a heap violation), and two same-seed runs must produce the
 /// identical injection log.
-fn check_recovery(seed: u64, bound: Duration, overlap: bool) -> bool {
-    let label = if overlap { "recovery+ov" } else { "recovery" };
+fn check_recovery(seed: u64, bound: Duration) -> bool {
     let mut logs: Vec<Vec<FaultEvent>> = Vec::new();
     for round in 0..2 {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(recovery_round(seed, overlap));
+            let _ = tx.send(recovery_round(seed));
         });
         let (poisoned, restarts, aborted, violations, log) = match rx.recv_timeout(bound) {
             Ok(r) => r,
             Err(_) => {
                 fault::uninstall();
                 eprintln!(
-                    "stress_chaos: {label} round {round}: HANG — no completion within {bound:?}"
+                    "stress_chaos: recovery round {round}: HANG — no completion within {bound:?}"
                 );
                 return false;
             }
         };
         if poisoned || restarts < 1 || aborted < 1 || violations != 0 || log.len() != 1 {
             eprintln!(
-                "stress_chaos: {label} round {round}: poisoned={poisoned} restarts={restarts} \
+                "stress_chaos: recovery round {round}: poisoned={poisoned} restarts={restarts} \
                  cycles_aborted={aborted} violations={violations} injections={}",
                 log.len()
             );
@@ -321,11 +316,11 @@ fn check_recovery(seed: u64, bound: Duration, overlap: bool) -> bool {
         logs.push(log);
     }
     if logs[0] != logs[1] {
-        eprintln!("stress_chaos: {label}: NON-REPRODUCIBLE — two runs with seed {seed} diverged");
+        eprintln!("stress_chaos: recovery: NON-REPRODUCIBLE — two runs with seed {seed} diverged");
         return false;
     }
     println!(
-        "{label}: OK (cycle aborted, collector restarted, full completed; \
+        "recovery: OK (cycle aborted, collector restarted, full completed; \
          identical across two runs of seed {seed})"
     );
     true
@@ -379,18 +374,13 @@ fn main() {
         for lazy in [false, true] {
             let cfg = cfg.with_lazy_sweep(lazy);
             let sweep = if lazy { "lazy" } else { "eager" };
-            // The overlap cell reruns the storm under the overlapped
-            // cards∥roots∥trace schedule: the card-scan delay rule then
-            // holds a producer bucket open across the racing trace
-            // workers, stressing the §4.9 termination extension.
-            for (plan_name, plan, overlap) in [
-                ("storm", storm_plan(seed), false),
-                ("storm+ov", storm_plan(seed), true),
-                ("failures", failure_plan(seed ^ 0x9E37_79B9), false),
+            for (plan_name, plan) in [
+                ("storm", storm_plan(seed)),
+                ("failures", failure_plan(seed ^ 0x9E37_79B9)),
             ] {
                 let s = Schedule {
                     name: format!("{}/{}/{}", mode_name(&cfg), sweep, plan_name),
-                    config: cfg.with_overlap_phases(overlap),
+                    config: cfg,
                     plan,
                 };
                 outcomes.push(run_schedule(s, threads, ops_scale, bound));
@@ -416,7 +406,7 @@ fn main() {
 
     let repro_ok = check_reproducibility(seed, ops_scale);
     let panic_ok = check_panic_containment(seed, bound);
-    let recovery_ok = check_recovery(seed, bound, false) && check_recovery(seed, bound, true);
+    let recovery_ok = check_recovery(seed, bound);
 
     let matrix_ok = outcomes.iter().all(|o| o.ok);
     if matrix_ok && repro_ok && panic_ok && recovery_ok {

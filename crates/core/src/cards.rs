@@ -2,9 +2,9 @@
 //! (`InitFullCollection`) — Figures 3 and 6 of the paper.
 //!
 //! Both run as packets of the cycle schedule (DESIGN.md §4.7): the card
-//! scan inside the second handshake window (before or after the color
-//! toggle, per plan — Figure 2 vs Figure 5 order), the initialization
-//! pass in the init bucket of full collections.
+//! scan inside the second handshake window (simple promotion before the
+//! color toggle, aging after it — Figure 2 vs Figure 5 order), the
+//! initialization pass in the init bucket of full collections.
 
 use otf_heap::{Color, GRANULE};
 
@@ -23,44 +23,23 @@ impl GcShared {
         }
     }
 
-    /// Overlapped plans (DESIGN.md §4.9): move the grays accumulated on
-    /// the private mark stack to the shared gray queue, where the
-    /// concurrently-open `TraceDrain` packets steal them while this
-    /// scan keeps producing.
-    fn publish_grays(&self, cx: &mut CycleCx) {
-        for obj in cx.mark_stack.drain(..) {
-            self.gray.push(obj);
-        }
-    }
-
     /// `ClearCards`, simple variant (Figure 3): for every dirty card,
     /// clear the mark and shade gray every *black* (old) object starting
     /// on the card, so the trace re-scans it and discovers any
     /// inter-generational pointers it holds.
     ///
-    /// With `overlap = false` this runs between the first and second
-    /// handshakes, when every mutator is in `sync1`/`sync2` and
-    /// therefore performs no card marking (§7.1) — clear-then-scan
-    /// needs no re-marking protocol, and no allocation-colored object
-    /// exists yet (the toggle has not happened), so a cleared card
-    /// cannot describe a pointer to an unpromoted son.
-    ///
-    /// With `overlap = true` the scan runs *after* the toggle and the
-    /// third handshake, concurrent with the trace (DESIGN.md §4.9).
-    /// Two differences keep that placement sound: grays publish to the
-    /// shared queue card-by-card (the concurrently-open trace bucket
-    /// consumes them), and a card whose black object still references
-    /// an *allocation-colored* son is re-marked after the clear — such
-    /// a son is not promoted by this cycle's trace (it already carries
-    /// the safe color), so the inter-generational pointer must be
-    /// re-examined next cycle, exactly the §7.1 hazard the pre-toggle
-    /// placement avoided by timing.
-    pub(crate) fn clear_cards_simple(&self, overlap: bool, cx: &mut CycleCx) {
+    /// Runs between the first and second handshakes, when every mutator
+    /// is in `sync1`/`sync2` and therefore performs no card marking
+    /// (§7.1) — clear-then-scan needs no re-marking protocol, and the
+    /// toggle has not happened yet, so every young object a cleared card
+    /// pointed at is traced (and promoted) by this very cycle.  DESIGN.md
+    /// §4.9 records what goes wrong when the scan is moved after the
+    /// toggle.
+    pub(crate) fn clear_cards_simple(&self, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let dirty_before = cx.counters.dirty_cards;
-        let alloc = self.colors.allocation_color();
         // The per-card list of black objects to gray lives on the cycle
         // context, reused across cards instead of allocated per card.
         let mut grayed = std::mem::take(&mut cx.scratch_grayed);
@@ -73,21 +52,10 @@ impl GcShared {
             let (gs, ge) = self.cards.granule_range(card);
             cx.touch_color_range(gs, ge.min(self.heap.frontier_granule()));
             grayed.clear();
-            let mut remark = false;
             self.heap
                 .for_each_object_start(gs, ge, |obj, color, header| {
                     if color == Color::Black {
                         grayed.push((obj, header.size_granules()));
-                        if overlap && !remark {
-                            for i in 0..header.ref_slots() {
-                                let son = self.heap.arena().load_ref_slot(obj, i);
-                                if !son.is_null() && self.heap.colors().get(son.granule()) == alloc
-                                {
-                                    remark = true;
-                                    break;
-                                }
-                            }
-                        }
                     }
                 });
             for &(obj, size) in &grayed {
@@ -101,12 +69,6 @@ impl GcShared {
                     cx.counters.intergen_bytes += (size * GRANULE) as u64;
                     cx.touch_object_granules(obj.granule(), size);
                 }
-            }
-            if remark {
-                self.cards.mark_card(card);
-            }
-            if overlap {
-                self.publish_grays(cx);
             }
         }
         cx.scratch_grayed = grayed;
@@ -134,14 +96,7 @@ impl GcShared {
     /// survive until then (see DESIGN.md §4 — this widens Figure 6's
     /// literal re-mark condition, which checks only tenured parents and
     /// would otherwise drop the pointer).
-    ///
-    /// Unlike the simple variant, this protocol is already safe against
-    /// concurrent mutator card marking (the clear/check/re-mark dance
-    /// exists for exactly that), so the overlapped placement
-    /// (DESIGN.md §4.9) needs no extra compensation: `publish = true`
-    /// only switches the grays from the private mark stack to the
-    /// shared queue, card by card, for the concurrently-open trace.
-    pub(crate) fn clear_cards_aging(&self, threshold: u8, publish: bool, cx: &mut CycleCx) {
+    pub(crate) fn clear_cards_aging(&self, threshold: u8, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
@@ -204,9 +159,6 @@ impl GcShared {
             // this card.
             if remark {
                 self.cards.mark_card(card);
-            }
-            if publish {
-                self.publish_grays(cx);
             }
         }
         cx.scratch_tenured = tenured_roots;
@@ -285,7 +237,7 @@ mod tests {
         let young = alloc(&sh, 0, Color::White);
         sh.heap.arena().store_ref_slot(old, 0, young);
         sh.cards.mark_byte(old.byte());
-        sh.clear_cards_simple(false, &mut cx);
+        sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Gray);
         assert_eq!(cx.mark_stack.pop(), Some(old));
         assert_eq!(cx.counters.dirty_cards, 1);
@@ -299,61 +251,10 @@ mod tests {
         let (sh, mut cx) = setup(GcConfig::generational());
         let young = alloc(&sh, 1, Color::White);
         sh.cards.mark_byte(young.byte());
-        sh.clear_cards_simple(false, &mut cx);
+        sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::White);
         assert!(sh.gray.is_empty());
         assert_eq!(cx.counters.intergen_objects, 0);
-    }
-
-    #[test]
-    fn overlap_simple_scan_publishes_and_remarks_for_fresh_sons() {
-        // Post-toggle placement (DESIGN.md §4.9): a black parent holding
-        // an allocation-colored son (allocated after the toggle) must
-        // keep its card — the son is not promoted by this cycle's trace,
-        // so the inter-generational pointer survives it.  Grays publish
-        // to the shared queue, not the private mark stack.
-        let (sh, mut cx) = setup(GcConfig::generational());
-        let old = alloc(&sh, 1, Color::Black);
-        let fresh = alloc(&sh, 0, sh.colors.allocation_color());
-        sh.heap.arena().store_ref_slot(old, 0, fresh);
-        sh.cards.mark_byte(old.byte());
-        sh.clear_cards_simple(true, &mut cx);
-        assert_eq!(sh.heap.colors().get(old.granule()), Color::Gray);
-        assert!(cx.mark_stack.is_empty());
-        assert_eq!(sh.gray.pop(), Some(old));
-        assert!(sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
-    }
-
-    #[test]
-    fn overlap_simple_scan_clears_card_for_clear_colored_sons() {
-        // A son carrying the clear color (allocated before the toggle)
-        // is promoted when the trace reaches it through the grayed
-        // parent, so the card can go — same outcome as the sequential
-        // pre-toggle scan.
-        let (sh, mut cx) = setup(GcConfig::generational());
-        let old = alloc(&sh, 1, Color::Black);
-        let young = alloc(&sh, 0, sh.colors.clear_color());
-        sh.heap.arena().store_ref_slot(old, 0, young);
-        sh.cards.mark_byte(old.byte());
-        sh.clear_cards_simple(true, &mut cx);
-        assert_eq!(sh.heap.colors().get(old.granule()), Color::Gray);
-        assert_eq!(sh.gray.pop(), Some(old));
-        assert!(!sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
-    }
-
-    #[test]
-    fn aging_scan_publishes_grays_when_asked() {
-        let threshold = 4;
-        let (sh, mut cx) = setup(GcConfig::aging(threshold));
-        let old = alloc(&sh, 1, Color::Black);
-        sh.heap.ages().set(old.granule(), threshold);
-        let son = alloc(&sh, 0, sh.colors.clear_color());
-        sh.heap.arena().store_ref_slot(old, 0, son);
-        sh.cards.mark_byte(old.byte());
-        sh.clear_cards_aging(threshold, true, &mut cx);
-        assert!(cx.mark_stack.is_empty());
-        assert_eq!(sh.gray.pop(), Some(son));
-        assert!(sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
     }
 
     #[test]
@@ -367,7 +268,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(old, 0, son);
         sh.cards.mark_byte(old.byte());
 
-        sh.clear_cards_aging(threshold, false, &mut cx);
+        sh.clear_cards_aging(threshold, &mut cx);
         assert_eq!(sh.heap.colors().get(son.granule()), Color::Gray);
         assert_eq!(cx.mark_stack.pop(), Some(son));
         // Young son referenced => card re-marked (step 3).
@@ -386,7 +287,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(old, 0, son);
         sh.cards.mark_byte(old.byte());
 
-        sh.clear_cards_aging(threshold, false, &mut cx);
+        sh.clear_cards_aging(threshold, &mut cx);
         // Old son: no young reference left, card cleared for good.
         assert!(!sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
         // Black son is not grayed by mark_gray_clear.
@@ -406,7 +307,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(parent, 0, son);
         sh.cards.mark_byte(parent.byte());
 
-        sh.clear_cards_aging(threshold, false, &mut cx);
+        sh.clear_cards_aging(threshold, &mut cx);
         assert!(sh.cards.is_dirty(sh.cards.card_of_byte(parent.byte())));
         // But the son is NOT grayed from here: young parents are traced
         // through normal reachability.
@@ -445,7 +346,7 @@ mod tests {
         let b = alloc(&sh, 0, Color::Black);
         let c = alloc(&sh, 0, Color::White);
         sh.cards.mark_byte(b.byte());
-        sh.clear_cards_simple(false, &mut cx);
+        sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(a.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(b.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(c.granule()), Color::White);

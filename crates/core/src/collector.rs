@@ -48,29 +48,10 @@ impl GcShared {
         cx.phases.cards = Duration::from_nanos(frame.cards_ns.load(Ordering::Relaxed));
         cx.phases.roots = Duration::from_nanos(frame.roots_ns.load(Ordering::Relaxed));
         let windows = sched.span(buckets.hs1) + sched.span(buckets.hs2) + sched.span(buckets.hs3);
-        if buckets.cards.is_some() && buckets.roots.is_some() {
-            // Overlapped schedule (DESIGN.md §4.9): card/root work no
-            // longer nests inside the handshake windows, so the windows
-            // are pure handshake latency; the trace slot becomes summed
-            // per-lane CPU time (the bucket's wall span also covers the
-            // concurrent producers) and the overlap window's
-            // critical-path wall is reported separately.
-            cx.phases.handshakes = windows;
-            cx.phases.trace = Duration::from_nanos(
-                frame
-                    .mark_ns
-                    .iter()
-                    .map(|n| n.load(Ordering::Relaxed))
-                    .sum(),
-            );
-            cx.phases.mark_wall = sched.span(buckets.trace);
-        } else {
-            cx.phases.handshakes = windows
-                .saturating_sub(cx.phases.cards)
-                .saturating_sub(cx.phases.roots);
-            cx.phases.trace = sched.span(buckets.trace);
-            cx.phases.mark_wall = Duration::ZERO;
-        }
+        cx.phases.handshakes = windows
+            .saturating_sub(cx.phases.cards)
+            .saturating_sub(cx.phases.roots);
+        cx.phases.trace = sched.span(buckets.trace);
         cx.phases.sweep = sched.span(buckets.reclaim)
             + buckets.finalize.map_or(Duration::ZERO, |b| sched.span(b));
 

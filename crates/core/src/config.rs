@@ -133,18 +133,6 @@ pub struct GcConfig {
     /// `OTF_GC_LAZY_SWEEP` environment variable (`1` enables) as the
     /// default, mirroring `OTF_GC_THREADS`/`OTF_GC_SHARDS`.
     pub lazy_sweep: bool,
-    /// Opt-in overlapped mark pipeline (DESIGN.md §4.9).  `false` (the
-    /// default) keeps the sequential schedule byte-for-byte: card scan
-    /// and root marking complete before the trace bucket opens.  `true`
-    /// re-expresses the plan so the card-scan and root-mark buckets
-    /// open *concurrently with* the trace bucket after the third
-    /// handshake — they publish grays to the shared queue as they go
-    /// and the trace consumes them immediately, with the §4.4
-    /// termination check extended so the trace cannot close while a
-    /// producer bucket is still open.  The constructors read the
-    /// `OTF_GC_OVERLAP` environment variable (`1` enables) as the
-    /// default, mirroring `OTF_GC_LAZY_SWEEP`.
-    pub overlap_phases: bool,
     /// How many times the collector supervisor may respawn the collector
     /// thread after a panic (DESIGN.md §4.8).  `0` (the default) keeps
     /// the PR-4 behavior byte-for-byte: the first panic permanently
@@ -207,17 +195,6 @@ fn lazy_sweep_from_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Reads the `OTF_GC_OVERLAP` default for the constructors (any nonzero
-/// integer enables; falls back to `false` — the sequential schedule —
-/// when unset or invalid).
-fn overlap_from_env() -> bool {
-    std::env::var("OTF_GC_OVERLAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<u8>().ok())
-        .map(|v| v != 0)
-        .unwrap_or(false)
-}
-
 /// Reads the `OTF_GC_MAX_RESTARTS` default for the constructors (falls
 /// back to 0 — the permanent-poison fallback — when unset or invalid).
 fn max_restarts_from_env() -> u32 {
@@ -256,7 +233,6 @@ impl GcConfig {
             gc_threads: gc_threads_from_env(),
             alloc_shards: alloc_shards_from_env(),
             lazy_sweep: lazy_sweep_from_env(),
-            overlap_phases: overlap_from_env(),
             max_collector_restarts: max_restarts_from_env(),
             collector_restart_backoff_ms: 10,
             handshake_stall_policy: stall_policy_from_env(),
@@ -355,10 +331,11 @@ impl GcConfig {
         self
     }
 
-    /// Enables (or disables) the overlapped mark pipeline (see
-    /// [`GcConfig::overlap_phases`]).
-    pub fn with_overlap_phases(mut self, enabled: bool) -> GcConfig {
-        self.overlap_phases = enabled;
+    /// Vestige: does nothing and returns `self`.  The overlapped mark
+    /// pipeline it used to select is gone (DESIGN.md §4.9); the method
+    /// stays only because `benchmark/src/cli.rs` (`--overlap`) still
+    /// calls it, and goes when a `[benchmark]` PR drops that flag.
+    pub fn with_overlap_phases(self, _enabled: bool) -> GcConfig {
         self
     }
 
@@ -526,15 +503,26 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
+    /// Pins the vestige: `benchmark -- --overlap` is the baseline run —
+    /// same configuration, same schedule.
     #[test]
-    fn overlap_builder_is_orthogonal_to_plan_name() {
-        let c = GcConfig::generational().with_overlap_phases(true);
-        assert!(c.overlap_phases);
-        // Overlap is a schedule dimension, not a plan: the name is
-        // unchanged so bench matrices key it separately.
-        assert_eq!(c.plan_name(), "gen-eager");
-        assert!(c.validate().is_ok());
-        assert!(!GcConfig::aging(4).with_overlap_phases(false).overlap_phases);
+    fn with_overlap_phases_is_a_no_op() {
+        use crate::plan::CycleFrame;
+        use crate::shared::GcShared;
+        use crate::stats::CycleKind;
+        use otf_support::packet::Schedule;
+
+        let base = GcConfig::generational();
+        let vestige = GcConfig::generational().with_overlap_phases(true);
+        assert_eq!(format!("{vestige:?}"), format!("{base:?}"));
+        let buckets = |cfg: GcConfig| {
+            let sh = GcShared::new(cfg);
+            let frame = CycleFrame::new(1);
+            let mut sched = Schedule::new();
+            sh.build_cycle_schedule(&mut sched, CycleKind::Partial, &frame, 1);
+            sched.bucket_names()
+        };
+        assert_eq!(buckets(vestige), buckets(base));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! FIFO, so with one worker the schedule runs byte-for-byte the
 //! verified DLG sequence `run_cycle` used to spell out imperatively.
 //! The §4.4 trace-termination check is the `trace` bucket's closing
-//! condition (see [`GcShared::add_trace_bucket`]); future phases — a
-//! concurrent card-scan-while-marking, an Immix-style defrag arm — are
-//! new buckets or packets, not new control flow in the proof.
+//! condition (see [`GcShared::add_trace_bucket`]); a future phase — an
+//! Immix-style defrag arm, say — is a new bucket or packet, not new
+//! control flow in the proof.
 //!
 //! Phase accounting rides on the bucket spans: each bucket's open→close
 //! wall time is sampled exactly once at close (fixing the old
@@ -113,11 +113,6 @@ pub(crate) struct CycleBuckets {
     pub hs1: BucketId,
     pub hs2: BucketId,
     pub hs3: BucketId,
-    /// Overlapped plans only (`GcConfig::overlap_phases`): the card-scan
-    /// producer bucket of the cards∥roots∥trace overlap group.
-    pub cards: Option<BucketId>,
-    /// Overlapped plans only: the root-marking producer bucket.
-    pub roots: Option<BucketId>,
     pub trace: BucketId,
     pub reclaim: BucketId,
 }
@@ -207,20 +202,14 @@ impl<'s> Packet<'s, CycleCx> for ToggleColors<'s> {
     }
 }
 
-/// `ClearCards` as its own nested phase.  Sequential schedules run it
-/// inside the second handshake window — simple variant before the
-/// toggle (§7.1), aging scan after it (Figure 5) — and the grays it
-/// finds move onto the frame's seed list.  Overlapped schedules
-/// (`overlap = true`, DESIGN.md §4.9) run it in the producer bucket of
-/// the cards∥roots∥trace group instead: the kernel publishes grays to
-/// the shared queue card by card, and the simple variant re-marks cards
-/// that still point at unpromoted allocation-colored sons.
+/// `ClearCards` as its own nested phase inside the second handshake
+/// window — simple variant before the toggle (§7.1), aging scan after
+/// it (Figure 5).  The grays it finds move onto the frame's seed list.
 struct CardScan<'s> {
     sh: &'s GcShared,
     frame: &'s CycleFrame,
     /// `None` = simple `ClearCards`; `Some(threshold)` = the aging scan.
     aging: Option<u8>,
-    overlap: bool,
 }
 
 impl<'s> Packet<'s, CycleCx> for CardScan<'s> {
@@ -228,43 +217,26 @@ impl<'s> Packet<'s, CycleCx> for CardScan<'s> {
         "card-scan"
     }
     fn run(self: Box<Self>, _w: usize, cx: &mut CycleCx, _s: &Schedule<'s, CycleCx>) {
-        // Chaos window: a seeded delay here holds the card-scan
-        // producer bucket open while the overlapped trace runs dry, so
-        // the termination extension (trace cannot close past an open
-        // producer, §4.9) is exercised rather than merely argued.
-        let _ = fault::point("collector.card_scan");
         let t = Instant::now();
         self.sh.obs.event(EventKind::PhaseBegin, phase::CARDS, 0);
         match self.aging {
-            None => self.sh.clear_cards_simple(self.overlap, cx),
-            Some(threshold) => self.sh.clear_cards_aging(threshold, self.overlap, cx),
+            None => self.sh.clear_cards_simple(cx),
+            Some(threshold) => self.sh.clear_cards_aging(threshold, cx),
         }
         let dur = dur_ns(t.elapsed());
         self.frame.cards_ns.fetch_add(dur, Ordering::Relaxed);
         self.sh.obs.event(EventKind::PhaseEnd, phase::CARDS, dur);
-        if self.overlap {
-            // The kernel published card by card; flush any remainder to
-            // the shared queue the concurrent trace is draining.
-            for obj in cx.mark_stack.drain(..) {
-                self.sh.gray.push(obj);
-            }
-        } else {
-            self.frame.seeds.lock().append(&mut cx.mark_stack);
-        }
+        self.frame.seeds.lock().append(&mut cx.mark_stack);
     }
 }
 
 /// Global-root marking, timed into its own phase slot: it is trace
 /// work, and billing it to the handshake would inflate
-/// handshake-latency SLOs by root-set size.  Sequential schedules run
-/// it between the third post and its wait (Figure 2), seeding the
-/// frame; overlapped schedules (`publish = true`) run it in its own
-/// producer bucket and publish straight to the shared gray queue for
-/// the concurrently-open trace.
+/// handshake-latency SLOs by root-set size.  Runs between the third
+/// post and its wait (Figure 2), seeding the frame.
 struct MarkRoots<'s> {
     sh: &'s GcShared,
     frame: &'s CycleFrame,
-    publish: bool,
 }
 
 impl<'s> Packet<'s, CycleCx> for MarkRoots<'s> {
@@ -274,16 +246,8 @@ impl<'s> Packet<'s, CycleCx> for MarkRoots<'s> {
     fn run(self: Box<Self>, _w: usize, _cx: &mut CycleCx, _s: &Schedule<'s, CycleCx>) {
         let t = Instant::now();
         self.sh.obs.event(EventKind::PhaseBegin, phase::ROOTS, 0);
-        if self.publish {
-            let mut roots = Vec::new();
-            self.sh.mark_global_roots_local(&mut roots);
-            for obj in roots {
-                self.sh.gray.push(obj);
-            }
-        } else {
-            let mut seeds = self.frame.seeds.lock();
-            self.sh.mark_global_roots_local(&mut seeds);
-        }
+        self.sh
+            .mark_global_roots_local(&mut self.frame.seeds.lock());
         let dur = dur_ns(t.elapsed());
         self.frame.roots_ns.fetch_add(dur, Ordering::Relaxed);
         self.sh.obs.event(EventKind::PhaseEnd, phase::ROOTS, dur);
@@ -296,19 +260,9 @@ impl<'s> Packet<'s, CycleCx> for MarkRoots<'s> {
 /// when it finds nothing to steal; the bucket's closing condition
 /// decides between refilling (work reappeared), waiting (a mutator is
 /// inside its barrier epoch) and closing (§4.4).
-///
-/// Under an overlapped schedule (DESIGN.md §4.9) the producer buckets
-/// publish grays to the shared queue *while* this packet runs.  A lane
-/// that runs dry re-enqueues itself as long as any producer bucket is
-/// still open, so newly published grays are consumed immediately
-/// instead of waiting for the producers to close and the drained hook
-/// to refill — the hook cannot even be consulted before then, because
-/// each producer holds an `in_flight` token on this bucket for its
-/// whole lifetime.
 struct TraceDrain<'s> {
     sh: &'s GcShared,
     frame: &'s CycleFrame,
-    bucket: BucketId,
     lane: usize,
     workers: usize,
 }
@@ -317,7 +271,7 @@ impl<'s> Packet<'s, CycleCx> for TraceDrain<'s> {
     fn name(&self) -> &'static str {
         "trace-drain"
     }
-    fn run(self: Box<Self>, _w: usize, cx: &mut CycleCx, s: &Schedule<'s, CycleCx>) {
+    fn run(self: Box<Self>, _w: usize, cx: &mut CycleCx, _s: &Schedule<'s, CycleCx>) {
         let t = Instant::now();
         {
             let mut seeds = self.frame.seeds.lock();
@@ -341,31 +295,6 @@ impl<'s> Packet<'s, CycleCx> for TraceDrain<'s> {
         self.frame.bytes_traced.fetch_add(traced, Ordering::Relaxed);
         self.frame.steals[self.lane].fetch_add(steals, Ordering::Relaxed);
         self.frame.mark_ns[self.lane].fetch_add(dur_ns(t.elapsed()), Ordering::Relaxed);
-        if s.predecessors_open(self.bucket) {
-            if traced == 0 && steals == 0 {
-                // Dry lap while a producer is still scanning: yield so
-                // the re-enqueue loop doesn't starve the producer of a
-                // core.
-                std::thread::yield_now();
-            }
-            let Self {
-                sh,
-                frame,
-                bucket,
-                lane,
-                workers,
-            } = *self;
-            s.enqueue(
-                bucket,
-                TraceDrain {
-                    sh,
-                    frame,
-                    bucket,
-                    lane,
-                    workers,
-                },
-            );
-        }
     }
 }
 
@@ -550,12 +479,6 @@ impl GcShared {
                 raise_tracing: false,
             },
         );
-        // Overlapped schedules move the card scan (and root marking)
-        // out of the handshake windows into the producer buckets of the
-        // cards∥roots∥trace group below; the toggle always stays here —
-        // it must happen-before the async post, and a handshake bucket
-        // is never overlappable (DESIGN.md §4.9).
-        let overlap = self.config.overlap_phases;
         match self.config.mode {
             Mode::NonGenerational => {
                 sched.enqueue(hs2, ToggleColors { sh: self });
@@ -563,20 +486,15 @@ impl GcShared {
             Mode::Generational(Promotion::Simple) => {
                 // Figure 2 order: ClearCards *before* the toggle, so
                 // card marks for parents of yellow objects are never
-                // lost (§7.1).  Both kinds scan.  (Overlap: the scan
-                // runs post-toggle instead and compensates by
-                // re-marking cards that reference unpromoted sons.)
-                if !overlap {
-                    sched.enqueue(
-                        hs2,
-                        CardScan {
-                            sh: self,
-                            frame,
-                            aging: None,
-                            overlap: false,
-                        },
-                    );
-                }
+                // lost (§7.1).  Both kinds scan.
+                sched.enqueue(
+                    hs2,
+                    CardScan {
+                        sh: self,
+                        frame,
+                        aging: None,
+                    },
+                );
                 sched.enqueue(hs2, ToggleColors { sh: self });
             }
             Mode::Generational(Promotion::Aging { threshold }) => {
@@ -585,14 +503,13 @@ impl GcShared {
                 // which only carry the clear color after the toggle.
                 // Full collections skip the scan entirely (§6).
                 sched.enqueue(hs2, ToggleColors { sh: self });
-                if !overlap && kind == CycleKind::Partial {
+                if kind == CycleKind::Partial {
                     sched.enqueue(
                         hs2,
                         CardScan {
                             sh: self,
                             frame,
                             aging: Some(threshold),
-                            overlap: false,
                         },
                     );
                 }
@@ -624,82 +541,14 @@ impl GcShared {
                 raise_tracing: true,
             },
         );
-        if !overlap {
-            sched.enqueue(
-                hs3,
-                MarkRoots {
-                    sh: self,
-                    frame,
-                    publish: false,
-                },
-            );
-        }
+        sched.enqueue(hs3, MarkRoots { sh: self, frame });
         sched.enqueue(hs3, WaitHandshake { sh: self });
         sched.on_close(hs3, move |span| {
             self.obs
                 .event(EventKind::PhaseEnd, phase::HANDSHAKE, dur_ns(span));
         });
 
-        // ----- mark: sequential card/root/trace, or one overlap group --
-        // Overlap (DESIGN.md §4.9): cards and roots are parallel
-        // *producer* buckets declared overlappable with their successor,
-        // so all three open together after the third handshake closes;
-        // each producer holds an `in_flight` token on its successor for
-        // its whole lifetime, which keeps the §4.4 closing condition
-        // from even being consulted until every producer has closed.
-        let (cards, roots, trace) = if overlap {
-            let cards = sched.add_bucket("cards");
-            sched.on_open(cards, move || {
-                self.open_bucket.store(bucket::CARDS, Ordering::Release);
-            });
-            match self.config.mode {
-                Mode::NonGenerational => {}
-                Mode::Generational(Promotion::Simple) => sched.enqueue(
-                    cards,
-                    CardScan {
-                        sh: self,
-                        frame,
-                        aging: None,
-                        overlap: true,
-                    },
-                ),
-                Mode::Generational(Promotion::Aging { threshold }) => {
-                    if kind == CycleKind::Partial {
-                        sched.enqueue(
-                            cards,
-                            CardScan {
-                                sh: self,
-                                frame,
-                                aging: Some(threshold),
-                                overlap: true,
-                            },
-                        );
-                    }
-                }
-            }
-            let roots = sched.add_bucket("roots");
-            sched.on_open(roots, move || {
-                self.open_bucket.store(bucket::ROOTS, Ordering::Release);
-            });
-            sched.enqueue(
-                roots,
-                MarkRoots {
-                    sh: self,
-                    frame,
-                    publish: true,
-                },
-            );
-            let trace = self.add_trace_bucket(sched, frame, workers, true);
-            sched.overlap_with_next(cards);
-            sched.overlap_with_next(roots);
-            (Some(cards), Some(roots), trace)
-        } else {
-            (
-                None,
-                None,
-                self.add_trace_bucket(sched, frame, workers, true),
-            )
-        };
+        let trace = self.add_trace_bucket(sched, frame, workers, true);
         let reclaim = self.add_reclaim_bucket(sched, frame, workers, self.config.lazy_sweep, true);
 
         CycleBuckets {
@@ -708,8 +557,6 @@ impl GcShared {
             hs1,
             hs2,
             hs3,
-            cards,
-            roots,
             trace,
             reclaim,
         }
@@ -751,7 +598,6 @@ impl GcShared {
                 TraceDrain {
                     sh: self,
                     frame,
-                    bucket: b,
                     lane,
                     workers,
                 },
@@ -771,7 +617,6 @@ impl GcShared {
                             Box::new(TraceDrain {
                                 sh: self,
                                 frame,
-                                bucket: b,
                                 lane,
                                 workers,
                             }) as Box<dyn Packet<'s, CycleCx>>
@@ -954,22 +799,17 @@ mod tests {
         (table, sh.heap.free_list_granules(), sh.heap.used_bytes())
     }
 
-    /// Satellite: every mode × sweep-backend plan must produce an end
-    /// state identical to the serial DLG sequence, at N=1 and N=4 —
-    /// and the overlapped schedule (DESIGN.md §4.9) must reach the
-    /// same end state as the sequential one at both worker counts.
+    /// Every mode × sweep-backend plan must produce an end state
+    /// identical to the serial DLG sequence, at N=1 and N=4.
     fn assert_plan_parity(make: fn() -> GcConfig, kinds: &[CycleKind]) {
         for lazy in [false, true] {
-            let run = |threads: usize, overlap: bool| {
-                let (sh, mut cx) = setup(
-                    make().with_lazy_sweep(lazy).with_overlap_phases(overlap),
-                    threads,
-                );
+            let run = |threads: usize| {
+                let (sh, mut cx) = setup(make().with_lazy_sweep(lazy), threads);
                 let counts = drive(&sh, &mut cx, kinds);
                 (end_state(&sh), counts)
             };
-            let (state1, counts1) = run(1, false);
-            let (state4, counts4) = run(4, false);
+            let (state1, counts1) = run(1);
+            let (state4, counts4) = run(4);
             let label = make().with_lazy_sweep(lazy).plan_name();
             assert_eq!(state1, state4, "end-state mismatch for plan {label}");
             // Trace totals are deterministic in both backends; freed /
@@ -978,23 +818,6 @@ mod tests {
             assert_eq!(counts1.0, counts4.0, "traced mismatch for plan {label}");
             if !lazy {
                 assert_eq!(counts1, counts4, "counter mismatch for plan {label}");
-            }
-            for threads in [1, 4] {
-                let (state_o, counts_o) = run(threads, true);
-                assert_eq!(
-                    state1, state_o,
-                    "overlap end-state mismatch for plan {label} at N={threads}"
-                );
-                assert_eq!(
-                    counts1.0, counts_o.0,
-                    "overlap traced mismatch for plan {label} at N={threads}"
-                );
-                if !lazy {
-                    assert_eq!(
-                        counts1, counts_o,
-                        "overlap counter mismatch for plan {label} at N={threads}"
-                    );
-                }
             }
         }
     }
@@ -1025,43 +848,27 @@ mod tests {
 
     #[test]
     fn cycle_schedule_has_declared_bucket_order() {
-        // The plan's bucket handles come back in Figure 2/5 order, and
-        // (lazy plans) the finalize bucket exists and precedes init.
-        let (sh, _cx) = setup(GcConfig::generational().with_lazy_sweep(true), 1);
-        let frame = CycleFrame::new(1);
-        let mut sched = Schedule::new();
-        let b = sh.build_cycle_schedule(&mut sched, CycleKind::Full, &frame, 1);
-        let order = [
-            b.finalize.expect("lazy plan has a finalize bucket"),
-            b.init,
-            b.hs1,
-            b.hs2,
-            b.hs3,
-            b.trace,
-            b.reclaim,
+        // Exactly the module table's buckets, in Figure 2/5 order; the
+        // finalize bucket exists only for lazy plans and precedes init.
+        const EAGER: [&str; 6] = [
+            "init",
+            "handshake-1",
+            "handshake-2",
+            "handshake-3",
+            "trace",
+            "reclaim",
         ];
-        for w in order.windows(2) {
-            assert!(w[0] != w[1]);
+        for lazy in [false, true] {
+            let (sh, _cx) = setup(GcConfig::generational().with_lazy_sweep(lazy), 1);
+            let frame = CycleFrame::new(1);
+            let mut sched = Schedule::new();
+            let b = sh.build_cycle_schedule(&mut sched, CycleKind::Full, &frame, 1);
+            let names = sched.bucket_names();
+            assert_eq!(b.finalize.is_some(), lazy);
+            if lazy {
+                assert_eq!(names[0], "lazy-finalize");
+            }
+            assert_eq!(names[lazy as usize..], EAGER);
         }
-        // The sequential schedule has no producer buckets.
-        assert!(b.cards.is_none() && b.roots.is_none());
-    }
-
-    #[test]
-    fn overlap_schedule_declares_producer_buckets_before_trace() {
-        let (sh, _cx) = setup(GcConfig::generational().with_overlap_phases(true), 1);
-        let frame = CycleFrame::new(1);
-        let mut sched = Schedule::new();
-        let b = sh.build_cycle_schedule(&mut sched, CycleKind::Partial, &frame, 1);
-        let cards = b.cards.expect("overlap plan has a cards bucket");
-        let roots = b.roots.expect("overlap plan has a roots bucket");
-        let order = [
-            b.init, b.hs1, b.hs2, b.hs3, cards, roots, b.trace, b.reclaim,
-        ];
-        for w in order.windows(2) {
-            assert!(w[0] != w[1]);
-        }
-        assert_eq!(sched.bucket_name(cards), "cards");
-        assert_eq!(sched.bucket_name(roots), "roots");
     }
 }

@@ -29,11 +29,6 @@ pub(crate) mod bucket {
     pub const HANDSHAKE_3: u8 = 5;
     pub const TRACE: u8 = 6;
     pub const RECLAIM: u8 = 7;
-    // Overlapped plans only (DESIGN.md §4.9): the producer buckets open
-    // concurrently with `TRACE`; the published code is whichever bucket
-    // opened last, which for the overlap group is always `TRACE`.
-    pub const CARDS: u8 = 8;
-    pub const ROOTS: u8 = 9;
 }
 
 /// Human-readable name for an [`bucket`] code (also used by the event
@@ -47,8 +42,6 @@ pub(crate) fn bucket_label(code: u64) -> &'static str {
         bucket::HANDSHAKE_3 => "handshake-3",
         bucket::TRACE => "trace",
         bucket::RECLAIM => "reclaim",
-        bucket::CARDS => "cards",
-        bucket::ROOTS => "roots",
         _ => "none",
     }
 }

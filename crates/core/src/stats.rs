@@ -38,21 +38,14 @@ pub struct PhaseTimes {
     /// work, not handshake latency — its own slot so handshake SLOs
     /// aren't inflated by root-set size).
     pub roots: Duration,
-    /// Transitive marking.  Sequential schedules report the trace
-    /// bucket's wall span; overlapped schedules
-    /// (`GcConfig::overlap_phases`) report the summed per-lane CPU time
-    /// instead, since the bucket span also covers the concurrent
-    /// card/root producers.
+    /// Transitive marking (the trace bucket's wall span).
     pub trace: Duration,
     /// The sweep pass.
     pub sweep: Duration,
-    /// Overlapped schedules only: critical-path wall time of the
-    /// cards∥roots∥trace overlap window (group open → trace-bucket
-    /// close).  Zero in the sequential schedule.  When nonzero,
-    /// `cards + roots + trace` are per-phase CPU times that can
-    /// legitimately sum past this wall time (that is the point of the
-    /// overlap) — CPU-sum accounting checks must use it in place of
-    /// those three slots.
+    /// Vestige: always zero.  It was the wall time of the overlapped
+    /// cards∥roots∥trace window, which is gone (DESIGN.md §4.9); the
+    /// field stays only because `benchmark/src/ledger.rs` still reads
+    /// it, and goes when a `[benchmark]` PR drops that arm.
     pub mark_wall: Duration,
 }
 

@@ -86,10 +86,12 @@ impl CardTable {
     }
 
     /// Marks dirty the card containing byte offset `byte` (the mutator's
-    /// `MarkCard`).  A relaxed store suffices: the §7.2 clear/check/re-mark
-    /// protocol tolerates any interleaving as long as the mutator's data
-    /// store precedes its card mark in program order, which the write
-    /// barrier guarantees.
+    /// `MarkCard`).  A `Release` store, paired with the `Acquire` re-read
+    /// of the dirty byte in [`next_dirty`](CardTable::next_dirty) (and in
+    /// [`is_dirty`](CardTable::is_dirty)): a collector that sees the mark
+    /// also sees every store the mutator made before it.  The aging
+    /// barrier stores the pointer first and marks second, so that is the
+    /// pointer the §7.2 clear/check/re-mark scan has to find.
     #[inline]
     pub fn mark_byte(&self, byte: usize) {
         self.bytes[byte >> self.shift].store(DIRTY, Ordering::Release);

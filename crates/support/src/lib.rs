@@ -24,8 +24,6 @@
 //!   API the workloads consume.
 //! * [`check`] — deterministic randomized testing: a seeded case
 //!   generator plus shrink-by-halving, replacing `proptest`.
-//! * [`bench`] — a minimal statistical micro-benchmark harness (warmup,
-//!   N samples, median/p95), replacing `criterion`.
 //! * [`hist`] — a mergeable, log-bucketed concurrent latency histogram
 //!   with a lock-free, allocation-free record path, replacing
 //!   `hdrhistogram` (the substrate of the collector's pause-time
@@ -45,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod fault;
 pub mod hist;

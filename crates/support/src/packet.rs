@@ -36,24 +36,6 @@
 //!   sampled once at close and handed to `on_close`; [`Schedule::span`]
 //!   returns the same sample afterwards, so phase attribution and trace
 //!   events cannot disagree about a phase's duration.
-//! * **Overlappable buckets** — a bucket may be declared
-//!   [*overlappable with its successor*](Schedule::overlap_with_next):
-//!   when it opens, its successor opens too (recursively, so a chain of
-//!   declarations forms one *overlap group* whose buckets are all open
-//!   at once), and the predecessor holds one `in_flight` token in the
-//!   successor for its whole open lifetime.  The token makes the
-//!   successor's drain check (`empty ∧ in_flight = 0`) unsatisfiable
-//!   until the predecessor closed, so a group still closes strictly in
-//!   declaration order and `current` remains the *earliest open*
-//!   bucket; its drained hook is likewise never consulted while a
-//!   producer is open.  Workers that find the earliest bucket
-//!   empty-but-unclosable spill into the later open buckets of the
-//!   group, which is what lets consumer packets drain work the
-//!   producers are still publishing.  `on_open` hooks of a group run in
-//!   declaration order on the worker that opened the group.  A serial
-//!   bucket should not be an overlap *successor*: the predecessor's
-//!   token would keep its one-in-flight gate closed, so its packets
-//!   would only run after the predecessor closed (safe, but no overlap).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -110,9 +92,6 @@ struct Bucket<'s, Cx> {
     name: &'static str,
     /// Serial buckets admit at most one packet in flight.
     serial: bool,
-    /// Opens together with its successor and holds one `in_flight`
-    /// token there until closed (see the module docs).
-    overlap_with_next: bool,
     queue: WorkerDeque<Box<dyn Packet<'s, Cx>>>,
     in_flight: AtomicUsize,
     state: AtomicU8,
@@ -169,7 +148,6 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
         self.buckets.push(Bucket {
             name,
             serial,
-            overlap_with_next: false,
             queue: WorkerDeque::new(),
             in_flight: AtomicUsize::new(0),
             state: AtomicU8::new(PENDING),
@@ -180,36 +158,6 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
             drained: None,
         });
         BucketId(self.buckets.len() - 1)
-    }
-
-    /// Declares `b` overlappable with its successor: opening `b` also
-    /// opens `b`+1, and `b` holds one `in_flight` token there until it
-    /// closes, so `b`+1 cannot close (nor consult its drained hook)
-    /// while `b` is still open.  Chaining declarations forms an overlap
-    /// group that opens as one and closes in declaration order.
-    ///
-    /// Call after the successor bucket was declared.
-    pub fn overlap_with_next(&mut self, b: BucketId) {
-        assert!(
-            b.0 + 1 < self.buckets.len(),
-            "overlappable bucket `{}` has no successor",
-            self.buckets[b.0].name
-        );
-        self.buckets[b.0].overlap_with_next = true;
-    }
-
-    /// Whether any earlier bucket of `b`'s overlap group is still open
-    /// (i.e. a producer feeding `b` has not finished publishing).
-    /// False for a bucket that is not an overlap successor.
-    pub fn predecessors_open(&self, b: BucketId) -> bool {
-        let mut i = b.0;
-        while i > 0 && self.buckets[i - 1].overlap_with_next {
-            i -= 1;
-            if self.buckets[i].state.load(Ordering::SeqCst) != CLOSED {
-                return true;
-            }
-        }
-        false
     }
 
     /// Installs the hook run once when `b` opens.
@@ -257,9 +205,9 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
         Duration::from_nanos(self.buckets[b.0].span_ns.load(Ordering::Acquire))
     }
 
-    /// The name `b` was declared with.
-    pub fn bucket_name(&self, b: BucketId) -> &'static str {
-        self.buckets[b.0].name
+    /// The declared bucket names, in declaration (= opening) order.
+    pub fn bucket_names(&self) -> Vec<&'static str> {
+        self.buckets.iter().map(|b| b.name).collect()
     }
 
     /// Runs the schedule to completion.
@@ -322,11 +270,7 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
             let prev = bucket.in_flight.fetch_add(1, Ordering::SeqCst);
             if bucket.serial && prev > 0 {
                 bucket.in_flight.fetch_sub(1, Ordering::SeqCst);
-                if bucket.overlap_with_next && self.drive_window(worker, b, cx) {
-                    backoff.reset();
-                } else {
-                    backoff.snooze();
-                }
+                backoff.snooze();
                 continue;
             }
             // FIFO end: packets run in enqueue order when serial.
@@ -341,53 +285,12 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
                     bucket.in_flight.fetch_sub(1, Ordering::SeqCst);
                     if self.try_advance(b) {
                         backoff.reset();
-                    } else if bucket.overlap_with_next && self.drive_window(worker, b, cx) {
-                        // The earliest bucket is empty but unclosable
-                        // (its producers or drained hook say wait):
-                        // spill into the open successors of its overlap
-                        // group instead of idling.
-                        backoff.reset();
                     } else {
                         backoff.snooze();
                     }
                 }
             }
         }
-    }
-
-    /// Runs at most one packet from the open successors of overlappable
-    /// bucket `b` (earliest first).  Returns whether a packet ran.
-    ///
-    /// Only buckets reached through an unbroken `overlap_with_next`
-    /// chain are eligible — those are provably OPEN while `b` is, so
-    /// this never runs a packet from a pending (unopened) bucket.
-    fn drive_window(&self, worker: usize, b: usize, cx: &mut Cx) -> bool {
-        let mut i = b;
-        while self.buckets[i].overlap_with_next {
-            i += 1;
-            let bucket = &self.buckets[i];
-            if bucket.state.load(Ordering::SeqCst) != OPEN {
-                break;
-            }
-            let prev = bucket.in_flight.fetch_add(1, Ordering::SeqCst);
-            if bucket.serial && prev > 0 {
-                // The predecessor's lifetime token (or a running
-                // packet) holds the serial gate shut.
-                bucket.in_flight.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            match bucket.queue.steal() {
-                Some(p) => {
-                    let _slot = InFlight(&bucket.in_flight);
-                    p.run(worker, cx, self);
-                    return true;
-                }
-                None => {
-                    bucket.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        }
-        false
     }
 
     /// Attempts to close bucket `b` and open its successor.  Returns
@@ -436,11 +339,7 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
                     f(span);
                 }
                 let next = b + 1;
-                if bucket.overlap_with_next {
-                    // The successor opened with us and has been holding
-                    // our lifetime token; release it instead of opening.
-                    self.buckets[next].in_flight.fetch_sub(1, Ordering::SeqCst);
-                } else if next < self.buckets.len() {
+                if next < self.buckets.len() {
                     self.open_bucket(next);
                 }
                 // Publish the new position only after the next bucket's
@@ -453,22 +352,12 @@ impl<'s, Cx: Send + 's> Schedule<'s, Cx> {
 
     fn open_bucket(&self, b: usize) {
         let bucket = &self.buckets[b];
-        if bucket.overlap_with_next {
-            // Lifetime token: deposited before either bucket opens, so
-            // the successor is unclosable for our whole open lifetime.
-            self.buckets[b + 1].in_flight.fetch_add(1, Ordering::SeqCst);
-        }
         // Stamp the clock before on_open so the span covers the hook
         // (phase-begin events are part of the phase they announce).
         *bucket.opened_at.lock() = Some(Instant::now());
         bucket.state.store(OPEN, Ordering::SeqCst);
         if let Some(f) = &bucket.on_open {
             f();
-        }
-        if bucket.overlap_with_next {
-            // Chain-open the rest of the overlap group; on_open hooks
-            // therefore run in declaration order.
-            self.open_bucket(b + 1);
         }
     }
 }
@@ -781,123 +670,6 @@ mod tests {
         let mut helpers: Vec<Tally> = (1..4).map(|_| Tally::default()).collect();
         sched.run(&mut main, &mut helpers);
         assert_eq!(peak.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn overlap_group_opens_together_and_closes_in_declaration_order() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sched: Schedule<Tally> = Schedule::new();
-        let b0 = sched.add_bucket("cards");
-        let b1 = sched.add_bucket("roots");
-        let b2 = sched.add_bucket("trace");
-        sched.overlap_with_next(b0);
-        sched.overlap_with_next(b1);
-        for (i, b) in [b0, b1, b2].into_iter().enumerate() {
-            let l = Arc::clone(&log);
-            sched.on_open(b, move || l.lock().push(i * 10));
-            let l = Arc::clone(&log);
-            sched.on_close(b, move |_| l.lock().push(i * 10 + 1));
-        }
-        sched.run(&mut Tally::default(), &mut []);
-        // All three open as one group (in declaration order), then
-        // close strictly in declaration order.
-        assert_eq!(*log.lock(), vec![0, 10, 20, 1, 11, 21]);
-    }
-
-    #[test]
-    fn overlap_successor_cannot_close_while_predecessor_is_open() {
-        /// Sleeps with the producer bucket open, then publishes a late
-        /// packet into the (already open, token-pinned) consumer.
-        struct LateProducer {
-            consumer: BucketId,
-            hits: Arc<AtomicUsize>,
-        }
-        impl<'s> Packet<'s, Tally> for LateProducer {
-            fn name(&self) -> &'static str {
-                "late-producer"
-            }
-            fn run(self: Box<Self>, _w: usize, _cx: &mut Tally, s: &Schedule<'s, Tally>) {
-                assert!(s.predecessors_open(self.consumer));
-                std::thread::sleep(Duration::from_millis(20));
-                // Without the lifetime token an idle helper would have
-                // closed the empty consumer bucket by now and this
-                // enqueue would hit a closed bucket.
-                s.enqueue(
-                    self.consumer,
-                    Count {
-                        hits: Arc::clone(&self.hits),
-                    },
-                );
-            }
-        }
-        let hits = Arc::new(AtomicUsize::new(0));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sched: Schedule<Tally> = Schedule::new();
-        let producer = sched.add_bucket("producer");
-        let consumer = sched.add_bucket("consumer");
-        sched.overlap_with_next(producer);
-        for (i, b) in [producer, consumer].into_iter().enumerate() {
-            let l = Arc::clone(&log);
-            sched.on_close(b, move |_| l.lock().push(i));
-        }
-        sched.enqueue(
-            producer,
-            LateProducer {
-                consumer,
-                hits: Arc::clone(&hits),
-            },
-        );
-        let mut main = Tally::default();
-        let mut helpers: Vec<Tally> = (1..4).map(|_| Tally::default()).collect();
-        sched.run(&mut main, &mut helpers);
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "late packet must run");
-        assert_eq!(*log.lock(), vec![0, 1], "producer closes first");
-    }
-
-    #[test]
-    fn overlap_window_runs_successor_packets_while_predecessor_busy() {
-        /// Blocks until a consumer packet (in the *later* bucket of the
-        /// overlap group) has run — only possible if workers drain the
-        /// successor while this producer is still in flight.
-        struct Rendezvous {
-            seen: Arc<AtomicUsize>,
-        }
-        impl<'s> Packet<'s, Tally> for Rendezvous {
-            fn name(&self) -> &'static str {
-                "rendezvous"
-            }
-            fn run(self: Box<Self>, _w: usize, _cx: &mut Tally, _s: &Schedule<'s, Tally>) {
-                let start = Instant::now();
-                while self.seen.load(Ordering::SeqCst) == 0 {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(10),
-                        "consumer packet never ran concurrently with the producer"
-                    );
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let seen = Arc::new(AtomicUsize::new(0));
-        let mut sched: Schedule<Tally> = Schedule::new();
-        let producer = sched.add_bucket("producer");
-        let consumer = sched.add_bucket("consumer");
-        sched.overlap_with_next(producer);
-        sched.enqueue(
-            producer,
-            Rendezvous {
-                seen: Arc::clone(&seen),
-            },
-        );
-        sched.enqueue(
-            consumer,
-            Count {
-                hits: Arc::clone(&seen),
-            },
-        );
-        let mut main = Tally::default();
-        let mut helpers = [Tally::default()];
-        sched.run(&mut main, &mut helpers);
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
     }
 
     #[cfg(debug_assertions)]

@@ -62,7 +62,7 @@
 //! before.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Bytes per scan word.
 const WORD: usize = 8;
@@ -73,35 +73,16 @@ const HIGH: u64 = 0x8080_8080_8080_8080;
 /// Every byte lane = `0x7f`.
 const LOW7: u64 = !HIGH;
 
-/// When set, every kernel dispatches to its byte-loop [`reference`]
-/// implementation — a benchmarking hook that lets the *same* binary
-/// measure byte-at-a-time vs word-at-a-time end to end (see
-/// `bench_kernels` in `otf-bench`).  Not intended for production use.
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or restores) byte-loop reference kernels process-wide.
-///
-/// For differential benchmarking only; the switch is checked once per
-/// kernel call, so flipping it mid-scan affects only subsequent calls.
-pub fn force_reference(enabled: bool) {
-    FORCE_REFERENCE.store(enabled, Ordering::Relaxed);
-}
-
-#[inline]
-fn use_reference() -> bool {
-    FORCE_REFERENCE.load(Ordering::Relaxed)
-}
-
 /// Adaptive byte/word mode for the two *search* kernels.
 ///
 /// Word scans win on sparse tables (long clean runs) and lose on dense
 /// ones: when nearly every call hits within its first few bytes, the
 /// alignment setup and mask work are pure overhead and the plain byte
-/// loop is faster (`BENCH_kernels.json` measured dense `sweep_walk` /
-/// `card_walk` at 0.77x).  Both search kernels therefore byte-scan a
-/// head covering the first full word *before touching any per-thread
-/// state* — the dense regime resolves there at byte-loop cost, with
-/// zero thread-local traffic.  Scans that survive the head consult a
+/// loop is faster (PR 2's kernel microbench measured the word path at
+/// 0.77x on dense color- and card-table walks).  Both search kernels
+/// therefore byte-scan a head covering the first full word *before
+/// touching any per-thread state* — the dense regime resolves there at
+/// byte-loop cost, with zero thread-local traffic.  Scans that survive the head consult a
 /// per-thread mode: after **two consecutive** such scans hit on their
 /// very first byte past the head, the kernel falls back to the byte loop;
 /// once the byte loop has seen a **full clean word's worth** of bytes
@@ -246,9 +227,6 @@ fn first_flag(mask: u64) -> usize {
 pub fn find_byte_not_in(bytes: &[AtomicU8], from: usize, to: usize, max: u8) -> usize {
     assert!(to <= bytes.len());
     assert!(max < 0x80, "find_byte_not_in requires max < 0x80");
-    if use_reference() {
-        return reference::find_byte_not_in(bytes, from, to, max);
-    }
     // Byte-scan the unaligned head *plus* the first full word before
     // touching any per-thread state: on dense tables the hit is almost
     // always within the first few bytes, and for such tiny scans even
@@ -353,9 +331,6 @@ fn scan_not_in(bytes: &[AtomicU8], from: usize, to: usize, max: u8, st: &mut Ada
 /// Panics if `to > bytes.len()`.
 pub fn find_run_end(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
     assert!(to <= bytes.len());
-    if use_reference() {
-        return reference::find_run_end(bytes, from, to, value);
-    }
     // Head before any thread-local traffic — see find_byte_not_in: short
     // runs (small objects) resolve here at plain byte-loop cost.
     let mut g = from;
@@ -444,9 +419,6 @@ fn scan_run_end(bytes: &[AtomicU8], from: usize, to: usize, value: u8, st: &mut 
 /// Panics if `to > bytes.len()`.
 pub fn count_matching(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
     assert!(to <= bytes.len());
-    if use_reference() {
-        return reference::count_matching(bytes, from, to, value);
-    }
     let mut count = 0;
     let mut g = from;
     let head_end = align_up(bytes, g).min(to);
@@ -544,9 +516,6 @@ pub fn skip_and_count(
 ) -> (usize, usize, usize) {
     assert!(to <= bytes.len());
     assert!(max < 0x80, "skip_and_count requires max < 0x80");
-    if use_reference() {
-        return reference::skip_and_count(bytes, from, to, max, pass);
-    }
     let vp = splat(pass);
     let (index, [above, nonzero]) = scan_counting(bytes, from, to, |w| {
         let gt = gt_mask(w, max);
@@ -568,9 +537,6 @@ pub fn skip_and_count(
 /// Panics if `to > bytes.len()`.
 pub fn pair_run_end(bytes: &[AtomicU8], from: usize, to: usize, a: u8, b: u8) -> (usize, usize) {
     assert!(to <= bytes.len());
-    if use_reference() {
-        return reference::pair_run_end(bytes, from, to, a, b);
-    }
     let (va, vb) = (splat(a), splat(b));
     let (end, [count_a]) = scan_counting(bytes, from, to, |w| {
         let is_a = zero_mask(w ^ va);
@@ -588,9 +554,6 @@ pub fn pair_run_end(bytes: &[AtomicU8], from: usize, to: usize, a: u8, b: u8) ->
 /// Panics if `to > bytes.len()`.
 pub fn bulk_fill(bytes: &[AtomicU8], from: usize, to: usize, value: u8) {
     assert!(to <= bytes.len());
-    if use_reference() {
-        return reference::bulk_fill(bytes, from, to, value);
-    }
     let mut g = from;
     let head_end = align_up(bytes, g).min(to);
     while g < head_end {
@@ -617,11 +580,11 @@ pub fn bulk_zero(bytes: &[AtomicU8], from: usize, to: usize) {
 
 /// Byte-at-a-time reference implementations of every kernel.
 ///
-/// These are the loops the word kernels replaced, kept as the oracle for
-/// differential property tests and as the baseline side of the
-/// `bench_kernels` microbenchmark.  Semantics (including ordering) match
-/// the word kernels byte for byte.
-pub mod reference {
+/// These are the loops the word kernels replaced, kept as the oracle of
+/// the differential property tests.  Semantics (including ordering)
+/// match the word kernels byte for byte.
+#[cfg(test)]
+mod reference {
     use super::*;
 
     /// Byte-loop [`find_byte_not_in`](super::find_byte_not_in).
@@ -693,11 +656,6 @@ pub mod reference {
         for b in &bytes[from..to] {
             b.store(value, Ordering::Release);
         }
-    }
-
-    /// Byte-loop [`bulk_zero`](super::bulk_zero).
-    pub fn bulk_zero(bytes: &[AtomicU8], from: usize, to: usize) {
-        bulk_fill(bytes, from, to, 0);
     }
 }
 
@@ -989,16 +947,5 @@ mod tests {
                 "from={from}"
             );
         }
-    }
-
-    #[test]
-    fn force_reference_dispatches_and_agrees() {
-        let t = table(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0]);
-        let fast = find_byte_not_in(&t, 0, t.len(), 1);
-        force_reference(true);
-        let slow = find_byte_not_in(&t, 0, t.len(), 1);
-        force_reference(false);
-        assert_eq!(fast, 10);
-        assert_eq!(fast, slow);
     }
 }

@@ -1,13 +1,15 @@
 //! End-to-end tests for the pause-time observability pipeline: every
 //! `cooperate()` that adopts a handshake during a collection must land in
 //! the handshake/pause histograms, the trace ring must tell a coherent
-//! story (cycles begin and end, handshakes are posted and acked), and
-//! `Gc::shutdown` must return statistics that include the final cycle.
+//! story (cycles begin and end, handshakes are posted and acked), the
+//! per-phase times must add up to the cycle times, and `Gc::shutdown`
+//! must return statistics that include the final cycle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use otf_gengc::gc::{phase, EventKind, Gc, GcConfig};
+use otf_gengc::heap::{ObjShape, ObjectRef};
 
 fn tiny(cfg: GcConfig) -> GcConfig {
     cfg.with_max_heap(4 << 20)
@@ -20,6 +22,13 @@ fn tiny(cfg: GcConfig) -> GcConfig {
 /// answered by a live (never parked, never allocating) mutator — and
 /// returns the Gc for inspection.
 fn run_cooperating_cycles(cfg: GcConfig, cycles: usize) -> Gc {
+    run_cooperating_cycles_over(cfg, cycles, 0)
+}
+
+/// [`run_cooperating_cycles`] over a heap that holds a rooted list of
+/// `live` nodes, built by the mutator before the first blocking cycle,
+/// so the trace and the sweep have work to do.
+fn run_cooperating_cycles_over(cfg: GcConfig, cycles: usize, live: usize) -> Gc {
     // The fault registry is process-global: without the guard these
     // cycles steal the hits (and the panic) of the plan that
     // `injected_panic_produces_a_coherent_recovery_event_story` installs
@@ -27,15 +36,29 @@ fn run_cooperating_cycles(cfg: GcConfig, cycles: usize) -> Gc {
     let _serial = otf_gengc::support::fault::exclusive();
     let gc = Gc::new(tiny(cfg));
     let stop = AtomicBool::new(false);
+    let built = AtomicBool::new(false);
     std::thread::scope(|s| {
         let mut m = gc.mutator();
-        let stop = &stop;
+        let (stop, built) = (&stop, &built);
         s.spawn(move || {
+            let node = ObjShape::new(1, 1);
+            let mut head = ObjectRef::NULL;
+            let root = m.root_push(head);
+            for _ in 0..live {
+                let next = m.alloc(&node).unwrap();
+                m.write_ref(next, 0, head);
+                head = next;
+                m.root_set(root, head);
+            }
+            built.store(true, Ordering::Release);
             while !stop.load(Ordering::Relaxed) {
                 m.cooperate();
                 std::hint::spin_loop();
             }
         });
+        while !built.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         for _ in 0..cycles {
             gc.collect_full_blocking();
         }
@@ -83,6 +106,39 @@ fn every_cooperate_during_a_cycle_lands_in_the_histograms() {
         );
     }
     assert!(stats.handshake_quantile(1.0) > Duration::ZERO);
+}
+
+/// Phase accounting: over every recorded cycle, Σ phase times must be
+/// within 5 % of Σ cycle durations.  The breakdown reads the packet
+/// schedule's bucket spans back (each sampled once at bucket close, the
+/// card and root work subtracted out of its handshake window), so the
+/// sum telescopes the whole cycle minus prologue and epilogue; a ratio
+/// outside the band means a phase was double-sampled, unattributed or
+/// billed to two slots.  `mark_wall` is a vestige and must stay zero.
+///
+/// One collector worker: with helpers, `Schedule::run` ends in a scope
+/// join that waits for each helper to wake from its backoff sleep, and
+/// that wait follows the last bucket's close, outside every span.
+#[test]
+fn phase_times_sum_to_cycle_durations() {
+    for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
+        let gc = run_cooperating_cycles_over(cfg.with_gc_threads(1), 4, 50_000);
+        let stats = gc.stats();
+        assert!(stats.cycles.len() >= 4);
+        let (mut phase_ns, mut cycle_ns) = (0u128, 0u128);
+        for c in &stats.cycles {
+            let p = c.phases;
+            assert!(p.mark_wall.is_zero(), "mark_wall set: {c:?}");
+            phase_ns += (p.init + p.handshakes + p.cards + p.roots + p.trace + p.sweep).as_nanos();
+            cycle_ns += c.duration.as_nanos();
+        }
+        let ratio = phase_ns as f64 / cycle_ns as f64;
+        assert!(
+            (0.95..=1.05).contains(&ratio),
+            "{}: phase times sum to {ratio:.4}x the cycle durations",
+            cfg.plan_name()
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,7 @@
 //! Plan/packet equivalence through the public API: every
 //! (mode × sweep-backend) plan must produce an identical end state
 //! whether the packet schedule runs on one worker (byte-for-byte the
-//! verified DLG sequence) or on four (DESIGN.md §4.7), and whether the
-//! card-scan/root-mark/trace phases run serially or as one overlap
-//! group (`GcConfig::overlap_phases`, DESIGN.md §4.9) — at both worker
-//! counts.  Overlap off is the default, so the N=1/N=4 arms also pin
-//! that this PR's schedule is byte-for-byte the previous one.
+//! verified DLG sequence) or on four (DESIGN.md §4.7).
 //!
 //! The driver is deterministic: a single mutator builds the same object
 //! graph, parks for every collection (so handshakes are proxied and no
@@ -18,7 +14,6 @@
 
 use otf_gengc::gc::{Gc, GcConfig, Mutator};
 use otf_gengc::heap::{Color, ObjShape, ObjectRef};
-use otf_gengc::support::fault::{self, FaultPlan, FaultRule};
 
 fn tiny(cfg: GcConfig) -> GcConfig {
     cfg.with_max_heap(8 << 20).with_initial_heap(2 << 20)
@@ -112,10 +107,9 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
 
 fn assert_plan_parity(cfg: fn() -> GcConfig) {
     for lazy in [false, true] {
-        // Both dimensions pinned explicitly so the comparison keeps its
-        // meaning under the CI env cells (`OTF_GC_LAZY_SWEEP`,
-        // `OTF_GC_OVERLAP`) that rerun this suite.
-        let make = || cfg().with_lazy_sweep(lazy).with_overlap_phases(false);
+        // Pinned explicitly so the comparison keeps its meaning under
+        // the CI env cell (`OTF_GC_LAZY_SWEEP`) that reruns this suite.
+        let make = || cfg().with_lazy_sweep(lazy);
         let one = run_plan(make(), 1);
         let four = run_plan(make(), 4);
         assert_eq!(
@@ -124,35 +118,7 @@ fn assert_plan_parity(cfg: fn() -> GcConfig) {
             "plan {} diverges between 1 and 4 workers",
             make().plan_name()
         );
-        // Overlap arm: running cards/roots/trace as one producer/
-        // consumer group must reach the same colors, ages, totals and
-        // per-cycle counters as the serial schedule — the group only
-        // reorders *when* grays are published, never *which* objects
-        // end up gray (DESIGN.md §4.9).
-        for threads in [1, 4] {
-            let overlapped = run_plan(make().with_overlap_phases(true), threads);
-            assert_eq!(
-                one,
-                overlapped,
-                "plan {} overlap-on diverges from overlap-off at {threads} worker(s)",
-                make().plan_name()
-            );
-        }
     }
-}
-
-/// The overlap dimension is opt-in: every stock plan constructor leaves
-/// it off, so the default schedule stays the verified serial order.
-#[test]
-fn stock_plans_default_overlap_off() {
-    if std::env::var_os("OTF_GC_OVERLAP").is_some() {
-        // The CI overlap cell overrides the default on purpose; the
-        // default-off pin only means something in a clean environment.
-        return;
-    }
-    assert!(!GcConfig::generational().overlap_phases);
-    assert!(!GcConfig::non_generational().overlap_phases);
-    assert!(!GcConfig::aging(3).overlap_phases);
 }
 
 #[test]
@@ -168,70 +134,4 @@ fn non_generational_plans_match_across_worker_counts() {
 #[test]
 fn aging_plans_match_across_worker_counts() {
     assert_plan_parity(|| GcConfig::aging(3));
-}
-
-/// Termination with producers (DESIGN.md §4.9): the overlapped trace
-/// must not close while the card-scan bucket is still open.  A seeded
-/// delay holds the card packet — the only thing keeping an old→young
-/// pointer's target alive — while four trace workers run completely
-/// dry; if the §4.4 termination check ignored the open producer, the
-/// young object would be swept and the black parent left dangling.
-#[test]
-fn trace_waits_for_delayed_card_packet() {
-    let _serial = fault::exclusive();
-    fault::install(
-        FaultPlan::new(0xCA2D).rule(FaultRule::at("collector.card_scan").delaying(1.0, 20_000)),
-    );
-
-    let gc = Gc::new(
-        tiny(GcConfig::generational())
-            .with_young_size(64 << 10)
-            .with_gc_threads(4)
-            .with_overlap_phases(true),
-    );
-    let mut m = gc.mutator();
-    let node = ObjShape::new(1, 1);
-
-    // Promote `old` by keeping it alive across one full collection.
-    let old = m.alloc(&node).unwrap();
-    m.write_data(old, 0, 7);
-    m.root_push(old);
-    m.parked(|| gc.collect_full_blocking());
-    assert_eq!(gc.debug_color_of(old), Color::Black);
-
-    // An old→young pointer with no stack root: the dirty card is the
-    // only reason `young` survives the next partial cycle.
-    let young = m.alloc(&node).unwrap();
-    m.write_data(young, 0, 99);
-    m.write_ref(old, 0, young);
-
-    // Force partial collections by allocating past the young budget;
-    // `stats().cycles` records only completed cycles, so polling it
-    // also waits for the sweep.
-    let filler = ObjShape::new(0, 6);
-    let before = gc.stats().cycles.len();
-    while gc.stats().cycles.len() == before {
-        for _ in 0..1000 {
-            let _ = m.alloc(&filler).unwrap();
-        }
-        m.cooperate();
-    }
-
-    let y = m.read_ref(old, 0);
-    assert_eq!(y, young);
-    assert_eq!(
-        m.read_data(y, 0),
-        99,
-        "young object lost: trace terminated past an open card-scan producer"
-    );
-    let violations = gc.verify_heap();
-    assert!(violations.is_empty(), "heap violations: {violations:?}");
-
-    drop(m);
-    gc.shutdown();
-    let log = fault::uninstall();
-    assert!(
-        log.iter().any(|e| e.point == "collector.card_scan"),
-        "the delay plan never held the card packet — test exercised nothing"
-    );
 }
