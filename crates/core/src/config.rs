@@ -1,6 +1,6 @@
 //! Collector configuration (the paper's tuning parameters, §8.3/§8.5).
 
-use otf_heap::{BLOCK_GRANULES, GRANULE, MAX_CARD_SIZE, MAX_HEAP_GRANULES, MIN_CARD_SIZE};
+use otf_heap::{GRANULE, MAX_CARD_SIZE, MAX_HEAP_GRANULES, MIN_CARD_SIZE};
 
 /// How surviving objects are promoted to the old generation.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -113,15 +113,6 @@ pub struct GcConfig {
     /// variable as the default, so test matrices can parallelize every
     /// collector without code changes.
     pub gc_threads: usize,
-    /// Number of allocation shards for the sharded heap back-end
-    /// (DESIGN.md §4.5).  `0` (the default) selects the original single
-    /// free-list allocator — the semantic oracle.  `N ≥ 1` carves the
-    /// arena into a global block store with `N` private shard pools;
-    /// mutators pin to a shard by registration id, so LAB refills and
-    /// sweep flushes stop contending on one global lock.  The
-    /// constructors read the `OTF_GC_SHARDS` environment variable as the
-    /// default, mirroring `OTF_GC_THREADS`.
-    pub alloc_shards: usize,
     /// Opt-in lazy (allocation-time) sweep, Nofl/Immix-style (DESIGN.md
     /// §4.6).  `false` (the default) keeps the eager serial/parallel
     /// sweep byte-for-byte.  `true` turns the collector's cycle
@@ -131,7 +122,7 @@ pub struct GcConfig {
     /// (sweep-to-allocate) and by the collector draining leftover
     /// segments between cycles.  The constructors read the
     /// `OTF_GC_LAZY_SWEEP` environment variable (`1` enables) as the
-    /// default, mirroring `OTF_GC_THREADS`/`OTF_GC_SHARDS`.
+    /// default, mirroring `OTF_GC_THREADS`.
     pub lazy_sweep: bool,
     /// How many times the collector supervisor may respawn the collector
     /// thread after a panic (DESIGN.md §4.8).  `0` (the default) keeps
@@ -169,20 +160,6 @@ fn gc_threads_from_env() -> usize {
 /// worker count, present so a typo'd configuration fails validation
 /// instead of spawning thousands of threads per cycle.
 pub const MAX_GC_THREADS: usize = 64;
-
-/// Upper bound on [`GcConfig::alloc_shards`], for the same reason as
-/// [`MAX_GC_THREADS`].
-pub const MAX_ALLOC_SHARDS: usize = 64;
-
-/// Reads the `OTF_GC_SHARDS` default for the constructors (falls back
-/// to 0 — the unsharded allocator — when unset or invalid).
-fn alloc_shards_from_env() -> usize {
-    std::env::var("OTF_GC_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n <= MAX_ALLOC_SHARDS)
-        .unwrap_or(0)
-}
 
 /// Reads the `OTF_GC_LAZY_SWEEP` default for the constructors (any
 /// nonzero integer enables; falls back to `false` — the eager sweep —
@@ -231,7 +208,6 @@ impl GcConfig {
             trace_events: false,
             handshake_stall_ms: 1000,
             gc_threads: gc_threads_from_env(),
-            alloc_shards: alloc_shards_from_env(),
             lazy_sweep: lazy_sweep_from_env(),
             max_collector_restarts: max_restarts_from_env(),
             collector_restart_backoff_ms: 10,
@@ -317,13 +293,6 @@ impl GcConfig {
         self
     }
 
-    /// Sets the allocation shard count (`0` = the unsharded allocator;
-    /// see [`GcConfig::alloc_shards`]).
-    pub fn with_alloc_shards(mut self, n: usize) -> GcConfig {
-        self.alloc_shards = n;
-        self
-    }
-
     /// Enables (or disables) the lazy allocation-time sweep (see
     /// [`GcConfig::lazy_sweep`]).
     pub fn with_lazy_sweep(mut self, enabled: bool) -> GcConfig {
@@ -331,9 +300,18 @@ impl GcConfig {
         self
     }
 
+    /// Vestige: does nothing and returns `self`.  The sharded heap
+    /// back-end it used to select is gone (DESIGN.md §4.5); the method
+    /// stays only because `benchmark/src/cli.rs:57` (`--shards`, which
+    /// `benchmark/tests/smoke.rs:187` runs) still calls it, and goes when
+    /// a `[benchmark]` PR drops that flag.
+    pub fn with_alloc_shards(self, _n: usize) -> GcConfig {
+        self
+    }
+
     /// Vestige: does nothing and returns `self`.  The overlapped mark
     /// pipeline it used to select is gone (DESIGN.md §4.9); the method
-    /// stays only because `benchmark/src/cli.rs` (`--overlap`) still
+    /// stays only because `benchmark/src/cli.rs:63` (`--overlap`) still
     /// calls it, and goes when a `[benchmark]` PR drops that flag.
     pub fn with_overlap_phases(self, _enabled: bool) -> GcConfig {
         self
@@ -430,19 +408,6 @@ impl GcConfig {
                 MAX_HEAP_GRANULES as u64 * GRANULE as u64,
             ));
         }
-        if self.alloc_shards > MAX_ALLOC_SHARDS {
-            return Err(format!(
-                "alloc_shards {} not in [0, {MAX_ALLOC_SHARDS}]",
-                self.alloc_shards
-            ));
-        }
-        if self.alloc_shards > 0 && self.initial_heap < BLOCK_GRANULES * GRANULE {
-            return Err(format!(
-                "sharded allocation needs an initial heap of at least one \
-                 block ({} bytes)",
-                BLOCK_GRANULES * GRANULE
-            ));
-        }
         Ok(())
     }
 }
@@ -503,18 +468,15 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    /// Pins the vestige: `benchmark -- --overlap` is the baseline run —
-    /// same configuration, same schedule.
+    /// Pins the vestiges: `benchmark -- --shards N` and `-- --overlap`
+    /// are the baseline run — same configuration, same schedule.
     #[test]
-    fn with_overlap_phases_is_a_no_op() {
+    fn vestige_builders_are_no_ops() {
         use crate::plan::CycleFrame;
         use crate::shared::GcShared;
         use crate::stats::CycleKind;
         use otf_support::packet::Schedule;
 
-        let base = GcConfig::generational();
-        let vestige = GcConfig::generational().with_overlap_phases(true);
-        assert_eq!(format!("{vestige:?}"), format!("{base:?}"));
         let buckets = |cfg: GcConfig| {
             let sh = GcShared::new(cfg);
             let frame = CycleFrame::new(1);
@@ -522,7 +484,14 @@ mod tests {
             sh.build_cycle_schedule(&mut sched, CycleKind::Partial, &frame, 1);
             sched.bucket_names()
         };
-        assert_eq!(buckets(vestige), buckets(base));
+        let base = GcConfig::generational;
+        for (name, built) in [
+            ("with_alloc_shards", base().with_alloc_shards(2)),
+            ("with_overlap_phases", base().with_overlap_phases(true)),
+        ] {
+            assert_eq!(format!("{built:?}"), format!("{:?}", base()), "{name}");
+            assert_eq!(buckets(built), buckets(base()), "{name}");
+        }
     }
 
     #[test]
@@ -568,20 +537,6 @@ mod tests {
         assert!(c.validate().is_ok());
         let mut c = GcConfig::generational();
         c.gc_threads = MAX_GC_THREADS + 1;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn alloc_shards_validated() {
-        let c = GcConfig::generational().with_alloc_shards(8);
-        assert_eq!(c.alloc_shards, 8);
-        assert!(c.validate().is_ok());
-        let c = GcConfig::generational().with_alloc_shards(MAX_ALLOC_SHARDS + 1);
-        assert!(c.validate().is_err());
-        // A sharded heap needs at least one whole block committed.
-        let c = GcConfig::generational()
-            .with_alloc_shards(2)
-            .with_initial_heap(1 << 10);
         assert!(c.validate().is_err());
     }
 

@@ -262,8 +262,7 @@ impl GcShared {
     /// passing through the free lists.  A direct chunk's granules stay
     /// in `used_granules` (dead object → caller's LAB/object, exactly
     /// the balance the eager free-then-realloc sequence reaches);
-    /// everything else is flushed with `free_chunk_batch`, which routes
-    /// each chunk to the shard owning its blocks (§4.5 holds unchanged).
+    /// everything else is flushed with `free_chunk_batch`.
     pub(crate) fn lazy_sweep_segment(
         &self,
         who: LazyWho,
@@ -461,69 +460,6 @@ mod tests {
                 "color mismatch at granule {g}"
             );
         }
-    }
-
-    #[test]
-    fn sharded_finalize_matches_eager_per_shard_balances() {
-        // Per-shard balance parity is asserted on a heap image that fits
-        // in one sweep segment: the lazy drain then delivers exactly the
-        // chunk stream of the eager serial sweep, so even the
-        // order-sensitive shard-to-store extraction decisions match.
-        // (Across segment boundaries the split of the identical free set
-        // between shard pools and the store may legitimately differ —
-        // boundary-split runs cross the extraction threshold at
-        // different times, just as the eager *parallel* sweep differs
-        // from serial at partition boundaries.)
-        let cfg = || {
-            GcConfig::generational()
-                .with_alloc_shards(4)
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-        };
-        let lazy = GcShared::new(cfg().with_lazy_sweep(true));
-        let eager = GcShared::new(cfg());
-        for sh in [&lazy, &eager] {
-            sh.colors.toggle();
-            let mut state = 0x5EED_0BAD_F00Du64;
-            for _ in 0..400 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let r = state >> 33;
-                let shard = (r % 4) as usize;
-                let granules = 1 + (r % 7) as usize;
-                let color = if r.is_multiple_of(3) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-                let shape = ObjShape::new(0, granules * 2 - 1);
-                let c = sh
-                    .heap
-                    .alloc_chunk_on(shard, granules as u32, granules as u32)
-                    .unwrap();
-                sh.heap.install_object(c.start as usize, &shape, color);
-            }
-        }
-        assert!(
-            lazy.heap.frontier_granule() < crate::sweep::SWEEP_SEGMENT_GRANULES,
-            "test premise: whole heap image within one sweep segment"
-        );
-        lazy.lazy_publish(0);
-        lazy.lazy_finalize(LazyWho::Collector);
-        let mut cx = crate::cycle::CycleCx::new(&eager);
-        eager.sweep(&mut cx);
-        for s in 0..4 {
-            assert_eq!(
-                lazy.heap.shard_free_granules(s),
-                eager.heap.shard_free_granules(s),
-                "shard {s} free balance diverges from eager sweep"
-            );
-        }
-        assert_eq!(
-            lazy.heap.free_list_granules(),
-            eager.heap.free_list_granules()
-        );
     }
 
     #[test]

@@ -174,8 +174,7 @@ impl Gc {
         self.shared.heap.committed_bytes()
     }
 
-    /// Free granules currently pooled across all free lists (every shard
-    /// plus the block store on the sharded back-end).
+    /// Free granules currently pooled on the free lists.
     pub fn free_granules(&self) -> u64 {
         self.shared.heap.free_list_granules()
     }
@@ -227,15 +226,6 @@ impl Gc {
                     steals: w.steals.load(Ordering::Relaxed),
                 })
                 .collect(),
-            alloc_shards: self.shared.heap.shard_count(),
-            shard_free_granules: if self.shared.config.alloc_shards > 0 {
-                (0..self.shared.heap.shard_count())
-                    .map(|i| self.shared.heap.shard_free_granules(i))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            store_free_granules: self.shared.heap.store_free_granules(),
             lab_refill: self.shared.obs.lab_refill.snapshot(),
             lazy_freed_at_alloc_granules: self.shared.lazy.freed_at_alloc_granules(),
             lazy_freed_at_final_granules: self.shared.lazy.freed_at_final_granules(),
@@ -294,9 +284,8 @@ impl Gc {
         self.shared.heap.colors().get(obj.granule()).is_object()
     }
 
-    /// Diagnostic: every chunk on the free lists, sorted by start granule
-    /// (all shards plus the block store on the sharded back-end).  Whole
-    /// only where [`verify_heap`](Gc::verify_heap) is: at a quiescent
+    /// Diagnostic: every chunk on the free lists, sorted by start granule.
+    /// Whole only where [`verify_heap`](Gc::verify_heap) is: at a quiescent
     /// point, after it has forced any lazy sweep to completion.
     pub fn debug_free_chunks(&self) -> Vec<otf_heap::Chunk> {
         self.shared.heap.free_list_snapshot()

@@ -103,11 +103,6 @@ pub struct Mutator {
     unflushed_bytes: usize,
     unflushed_objects: u64,
     unflushed_barrier_slow: u64,
-    /// Home allocation shard (registration id modulo the shard count):
-    /// LAB refills and direct chunks come from here, so mutators on
-    /// different shards don't contend on one free-list lock.  Always 0
-    /// on the unsharded back-end.
-    shard: usize,
 }
 
 /// Allocation volume that forces a flush (and a trigger evaluation) when
@@ -122,7 +117,6 @@ impl Mutator {
             Mode::Generational(Promotion::Simple) => BarrierKind::Simple,
             Mode::Generational(Promotion::Aging { .. }) => BarrierKind::Aging,
         };
-        let shard = me.id as usize % shared.heap.shard_count();
         Mutator {
             shared,
             me,
@@ -132,7 +126,6 @@ impl Mutator {
             unflushed_bytes: 0,
             unflushed_objects: 0,
             unflushed_barrier_slow: 0,
-            shard,
         }
     }
 
@@ -226,7 +219,7 @@ impl Mutator {
             Some(c) => c,
             None => {
                 let heap = &self.shared.heap;
-                if heap.exchange_lab(&mut self.lab, self.shard, n, lab_granules) {
+                if heap.exchange_lab(&mut self.lab, n, lab_granules) {
                     return Ok(());
                 }
                 self.alloc_chunk_blocking(n, lab_granules)?
@@ -284,7 +277,7 @@ impl Mutator {
         preferred: u32,
     ) -> Result<otf_heap::Chunk, AllocError> {
         for _attempt in 0..8 {
-            if let Some(c) = self.shared.heap.alloc_chunk_on(self.shard, min, preferred) {
+            if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
                 return Ok(c);
             }
             // Lazy mode under pressure: drain outstanding sweep segments
@@ -301,7 +294,7 @@ impl Mutator {
                         None => break,
                     }
                 }
-                if let Some(c) = self.shared.heap.alloc_chunk_on(self.shard, min, preferred) {
+                if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
                     return Ok(c);
                 }
             }
@@ -324,7 +317,7 @@ impl Mutator {
             self.shared
                 .obs
                 .note_alloc_stall(dur_ns(stall_start.elapsed()));
-            if let Some(c) = self.shared.heap.alloc_chunk_on(self.shard, min, preferred) {
+            if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
                 return Ok(c);
             }
             // The collection did not produce enough space: grow.
@@ -647,22 +640,19 @@ mod tests {
     }
 
     /// Cuts free space into pooled holes of `hole` granules, each fenced
-    /// by one granule that stays held, dealt round the shards (a
-    /// mutator's refill visits its home pool): `count` of them, or with
-    /// `None` the whole heap, what is left over taken out of circulation.
+    /// by one granule that stays held: `count` of them, or with `None`
+    /// the whole heap, what is left over taken out of circulation.
     /// Returns the granules in use afterwards.
     fn fragment(shared: &GcShared, hole: u32, count: Option<usize>) -> usize {
         let heap = &shared.heap;
         let mut holes = Vec::new();
-        'cut: while count.is_none_or(|n| holes.len() < n) {
-            for shard in 0..heap.shard_count() {
-                let Some(c) = heap.alloc_chunk_on(shard, hole, hole) else {
-                    break 'cut;
-                };
-                holes.push(c);
-                if heap.alloc_chunk_on(shard, 1, 1).is_none() {
-                    break 'cut;
-                }
+        while count.is_none_or(|n| holes.len() < n) {
+            let Some(c) = heap.alloc_chunk(hole, hole) else {
+                break;
+            };
+            holes.push(c);
+            if heap.alloc_chunk(1, 1).is_none() {
+                break;
             }
         }
         if count.is_none() {
@@ -1087,36 +1077,6 @@ mod tests {
         // than the frontier alone would have taken.
         let refills = shared.obs.lab_refill.count();
         assert!(refills > 600 && refills < 6_000, "{refills} refills");
-    }
-
-    #[test]
-    fn mutators_pin_to_distinct_shards() {
-        let shared = Arc::new(GcShared::new(
-            GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_alloc_shards(2),
-        ));
-        let m1 = Mutator::new(Arc::clone(&shared));
-        let m2 = Mutator::new(Arc::clone(&shared));
-        assert_ne!(m1.shard, m2.shard, "consecutive ids share a shard");
-        assert!(m1.shard < 2 && m2.shard < 2);
-    }
-
-    #[test]
-    fn alloc_on_sharded_heap_round_trips() {
-        let shared = Arc::new(GcShared::new(
-            GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_alloc_shards(4),
-        ));
-        let mut m = Mutator::new(Arc::clone(&shared));
-        let x = m.alloc(&ObjShape::new(1, 0)).unwrap();
-        let y = m.alloc(&ObjShape::new(0, 4)).unwrap();
-        m.write_ref(x, 0, y);
-        assert_eq!(m.read_ref(x, 0), y);
-        assert_eq!(shared.heap.colors().get(x.granule()), Color::White);
     }
 
     #[test]

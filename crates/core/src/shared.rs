@@ -108,11 +108,7 @@ impl std::fmt::Debug for GcShared {
 impl GcShared {
     pub(crate) fn new(config: GcConfig) -> GcShared {
         config.validate().expect("invalid GcConfig");
-        let heap = if config.alloc_shards > 0 {
-            HeapSpace::with_shards(config.max_heap, config.initial_heap, config.alloc_shards)
-        } else {
-            HeapSpace::new(config.max_heap, config.initial_heap)
-        };
+        let heap = HeapSpace::new(config.max_heap, config.initial_heap);
         let cards = CardTable::new(config.max_heap, config.card_size);
         GcShared {
             config,
@@ -774,20 +770,6 @@ mod tests {
             sh.control.next_request(),
             Some(crate::stats::CycleKind::Full)
         );
-    }
-
-    #[test]
-    fn sharded_config_builds_sharded_heap() {
-        let sh = GcShared::new(
-            GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_alloc_shards(4),
-        );
-        assert_eq!(sh.heap.shard_count(), 4);
-        let c = sh.heap.alloc_chunk_on(3, 8, 8).unwrap();
-        sh.heap.free_chunk(c);
-        assert!(sh.heap.shard_free_granules(3) >= 8, "routed to owner");
     }
 
     #[test]

@@ -200,19 +200,6 @@ pub struct GcStats {
     /// thread, §4.4).  Worker 0 is the collector thread itself; at
     /// `gc_threads = 1` this is a single entry with zero steals.
     pub workers: Vec<WorkerStats>,
-    /// Number of allocation shards (1 = the unsharded single free-list
-    /// allocator; see `GcConfig::alloc_shards`).
-    pub alloc_shards: usize,
-    /// Free granules pooled per shard at snapshot time (empty for the
-    /// unsharded back-end).  Together with [`store_free_granules`] this
-    /// sums to the heap's total free-list granules — the balance the
-    /// shard property tests check.
-    ///
-    /// [`store_free_granules`]: GcStats::store_free_granules
-    pub shard_free_granules: Vec<u64>,
-    /// Free granules held by the global block store (unsharded: the
-    /// single free list).
-    pub store_free_granules: u64,
     /// Histogram of LAB-refill latency, in nanoseconds, recorded in both
     /// sweep modes.  One sample is one *exchange* with the pool — the
     /// previous queue's leftovers back, up to 64 holes out (DESIGN.md

@@ -46,15 +46,11 @@
 //! segment's end, and follows only the `Interior` tail of its last
 //! object beyond it, up to the frontier.
 //! Reclaimed runs never coalesce across a segment boundary, and each
-//! worker flushes its own chunk batches to the free lists independently.
-//! On the sharded heap back-end (DESIGN.md §4.5) a flush routes each
-//! chunk to the shard owning its blocks — `free_chunk_batch` splits
-//! batches at block-ownership boundaries and takes one lock per touched
-//! shard — so sweep workers contend with mutators only on the shards
-//! whose memory their segment actually reclaimed.  Colors are filled
-//! `Free` *before* a chunk enters a batch, so every pooled chunk covers
-//! only `Free` granules whichever pool it lands in (the `verify_heap`
-//! free-list pass holds unchanged).
+//! worker flushes its own chunk batches to the free lists independently
+//! (one pool lock per batch; the pool joins runs that meet at a
+//! boundary).  Colors are filled `Free` *before* a chunk enters a batch,
+//! so every pooled chunk covers only `Free` granules (the `verify_heap`
+//! free-list pass relies on it).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;

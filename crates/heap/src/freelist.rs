@@ -294,9 +294,8 @@ impl Pool {
         Chunk::new(node.start, node.len)
     }
 
-    /// Unpools the free neighbors of `chunk` and returns the run the
-    /// three make up; the caller pools (or extracts) it.
-    fn coalesce(&mut self, chunk: Chunk) -> Chunk {
+    /// Inserts with immediate coalescing against both neighbors.
+    fn insert_coalescing(&mut self, chunk: Chunk) {
         debug_assert!(self.by_start.get(chunk.start).is_none(), "double free");
         let (mut start, mut end) = (chunk.start, chunk.end());
         if let Some(pred) = self.by_end.get(start) {
@@ -305,13 +304,7 @@ impl Pool {
         if let Some(succ) = self.by_start.get(end) {
             end = self.remove(succ).end();
         }
-        Chunk::new(start, end - start)
-    }
-
-    /// Inserts with immediate coalescing against both neighbors.
-    fn insert_coalescing(&mut self, chunk: Chunk) {
-        let run = self.coalesce(chunk);
-        self.add(run.start, run.len);
+        self.add(start, end - start);
     }
 
     /// The lowest non-empty bin at or above `from`.
@@ -433,48 +426,6 @@ impl FreeLists {
         self.locked(|p| chunks.iter().for_each(|&c| p.insert_coalescing(c)));
     }
 
-    /// Inserts many chunks under one lock acquisition, extracting
-    /// aligned whole-`block`-multiple sub-runs for the caller (the
-    /// sharded back-end's block-return path).  Whenever an insert
-    /// coalesces into a run whose block-aligned middle is at least
-    /// `min_extract` granules, that middle is removed from the pool and
-    /// appended to `extracted`; any ragged head/tail stays in the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is zero or `min_extract < block` (an extracted
-    /// run is always at least one whole block).
-    pub fn insert_batch_extracting(
-        &self,
-        chunks: &[Chunk],
-        block: u32,
-        min_extract: u32,
-        extracted: &mut Vec<Chunk>,
-    ) {
-        assert!(block > 0 && min_extract >= block, "bad extraction params");
-        if chunks.is_empty() {
-            return;
-        }
-        self.locked(|p| {
-            for &chunk in chunks {
-                let run = p.coalesce(chunk);
-                let a = run.start.div_ceil(block) * block;
-                let b = run.end() / block * block;
-                if b > a && b - a >= min_extract {
-                    if a > run.start {
-                        p.add(run.start, a - run.start);
-                    }
-                    if run.end() > b {
-                        p.add(b, run.end() - b);
-                    }
-                    extracted.push(Chunk::new(a, b - a));
-                } else {
-                    p.add(run.start, run.len);
-                }
-            }
-        });
-    }
-
     /// Allocates at least `min` granules, preferring a chunk of up to
     /// `preferred`.  Takes a chunk from the lowest size class that
     /// guarantees `preferred` (split to `preferred`), falling back to a
@@ -529,11 +480,6 @@ impl FreeLists {
     /// (diagnostics).
     pub fn snapshot(&self) -> Vec<Chunk> {
         self.inner.lock().snapshot()
-    }
-
-    /// Removes and returns every chunk (test/diagnostic helper).
-    pub fn drain_all(&self) -> Vec<Chunk> {
-        self.locked(|p| std::mem::replace(p, Pool::new()).snapshot())
     }
 }
 
@@ -601,8 +547,7 @@ mod oracle {
         }
 
         /// Inserts with immediate coalescing against both neighbors.
-        /// Returns the merged run the chunk ended up part of.
-        pub fn insert_coalescing(&mut self, chunk: Chunk) -> Chunk {
+        pub fn insert_coalescing(&mut self, chunk: Chunk) {
             let mut start = chunk.start;
             let mut len = chunk.len;
             if let Some((&p_start, &p_len)) = self.by_start.range(..start).next_back() {
@@ -620,29 +565,6 @@ mod oracle {
                 }
             }
             self.add(start, len);
-            Chunk::new(start, len)
-        }
-
-        pub fn insert_extracting(
-            &mut self,
-            chunk: Chunk,
-            block: u32,
-            min: u32,
-            out: &mut Vec<Chunk>,
-        ) {
-            let merged = self.insert_coalescing(chunk);
-            let a = merged.start.div_ceil(block) * block;
-            let b = merged.end() / block * block;
-            if b > a && b - a >= min {
-                self.remove(merged.start, merged.len);
-                if a > merged.start {
-                    self.add(merged.start, a - merged.start);
-                }
-                if merged.end() > b {
-                    self.add(b, merged.end() - b);
-                }
-                out.push(Chunk::new(a, b - a));
-            }
         }
 
         /// Takes exactly `chunk` out of the run that contains it.
@@ -823,52 +745,6 @@ mod tests {
         assert_eq!(f.largest_chunk(), 1024);
     }
 
-    #[test]
-    fn extraction_takes_aligned_middle_leaves_ragged_ends() {
-        let f = FreeLists::new();
-        let mut out = Vec::new();
-        // [10, 600): aligned middle at block 64 is [64, 576) = 512 ≥ 128.
-        f.insert_batch_extracting(&[Chunk::new(10, 590)], 64, 128, &mut out);
-        assert_eq!(out, vec![Chunk::new(64, 512)]);
-        assert_eq!(f.free_granules(), (64 - 10) + (600 - 576));
-        assert_eq!(f.chunk_count(), 2);
-    }
-
-    #[test]
-    fn extraction_below_threshold_stays_pooled() {
-        let f = FreeLists::new();
-        let mut out = Vec::new();
-        // Aligned middle [64, 128) is one block < the 2-block floor.
-        f.insert_batch_extracting(&[Chunk::new(10, 150)], 64, 128, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(f.free_granules(), 150);
-        assert_eq!(f.chunk_count(), 1);
-    }
-
-    #[test]
-    fn extraction_triggers_on_coalesced_runs() {
-        let f = FreeLists::new();
-        let mut out = Vec::new();
-        // Two halves of block 1, freed separately: only the insert that
-        // completes the block extracts it.
-        f.insert_batch_extracting(&[Chunk::new(64, 32)], 64, 64, &mut out);
-        assert!(out.is_empty());
-        f.insert_batch_extracting(&[Chunk::new(96, 32)], 64, 64, &mut out);
-        assert_eq!(out, vec![Chunk::new(64, 64)]);
-        assert_eq!(f.free_granules(), 0);
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let f = FreeLists::new();
-        f.insert(Chunk::new(0, 5));
-        f.insert(Chunk::new(10, 50));
-        let all = f.drain_all();
-        assert_eq!(all, vec![Chunk::new(0, 5), Chunk::new(10, 50)]);
-        assert_eq!((f.free_granules(), f.chunk_count()), (0, 0));
-        assert_eq!(f.alloc(1, 1), None);
-    }
-
     /// The boundary map against `HashMap`, through several growths and
     /// with deletes that have to shift probe runs back (keys that share
     /// home slots: multiples of a large power of two).
@@ -899,7 +775,6 @@ mod tests {
 
     /// Granules of the test span; everything not in the pool is "held".
     const SPAN: u32 = 1 << 13;
-    const BLOCK: u32 = 64;
 
     /// Cuts the held granules of `[from, to)` into an address-sorted batch
     /// of runs no longer than `max_len`, marking them free; `keep` decides
@@ -942,7 +817,7 @@ mod tests {
             for _ in 0..g.usize_in(1..160) {
                 let from = g.u32_in(1..SPAN);
                 let to = g.u32_in(from..SPAN) + 1;
-                match g.usize_in(0..5) {
+                match g.usize_in(0..4) {
                     // One chunk (a retired LAB, a large object).
                     0 => {
                         let to = to.min(from + 300);
@@ -958,23 +833,6 @@ mod tests {
                         f.insert_batch(&batch);
                         for &c in &batch {
                             oracle.insert_coalescing(c);
-                        }
-                    }
-                    // The same through the sharded back-end's path; what
-                    // is extracted leaves the pool (to the block store).
-                    2 => {
-                        let batch =
-                            cut_runs(&mut held, (from, to), 40, g, |g| g.usize_in(0..8) == 0);
-                        let min = BLOCK * g.u32_in(1..4);
-                        let (mut got, mut want) = (Vec::new(), Vec::new());
-                        f.insert_batch_extracting(&batch, BLOCK, min, &mut got);
-                        for &c in &batch {
-                            oracle.insert_extracting(c, BLOCK, min, &mut want);
-                        }
-                        assert_eq!(got, want, "extraction differs");
-                        for e in got {
-                            assert!(e.start % BLOCK == 0 && e.len % BLOCK == 0 && e.len >= min);
-                            held[e.start as usize..e.end() as usize].fill(true);
                         }
                     }
                     // A LAB refill or an exact request; a LAB's unused

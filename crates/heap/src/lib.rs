@@ -38,12 +38,10 @@
 mod addr;
 mod age;
 mod arena;
-mod block;
 mod card;
 mod color;
 mod freelist;
 mod page;
-mod shard;
 mod space;
 
 pub use addr::{
@@ -52,13 +50,11 @@ pub use addr::{
 };
 pub use age::{AgeTable, INFANT_AGE};
 pub use arena::Arena;
-pub use block::{BlockStore, BLOCK_GRANULES};
 pub use card::{CardTable, MAX_CARD_SIZE, MIN_CARD_SIZE};
 pub use color::{Color, ColorTable};
 pub use freelist::{Chunk, FreeLists, LAB_MAX_HOLES};
 pub use layout::{Header, ObjShape, MAX_CLASS_ID, MAX_REF_SLOTS, MAX_SIZE_GRANULES};
 pub use page::{PageTracker, Space};
-pub use shard::ShardedAlloc;
 pub use space::{HeapSpace, Lab, ParseStep, DEFAULT_LAB_GRANULES};
 
 mod layout;

@@ -20,7 +20,6 @@ use crate::arena::Arena;
 use crate::color::{Color, ColorTable};
 use crate::freelist::{Chunk, FreeLists};
 use crate::layout::{Header, ObjShape};
-use crate::shard::ShardedAlloc;
 
 /// Default LAB (local allocation buffer) size in granules (32 KB).
 pub const DEFAULT_LAB_GRANULES: u32 = 2048;
@@ -44,28 +43,15 @@ pub enum ParseStep {
     },
 }
 
-/// The chunk-allocation back-end behind [`HeapSpace`]: either the
-/// original single free list + bump frontier, or the sharded block-store
-/// arrangement (DESIGN.md §4.5).  The unsharded arm is the semantic
-/// oracle — the sharded arm must be observationally identical through
-/// the `HeapSpace` surface.
-#[derive(Debug)]
-enum Backend {
-    Unsharded {
-        freelists: FreeLists,
-        /// Next never-allocated granule (bump frontier).
-        frontier: AtomicUsize,
-    },
-    Sharded(ShardedAlloc),
-}
-
 /// The heap substrate shared by mutators and the collector.
 #[derive(Debug)]
 pub struct HeapSpace {
     arena: Arena,
     colors: ColorTable,
     ages: AgeTable,
-    backend: Backend,
+    freelists: FreeLists,
+    /// Next never-allocated granule (bump frontier).
+    frontier: AtomicUsize,
     /// Granules currently held by objects or leased LABs.
     used_granules: AtomicUsize,
     /// Granules of every live LAB lease (see
@@ -82,67 +68,18 @@ impl HeapSpace {
     /// committed.  Granule 0 is reserved so that offset 0 can be the null
     /// reference.
     pub fn new(max_bytes: usize, initial_bytes: usize) -> HeapSpace {
-        HeapSpace::build(max_bytes, initial_bytes, 0)
-    }
-
-    /// Creates a heap whose allocator is sharded `shards` ways over a
-    /// global block store (see `crates/heap/src/shard.rs`).  `shards`
-    /// must be non-zero; `with_shards(m, i, 1)` is a single-shard heap
-    /// that still routes through the block store (the N=1 parity arm).
-    pub fn with_shards(max_bytes: usize, initial_bytes: usize, shards: usize) -> HeapSpace {
-        assert!(shards > 0, "shard count must be non-zero");
-        HeapSpace::build(max_bytes, initial_bytes, shards)
-    }
-
-    fn build(max_bytes: usize, initial_bytes: usize, shards: usize) -> HeapSpace {
         let arena = Arena::new(max_bytes, initial_bytes);
         let granules = arena.max_granules();
-        let backend = if shards == 0 {
-            Backend::Unsharded {
-                freelists: FreeLists::new(),
-                frontier: AtomicUsize::new(1), // granule 0 reserved for null
-            }
-        } else {
-            // The sharded store leases whole blocks; granule 0 is kept out
-            // of circulation by trimming it from block 0's first lease.
-            Backend::Sharded(ShardedAlloc::new(shards, granules))
-        };
         HeapSpace {
             colors: ColorTable::new(granules),
             ages: AgeTable::new(granules),
             arena,
-            backend,
+            freelists: FreeLists::new(),
+            frontier: AtomicUsize::new(1), // granule 0 reserved for null
             used_granules: AtomicUsize::new(1),
             lab_leased: AtomicUsize::new(0),
             objects_allocated: AtomicU64::new(0),
             bytes_allocated: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of allocation shards (1 for the unsharded back-end).
-    pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            Backend::Unsharded { .. } => 1,
-            Backend::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    /// Free granules pooled in shard `i` (0 for the unsharded back-end,
-    /// which keeps everything in the global list).
-    pub fn shard_free_granules(&self, i: usize) -> u64 {
-        match &self.backend {
-            Backend::Unsharded { .. } => 0,
-            Backend::Sharded(s) => s.shard_free_granules(i),
-        }
-    }
-
-    /// Free granules held by the global block store (unsharded: the
-    /// single free list, so the split-out accessors still sum to
-    /// [`free_list_granules`](HeapSpace::free_list_granules)).
-    pub fn store_free_granules(&self) -> u64 {
-        match &self.backend {
-            Backend::Unsharded { freelists, .. } => freelists.free_granules(),
-            Backend::Sharded(s) => s.store_free_granules(),
         }
     }
 
@@ -214,15 +151,10 @@ impl HeapSpace {
     }
 
     /// The first granule the bump frontier has not yet passed.  A linear
-    /// heap parse needs to cover `[1, frontier_granule())`.  In the
-    /// sharded back-end this is the block frontier — a block-granular
-    /// high watermark with the same monotonicity guarantee.
+    /// heap parse needs to cover `[1, frontier_granule())`.
     #[inline]
     pub fn frontier_granule(&self) -> usize {
-        match &self.backend {
-            Backend::Unsharded { frontier, .. } => frontier.load(Ordering::Acquire),
-            Backend::Sharded(s) => s.frontier_granule(),
-        }
+        self.frontier.load(Ordering::Acquire)
     }
 
     /// Objects allocated, as reported so far through
@@ -249,71 +181,37 @@ impl HeapSpace {
     }
 
     /// Allocates a chunk of at least `min` granules (preferring up to
-    /// `preferred`) on behalf of `shard` (ignored by the unsharded
-    /// back-end; reduced modulo the shard count otherwise).  Returns
-    /// `None` when the committed region is exhausted — the caller then
-    /// grows the heap or triggers a collection.
-    pub fn alloc_chunk_on(&self, shard: usize, min: u32, preferred: u32) -> Option<Chunk> {
+    /// `preferred`): free-list good-fit, then the bump frontier inside the
+    /// committed region.  Returns `None` when the committed region is
+    /// exhausted — the caller then grows the heap or triggers a
+    /// collection.
+    pub fn alloc_chunk(&self, min: u32, preferred: u32) -> Option<Chunk> {
         // Chaos harness hook: a failing injection simulates heap pressure
         // (the committed region "is" exhausted), driving the caller into
         // its collection-or-grow slow path on a deterministic schedule.
-        // Kept ahead of the back-end dispatch so a fault models the whole
-        // heap running dry, not one shard missing its pool.
         if otf_support::fault::point("heap.alloc_chunk") {
             return None;
         }
-        let chunk = match &self.backend {
-            Backend::Unsharded {
-                freelists,
-                frontier,
-            } => Self::alloc_unsharded(freelists, frontier, &self.arena, min, preferred),
-            Backend::Sharded(s) => s.alloc(
-                shard % s.shard_count(),
-                min,
-                preferred,
-                self.arena.committed_granules(),
-            ),
-        }?;
+        let chunk = self
+            .freelists
+            .alloc(min, preferred)
+            .or_else(|| self.bump_frontier(min, preferred))?;
         self.used_granules
             .fetch_add(chunk.len as usize, Ordering::Relaxed);
         Some(chunk)
     }
 
-    /// [`alloc_chunk_on`](HeapSpace::alloc_chunk_on) for shard-oblivious
-    /// callers (the collector, tests): allocates on shard 0.
-    pub fn alloc_chunk(&self, min: u32, preferred: u32) -> Option<Chunk> {
-        self.alloc_chunk_on(0, min, preferred)
-    }
-
-    /// The original single-list allocation path: free-list good-fit, then
-    /// bump the frontier inside the committed region.
-    fn alloc_unsharded(
-        freelists: &FreeLists,
-        frontier: &AtomicUsize,
-        arena: &Arena,
-        min: u32,
-        preferred: u32,
-    ) -> Option<Chunk> {
-        freelists
-            .alloc(min, preferred)
-            .or_else(|| Self::bump_frontier(frontier, arena, min, preferred))
-    }
-
     /// Carves a chunk off never-allocated space inside the committed region.
-    fn bump_frontier(
-        frontier: &AtomicUsize,
-        arena: &Arena,
-        min: u32,
-        preferred: u32,
-    ) -> Option<Chunk> {
+    fn bump_frontier(&self, min: u32, preferred: u32) -> Option<Chunk> {
         loop {
-            let cur = frontier.load(Ordering::Acquire);
-            let committed = arena.committed_granules();
+            let cur = self.frontier.load(Ordering::Acquire);
+            let committed = self.arena.committed_granules();
             if cur + min as usize > committed {
                 return None;
             }
             let take = (preferred as usize).min(committed - cur).max(min as usize) as u32;
-            if frontier
+            if self
+                .frontier
                 .compare_exchange(
                     cur,
                     cur + take as usize,
@@ -337,16 +235,12 @@ impl HeapSpace {
         debug_assert!(chunk.len > 0);
         self.used_granules
             .fetch_sub(chunk.len as usize, Ordering::Relaxed);
-        match &self.backend {
-            Backend::Unsharded { freelists, .. } => freelists.insert(chunk),
-            Backend::Sharded(s) => s.free(chunk),
-        }
+        self.freelists.insert(chunk);
     }
 
-    /// Returns many chunks to the free lists — one lock acquisition per
-    /// touched shard (exactly one on the unsharded back-end).  Empty
-    /// batches return without touching any lock, so sweep workers whose
-    /// segment reclaimed nothing don't contend.
+    /// Returns many chunks to the free lists under one lock acquisition.
+    /// Empty batches return without touching the lock, so sweep workers
+    /// whose segment reclaimed nothing don't contend.
     pub fn free_chunk_batch(&self, chunks: &[Chunk]) {
         if chunks.is_empty() {
             return;
@@ -358,28 +252,18 @@ impl HeapSpace {
         );
         let total: usize = chunks.iter().map(|c| c.len as usize).sum();
         self.used_granules.fetch_sub(total, Ordering::Relaxed);
-        match &self.backend {
-            Backend::Unsharded { freelists, .. } => freelists.insert_batch(chunks),
-            Backend::Sharded(s) => s.free_batch(chunks),
-        }
+        self.freelists.insert_batch(chunks);
     }
 
-    /// Free granules currently on the free lists (all shards plus the
-    /// block store).
+    /// Free granules currently on the free lists.
     pub fn free_list_granules(&self) -> u64 {
-        match &self.backend {
-            Backend::Unsharded { freelists, .. } => freelists.free_granules(),
-            Backend::Sharded(s) => s.free_granules(),
-        }
+        self.freelists.free_granules()
     }
 
     /// A copy of every free chunk (diagnostics / heap verification),
     /// sorted by start granule.
     pub fn free_list_snapshot(&self) -> Vec<Chunk> {
-        match &self.backend {
-            Backend::Unsharded { freelists, .. } => freelists.snapshot(),
-            Backend::Sharded(s) => s.snapshot(),
-        }
+        self.freelists.snapshot()
     }
 
     /// Leases `chunk` to `lab` as a one-hole queue, retiring whatever
@@ -399,49 +283,26 @@ impl HeapSpace {
         lab.holes.push(chunk);
     }
 
-    /// One pool exchange on behalf of `shard` (DESIGN.md §4.13): what is
-    /// left of `lab`'s queue goes back and up to `budget` granules come
-    /// out as up to [`LAB_MAX_HOLES`](crate::LAB_MAX_HOLES) chunks of at
-    /// least `min` (`budget >= min > 0`), the old lease off the books and
-    /// the new one on.  On the unsharded back-end
-    /// that is one critical section, topped by a frontier bump when the
-    /// pool had nothing; on the sharded one the leftovers are routed to
-    /// their owners first, then the home pool is visited once, then the
-    /// block store.  `false` — and an empty, lease-free `lab` — when
+    /// One pool exchange (DESIGN.md §4.13): what is left of `lab`'s queue
+    /// goes back and up to `budget` granules come out as up to
+    /// [`LAB_MAX_HOLES`](crate::LAB_MAX_HOLES) chunks of at least `min`
+    /// (`budget >= min > 0`), the old lease off the books and the new one
+    /// on — one critical section, topped by a frontier bump when the pool
+    /// had nothing.  `false` — and an empty, lease-free `lab` — when
     /// nothing of `min` granules could be had without collecting or
     /// growing.
-    pub fn exchange_lab(&self, lab: &mut Lab, shard: usize, min: u32, budget: u32) -> bool {
-        // The same hook, and the same meaning, as in `alloc_chunk_on`:
-        // the heap "is" dry.  The queue stays as it was.
+    pub fn exchange_lab(&self, lab: &mut Lab, min: u32, budget: u32) -> bool {
+        // The same hook, and the same meaning, as in `alloc_chunk`: the
+        // heap "is" dry.  The queue stays as it was.
         if otf_support::fault::point("heap.alloc_chunk") {
             return false;
         }
         lab.close();
         let given: usize = lab.tails.iter().map(|c| c.len as usize).sum();
-        match &self.backend {
-            Backend::Unsharded {
-                freelists,
-                frontier,
-            } => {
-                freelists.exchange(&lab.tails, min, budget, &mut lab.holes);
-                if lab.holes.is_empty() {
-                    lab.holes
-                        .extend(Self::bump_frontier(frontier, &self.arena, min, budget));
-                }
-            }
-            Backend::Sharded(s) => {
-                if given > 0 {
-                    s.free_batch(&lab.tails);
-                }
-                let committed = self.arena.committed_granules();
-                s.exchange(
-                    shard % s.shard_count(),
-                    min,
-                    budget,
-                    committed,
-                    &mut lab.holes,
-                );
-            }
+        self.freelists
+            .exchange(&lab.tails, min, budget, &mut lab.holes);
+        if lab.holes.is_empty() {
+            lab.holes.extend(self.bump_frontier(min, budget));
         }
         lab.tails.clear();
         let taken: usize = lab.holes.iter().map(|c| c.len as usize).sum();
@@ -756,66 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_first_alloc_skips_null_granule() {
-        let h = HeapSpace::with_shards(1 << 16, 1 << 16, 4);
-        let c = h.alloc_chunk_on(0, 4, 4).unwrap();
-        assert_eq!(c.start, 1, "block 0's lease is trimmed past null");
-        assert_eq!(c.len, 4);
-    }
-
-    #[test]
-    fn sharded_n1_parity_with_unsharded() {
-        // The N=1 sharded arm must hand out the same chunks as the
-        // unsharded oracle for a serial in-block sequence.
-        let a = HeapSpace::new(1 << 16, 1 << 16);
-        let b = HeapSpace::with_shards(1 << 16, 1 << 16, 1);
-        for (min, pref) in [(4, 4), (2, 8), (1, 1), (16, 16)] {
-            let ca = a.alloc_chunk(min, pref).unwrap();
-            let cb = b.alloc_chunk(min, pref).unwrap();
-            assert_eq!(ca, cb, "alloc({min},{pref}) diverged");
-            assert_eq!(a.used_granules(), b.used_granules());
-        }
-        let ca = a.alloc_chunk(4, 4).unwrap();
-        let cb = b.alloc_chunk(4, 4).unwrap();
-        a.free_chunk(ca);
-        b.free_chunk(cb);
-        assert_eq!(a.used_granules(), b.used_granules());
-        assert_eq!(a.alloc_chunk(4, 4), b.alloc_chunk(4, 4), "freed run reused");
-    }
-
-    #[test]
-    fn sharded_exhaustion_returns_none() {
-        let h = HeapSpace::with_shards(1 << 12, 1 << 12, 2); // one block
-        assert!(h.alloc_chunk_on(0, 255, 255).is_some());
-        assert!(h.alloc_chunk_on(1, 16, 16).is_none());
-    }
-
-    #[test]
-    fn sharded_committed_limits_frontier_until_grow() {
-        let h = HeapSpace::with_shards(1 << 13, 1 << 12, 2);
-        assert!(h.alloc_chunk_on(0, 255, 255).is_some());
-        assert!(h.alloc_chunk_on(1, 16, 16).is_none());
-        assert!(h.grow().is_some());
-        assert!(h.alloc_chunk_on(1, 16, 16).is_some());
-    }
-
-    #[test]
-    fn sharded_used_accounting_and_free_routing() {
-        let h = HeapSpace::with_shards(1 << 16, 1 << 16, 2);
-        let before = h.used_granules();
-        let c = h.alloc_chunk_on(1, 8, 8).unwrap();
-        assert_eq!(h.used_granules(), before + 8);
-        h.free_chunk(c);
-        assert_eq!(h.used_granules(), before);
-        assert!(h.shard_free_granules(1) >= 8, "free routed to owner");
-        let total: u64 = (0..h.shard_count())
-            .map(|i| h.shard_free_granules(i))
-            .sum::<u64>()
-            + h.store_free_granules();
-        assert_eq!(total, h.free_list_granules());
-    }
-
-    #[test]
     fn lab_lease_accounting() {
         let h = small_heap();
         let mut lab = Lab::new();
@@ -838,128 +639,188 @@ mod tests {
         assert!(lab.carve(1).is_none(), "a retired LAB is empty");
     }
 
-    /// Both back-ends, with everything past the pool out of reach: the
-    /// heap is carved into `holes` (each fenced by one held granule), the
-    /// rest is taken out of circulation, and the holes are freed.
-    fn heaps_of_holes(holes: &[u32]) -> [HeapSpace; 2] {
-        [
-            HeapSpace::new(1 << 18, 1 << 18),
-            HeapSpace::with_shards(1 << 18, 1 << 18, 2),
-        ]
-        .map(|h| {
-            let cut: Vec<Chunk> = holes
-                .iter()
-                .map(|&len| {
-                    let hole = h.alloc_chunk(len, len).unwrap();
-                    h.alloc_chunk(1, 1).unwrap();
-                    hole
-                })
-                .collect();
-            while h.alloc_chunk(1, 1 << 14).is_some() {}
-            h.free_chunk_batch(&cut);
-            assert_eq!(
-                h.free_list_granules(),
-                holes.iter().map(|&l| l as u64).sum::<u64>()
-            );
-            h
-        })
+    /// A heap with everything past the pool out of reach: it is carved
+    /// into `holes` (each fenced by one held granule), the rest is taken
+    /// out of circulation, and the holes are freed.
+    fn heap_of_holes(holes: &[u32]) -> HeapSpace {
+        let h = HeapSpace::new(1 << 18, 1 << 18);
+        let cut: Vec<Chunk> = holes
+            .iter()
+            .map(|&len| {
+                let hole = h.alloc_chunk(len, len).unwrap();
+                h.alloc_chunk(1, 1).unwrap();
+                hole
+            })
+            .collect();
+        while h.alloc_chunk(1, 1 << 14).is_some() {}
+        h.free_chunk_batch(&cut);
+        assert_eq!(
+            h.free_list_granules(),
+            holes.iter().map(|&l| l as u64).sum::<u64>()
+        );
+        h
     }
 
     #[test]
     fn lab_queues_every_hole_one_exchange_brings() {
-        for h in heaps_of_holes(&[8, 3, 5]) {
-            let used = h.used_granules();
-            let mut lab = Lab::new();
-            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
-            // The whole pool in one visit, leased and off the free lists.
-            assert_eq!((h.lab_leased_granules(), lab.leased), (16, 16));
-            assert_eq!((h.free_list_granules(), h.used_granules()), (0, used + 16));
-            // Best chunk first, and no shared counter moves on the way
-            // from hole to hole.
-            let a = lab.carve(8).unwrap();
-            let b = lab.carve(5).unwrap();
-            let c = lab.carve(3).unwrap();
-            assert!(a != b && b != c && lab.carve(1).is_none());
-            assert_eq!(
-                (h.lab_leased_granules(), h.used_granules()),
-                (16, used + 16)
-            );
-            // Nothing is left anywhere: the next visit comes back empty.
-            assert!(!h.exchange_lab(&mut lab, 0, 1, 64));
-            assert_eq!((h.lab_leased_granules(), lab.leased), (0, 0));
-            assert_eq!(h.used_granules(), used + 16);
-        }
+        let h = heap_of_holes(&[8, 3, 5]);
+        let used = h.used_granules();
+        let mut lab = Lab::new();
+        assert!(h.exchange_lab(&mut lab, 2, 64));
+        // The whole pool in one visit, leased and off the free lists.
+        assert_eq!((h.lab_leased_granules(), lab.leased), (16, 16));
+        assert_eq!((h.free_list_granules(), h.used_granules()), (0, used + 16));
+        // Best chunk first, and no shared counter moves on the way
+        // from hole to hole.
+        let a = lab.carve(8).unwrap();
+        let b = lab.carve(5).unwrap();
+        let c = lab.carve(3).unwrap();
+        assert!(a != b && b != c && lab.carve(1).is_none());
+        assert_eq!(
+            (h.lab_leased_granules(), h.used_granules()),
+            (16, used + 16)
+        );
+        // Nothing is left anywhere: the next visit comes back empty.
+        assert!(!h.exchange_lab(&mut lab, 1, 64));
+        assert_eq!((h.lab_leased_granules(), lab.leased), (0, 0));
+        assert_eq!(h.used_granules(), used + 16);
     }
 
     #[test]
     fn lab_hole_shorter_than_the_request_goes_back_at_the_next_exchange() {
-        for h in heaps_of_holes(&[8, 3]) {
-            let used = h.used_granules();
-            let mut lab = Lab::new();
-            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
-            let first = lab.carve(2).unwrap();
-            // 6 granules are left in the open hole and 3 in the next: a
-            // request for 7 passes over both, and they wait in the LAB.
-            assert_eq!(lab.carve(7), None);
-            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (0, 11));
-            // The exchange gives them back before it takes: the 6-granule
-            // tail is what a request for 4 gets (the 3 stay pooled).
-            assert!(h.exchange_lab(&mut lab, 0, 4, 64));
-            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (3, 6));
-            assert_eq!(lab.carve(4), Some(first + 2));
-            h.retire_lab(&mut lab);
-            assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (5, 0));
-            assert_eq!(h.used_granules(), used + 2 + 4);
-        }
+        let h = heap_of_holes(&[8, 3]);
+        let used = h.used_granules();
+        let mut lab = Lab::new();
+        assert!(h.exchange_lab(&mut lab, 2, 64));
+        let first = lab.carve(2).unwrap();
+        // 6 granules are left in the open hole and 3 in the next: a
+        // request for 7 passes over both, and they wait in the LAB.
+        assert_eq!(lab.carve(7), None);
+        assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (0, 11));
+        // The exchange gives them back before it takes: the 6-granule
+        // tail is what a request for 4 gets (the 3 stay pooled).
+        assert!(h.exchange_lab(&mut lab, 4, 64));
+        assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (3, 6));
+        assert_eq!(lab.carve(4), Some(first + 2));
+        h.retire_lab(&mut lab);
+        assert_eq!((h.free_list_granules(), h.lab_leased_granules()), (5, 0));
+        assert_eq!(h.used_granules(), used + 2 + 4);
     }
 
     #[test]
     fn lab_lease_stays_under_budget_and_balances_at_retire() {
         const BUDGET: u32 = 64;
         let holes: Vec<u32> = (0..300).map(|i| 2 + i * 7 % 23).collect();
-        for h in heaps_of_holes(&holes) {
-            let used = h.used_granules();
-            let mut lab = Lab::new();
-            let (mut objects, mut exchanges) = (0, 0);
-            'full: for i in 0.. {
-                let n = 1 + i * 5 % 6;
-                let start = loop {
-                    if let Some(start) = lab.carve(n) {
-                        break start;
-                    }
-                    if !h.exchange_lab(&mut lab, 0, n, BUDGET) {
-                        break 'full;
-                    }
-                    exchanges += 1;
-                    assert!(lab.leased <= BUDGET);
-                    assert_eq!(h.lab_leased_granules(), lab.leased as usize);
-                };
-                assert_eq!(h.colors().get(start as usize), Color::Free);
-                objects += n as usize;
-            }
-            // Holes of 2..24 granules: a 64-granule budget spans several.
-            assert!(exchanges > 20 && exchanges < holes.len() / 2, "{exchanges}");
-            h.retire_lab(&mut lab);
-            assert_eq!(h.lab_leased_granules(), 0);
-            assert_eq!(h.used_granules(), used + objects, "a tail leaked");
-            let free: u32 = holes.iter().sum();
-            assert_eq!(h.free_list_granules(), free as u64 - objects as u64);
+        let h = heap_of_holes(&holes);
+        let used = h.used_granules();
+        let mut lab = Lab::new();
+        let (mut objects, mut exchanges) = (0, 0);
+        'full: for i in 0.. {
+            let n = 1 + i * 5 % 6;
+            let start = loop {
+                if let Some(start) = lab.carve(n) {
+                    break start;
+                }
+                if !h.exchange_lab(&mut lab, n, BUDGET) {
+                    break 'full;
+                }
+                exchanges += 1;
+                assert!(lab.leased <= BUDGET);
+                assert_eq!(h.lab_leased_granules(), lab.leased as usize);
+            };
+            assert_eq!(h.colors().get(start as usize), Color::Free);
+            objects += n as usize;
         }
+        // Holes of 2..24 granules: a 64-granule budget spans several.
+        assert!(exchanges > 20 && exchanges < holes.len() / 2, "{exchanges}");
+        h.retire_lab(&mut lab);
+        assert_eq!(h.lab_leased_granules(), 0);
+        assert_eq!(h.used_granules(), used + objects, "a tail leaked");
+        let free: u32 = holes.iter().sum();
+        assert_eq!(h.free_list_granules(), free as u64 - objects as u64);
     }
 
     #[test]
-    fn lab_exchange_falls_back_to_the_frontier_and_to_a_block_lease() {
-        for h in [
-            HeapSpace::new(1 << 16, 1 << 16),
-            HeapSpace::with_shards(1 << 16, 1 << 16, 2),
-        ] {
+    fn lab_exchange_falls_back_to_the_frontier() {
+        let h = HeapSpace::new(1 << 16, 1 << 16);
+        let mut lab = Lab::new();
+        assert!(h.exchange_lab(&mut lab, 2, 64));
+        assert_eq!((h.lab_leased_granules(), h.used_granules()), (64, 1 + 64));
+        assert_eq!(lab.carve(2), Some(1), "granule 0 stays reserved");
+        h.retire_lab(&mut lab);
+        assert_eq!((h.lab_leased_granules(), h.used_granules()), (0, 1 + 2));
+    }
+
+    /// Sixteen threads go in and out of the one pool by every door at
+    /// once; when they stop, every granule is counted exactly once.
+    #[test]
+    fn sixteen_thread_churn_accounts_for_every_granule() {
+        const THREADS: u64 = 16;
+        const STEPS: usize = 4000;
+        let h = HeapSpace::new(8 << 20, 8 << 20);
+        let churn = |t: u64| {
+            let mut g = otf_support::check::Gen::new(0x5AAD, t);
+            let mut held: Vec<Chunk> = Vec::new();
             let mut lab = Lab::new();
-            assert!(h.exchange_lab(&mut lab, 0, 2, 64));
-            assert_eq!((h.lab_leased_granules(), h.used_granules()), (64, 1 + 64));
-            assert_eq!(lab.carve(2), Some(1), "granule 0 stays reserved");
+            let mut carved = 0;
+            for _ in 0..STEPS {
+                match g.usize_in(0..6) {
+                    0 | 1 => {
+                        let min = g.u32_in(1..65);
+                        match h.alloc_chunk(min, min + g.u32_in(0..256)) {
+                            Some(c) => {
+                                assert!(c.len >= min && c.start > 0, "{c:?} for {min}");
+                                held.push(c);
+                            }
+                            // Heap pressure: give everything back.
+                            None => h.free_chunk_batch(&std::mem::take(&mut held)),
+                        }
+                    }
+                    2 if !held.is_empty() => {
+                        h.free_chunk(held.swap_remove(g.usize_in(0..held.len())));
+                    }
+                    3 if held.len() >= 4 => {
+                        let batch = held.split_off(held.len() - 4);
+                        h.free_chunk_batch(&batch);
+                    }
+                    4 => h.retire_lab(&mut lab),
+                    _ => {
+                        let n = g.u32_in(1..9);
+                        if lab.carve(n).is_some()
+                            || (h.exchange_lab(&mut lab, n, 256) && lab.carve(n).is_some())
+                        {
+                            carved += n as usize;
+                        }
+                    }
+                }
+            }
             h.retire_lab(&mut lab);
-            assert_eq!((h.lab_leased_granules(), h.used_granules()), (0, 1 + 2));
-        }
+            h.free_chunk_batch(&held);
+            carved
+        };
+        let carved: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS).map(|t| s.spawn(move || churn(t))).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+
+        // What was carved out of LABs is all that is still in use...
+        assert_eq!(h.used_granules(), 1 + carved, "leaked or double-freed");
+        assert_eq!(h.lab_leased_granules(), 0);
+        // ...and used + pooled + never-allocated is the whole heap.
+        let committed = h.arena().committed_granules();
+        assert_eq!(
+            h.used_granules() + h.free_list_granules() as usize + committed - h.frontier_granule(),
+            committed
+        );
+        // The pool coalesces: its chunks neither overlap nor touch.
+        let snap = h.free_list_snapshot();
+        assert!(snap.iter().all(|c| c.len > 0));
+        assert!(
+            snap.windows(2).all(|w| w[0].end() < w[1].start),
+            "pooled chunks overlap or touch"
+        );
+        let pooled: u64 = snap.iter().map(|c| c.len as u64).sum();
+        assert_eq!(pooled, h.free_list_granules());
     }
 
     #[test]

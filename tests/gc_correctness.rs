@@ -137,18 +137,6 @@ fn churn_block_marking() {
 }
 
 #[test]
-fn churn_sharded_allocator() {
-    churn_under_config(GcConfig::generational().with_alloc_shards(4));
-}
-
-#[test]
-fn churn_sharded_single_shard_parity_arm() {
-    // N=1 sharding: same code path as N>1 but serial — the parity arm
-    // against the unsharded oracle above.
-    churn_under_config(GcConfig::generational().with_alloc_shards(1));
-}
-
-#[test]
 fn churn_lazy_sweep_generational() {
     churn_under_config(GcConfig::generational().with_lazy_sweep(true));
 }
@@ -163,27 +151,13 @@ fn churn_lazy_sweep_aging() {
     churn_under_config(GcConfig::aging(4).with_lazy_sweep(true));
 }
 
-#[test]
-fn churn_lazy_sweep_sharded() {
-    churn_under_config(
-        GcConfig::generational()
-            .with_alloc_shards(4)
-            .with_lazy_sweep(true),
-    );
-}
-
-#[test]
-fn lazy_sweep_multithreaded_churn_leaves_heap_verifiable() {
-    // The combined cell: lazy allocation-time sweeping racing across
-    // sharded mutator threads, then forced completion of all outstanding
-    // segments (verify_heap finalizes the epoch) must leave a clean heap.
-    let mut gc = Gc::new(small(
-        GcConfig::generational()
-            .with_alloc_shards(4)
-            .with_lazy_sweep(true),
-    ));
+/// `threads` mutators churn lists against the collector; once it is
+/// stopped the heap must verify clean and the pooled chunks must add up
+/// to the free total.  Returns the stopped collector.
+fn multithreaded_churn_then_verify(cfg: GcConfig, threads: u64) -> Gc {
+    let mut gc = Gc::new(small(cfg));
     std::thread::scope(|s| {
-        for t in 0..4u64 {
+        for t in 0..threads {
             let mut m = gc.mutator();
             s.spawn(move || {
                 let keeper = build_list(&mut m, 200, t * 1_000_000);
@@ -202,14 +176,27 @@ fn lazy_sweep_multithreaded_churn_leaves_heap_verifiable() {
     gc.stop_collector();
     let violations = gc.verify_heap();
     assert!(violations.is_empty(), "heap violations: {violations:?}");
-    let stats = gc.stats();
-    assert!(stats.lazy_epochs > 0, "no lazy epochs were published");
-    let shard_total: u64 = stats.shard_free_granules.iter().sum();
+    let pooled: u64 = gc.debug_free_chunks().iter().map(|c| c.len as u64).sum();
     assert_eq!(
-        shard_total + stats.store_free_granules,
+        pooled,
         gc.free_granules(),
-        "stats shard totals do not balance after lazy finalization"
+        "pooled chunks do not sum to the free total"
     );
+    gc
+}
+
+#[test]
+fn multithreaded_churn_leaves_heap_verifiable() {
+    multithreaded_churn_then_verify(GcConfig::generational(), 8);
+}
+
+#[test]
+fn lazy_sweep_multithreaded_churn_leaves_heap_verifiable() {
+    // Lazy allocation-time sweeping racing across mutator threads, then
+    // forced completion of all outstanding segments (verify_heap
+    // finalizes the epoch) must leave a clean heap.
+    let gc = multithreaded_churn_then_verify(GcConfig::generational().with_lazy_sweep(true), 4);
+    assert!(gc.stats().lazy_epochs > 0, "no lazy epochs were published");
 }
 
 /// Deterministic single-mutator workload, no collections until one
@@ -247,10 +234,7 @@ fn sweep_mode_end_state(
         check_list(&m, *h, *n, *s);
     }
     // Record every surviving node (not just the heads) in deterministic
-    // walk order.  The mutator stays alive through the state capture: its
-    // LAB-tail free on drop would otherwise interleave at a run-dependent
-    // position in the lazy drain's chunk stream and perturb the
-    // order-sensitive shard coalesce/extract decisions.
+    // walk order.
     let mut heads = vec![(keeper, 300usize)];
     heads.extend(kept.iter().map(|(h, n, _)| (*h, *n)));
     let mut nodes = Vec::new();
@@ -269,12 +253,6 @@ fn sweep_mode_end_state(
         .map(|&(o, p)| (gc.debug_color_of(o), gc.debug_age_of(o), p))
         .collect();
     let stats = gc.stats();
-    let shard_total: u64 = stats.shard_free_granules.iter().sum();
-    assert_eq!(
-        shard_total + stats.store_free_granules,
-        gc.free_granules(),
-        "per-shard free balances do not sum to the global total"
-    );
     let lazy_freed = stats.lazy_freed_at_alloc_granules + stats.lazy_freed_at_final_granules;
     if lazy {
         assert!(stats.lazy_epochs > 0, "lazy run published no epochs");
@@ -291,13 +269,12 @@ fn sweep_mode_end_state(
 fn lazy_and_eager_sweep_reach_identical_end_state() {
     // Satellite differential: forcing completion of all outstanding lazy
     // segments must yield a heap — survivor colors, ages, payloads,
-    // used bytes, free-granule totals, per-shard balances — identical to
-    // an eager-sweep run of the same deterministic workload.
+    // used bytes, free-granule totals — identical to an eager-sweep run
+    // of the same deterministic workload.
     #[allow(clippy::type_complexity)]
-    let cases: [(&str, fn() -> GcConfig); 3] = [
+    let cases: [(&str, fn() -> GcConfig); 2] = [
         ("generational", GcConfig::generational),
         ("aging", || GcConfig::aging(2)),
-        ("sharded", || GcConfig::generational().with_alloc_shards(4)),
     ];
     for (name, mk) in cases {
         let (eager, eager_used, eager_free) = sweep_mode_end_state(mk(), false);
@@ -306,50 +283,9 @@ fn lazy_and_eager_sweep_reach_identical_end_state() {
         assert_eq!(eager_used, lazy_used, "{name}: used bytes diverge");
         // Both runs allocate at identical addresses, so used-byte and
         // free-total equality imply the *set* of free granules is
-        // identical.  The split of that set between shard pools and the
-        // block store is not compared: the shard-to-store extraction
-        // heuristic is chunk-stream-order sensitive, and lazy segment
-        // boundaries split runs where the eager serial sweep does not
-        // (eager parallel sweeps differ from serial the same way) — the
-        // unit test `sharded_finalize_matches_eager_per_shard_balances`
-        // pins per-shard parity on a single-segment stream.
+        // identical.
         assert_eq!(eager_free, lazy_free, "{name}: free-granule totals diverge");
     }
-}
-
-#[test]
-fn sharded_multithreaded_churn_leaves_heap_verifiable() {
-    let mut gc = Gc::new(small(GcConfig::generational().with_alloc_shards(8)));
-    std::thread::scope(|s| {
-        for t in 0..8u64 {
-            let mut m = gc.mutator();
-            s.spawn(move || {
-                let keeper = build_list(&mut m, 200, t * 1_000_000);
-                m.root_push(keeper);
-                for round in 0..100u64 {
-                    let seed = t * 1_000_000 + round * 997;
-                    let head = build_list(&mut m, 50, seed);
-                    check_list(&m, head, 50, seed);
-                    m.cooperate();
-                }
-                check_list(&m, keeper, 200, t * 1_000_000);
-            });
-        }
-    });
-    gc.collect_full_blocking();
-    gc.stop_collector();
-    let violations = gc.verify_heap();
-    assert!(violations.is_empty(), "heap violations: {violations:?}");
-    let stats = gc.stats();
-    assert_eq!(stats.alloc_shards, 8);
-    let shard_total: u64 = stats.shard_free_granules.iter().sum();
-    // The stats snapshot's split free totals must balance (quiescent, so
-    // no in-flight transfers between shard pools and the store).
-    assert_eq!(
-        shard_total + stats.store_free_granules,
-        gc.free_granules(),
-        "stats shard totals do not balance"
-    );
 }
 
 #[test]
@@ -490,15 +426,11 @@ fn build_comb(
 /// into the free-space pool by real collections: each hole between two
 /// survivors must come back as its own chunk, and once the survivors die
 /// too the holes must have merged, so that no two pooled chunks touch.
-/// (On the sharded back-end two pools may hold the two sides of a block
-/// boundary; nothing else may be adjacent.)
 #[test]
 fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
     const TEETH: usize = 6000;
-    let block = otf_gengc::heap::BLOCK_GRANULES;
     for survivors_die in [false, true] {
         let mut gc = Gc::new(comb_heap(GcConfig::generational()));
-        let sharded = gc.config().alloc_shards > 0;
         let mut m = gc.mutator();
         let root = m.root_len();
         let (head, live, dead) = build_comb(&mut m, TEETH);
@@ -521,8 +453,7 @@ fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
         for w in free.windows(2) {
             let (a, b) = (w[0], w[1]);
             assert!(a.end() <= b.start, "overlapping chunks {a:?} {b:?}");
-            let at_block_seam = sharded && (a.end() as usize).is_multiple_of(block);
-            assert!(a.end() < b.start || at_block_seam, "{a:?} {b:?} not merged");
+            assert!(a.end() < b.start, "{a:?} {b:?} not merged");
         }
         let chunk_over = |g: usize| {
             let i = free.partition_point(|c| c.end() as usize <= g);
