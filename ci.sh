@@ -15,19 +15,21 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 verdicts=""
 failed=0
 
-# step NAME COMMAND [ARG...]: runs the command and records its verdict.
+# step NAME COMMAND [ARG...]: runs the command and records its verdict
+# and wall seconds (not a gate: a change in suite time shows in the log).
 step() {
     name=$1
     shift
     echo "=== $name: $*"
+    start=$(date +%s)
     if "$@"; then
-        verdicts="$verdicts
-PASS  $name"
+        verdict=PASS
     else
-        verdicts="$verdicts
-FAIL  $name"
+        verdict=FAIL
         failed=1
     fi
+    verdicts="$verdicts
+$verdict  $name  ($(($(date +%s) - start)) s)"
 }
 
 step build cargo build --release --offline --workspace --all-targets

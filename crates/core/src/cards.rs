@@ -174,7 +174,8 @@ impl GcShared {
     /// subsequent toggle makes the whole heap traceable, and — in the
     /// simple variant only — clear all card marks (the aging variant keeps
     /// them: they may still describe inter-generational pointers relevant
-    /// to later partial collections, §6).
+    /// to later partial collections, §6).  The wipe covers the cards in
+    /// use, not the whole table sized for `max_heap`.
     ///
     /// Runs before the first handshake, concurrently with fully-running
     /// mutators; this is safe because mutators never recolor black
@@ -203,9 +204,13 @@ impl GcShared {
             colors.set(g, alloc);
             g += 1;
         }
+        // Only cards below the frontier can hold a mark: the frontier
+        // never retreats, and a card marked past a frontier that moved on
+        // after our read only costs the next card scan one extra card.
         if clear_cards {
-            self.cards.clear_all();
-            cx.touch_card_range(0, self.cards.len());
+            let n_cards = self.cards_in_use();
+            self.cards.clear_range(0, n_cards);
+            cx.touch_card_range(0, n_cards);
         }
     }
 }
@@ -326,6 +331,26 @@ mod tests {
         assert_eq!(sh.heap.colors().get(b.granule()), Color::White);
         assert_eq!(sh.heap.colors().get(c.granule()), Color::White);
         assert_eq!(sh.cards.count_dirty(sh.cards.len()), 0);
+    }
+
+    #[test]
+    fn init_full_wipes_only_the_cards_below_the_frontier() {
+        let (sh, mut cx) = setup(GcConfig::generational());
+        let objs: Vec<ObjectRef> = (0..40).map(|i| alloc(&sh, i % 3, Color::Black)).collect();
+        for obj in &objs {
+            sh.cards.mark_byte(obj.byte());
+        }
+        let in_use = sh.cards_in_use();
+        assert!(in_use > 1 && in_use < sh.cards.len());
+        let past = sh.cards.len() - 1;
+        sh.cards.mark_card(in_use);
+        sh.cards.mark_card(past);
+
+        sh.init_full_collection(true, &mut cx);
+        assert_eq!(sh.cards.next_dirty(0, in_use), None);
+        assert!(sh.cards.is_dirty(in_use));
+        assert!(sh.cards.is_dirty(past));
+        assert_eq!(sh.cards.count_dirty(sh.cards.len()), 2);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
 }
 
 use otf_support::hist::Histogram;
+use otf_support::zeroed::zeroed_slice;
 
 use crate::state::Status;
 use crate::stats::CycleKind;
@@ -235,18 +236,17 @@ impl GcEvent {
 /// recent `RING_CAP` events; older ones are overwritten.
 const RING_CAP: usize = 1 << 14;
 
-/// One ring slot.  `seq` is stored *last* with release ordering and
-/// holds `position + 1`; a reader accepts the slot only when the
-/// sequence matches the position it expects, so overwritten or
-/// in-flight slots are skipped rather than torn.
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
+/// One ring slot: five words, indexed by the constants below.  `SEQ` is
+/// stored *last* with release ordering and holds `position + 1`; a
+/// reader accepts the slot only when the sequence matches the position
+/// it expects, so overwritten or in-flight slots are skipped rather than
+/// torn (and a never-written slot, `SEQ` 0, matches no position).
+type Slot = [AtomicU64; 5];
+const SEQ: usize = 0;
+const T_NS: usize = 1;
+const KIND: usize = 2;
+const ARG_A: usize = 3;
+const ARG_B: usize = 4;
 
 #[derive(Debug)]
 struct EventRing {
@@ -255,18 +255,12 @@ struct EventRing {
 }
 
 impl EventRing {
+    /// An empty ring: zero pages, mapped as events first reach them, so
+    /// a `Gc` that never traces never touches its 640 KiB.
     fn new() -> EventRing {
         EventRing {
             head: AtomicU64::new(0),
-            slots: (0..RING_CAP)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    t_ns: AtomicU64::new(0),
-                    kind: AtomicU64::new(0),
-                    a: AtomicU64::new(0),
-                    b: AtomicU64::new(0),
-                })
-                .collect(),
+            slots: zeroed_slice(RING_CAP),
         }
     }
 
@@ -285,11 +279,11 @@ impl EventRing {
     fn record(&self, now_ns: impl FnOnce() -> u64, kind: EventKind, a: u64, b: u64) {
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[pos as usize & (RING_CAP - 1)];
-        slot.t_ns.store(now_ns(), Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.seq.store(pos + 1, Ordering::Release);
+        slot[T_NS].store(now_ns(), Ordering::Relaxed);
+        slot[KIND].store(kind as u64, Ordering::Relaxed);
+        slot[ARG_A].store(a, Ordering::Relaxed);
+        slot[ARG_B].store(b, Ordering::Relaxed);
+        slot[SEQ].store(pos + 1, Ordering::Release);
     }
 
     /// Snapshot of the retained events, oldest first by timestamp (slot
@@ -301,14 +295,14 @@ impl EventRing {
         let mut out = Vec::with_capacity((head - start) as usize);
         for pos in start..head {
             let slot = &self.slots[pos as usize & (RING_CAP - 1)];
-            if slot.seq.load(Ordering::Acquire) != pos + 1 {
+            if slot[SEQ].load(Ordering::Acquire) != pos + 1 {
                 continue;
             }
             out.push(GcEvent {
-                t_ns: slot.t_ns.load(Ordering::Relaxed),
-                kind: EventKind::from_word(slot.kind.load(Ordering::Relaxed)),
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
+                t_ns: slot[T_NS].load(Ordering::Relaxed),
+                kind: EventKind::from_word(slot[KIND].load(Ordering::Relaxed)),
+                a: slot[ARG_A].load(Ordering::Relaxed),
+                b: slot[ARG_B].load(Ordering::Relaxed),
             });
         }
         out.sort_by_key(|e| e.t_ns);

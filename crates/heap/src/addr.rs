@@ -125,7 +125,7 @@ impl ObjectRef {
 
     /// Encodes this reference as a 64-bit slot value.
     #[inline]
-    pub fn to_slot(self) -> u64 {
+    pub const fn to_slot(self) -> u64 {
         self.0 as u64
     }
 }

@@ -17,8 +17,14 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use otf_support::zeroed::zeroed_slice;
+
 /// Age assigned to an object at allocation.
 pub const INFANT_AGE: u8 = 1;
+
+// A never-written age byte reads as age 0 (free), never as an allocated
+// object's age.
+const _: () = assert!(INFANT_AGE > 0);
 
 /// One age byte per granule; only start granules are meaningful.
 #[derive(Debug)]
@@ -27,12 +33,11 @@ pub struct AgeTable {
 }
 
 impl AgeTable {
-    /// Creates a table covering `granules` granules, all age 0 (free).
+    /// Creates a table covering `granules` granules, all age 0 (free;
+    /// zero pages, mapped on first touch).
     pub fn new(granules: usize) -> AgeTable {
-        let mut v = Vec::with_capacity(granules);
-        v.resize_with(granules, || AtomicU8::new(0));
         AgeTable {
-            bytes: v.into_boxed_slice(),
+            bytes: zeroed_slice(granules),
         }
     }
 
@@ -101,6 +106,11 @@ mod tests {
     fn starts_at_zero() {
         let t = AgeTable::new(4);
         assert_eq!(t.get(2), 0);
+        let len = (32 << 20) / crate::addr::GRANULE;
+        let t = AgeTable::new(len);
+        for g in [0, len / 2, len - 1] {
+            assert_eq!(t.get(g), 0);
+        }
     }
 
     #[test]

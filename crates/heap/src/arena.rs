@@ -3,16 +3,25 @@
 //! The whole maximum heap is reserved up front as an array of `AtomicU64`
 //! words (so every slot access is naturally atomic, which the fine-grained
 //! DLG collector requires — mutators and the collector read and write
-//! reference slots concurrently without locks).  A soft *committed*
-//! watermark models the paper's growing heap: runs start at 1 MB committed
-//! and may grow up to the 32 MB maximum.
+//! reference slots concurrently without locks).  Reserved means zero pages
+//! the OS maps on first touch ([`otf_support::zeroed`]): creating the
+//! arena writes nothing, and resident memory follows the bump frontier,
+//! not `max_heap`.  A soft *committed* watermark models the paper's
+//! growing heap: runs start at 1 MB committed and may grow up to the
+//! 32 MB maximum.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use otf_support::zeroed::zeroed_slice;
 
 use crate::addr::{ObjectRef, GRANULE, MAX_HEAP_GRANULES, WORD};
 use crate::layout::Header;
 
-/// The word-addressed heap memory.
+// A never-written arena word reads as the null reference.
+const _: () = assert!(ObjectRef::NULL.to_slot() == 0);
+
+/// The word-addressed heap memory: `max_bytes` reserved as zero pages,
+/// of which a run makes resident only the pages it allocates into.
 #[derive(Debug)]
 pub struct Arena {
     words: Box<[AtomicU64]>,
@@ -41,11 +50,8 @@ impl Arena {
             MAX_HEAP_GRANULES as u64 * GRANULE as u64,
         );
         let bytes = max_bytes.div_ceil(GRANULE) * GRANULE;
-        let n_words = bytes / WORD;
-        let mut v = Vec::with_capacity(n_words);
-        v.resize_with(n_words, || AtomicU64::new(0));
         Arena {
-            words: v.into_boxed_slice(),
+            words: zeroed_slice(bytes / WORD),
             bytes,
             committed: AtomicUsize::new(initial_bytes.div_ceil(GRANULE) * GRANULE),
         }
@@ -198,6 +204,17 @@ mod tests {
         assert_eq!(a.committed_bytes(), 1 << 16);
         assert_eq!(a.grow(), Some(1 << 17));
         assert_eq!(a.committed_bytes(), 1 << 17);
+    }
+
+    #[test]
+    fn fresh_arena_reads_zero() {
+        let a = Arena::new(32 << 20, 1 << 20);
+        let words = a.max_bytes() / WORD;
+        for idx in [0, words / 2, words - 1] {
+            assert_eq!(a.load_word(idx, Ordering::Relaxed), 0);
+        }
+        let last = ObjectRef::from_granule(a.max_granules() - 1);
+        assert!(a.load_ref_slot(last, 0).is_null());
     }
 
     #[test]

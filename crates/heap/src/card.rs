@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use otf_support::tablescan;
+use otf_support::zeroed::zeroed_slice;
 
 use crate::addr::{GRANULE, GRANULE_LOG2};
 
@@ -25,6 +26,9 @@ pub const MAX_CARD_SIZE: usize = 4096;
 const CLEAN: u8 = 0;
 const DIRTY: u8 = 1;
 
+// A never-written card byte reads as clean.
+const _: () = assert!(CLEAN == 0);
+
 /// One atomic mark byte per card of the arena.
 #[derive(Debug)]
 pub struct CardTable {
@@ -34,7 +38,7 @@ pub struct CardTable {
 
 impl CardTable {
     /// Creates a table for a heap of `heap_bytes` bytes with the given
-    /// `card_size`.
+    /// `card_size`, every card clean (zero pages, mapped on first touch).
     ///
     /// # Panics
     ///
@@ -46,11 +50,8 @@ impl CardTable {
                 && (MIN_CARD_SIZE..=MAX_CARD_SIZE).contains(&card_size),
             "card size must be a power of two in [{MIN_CARD_SIZE}, {MAX_CARD_SIZE}], got {card_size}"
         );
-        let cards = heap_bytes.div_ceil(card_size);
-        let mut v = Vec::with_capacity(cards);
-        v.resize_with(cards, || AtomicU8::new(CLEAN));
         CardTable {
-            bytes: v.into_boxed_slice(),
+            bytes: zeroed_slice(heap_bytes.div_ceil(card_size)),
             shift: card_size.trailing_zeros(),
         }
     }
@@ -115,15 +116,20 @@ impl CardTable {
         self.bytes[card].store(DIRTY, Ordering::Release);
     }
 
-    /// Clears every card with word-wide stores (used by
-    /// `InitFullCollection` in the simple variant, Figure 3).  A mutator
-    /// concurrently re-marking a card in the same word is linearized per
-    /// byte by coherence — either its mark lands after the wipe and
-    /// survives, or before and is cleared, exactly as with the
-    /// byte-at-a-time loop (safe here because a full collection traces
-    /// everything, so a wiped mark loses no inter-generational pointer).
-    pub fn clear_all(&self) {
-        tablescan::bulk_zero(&self.bytes, 0, self.bytes.len());
+    /// Clears cards `[from, to)` with word-wide stores (used by
+    /// `InitFullCollection` in the simple variant, Figure 3, over the
+    /// cards below the heap frontier).  A mutator concurrently re-marking
+    /// a card in the same word is linearized per byte by coherence —
+    /// either its mark lands after the wipe and survives, or before and
+    /// is cleared, exactly as with the byte-at-a-time loop (safe here
+    /// because a full collection traces everything, so a wiped mark loses
+    /// no inter-generational pointer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is past the table's end.
+    pub fn clear_range(&self, from: usize, to: usize) {
+        tablescan::bulk_zero(&self.bytes, from, to);
     }
 
     /// The granule range `[start, end)` covered by card `card`.
@@ -216,14 +222,28 @@ mod tests {
     }
 
     #[test]
-    fn clear_all_and_count() {
+    fn clear_range_and_count() {
         let t = CardTable::new(4096, 256);
         t.mark_byte(0);
         t.mark_byte(300);
         t.mark_byte(4000);
         assert_eq!(t.count_dirty(t.len()), 3);
-        t.clear_all();
+        t.clear_range(1, t.len());
+        assert_eq!(t.count_dirty(t.len()), 1);
+        assert!(t.is_dirty(0));
+        t.clear_range(0, 1);
         assert_eq!(t.count_dirty(t.len()), 0);
+    }
+
+    #[test]
+    fn new_table_is_clean_everywhere() {
+        let t = CardTable::new(32 << 20, 16);
+        let len = t.len();
+        for card in [0, len / 2, len - 1] {
+            assert!(!t.is_dirty(card));
+        }
+        assert_eq!(t.count_dirty(len), 0);
+        assert_eq!(t.next_dirty(0, len), None);
     }
 
     #[test]

@@ -25,6 +25,10 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use otf_support::tablescan;
+use otf_support::zeroed::zeroed_slice;
+
+// A never-written table byte reads as `Free`.
+const _: () = assert!(Color::Free as u8 == 0);
 
 /// Object colors, including the two table-only pseudo-colors `Free` (the
 /// paper's blue) and `Interior`.
@@ -104,12 +108,11 @@ pub struct ColorTable {
 }
 
 impl ColorTable {
-    /// Creates a table covering `granules` granules, all `Free`.
+    /// Creates a table covering `granules` granules, all `Free` (zero
+    /// pages, mapped on first touch).
     pub fn new(granules: usize) -> ColorTable {
-        let mut v = Vec::with_capacity(granules);
-        v.resize_with(granules, || AtomicU8::new(Color::Free as u8));
         ColorTable {
-            bytes: v.into_boxed_slice(),
+            bytes: zeroed_slice(granules),
         }
     }
 
@@ -250,6 +253,14 @@ mod tests {
         for g in 0..8 {
             assert_eq!(t.get(g), Color::Free);
         }
+        // A table the size of a 32 MB heap's: first, middle and last byte
+        // read `Free`, and the word scan finds nothing above it.
+        let len = (32 << 20) / crate::addr::GRANULE;
+        let t = ColorTable::new(len);
+        for g in [0, len / 2, len - 1] {
+            assert_eq!(t.get(g), Color::Free);
+        }
+        assert_eq!(t.next_color_above(1, len, Color::Free), len);
     }
 
     #[test]

@@ -242,7 +242,7 @@ fn color_fill_matches_byte_loop() {
     });
 }
 
-/// Word-kernel `next_dirty` / `count_dirty` / `clear_all` match byte
+/// Word-kernel `next_dirty` / `count_dirty` / `clear_range` match byte
 /// loops over `is_dirty`.
 #[test]
 fn card_kernels_match_byte_loops() {
@@ -269,9 +269,12 @@ fn card_kernels_match_byte_loops() {
         let walk_oracle: Vec<usize> = (0..cards).filter(|&c| t.is_dirty(c)).collect();
         assert_eq!(walked, walk_oracle);
 
-        t.clear_all();
+        let kept_oracle = (to..cards).filter(|&c| t.is_dirty(c)).count();
+        t.clear_range(0, to);
+        assert_eq!(t.next_dirty(0, to), None);
+        assert_eq!(t.count_dirty(cards), kept_oracle);
+        t.clear_range(to, cards);
         assert_eq!(t.count_dirty(cards), 0);
-        assert_eq!(t.next_dirty(0, cards), None);
     });
 }
 

@@ -35,6 +35,9 @@
 //!   points threaded through the collector's race windows that can
 //!   delay, yield, or fail on a reproducible schedule; one relaxed load
 //!   and a branch when disabled.
+//! * [`zeroed`] — zero-initialised atomic tables from the allocator's
+//!   zeroed path: the heap's arena and side tables are reserved at their
+//!   maximum size and mapped a page at a time on first touch.
 //!
 //! The paper's own system (Domani, Kolodner & Petrank, PLDI 2000) was
 //! self-contained inside the JVM, and the DLG lineage it extends needs
@@ -52,3 +55,4 @@ pub mod rand;
 pub mod steal;
 pub mod sync;
 pub mod tablescan;
+pub mod zeroed;

@@ -53,7 +53,7 @@
 //!
 //! The write kernels ([`bulk_fill`], [`bulk_zero`]) store whole words
 //! with `Release`.  A concurrent byte store into the same word (e.g. a
-//! mutator re-dirtying a card while `clear_all` wipes the table) is
+//! mutator re-dirtying a card while `clear_range` wipes the table) is
 //! linearized per byte by coherence: each byte ends up with one of the
 //! two written values, exactly the outcome the byte-at-a-time loop
 //! already had.  When a fill must be *published* (an allocator coloring
@@ -573,7 +573,7 @@ pub fn bulk_fill(bytes: &[AtomicU8], from: usize, to: usize, value: u8) {
 }
 
 /// Zeroes `[from, to)` — [`bulk_fill`] with `0` (the card table's
-/// `clear_all`).
+/// `clear_range`).
 pub fn bulk_zero(bytes: &[AtomicU8], from: usize, to: usize) {
     bulk_fill(bytes, from, to, 0);
 }
