@@ -59,27 +59,18 @@ step cell-threads-sweep env OTF_GC_THREADS=4 \
 # must hold when every configuration sweeps at allocation time, both
 # alone and combined with parallel mark — the combined cell drives every
 # packet the plans can select (parallel trace lanes, lazy finalize +
-# publish) through the packet scheduler at once.  The sweep tests ride
-# along here too (the filter also selects the lazy module's eager-parity
-# tests), and the hole-queue LAB tests of both layers (DESIGN.md §4.13):
-# under this cell a mutator's refill asks the lazy sweep for a run before
-# it visits the pool.
+# publish) through the packet scheduler at once, and runs
+# plan_equivalence too so the eager/lazy plan-shape pin holds there.  The
+# sweep tests ride along here as well (the filter also selects the lazy
+# module's eager-parity tests), and the hole-queue LAB tests of both
+# layers (DESIGN.md §4.13): under this cell a mutator's refill asks the
+# lazy sweep for a run before it visits the pool.
 step cell-lazy env OTF_GC_LAZY_SWEEP=1 \
     cargo test -q --offline --test chaos --test gc_correctness
 step cell-lazy-sweep env OTF_GC_LAZY_SWEEP=1 \
     cargo test -q --offline -p otf-heap -p otf-gc --lib -- \
     sweep space::tests::lab mutator::tests
 step cell-combined env OTF_GC_LAZY_SWEEP=1 OTF_GC_THREADS=4 \
-    cargo test -q --offline --test chaos --test gc_correctness
-
-# And with collector restarts armed (supervision, DESIGN.md §4.8) on
-# top of the full combined cell: every suite must hold when any
-# injected collector panic is answered by a safe cycle abort and a
-# respawn instead of permanent poison.  plan_equivalence rides along so
-# the eager/lazy plan-shape pin also holds under the supervisor.
-# Tests that pin the terminal poison path set max_collector_restarts(0)
-# explicitly, so the env default does not change their meaning.
-step cell-restarts env OTF_GC_MAX_RESTARTS=3 OTF_GC_LAZY_SWEEP=1 OTF_GC_THREADS=4 \
     cargo test -q --offline --test chaos --test gc_correctness --test plan_equivalence
 
 # Chaos smoke: the fixed-seed fault-injection matrix (debug build — the
@@ -100,5 +91,6 @@ echo "=== size"
 echo "crates/ lines of Rust:   $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
 echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' | sort -u | wc -l)"
+echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
 
 exit $failed

@@ -14,13 +14,14 @@
 //!   log byte-for-byte.
 //!
 //! A panic-containment schedule additionally kills the collector thread
-//! on its first cycle and requires allocators to surface
+//! at the start of every incarnation — a crash loop that spends the
+//! supervisor's restart budget — and requires allocators to surface
 //! [`CollectorUnavailable`](AllocError::CollectorUnavailable) within the
-//! bound, and a recovery schedule kills the collector mid-trace with
-//! restarts enabled and requires the supervisor (DESIGN.md §4.8) to
-//! abort the cycle, respawn, and complete a subsequent full collection —
-//! reproducibly: the recovery schedule also runs twice with the same
-//! seed and must produce identical injection logs.
+//! bound, and a recovery schedule kills the collector mid-trace once and
+//! requires the supervisor (DESIGN.md §4.8) to abort the cycle, respawn,
+//! and complete a subsequent full collection — reproducibly: the
+//! recovery schedule also runs twice with the same seed and must produce
+//! identical injection logs.
 //!
 //! Flags: `--seed N` (default 42) reseeds every plan — CI uses a fixed
 //! seed so failures reproduce with `stress_chaos --seed N`; `--quick`
@@ -29,7 +30,7 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use otf_gc::{AllocError, Gc, GcConfig, Mode};
+use otf_gc::{AllocError, Gc, GcConfig, Mode, MAX_COLLECTOR_RESTARTS};
 use otf_heap::ObjShape;
 use otf_support::fault::{self, FaultEvent, FaultPlan, FaultRule};
 use otf_workloads::driver;
@@ -187,21 +188,16 @@ fn check_reproducibility(seed: u64, ops_scale: f64) -> bool {
     true
 }
 
-/// Panic-containment gate: kill the collector on its first cycle and
-/// require `CollectorUnavailable` (not a hang) under allocation pressure.
+/// Panic-containment gate: kill the collector at the start of every
+/// incarnation, so the supervisor spends its restart budget, and require
+/// `CollectorUnavailable` (not a hang) under allocation pressure.
 fn check_panic_containment(seed: u64, bound: Duration) -> bool {
-    fault::install(
-        FaultPlan::new(seed).rule(FaultRule::at("collector.panic").failing(1.0).max_fires(1)),
-    );
-    // Pin restarts to zero: this gate checks the *terminal* poison path,
-    // and the CI recovery cell exports OTF_GC_MAX_RESTARTS=3 which would
-    // otherwise turn the kill into a transparent restart.
+    fault::install(FaultPlan::new(seed).rule(FaultRule::at("collector.panic").failing(1.0)));
     let gc = Gc::new(
         GcConfig::generational()
             .with_initial_heap(1 << 20)
             .with_max_heap(1 << 20)
-            .with_young_size(256 << 10)
-            .with_max_collector_restarts(0),
+            .with_young_size(256 << 10),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(0, 6);
@@ -219,25 +215,35 @@ fn check_panic_containment(seed: u64, bound: Duration) -> bool {
         }
     }
     drop(m);
-    fault::uninstall();
-    let ok = matches!(outcome, Some(AllocError::CollectorUnavailable { .. })) && gc.is_poisoned();
+    let kills = fault::uninstall().len();
+    let stats = gc.shutdown();
+    let budget = MAX_COLLECTOR_RESTARTS as u64;
+    let spent = stats.collector_poisoned
+        && stats.collector_restarts == budget
+        && kills as u64 == budget + 1;
+    let ok = matches!(outcome, Some(AllocError::CollectorUnavailable { .. })) && spent;
     match &outcome {
-        Some(AllocError::CollectorUnavailable { .. }) => println!(
-            "panic containment: OK (CollectorUnavailable after {:?})",
+        Some(AllocError::CollectorUnavailable { .. }) if spent => println!(
+            "panic containment: OK (CollectorUnavailable after {:?}, {budget} restarts spent)",
             start.elapsed()
         ),
-        Some(other) => eprintln!("stress_chaos: panic containment: unexpected error {other}"),
+        Some(e) => eprintln!(
+            "stress_chaos: panic containment: {e}; poisoned={} restarts={} injections={kills}, \
+             expected CollectorUnavailable, poison after {budget} restarts and {} injections",
+            stats.collector_poisoned,
+            stats.collector_restarts,
+            budget + 1
+        ),
         None => eprintln!(
             "stress_chaos: panic containment: allocator still blocked after {bound:?} — HANG"
         ),
     }
-    gc.shutdown();
     ok
 }
 
 /// One round of the recovery gate: kill the collector at its trace
 /// phase (hit 4 of `collector.phase`: cycle-start, hs1, hs2, hs3,
-/// trace) with restarts enabled, then demand a completed full
+/// trace), then demand a completed full
 /// collection, no poison, and a clean heap.  Returns the observables
 /// the gate checks plus the injection log for the reproducibility
 /// comparison.
@@ -254,9 +260,7 @@ fn recovery_round(seed: u64) -> (bool, u64, u64, usize, Vec<FaultEvent>) {
         GcConfig::generational()
             .with_initial_heap(1 << 20)
             .with_max_heap(8 << 20)
-            .with_young_size(64 << 10)
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1),
+            .with_young_size(64 << 10),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(1, 2);

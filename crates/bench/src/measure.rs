@@ -128,22 +128,28 @@ Options (every fig* binary accepts the same set):
     }
 }
 
-/// Pins a measured configuration against the collector-supervision env
-/// knobs: restarts are forced to zero so an exported
-/// `OTF_GC_MAX_RESTARTS` (the CI recovery cell) cannot leak into a
-/// benchmark process, and so a real collector panic mid-measurement
-/// fails loudly (permanent poison) instead of silently restarting and
-/// folding a recovery pause into the reported numbers.
-pub fn pinned(cfg: GcConfig) -> GcConfig {
-    cfg.with_max_collector_restarts(0)
+/// Fails a figure run loudly when its collector panicked: the supervisor
+/// would have recovered, but the recovery pause would sit silently in the
+/// reported numbers.
+fn assert_no_restarts(w: &dyn Workload, r: &RunResult) {
+    assert_eq!(
+        r.stats.collector_restarts,
+        0,
+        "collector panicked during a measured {} run; its numbers include a recovery pause",
+        w.name()
+    );
 }
 
 /// Runs one copy of `workload` `reps` times; returns the run with the
 /// median elapsed time.
+///
+/// # Panics
+///
+/// Panics if any run's collector restarted after a panic.
 pub fn median_run(w: &dyn Workload, cfg: GcConfig, o: &Options) -> RunResult {
-    let cfg = pinned(cfg);
     let mut runs: Vec<RunResult> = (0..o.reps.max(1))
         .map(|r| driver::run_workload(w, cfg, o.seed + r as u64))
+        .inspect(|run| assert_no_restarts(w, run))
         .collect();
     runs.sort_by_key(|r| r.elapsed);
     runs.swap_remove(runs.len() / 2)
@@ -151,10 +157,17 @@ pub fn median_run(w: &dyn Workload, cfg: GcConfig, o: &Options) -> RunResult {
 
 /// Runs `copies` concurrent copies `reps` times; returns the median batch
 /// elapsed time (the paper's multiprocessor measurement).
+///
+/// # Panics
+///
+/// Panics if any copy's collector restarted after a panic.
 pub fn median_copies(w: &dyn Workload, cfg: GcConfig, o: &Options) -> Duration {
-    let cfg = pinned(cfg);
     let mut times: Vec<Duration> = (0..o.reps.max(1))
-        .map(|r| driver::run_copies(w, cfg, o.seed + r as u64, o.copies).0)
+        .map(|r| {
+            let (elapsed, runs) = driver::run_copies(w, cfg, o.seed + r as u64, o.copies);
+            runs.iter().for_each(|run| assert_no_restarts(w, run));
+            elapsed
+        })
         .collect();
     times.sort();
     times[times.len() / 2]

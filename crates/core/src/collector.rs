@@ -15,6 +15,11 @@ use crate::shared::{bucket, GcShared};
 use crate::state::Status;
 use crate::stats::{CycleKind, CycleStats};
 
+/// Post-full-collection occupancy target: the committed heap grows until
+/// live data occupies at most this fraction of it (the paper's JVM grew
+/// its heap toward 32 MB under pressure the same way).
+const GROW_FRACTION: f64 = 0.55;
+
 impl GcShared {
     /// Runs one complete collection cycle.  Mutators keep running the
     /// whole time (on-the-fly): they cooperate via handshakes, their write
@@ -122,7 +127,7 @@ impl GcShared {
                 // Resize toward a target occupancy, like the paper's JVM
                 // heap manager, from the *measured live set* (the full
                 // collection's survivors minus allocation that raced the
-                // cycle): live data should sit at ≤ grow_fraction
+                // cycle): live data should sit at ≤ GROW_FRACTION
                 // occupancy, and the almost-full trigger must leave
                 // headroom for a whole young-generation budget plus
                 // in-flight allocation above the live set — otherwise it
@@ -148,8 +153,7 @@ impl GcShared {
                 } else {
                     self.config.young_size * 5 / 4
                 };
-                let target = ((live as f64 / self.config.grow_fraction) as usize)
-                    .max(live * 3 / 2 + headroom);
+                let target = ((live as f64 / GROW_FRACTION) as usize).max(live * 3 / 2 + headroom);
                 self.heap.grow_to(target);
                 // Full-GC thrash backstop: if less than a quarter of the
                 // committed size was allocated since the previous full

@@ -17,30 +17,6 @@ pub enum Promotion {
     },
 }
 
-/// What the handshake watchdog does once a stalled handshake has climbed
-/// the escalation ladder (DESIGN.md §4.8).
-///
-/// The first stall report is always a warning and the second always adds
-/// an event-trace dump; the policy decides whether the third rung aborts
-/// the wedged cycle by panicking the collector thread into its
-/// supervisor, which runs the safe cycle-abort protocol and (when
-/// restarts remain) respawns the collector.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum StallPolicy {
-    /// Keep warning (rate-limited) and wait forever — the protocol
-    /// cannot proceed without the ack, but every report names the
-    /// culprits.  The default.
-    Warn,
-    /// Stop at the trace-dump rung: warn, then dump, then keep waiting
-    /// with rate-limited reports.
-    TraceDump,
-    /// After warning and dumping, abort the wedged cycle: panic the
-    /// collector into its supervisor so the safe abort protocol runs.
-    /// With `max_collector_restarts == 0` this degrades to the permanent
-    /// poison fallback.
-    AbortCycle,
-}
-
 /// Collector mode: the non-generational DLG baseline or the paper's
 /// generational extension.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -86,10 +62,6 @@ pub struct GcConfig {
     /// A full collection is triggered when the heap is "almost full":
     /// used ≥ `full_trigger_fraction · committed` (§3.3).
     pub full_trigger_fraction: f64,
-    /// Post-full-collection occupancy target: the committed heap grows
-    /// until live data occupies at most this fraction of it (the paper's
-    /// JVM grew its heap toward 32 MB under pressure the same way).
-    pub grow_fraction: f64,
     /// LAB (thread-local allocation buffer) size in granules.
     pub lab_granules: u32,
     /// Whether to record structured GC events into the trace ring
@@ -100,9 +72,10 @@ pub struct GcConfig {
     /// Handshake-watchdog stall threshold in milliseconds: when a
     /// handshake has been outstanding this long, the collector names the
     /// non-cooperating mutators on stderr (and dumps the event-trace
-    /// ring, when tracing is on) instead of hanging silently, then keeps
-    /// waiting — the protocol cannot proceed without the ack, but the
-    /// hang is now diagnosable.  `0` disables the watchdog.
+    /// ring, when tracing is on) instead of hanging silently.  Reports
+    /// repeat at 1×, 3× and 7× this threshold; the third aborts the
+    /// wedged cycle into the collector supervisor (DESIGN.md §4.8).  `0`
+    /// disables the watchdog.
     pub handshake_stall_ms: u64,
     /// Number of collector worker threads for the trace and sweep phases
     /// (§4.4).  `1` (the default) is the paper's single-collector
@@ -124,26 +97,6 @@ pub struct GcConfig {
     /// `OTF_GC_LAZY_SWEEP` environment variable (`1` enables) as the
     /// default, mirroring `OTF_GC_THREADS`.
     pub lazy_sweep: bool,
-    /// How many times the collector supervisor may respawn the collector
-    /// thread after a panic (DESIGN.md §4.8).  `0` (the default) keeps
-    /// the PR-4 behavior byte-for-byte: the first panic permanently
-    /// poisons the collector and blocked allocations fail with
-    /// `AllocError::CollectorUnavailable`.  `N > 0` lets the supervisor
-    /// run the safe cycle-abort protocol and restart the collector up to
-    /// `N` times, with exponential backoff between attempts.  The
-    /// constructors read the `OTF_GC_MAX_RESTARTS` environment variable
-    /// as the default.
-    pub max_collector_restarts: u32,
-    /// Base delay in milliseconds between a cycle abort and the next
-    /// collector incarnation; doubled per restart already consumed
-    /// (capped at one second).  Only meaningful with
-    /// `max_collector_restarts > 0`.
-    pub collector_restart_backoff_ms: u64,
-    /// What the handshake watchdog escalates to once a stalled handshake
-    /// has been reported twice (see [`StallPolicy`]).  The constructors
-    /// read the `OTF_GC_STALL_POLICY` environment variable
-    /// (`warn` / `trace-dump` / `abort-cycle`) as the default.
-    pub handshake_stall_policy: StallPolicy,
 }
 
 /// Reads the `OTF_GC_THREADS` default for the constructors (falls back
@@ -172,26 +125,6 @@ fn lazy_sweep_from_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Reads the `OTF_GC_MAX_RESTARTS` default for the constructors (falls
-/// back to 0 — the permanent-poison fallback — when unset or invalid).
-fn max_restarts_from_env() -> u32 {
-    std::env::var("OTF_GC_MAX_RESTARTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(0)
-}
-
-/// Reads the `OTF_GC_STALL_POLICY` default for the constructors (falls
-/// back to [`StallPolicy::Warn`] when unset or invalid).
-fn stall_policy_from_env() -> StallPolicy {
-    match std::env::var("OTF_GC_STALL_POLICY").as_deref() {
-        Ok("warn") => StallPolicy::Warn,
-        Ok("trace-dump") => StallPolicy::TraceDump,
-        Ok("abort-cycle") => StallPolicy::AbortCycle,
-        _ => StallPolicy::Warn,
-    }
-}
-
 impl GcConfig {
     /// The paper's best generational configuration: simple promotion,
     /// 4 MB young generation, 16-byte cards.
@@ -203,15 +136,11 @@ impl GcConfig {
             card_size: 16,
             mode: Mode::Generational(Promotion::Simple),
             full_trigger_fraction: 0.75,
-            grow_fraction: 0.55,
             lab_granules: otf_heap::DEFAULT_LAB_GRANULES,
             trace_events: false,
             handshake_stall_ms: 1000,
             gc_threads: gc_threads_from_env(),
             lazy_sweep: lazy_sweep_from_env(),
-            max_collector_restarts: max_restarts_from_env(),
-            collector_restart_backoff_ms: 10,
-            handshake_stall_policy: stall_policy_from_env(),
         }
     }
 
@@ -317,27 +246,6 @@ impl GcConfig {
         self
     }
 
-    /// Sets how many times the supervisor may restart a panicked
-    /// collector (`0` = permanent poison on the first panic; see
-    /// [`GcConfig::max_collector_restarts`]).
-    pub fn with_max_collector_restarts(mut self, n: u32) -> GcConfig {
-        self.max_collector_restarts = n;
-        self
-    }
-
-    /// Sets the base restart backoff in milliseconds (see
-    /// [`GcConfig::collector_restart_backoff_ms`]).
-    pub fn with_collector_restart_backoff_ms(mut self, ms: u64) -> GcConfig {
-        self.collector_restart_backoff_ms = ms;
-        self
-    }
-
-    /// Sets the watchdog escalation policy (see [`StallPolicy`]).
-    pub fn with_handshake_stall_policy(mut self, policy: StallPolicy) -> GcConfig {
-        self.handshake_stall_policy = policy;
-        self
-    }
-
     /// Whether this configuration is generational.
     pub fn is_generational(&self) -> bool {
         matches!(self.mode, Mode::Generational(_))
@@ -385,10 +293,8 @@ impl GcConfig {
                 self.card_size
             ));
         }
-        if !(0.0..=1.0).contains(&self.full_trigger_fraction)
-            || !(0.0..=1.0).contains(&self.grow_fraction)
-        {
-            return Err("trigger fractions must be in [0, 1]".into());
+        if !(0.0..=1.0).contains(&self.full_trigger_fraction) {
+            return Err("full trigger fraction must be in [0, 1]".into());
         }
         if let Some(t) = self.aging_threshold() {
             if t < 2 {
@@ -451,20 +357,6 @@ mod tests {
         assert_eq!(c.young_size, 4 << 20);
         assert_eq!(c.card_size, 16);
         assert!(c.is_generational());
-        assert!(c.validate().is_ok());
-        assert_eq!(c.handshake_stall_policy, stall_policy_from_env());
-        assert_eq!(c.collector_restart_backoff_ms, 10);
-    }
-
-    #[test]
-    fn supervision_builders_chain() {
-        let c = GcConfig::generational()
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1)
-            .with_handshake_stall_policy(StallPolicy::AbortCycle);
-        assert_eq!(c.max_collector_restarts, 3);
-        assert_eq!(c.collector_restart_backoff_ms, 1);
-        assert_eq!(c.handshake_stall_policy, StallPolicy::AbortCycle);
         assert!(c.validate().is_ok());
     }
 

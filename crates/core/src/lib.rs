@@ -80,7 +80,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-pub use config::{GcConfig, Mode, Promotion, StallPolicy};
+pub use config::{GcConfig, Mode, Promotion};
 pub use mutator::{AllocError, Mutator};
 pub use obs::{phase, EventKind, GcEvent};
 pub use stats::{CycleKind, CycleStats, GcStats, PhaseTimes, WorkerStats};
@@ -234,7 +234,8 @@ impl Gc {
         }
     }
 
-    /// Whether the collector thread has panicked (poisoned shutdown).
+    /// Whether the collector is permanently gone (poisoned shutdown): it
+    /// panicked and the supervisor could not recover it (DESIGN.md §4.8).
     /// Once true, no collection will ever run again: allocation falls
     /// back to heap growth and fails with
     /// [`AllocError::CollectorUnavailable`] once the heap is exhausted.
@@ -369,19 +370,32 @@ impl Drop for Gc {
     }
 }
 
+/// How many times in a row the supervisor respawns a panicked collector
+/// before it poisons the GC: restarts with no completed cycle between
+/// them (DESIGN.md §4.8).
+pub const MAX_COLLECTOR_RESTARTS: u32 = 3;
+
+/// Delay before the first respawn of a run of restarts; doubled per
+/// consecutive restart and capped at [`RESTART_BACKOFF_CAP_MS`].
+const RESTART_BACKOFF_MS: u64 = 10;
+const RESTART_BACKOFF_CAP_MS: u64 = 1_000;
+
 /// The collector supervisor (DESIGN.md §4.8): the body of the
 /// `otf-gc-collector` thread.  Runs the collector loop under
-/// `catch_unwind`; on a panic it either poisons the GC permanently (the
-/// PR-4 behavior, kept verbatim when `max_collector_restarts == 0`, on
-/// shutdown, or once the restart budget is spent) or runs the safe
-/// cycle-abort protocol and respawns the loop after a capped exponential
-/// backoff.  A second panic *during* the abort is terminal: recovery
-/// must never itself become a crash loop, so the double-panic path falls
-/// back to the verified poison behavior.
+/// `catch_unwind`; on a panic it runs the safe cycle-abort protocol and
+/// respawns the loop after a capped exponential backoff.  The budget
+/// counts *consecutive* restarts: a panic after a cycle has completed
+/// since the last respawn starts a fresh run, so unrelated incidents
+/// days apart never add up, while a crash loop poisons the GC after
+/// [`MAX_COLLECTOR_RESTARTS`].  Shutdown poisons at once, and so does a
+/// second panic *during* the abort: recovery must never itself become a
+/// crash loop, so the double-panic path falls back to the verified
+/// poison behavior.
 fn supervise_collector(shared: Arc<GcShared>) {
-    let max_restarts = shared.config.max_collector_restarts;
-    let backoff_ms = shared.config.collector_restart_backoff_ms;
-    let mut restarts: u32 = 0;
+    // Lifetime restarts, and the run of them since a cycle last completed.
+    let mut restarts: u64 = 0;
+    let mut consecutive: u32 = 0;
+    let mut cycles_at_respawn = 0;
     loop {
         let loop_shared = Arc::clone(&shared);
         let respawned = restarts > 0;
@@ -399,7 +413,10 @@ fn supervise_collector(shared: Arc<GcShared>) {
             // Clean exit: shutdown (or poison) ended the request loop.
             Ok(()) => return,
             Err(_) => {
-                if shared.control.is_shutdown() || restarts >= max_restarts {
+                if shared.control.cycles_done() > cycles_at_respawn {
+                    consecutive = 0;
+                }
+                if shared.control.is_shutdown() || consecutive >= MAX_COLLECTOR_RESTARTS {
                     shared.poison_after_panic();
                     return;
                 }
@@ -408,7 +425,7 @@ fn supervise_collector(shared: Arc<GcShared>) {
                 // that will never complete and the heap would be left
                 // with a half-run cycle's colors.
                 let abort_shared = Arc::clone(&shared);
-                let next = restarts as u64 + 1;
+                let next = restarts + 1;
                 let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                     abort_shared.abort_cycle(next);
                 }));
@@ -420,16 +437,14 @@ fn supervise_collector(shared: Arc<GcShared>) {
                     .obs
                     .collector_restarts
                     .fetch_add(1, Ordering::Relaxed);
-                let delay = backoff_ms
-                    .saturating_mul(1u64 << restarts.min(10))
-                    .min(1_000);
-                if delay > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
+                let delay = (RESTART_BACKOFF_MS << consecutive.min(10)).min(RESTART_BACKOFF_CAP_MS);
+                std::thread::sleep(std::time::Duration::from_millis(delay));
                 restarts += 1;
+                consecutive += 1;
+                cycles_at_respawn = shared.control.cycles_done();
                 eprintln!(
-                    "otf-gc: collector thread panicked; cycle aborted, \
-                     restarting collector (attempt {restarts} of {max_restarts})"
+                    "otf-gc: collector thread panicked; cycle aborted, restarting \
+                     collector (attempt {consecutive} of {MAX_COLLECTOR_RESTARTS})"
                 );
             }
         }

@@ -263,13 +263,13 @@ impl Mutator {
     /// when the committed region is exhausted.
     ///
     /// Collector-supervision interplay (DESIGN.md §4.8): a collector
-    /// panic with restarts enabled is *transparent* here.  The abort
-    /// protocol re-arms a full-collection request without poisoning, so a
-    /// mutator parked in `wait_for_full` keeps waiting and is woken when
-    /// the restarted collector completes that cycle — "recovery in
-    /// flight" is just a slower collection, not an error.  Only terminal
-    /// poison (restarts disabled or exhausted, or a panic during the
-    /// abort itself) trips the `is_poisoned` checks below and degrades
+    /// panic is *transparent* here.  The abort protocol re-arms a
+    /// full-collection request without poisoning, so a mutator parked in
+    /// `wait_for_full` keeps waiting and is woken when the restarted
+    /// collector completes that cycle — "recovery in flight" is just a
+    /// slower collection, not an error.  Only terminal poison (the
+    /// consecutive-restart budget spent, or a panic during the abort
+    /// itself) trips the `is_poisoned` checks below and degrades
     /// allocation to grow-only with `CollectorUnavailable` at exhaustion.
     fn alloc_chunk_blocking(
         &mut self,

@@ -9,7 +9,7 @@ use otf_heap::{CardTable, Color, HeapSpace, ObjectRef};
 use otf_support::queue::SegQueue;
 use otf_support::sync::{Condvar, Mutex};
 
-use crate::config::{GcConfig, StallPolicy};
+use crate::config::GcConfig;
 use crate::control::Control;
 use crate::lazy::LazySweep;
 use crate::obs::Obs;
@@ -296,13 +296,11 @@ impl GcShared {
         let target = self.status_c.load(Ordering::Acquire);
         let snapshot: Vec<Arc<MutatorShared>> = self.mutators.lock().clone();
         // Watchdog state: after `stall` without full adoption, name the
-        // non-cooperating mutators instead of hanging silently, then keep
-        // waiting — the protocol cannot proceed without the ack, but the
-        // hang is now attributed.  Repeat reports are rate-limited
-        // (spacing doubles each time) and escalate per
-        // `handshake_stall_policy`: warn → trace-dump → abort-cycle (the
-        // third report panics into the supervisor, which runs the safe
-        // cycle abort and restarts the collector).
+        // non-cooperating mutators instead of hanging silently.  Reports
+        // are rate-limited — the gap doubles each time, so they come at
+        // 1×, 3× and 7× `stall` — and the third one panics into the
+        // supervisor, which runs the safe cycle abort and restarts the
+        // collector.
         let started = Instant::now();
         let stall = match self.config.handshake_stall_ms {
             0 => None,
@@ -338,13 +336,12 @@ impl GcShared {
                 if waited >= at {
                     reports += 1;
                     self.report_handshake_stall(&snapshot, target, waited, reports);
-                    if reports >= 3 && self.config.handshake_stall_policy == StallPolicy::AbortCycle
-                    {
+                    if reports >= 3 {
                         // Unwind into the supervisor, which aborts the
                         // wedged cycle and restarts the collector loop —
                         // a bounded degradation instead of a diagnosed
-                        // hang.  With restarts disabled this degrades to
-                        // the verified poison path.
+                        // hang.  Once the restart budget is spent this
+                        // degrades to the verified poison path.
                         panic!(
                             "otf-gc watchdog: aborting wedged collection cycle \
                              (handshake to status {:?} stalled for {:?})",
@@ -373,9 +370,9 @@ impl GcShared {
 
     /// Watchdog report: which mutators have not acked the posted status
     /// after `waited`, on stderr, attributed to the active plan and the
-    /// schedule bucket that is currently open.  The event-trace ring is
-    /// dumped when tracing is on, or from the second report of a stall
-    /// under the `TraceDump`/`AbortCycle` escalation policies.
+    /// schedule bucket that is currently open, followed by the event-trace
+    /// ring when tracing is on.  Every report of a stall is the same; only
+    /// the caller's third one goes on to abort the cycle.
     fn report_handshake_stall(
         &self,
         snapshot: &[Arc<MutatorShared>],
@@ -400,8 +397,7 @@ impl GcShared {
             stalled,
             snapshot.len(),
         );
-        let escalate_dump = nth >= 2 && self.config.handshake_stall_policy != StallPolicy::Warn;
-        if self.obs.tracing_enabled() || escalate_dump {
+        if self.obs.tracing_enabled() {
             eprintln!("otf-gc watchdog: event-trace ring follows");
             let _ = self.obs.write_jsonl(&mut std::io::stderr().lock());
         }

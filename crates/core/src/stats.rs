@@ -178,16 +178,17 @@ pub struct GcStats {
     /// collector reported the unresponsive mutators instead of hanging
     /// silently.
     pub watchdog_trips: u64,
-    /// Whether the collector thread has panicked (poisoned shutdown):
+    /// Whether the collector is permanently gone (poisoned shutdown):
     /// no further collection will run; allocation continues in grow-only
-    /// mode and fails with `AllocError::CollectorUnavailable`.  With
-    /// [`GcConfig::max_collector_restarts`](crate::GcConfig) > 0 a panic
-    /// only poisons once the restart budget is exhausted (or the abort
-    /// protocol itself panics); until then the supervisor recovers and
-    /// this stays `false`.
+    /// mode and fails with `AllocError::CollectorUnavailable`.  A panic
+    /// only poisons once [`MAX_COLLECTOR_RESTARTS`](crate::MAX_COLLECTOR_RESTARTS)
+    /// restarts in a row have failed to complete a cycle, or when the
+    /// abort protocol itself panics; until then the supervisor recovers
+    /// and this stays `false`.
     pub collector_poisoned: bool,
-    /// Times the supervisor respawned the collector thread after a panic
-    /// (bounded by `GcConfig::max_collector_restarts`; DESIGN.md §4.8).
+    /// Times the supervisor respawned the collector thread after a panic,
+    /// over the collector's lifetime (only runs of consecutive restarts
+    /// are bounded; DESIGN.md §4.8).
     pub collector_restarts: u64,
     /// Collection cycles aborted mid-flight by the safe abort protocol
     /// and rolled forward to a no-op.  An aborted cycle frees nothing —

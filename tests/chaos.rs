@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use otf_gengc::gc::{AllocError, Gc, GcConfig, Mutator};
+use otf_gengc::gc::{AllocError, Gc, GcConfig, Mutator, MAX_COLLECTOR_RESTARTS};
 use otf_gengc::heap::ObjShape;
 use otf_gengc::support::fault::{self, FaultPlan, FaultRule};
 use otf_gengc::workloads::{driver, Chaos, Workload};
@@ -262,38 +262,33 @@ fn parallel_chaos_matrix_verifies_clean_at_four_workers() {
     }
 }
 
-/// Panic containment: when the collector thread dies, allocation-blocked
-/// mutators must *not* hang — heap exhaustion surfaces as
-/// [`AllocError::CollectorUnavailable`] within a bounded time, and the
-/// poisoned state is visible in the stats.
+/// Panic containment: when the collector dies for good — here it panics
+/// at the start of every incarnation, so the supervisor spends its whole
+/// restart budget — allocation-blocked mutators must *not* hang: heap
+/// exhaustion surfaces as [`AllocError::CollectorUnavailable`] within a
+/// bounded time, and the poisoned state is visible in the stats.
 #[test]
 fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
     let _serial = fault::exclusive();
-    // The injected panic is expected; silence the default hook's
+    // The injected panics are expected; silence the default hook's
     // backtrace spam for the duration (restored before any assertion).
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    fault::install(
-        FaultPlan::new(1).rule(FaultRule::at("collector.panic").failing(1.0).max_fires(1)),
-    );
-    // Restarts pinned to 0: this test asserts the PR-4 permanent-poison
-    // behavior, which `max_collector_restarts = 0` preserves byte-for-byte
-    // (the CI restart cell sets OTF_GC_MAX_RESTARTS=3 process-wide).
+    fault::install(FaultPlan::new(1).rule(FaultRule::at("collector.panic").failing(1.0)));
     let gc = Gc::new(
         GcConfig::generational()
             .with_initial_heap(1 << 20)
             .with_max_heap(1 << 20)
-            .with_young_size(256 << 10)
-            .with_max_collector_restarts(0),
+            .with_young_size(256 << 10),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(0, 6);
     let bound = Duration::from_secs(30);
     let start = Instant::now();
     let mut outcome = None;
-    // Retain everything: the first collection request panics the
-    // collector, so growing pressure must end in CollectorUnavailable.
+    // Retain everything: every collection request panics the collector,
+    // so growing pressure must end in CollectorUnavailable.
     for _ in 0..1_000_000 {
         match m.alloc(&shape) {
             Ok(r) => {
@@ -317,7 +312,11 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
         !hung,
         "allocator still blocked {bound:?} after the collector died"
     );
-    assert_eq!(log.len(), 1, "exactly one injected panic expected: {log:?}");
+    assert_eq!(
+        log.len(),
+        MAX_COLLECTOR_RESTARTS as usize + 1,
+        "one panic per incarnation: {log:?}"
+    );
     assert!(
         matches!(outcome, Some(AllocError::CollectorUnavailable { .. })),
         "expected CollectorUnavailable, got {outcome:?}"
@@ -325,6 +324,7 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
     assert!(gc.is_poisoned());
     let stats = gc.shutdown();
     assert!(stats.collector_poisoned);
+    assert_eq!(stats.collector_restarts, MAX_COLLECTOR_RESTARTS as u64);
 }
 
 /// One cell of the recovery matrix: inject a collector panic at phase
@@ -345,9 +345,7 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) {
     let mut gc = Gc::new(
         cfg.with_initial_heap(1 << 20)
             .with_max_heap(8 << 20)
-            .with_young_size(64 << 10)
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1),
+            .with_young_size(64 << 10),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(1, 2);
@@ -439,12 +437,7 @@ fn respawn_window_kill_consumes_an_extra_restart() {
                     .max_fires(1),
             ),
     );
-    let gc = Gc::new(
-        GcConfig::generational()
-            .with_young_size(64 << 10)
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1),
-    );
+    let gc = Gc::new(GcConfig::generational().with_young_size(64 << 10));
     gc.collect_full_blocking();
     let log = fault::uninstall();
     std::panic::set_hook(prev_hook);
@@ -481,11 +474,7 @@ fn panic_during_abort_falls_back_to_permanent_poison() {
                     .max_fires(1),
             ),
     );
-    let gc = Gc::new(
-        GcConfig::generational()
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1),
-    );
+    let gc = Gc::new(GcConfig::generational());
     gc.request_full();
     let start = Instant::now();
     while !gc.is_poisoned() && start.elapsed() < Duration::from_secs(10) {
@@ -504,29 +493,57 @@ fn panic_during_abort_falls_back_to_permanent_poison() {
     );
 }
 
-/// Watchdog escalation (tentpole): under the `AbortCycle` stall policy a
-/// wedged handshake is aborted after three reports instead of hanging —
-/// the cycle is counted aborted, the collector restarts, and once the
-/// mutator cooperates again the re-armed full collection completes.
+/// The budget counts *consecutive* restarts: five collector kills, each
+/// followed by a completed full collection, are five separate incidents
+/// and never poison, although the budget is smaller than five.
 #[test]
-fn watchdog_abort_cycle_policy_unwedges_a_stalled_handshake() {
-    use otf_gengc::gc::StallPolicy;
+fn kills_separated_by_completed_cycles_never_exhaust_the_budget() {
+    const KILLS: u64 = 5;
     let _serial = fault::exclusive();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let gc = Gc::new(
-        GcConfig::generational()
-            .with_handshake_stall_ms(20)
-            .with_handshake_stall_policy(StallPolicy::AbortCycle)
-            .with_max_collector_restarts(2)
-            .with_collector_restart_backoff_ms(1),
-    );
+    let mut gc = Gc::new(GcConfig::generational().with_young_size(64 << 10));
+    let mut injected = 0;
+    for _ in 0..KILLS {
+        // A fresh plan per incident: the requested full dies at its
+        // cycle start, and the respawned collector completes the re-armed
+        // one, which serves this wait.
+        fault::install(
+            FaultPlan::new(0xB0D6).rule(FaultRule::at("collector.phase").failing(1.0).max_fires(1)),
+        );
+        gc.collect_full_blocking();
+        injected += fault::uninstall().len();
+    }
+    std::panic::set_hook(prev_hook);
+
+    const { assert!(KILLS > MAX_COLLECTOR_RESTARTS as u64) };
+    let stats = gc.stats();
+    assert!(!stats.collector_poisoned, "separate incidents poisoned");
+    assert_eq!(injected as u64, KILLS, "one kill per incident");
+    assert_eq!(stats.collector_restarts, KILLS);
+    gc.stop_collector();
+    let violations = gc.verify_heap();
+    assert!(violations.is_empty(), "heap violations: {violations:?}");
+    gc.shutdown();
+}
+
+/// Watchdog escalation: a wedged handshake is aborted after three reports
+/// instead of hanging — the cycle is counted aborted, the collector
+/// restarts, and once the mutator cooperates again the re-armed full
+/// collection completes.
+#[test]
+fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
+    let _serial = fault::exclusive();
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let gc = Gc::new(GcConfig::generational().with_handshake_stall_ms(20));
     let mut m = gc.mutator();
     let r = m.alloc(&ObjShape::new(1, 1)).unwrap();
     m.root_push(r);
     gc.request_full();
     // Never cooperate: the first handshake wedges, the watchdog reports
-    // at 20/40/80 ms and then panics the cycle into the supervisor.
+    // at 20/60/140 ms (the gap doubles after each report) and the third
+    // report panics the cycle into the supervisor.
     let start = Instant::now();
     while gc.stats().cycles_aborted == 0 && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(5));
@@ -574,7 +591,8 @@ fn watchdog_reports_stalled_handshake() {
     }
     assert!(gc.stats().watchdog_trips > 0, "watchdog never tripped");
     // Dropping the mutator unregisters it; the stalled cycle must now
-    // run to completion (the watchdog reports, it does not kill).
+    // run to completion (the first report does not abort anything; were
+    // the third to come first, the re-armed full would complete instead).
     let before = gc.cycles_completed();
     drop(m);
     let start = Instant::now();

@@ -230,8 +230,7 @@ fn tracing_is_off_by_default_and_histograms_still_work() {
     assert!(gc.stats().handshake.count() >= 3);
 }
 
-/// Supervision satellite: an injected collector panic (mid-trace, with
-/// restarts enabled) must leave a coherent abort→restart story in the
+/// Supervision: an injected collector panic (mid-trace) must leave a coherent abort→restart story in the
 /// event ring — `RecoveryBegin` (naming the open bucket), then
 /// `CycleAborted`, then `RecoveryEnd` — matching counters in `GcStats`,
 /// and a post-recovery cycle whose end state passes `verify_heap`.
@@ -250,11 +249,7 @@ fn injected_panic_produces_a_coherent_recovery_event_story() {
                 .max_fires(1),
         ),
     );
-    let mut gc = Gc::new(
-        tiny(GcConfig::generational().with_event_trace(true))
-            .with_max_collector_restarts(3)
-            .with_collector_restart_backoff_ms(1),
-    );
+    let mut gc = Gc::new(tiny(GcConfig::generational().with_event_trace(true)));
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let mut m = gc.mutator();
