@@ -44,41 +44,14 @@ step clippy cargo clippy -q --offline --workspace --all-targets -- -D warnings
 # benchmark driver.
 step benchmark-check benchmark/check.sh
 
-# The full integration suites again with four GC workers: every
-# collector-driven test (correctness, chaos, observability) must hold
-# when the packet schedule fans out across the work-stealing pool, not
-# just on the serial one-worker drain.  The sweep's own unit and
-# differential tests ride along: every default-configured sweep in them
-# becomes a page-partitioned one.
-step cell-threads env OTF_GC_THREADS=4 \
-    cargo test -q --offline --test chaos --test gc_correctness
-step cell-threads-sweep env OTF_GC_THREADS=4 \
-    cargo test -q --offline -p otf-gc --lib sweep
-
-# And with the lazy sweep forced on: the chaos and correctness suites
-# must hold when every configuration sweeps at allocation time, both
-# alone and combined with parallel mark — the combined cell drives every
-# packet the plans can select (parallel trace lanes, lazy finalize +
-# publish) through the packet scheduler at once, and runs
-# plan_equivalence too so the eager/lazy plan-shape pin holds there.  The
-# sweep tests ride along here as well (the filter also selects the lazy
-# module's eager-parity tests), and the hole-queue LAB tests of both
-# layers (DESIGN.md §4.13): under this cell a mutator's refill asks the
-# lazy sweep for a run before it visits the pool.
-step cell-lazy env OTF_GC_LAZY_SWEEP=1 \
-    cargo test -q --offline --test chaos --test gc_correctness
-step cell-lazy-sweep env OTF_GC_LAZY_SWEEP=1 \
-    cargo test -q --offline -p otf-heap -p otf-gc --lib -- \
-    sweep space::tests::lab mutator::tests
-step cell-combined env OTF_GC_LAZY_SWEEP=1 OTF_GC_THREADS=4 \
-    cargo test -q --offline --test chaos --test gc_correctness --test plan_equivalence
-
-# Chaos smoke: the fixed-seed fault-injection matrix (debug build — the
-# debug_asserts on the hardened failure paths must hold too).  The binary
-# exits non-zero on a hang, a heap violation after any schedule, a
-# non-reproducible injection sequence, or uncontained collector death.
-step chaos-build cargo build --offline -p otf-bench --bin stress_chaos
-step chaos ./target/debug/stress_chaos --quick --seed 42
+# The plan matrix lives in the tests, each configuration written where
+# it is checked: `tests/plan_equivalence.rs` runs every plan eager and
+# lazy at one and four GC workers, `tests/chaos.rs` runs the variant ×
+# sweep fault matrix and the four-worker × lazy one (each schedule under
+# a hang bound), and `gc_correctness`, the sweep and the mutator unit
+# tests name their `with_gc_threads` / `with_lazy_sweep` inputs.  No
+# environment variable selects a plan, so `test` above runs all of them
+# (DESIGN.md §4.15 maps each former env cell to its test).
 
 echo
 echo "=== verdicts"
@@ -92,5 +65,7 @@ echo "crates/ lines of Rust:   $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
 echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' | sort -u | wc -l)"
 echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
+echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"
+echo "env reads in crates/:    $(grep -rn 'env::var' crates --include=*.rs | wc -l)"
 
 exit $failed

@@ -82,9 +82,7 @@ pub struct GcConfig {
     /// configuration — the verified DLG protocol with no parallel-
     /// termination machinery on the hot path.  `N > 1` runs mark with
     /// per-worker work-stealing deques and sweep over page-partitioned
-    /// segments.  The constructors read the `OTF_GC_THREADS` environment
-    /// variable as the default, so test matrices can parallelize every
-    /// collector without code changes.
+    /// segments.
     pub gc_threads: usize,
     /// Opt-in lazy (allocation-time) sweep, Nofl/Immix-style (DESIGN.md
     /// §4.6).  `false` (the default) keeps the eager serial/parallel
@@ -93,37 +91,14 @@ pub struct GcConfig {
     /// finalizes the previous sweep epoch and publishes a new one; the
     /// actual reclamation is done by mutators at LAB-refill time
     /// (sweep-to-allocate) and by the collector draining leftover
-    /// segments between cycles.  The constructors read the
-    /// `OTF_GC_LAZY_SWEEP` environment variable (`1` enables) as the
-    /// default, mirroring `OTF_GC_THREADS`.
+    /// segments between cycles.
     pub lazy_sweep: bool,
-}
-
-/// Reads the `OTF_GC_THREADS` default for the constructors (falls back
-/// to 1 — the single-collector configuration — when unset or invalid).
-fn gc_threads_from_env() -> usize {
-    std::env::var("OTF_GC_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| (1..=MAX_GC_THREADS).contains(&n))
-        .unwrap_or(1)
 }
 
 /// Upper bound on [`GcConfig::gc_threads`] — far above any sensible
 /// worker count, present so a typo'd configuration fails validation
 /// instead of spawning thousands of threads per cycle.
 pub const MAX_GC_THREADS: usize = 64;
-
-/// Reads the `OTF_GC_LAZY_SWEEP` default for the constructors (any
-/// nonzero integer enables; falls back to `false` — the eager sweep —
-/// when unset or invalid).
-fn lazy_sweep_from_env() -> bool {
-    std::env::var("OTF_GC_LAZY_SWEEP")
-        .ok()
-        .and_then(|v| v.trim().parse::<u8>().ok())
-        .map(|v| v != 0)
-        .unwrap_or(false)
-}
 
 impl GcConfig {
     /// The paper's best generational configuration: simple promotion,
@@ -139,8 +114,8 @@ impl GcConfig {
             lab_granules: otf_heap::DEFAULT_LAB_GRANULES,
             trace_events: false,
             handshake_stall_ms: 1000,
-            gc_threads: gc_threads_from_env(),
-            lazy_sweep: lazy_sweep_from_env(),
+            gc_threads: 1,
+            lazy_sweep: false,
         }
     }
 
@@ -357,6 +332,8 @@ mod tests {
         assert_eq!(c.young_size, 4 << 20);
         assert_eq!(c.card_size, 16);
         assert!(c.is_generational());
+        assert_eq!(c.gc_threads, 1);
+        assert!(!c.lazy_sweep);
         assert!(c.validate().is_ok());
     }
 

@@ -801,25 +801,31 @@ mod tests {
 
     #[test]
     fn lab_refill_and_handshake_ack_flush() {
-        let (shared, mut m) = setup(GcConfig::generational().with_lab_granules(64));
-        // Eight-granule holes: one refill queues eight of them.
-        fragment(&shared, 8, None);
-        let shape = ObjShape::new(0, 0); // one granule
-        for _ in 0..64 {
+        for lazy in [false, true] {
+            let (shared, mut m) = setup(
+                GcConfig::generational()
+                    .with_lab_granules(64)
+                    .with_lazy_sweep(lazy),
+            );
+            // Eight-granule holes: one refill queues eight of them.
+            fragment(&shared, 8, None);
+            let shape = ObjShape::new(0, 0); // one granule
+            for _ in 0..64 {
+                m.alloc(&shape).unwrap();
+            }
+            // Moving from hole to hole is private: no flush, no second refill.
+            assert_eq!(shared.heap.objects_allocated(), 0);
+            assert_eq!(shared.obs.lab_refill.count(), 1);
+            assert_eq!(shared.heap.lab_leased_granules(), 64);
+            // The 65th allocation finds the queue used up: the refill reports
+            // the 64 objects the retired queue holds.
             m.alloc(&shape).unwrap();
+            assert_eq!(shared.heap.objects_allocated(), 64);
+            assert_eq!(shared.obs.lab_refill.count(), 2);
+            shared.post_handshake(Status::Sync1);
+            m.cooperate();
+            assert_eq!(shared.heap.objects_allocated(), 65);
         }
-        // Moving from hole to hole is private: no flush, no second refill.
-        assert_eq!(shared.heap.objects_allocated(), 0);
-        assert_eq!(shared.obs.lab_refill.count(), 1);
-        assert_eq!(shared.heap.lab_leased_granules(), 64);
-        // The 65th allocation finds the queue used up: the refill reports
-        // the 64 objects the retired queue holds.
-        m.alloc(&shape).unwrap();
-        assert_eq!(shared.heap.objects_allocated(), 64);
-        assert_eq!(shared.obs.lab_refill.count(), 2);
-        shared.post_handshake(Status::Sync1);
-        m.cooperate();
-        assert_eq!(shared.heap.objects_allocated(), 65);
     }
 
     #[test]
@@ -927,92 +933,100 @@ mod tests {
         // tiny object.  Raw `used_bytes` crosses the trigger (70% here),
         // but almost all of it is leased-unused LAB space.  The heap is
         // all 1000-granule holes, so each of those LABs is a queue of 16
-        // or 17 of them, leased in one refill.
+        // or 17 of them, leased in one refill.  Under the lazy sweep the
+        // refill first asks it for a run (none is published), then the
+        // pool: the same accounting.
         const LAB: usize = 16384;
-        let mut cfg = GcConfig::generational()
-            .with_max_heap(1 << 20)
-            .with_initial_heap(1 << 20)
-            .with_lab_granules(LAB as u32);
-        cfg.full_trigger_fraction = 0.7;
-        let shared = Arc::new(GcShared::new(cfg));
-        fragment(&shared, 1000, None);
-        let mut muts: Vec<Mutator> = (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
-        for (i, m) in muts.iter_mut().enumerate() {
-            let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
-            m.root_push(r);
-            let leased = shared.heap.lab_leased_granules();
+        for lazy in [false, true] {
+            let mut cfg = GcConfig::generational()
+                .with_max_heap(1 << 20)
+                .with_initial_heap(1 << 20)
+                .with_lab_granules(LAB as u32)
+                .with_lazy_sweep(lazy);
+            cfg.full_trigger_fraction = 0.7;
+            let shared = Arc::new(GcShared::new(cfg));
+            fragment(&shared, 1000, None);
+            let mut muts: Vec<Mutator> =
+                (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
+            for (i, m) in muts.iter_mut().enumerate() {
+                let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
+                m.root_push(r);
+                let leased = shared.heap.lab_leased_granules();
+                assert!(
+                    leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
+                    "{leased} granules leased by {} LABs",
+                    i + 1
+                );
+            }
+            assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
             assert!(
-                leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
-                "{leased} granules leased by {} LABs",
-                i + 1
+                shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
+                "test premise: raw used crosses the 70% trigger"
+            );
+            shared.control.add_allocated(128 << 10); // past the progress floor
+            shared.evaluate_triggers();
+            assert!(
+                !shared.control.has_request(),
+                "mostly-empty LABs fired a premature full collection"
+            );
+            // The other side of the same accounting: a lease is subtracted
+            // whole for as long as its queue lives, so queues carved nearly
+            // empty (and the 64 KB flushes on the way) still read as unused —
+            // the trigger runs late by under one LAB per live mutator — and
+            // the space counts as used the moment the queues retire.
+            let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
+            for m in &mut muts {
+                for _ in 0..155 {
+                    m.alloc(&filler).unwrap();
+                }
+            }
+            assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
+            assert!(!shared.control.has_request());
+            drop(muts);
+            assert_eq!(shared.heap.lab_leased_granules(), 0);
+            assert_eq!(
+                shared.control.next_request(),
+                Some(crate::stats::CycleKind::Full)
             );
         }
-        assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
-        assert!(
-            shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
-            "test premise: raw used crosses the 70% trigger"
-        );
-        shared.control.add_allocated(128 << 10); // past the progress floor
-        shared.evaluate_triggers();
-        assert!(
-            !shared.control.has_request(),
-            "mostly-empty LABs fired a premature full collection"
-        );
-        // The other side of the same accounting: a lease is subtracted
-        // whole for as long as its queue lives, so queues carved nearly
-        // empty (and the 64 KB flushes on the way) still read as unused —
-        // the trigger runs late by under one LAB per live mutator — and
-        // the space counts as used the moment the queues retire.
-        let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
-        for m in &mut muts {
-            for _ in 0..155 {
-                m.alloc(&filler).unwrap();
-            }
-        }
-        assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
-        assert!(!shared.control.has_request());
-        drop(muts);
-        assert_eq!(shared.heap.lab_leased_granules(), 0);
-        assert_eq!(
-            shared.control.next_request(),
-            Some(crate::stats::CycleKind::Full)
-        );
     }
 
     #[test]
     fn lab_lease_accounting_balances_on_drop() {
-        let (shared, mut m) = setup(GcConfig::generational());
-        let lab = shared.config.lab_granules as usize;
-        // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
-        // a piece of the 56th.
-        let fenced = fragment(&shared, 37, None);
-        let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
-        // The whole lease stays on the books while the queue is live, no
-        // matter how much of it is carved.
-        let leased = shared.heap.lab_leased_granules();
-        assert_eq!(leased, lab);
-        assert_eq!(shared.heap.used_granules(), fenced + leased);
-        let _ = m.alloc(&ObjShape::new(0, 50)).unwrap();
-        assert_eq!(shared.heap.lab_leased_granules(), leased);
-        // Mixed sizes leave a tail in nearly every hole; whatever the
-        // queue, a live mutator never holds more than one LAB.
-        let mut objects = 1 + ObjShape::new(0, 50).size_granules();
-        for i in 0..2000 {
-            let shape = ObjShape::new(0, i % 40);
-            m.alloc(&shape).unwrap();
-            objects += shape.size_granules();
-            assert!(shared.heap.lab_leased_granules() <= lab);
+        for lazy in [false, true] {
+            let (shared, mut m) = setup(GcConfig::generational().with_lazy_sweep(lazy));
+            let lab = shared.config.lab_granules as usize;
+            // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
+            // a piece of the 56th.
+            let fenced = fragment(&shared, 37, None);
+            let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
+            // The whole lease stays on the books while the queue is live, no
+            // matter how much of it is carved.
+            let leased = shared.heap.lab_leased_granules();
+            assert_eq!(leased, lab);
+            assert_eq!(shared.heap.used_granules(), fenced + leased);
+            let _ = m.alloc(&ObjShape::new(0, 50)).unwrap();
+            assert_eq!(shared.heap.lab_leased_granules(), leased);
+            // Mixed sizes leave a tail in nearly every hole; whatever the
+            // queue, a live mutator never holds more than one LAB.
+            let mut objects = 1 + ObjShape::new(0, 50).size_granules();
+            for i in 0..2000 {
+                let shape = ObjShape::new(0, i % 40);
+                m.alloc(&shape).unwrap();
+                objects += shape.size_granules();
+                assert!(shared.heap.lab_leased_granules() <= lab);
+            }
+            assert!(shared.obs.lab_refill.count() > 10);
+            drop(m);
+            assert_eq!(
+                shared.heap.lab_leased_granules(),
+                0,
+                "retiring the queue must return the whole lease"
+            );
+            // Only the objects are still in use: every tail and every hole
+            // not reached went back.
+            assert_eq!(shared.heap.used_granules(), fenced + objects);
         }
-        assert!(shared.obs.lab_refill.count() > 10);
-        drop(m);
-        assert_eq!(
-            shared.heap.lab_leased_granules(),
-            0,
-            "retiring the queue must return the whole lease"
-        );
-        // Only the objects are still in use: every tail and every hole
-        // not reached went back.
-        assert_eq!(shared.heap.used_granules(), fenced + objects);
     }
 
     #[test]
@@ -1081,30 +1095,32 @@ mod tests {
 
     #[test]
     fn oom_error_reports_requested_bytes() {
-        let (shared, mut m) = setup(GcConfig::generational());
-        // These unit tests run without a collector thread, so shut the
-        // control down: the blocking allocation path then falls back to
-        // heap growth only, and reports OOM once the 1 MB heap is full.
-        shared.control.begin_shutdown();
-        let shape = ObjShape::new(0, 1000); // ~8 KB objects
-        let mut oom = None;
-        for _ in 0..400 {
-            match m.alloc(&shape) {
-                Ok(r) => {
-                    m.root_push(r);
-                }
-                Err(e) => {
-                    oom = Some(e);
-                    break;
+        for lazy in [false, true] {
+            let (shared, mut m) = setup(GcConfig::generational().with_lazy_sweep(lazy));
+            // These unit tests run without a collector thread, so shut the
+            // control down: the blocking allocation path then falls back to
+            // heap growth only, and reports OOM once the 1 MB heap is full.
+            shared.control.begin_shutdown();
+            let shape = ObjShape::new(0, 1000); // ~8 KB objects
+            let mut oom = None;
+            for _ in 0..400 {
+                match m.alloc(&shape) {
+                    Ok(r) => {
+                        m.root_push(r);
+                    }
+                    Err(e) => {
+                        oom = Some(e);
+                        break;
+                    }
                 }
             }
-        }
-        match oom {
-            Some(AllocError::OutOfMemory { requested }) => {
-                assert!(requested >= shape.size_bytes());
+            match oom {
+                Some(AllocError::OutOfMemory { requested }) => {
+                    assert!(requested >= shape.size_bytes());
+                }
+                Some(other) => panic!("expected OutOfMemory, got {other}"),
+                None => panic!("1 MB heap never overflowed"),
             }
-            Some(other) => panic!("expected OutOfMemory, got {other}"),
-            None => panic!("1 MB heap never overflowed"),
         }
     }
 }

@@ -8,13 +8,45 @@
 //! collector surfaces as [`AllocError::CollectorUnavailable`] instead of
 //! a hang, the handshake watchdog trips on a non-cooperating mutator, and
 //! the same seed reproduces the same injection sequence byte-for-byte.
+//! Every schedule that could wedge runs under [`bounded`], so a liveness
+//! bug fails its test instead of hanging the suite.
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use otf_gengc::gc::{AllocError, Gc, GcConfig, Mutator, MAX_COLLECTOR_RESTARTS};
 use otf_gengc::heap::ObjShape;
-use otf_gengc::support::fault::{self, FaultPlan, FaultRule};
+use otf_gengc::support::fault::{self, FaultEvent, FaultPlan, FaultRule};
 use otf_gengc::workloads::{driver, Chaos, Workload};
+
+/// How long one schedule may run before [`bounded`] calls it a hang —
+/// far above any healthy run (well under a second each).
+const HANG_BOUND: Duration = Duration::from_secs(60);
+
+/// Runs `f` on its own thread and returns its result, or panics with
+/// `"{label}: HANG"` if it has not returned within [`HANG_BOUND`]:
+/// `cargo test` has no timeout, so without this a wedged schedule hangs
+/// the suite.  A panic inside `f` is re-raised here.  The hung thread is
+/// left behind; the test fails anyway, after uninstalling the fault plan
+/// so later tests in the binary do not run against it.
+fn bounded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(HANG_BOUND) {
+        Ok(v) => v,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            fault::uninstall();
+            // Tests that silence the injected panics must still print this.
+            let _ = std::panic::take_hook();
+            panic!("{label}: HANG — no completion within {HANG_BOUND:?}");
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+    }
+}
 
 /// The three collector variants every schedule runs under.
 fn variants() -> [GcConfig; 3] {
@@ -98,7 +130,11 @@ fn chaos_matrix_verifies_clean_under_fault_plans() {
             let cfg = cfg.with_lazy_sweep(lazy);
             for (name, mk) in [("storm", storm), ("failures", failures)] {
                 fault::install(mk());
-                let (_, violations) = driver::run_workload_verified(&w, cfg, 23);
+                let w = w.clone();
+                let (_, violations) = bounded(
+                    &format!("plan {name:?} under {}", cfg.plan_name()),
+                    move || driver::run_workload_verified(&w, cfg, 23),
+                );
                 let log = fault::uninstall();
                 assert!(
                     violations.is_empty(),
@@ -240,7 +276,11 @@ fn parallel_chaos_matrix_verifies_clean_at_four_workers() {
         for lazy in [false, true] {
             let cfg = cfg.with_gc_threads(4).with_lazy_sweep(lazy);
             fault::install(plan());
-            let (result, violations) = driver::run_workload_verified(&w, cfg, 31);
+            let w = w.clone();
+            let (result, violations) =
+                bounded(&format!("N=4 chaos under {}", cfg.plan_name()), move || {
+                    driver::run_workload_verified(&w, cfg, 31)
+                });
             let log = fault::uninstall();
             assert!(
                 violations.is_empty(),
@@ -265,8 +305,8 @@ fn parallel_chaos_matrix_verifies_clean_at_four_workers() {
 /// Panic containment: when the collector dies for good — here it panics
 /// at the start of every incarnation, so the supervisor spends its whole
 /// restart budget — allocation-blocked mutators must *not* hang: heap
-/// exhaustion surfaces as [`AllocError::CollectorUnavailable`] within a
-/// bounded time, and the poisoned state is visible in the stats.
+/// exhaustion surfaces as [`AllocError::CollectorUnavailable`] within
+/// [`HANG_BOUND`], and the poisoned state is visible in the stats.
 #[test]
 fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
     let _serial = fault::exclusive();
@@ -276,49 +316,38 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
     std::panic::set_hook(Box::new(|_| {}));
 
     fault::install(FaultPlan::new(1).rule(FaultRule::at("collector.panic").failing(1.0)));
-    let gc = Gc::new(
-        GcConfig::generational()
-            .with_initial_heap(1 << 20)
-            .with_max_heap(1 << 20)
-            .with_young_size(256 << 10),
-    );
-    let mut m = gc.mutator();
-    let shape = ObjShape::new(0, 6);
-    let bound = Duration::from_secs(30);
-    let start = Instant::now();
-    let mut outcome = None;
-    // Retain everything: every collection request panics the collector,
-    // so growing pressure must end in CollectorUnavailable.
-    for _ in 0..1_000_000 {
-        match m.alloc(&shape) {
-            Ok(r) => {
-                m.root_push(r);
+    let (gc, outcome) = bounded("crash loop", || {
+        let gc = Gc::new(
+            GcConfig::generational()
+                .with_initial_heap(1 << 20)
+                .with_max_heap(1 << 20)
+                .with_young_size(256 << 10),
+        );
+        let mut m = gc.mutator();
+        let shape = ObjShape::new(0, 6);
+        // Retain everything: every collection request panics the
+        // collector, so growing pressure must end in an error.
+        let outcome = loop {
+            match m.alloc(&shape) {
+                Ok(r) => {
+                    m.root_push(r);
+                }
+                Err(e) => break e,
             }
-            Err(e) => {
-                outcome = Some(e);
-                break;
-            }
-        }
-        if start.elapsed() > bound {
-            break;
-        }
-    }
-    let hung = start.elapsed() > bound;
-    drop(m);
+        };
+        drop(m);
+        (gc, outcome)
+    });
     let log = fault::uninstall();
     std::panic::set_hook(prev_hook);
 
-    assert!(
-        !hung,
-        "allocator still blocked {bound:?} after the collector died"
-    );
     assert_eq!(
         log.len(),
         MAX_COLLECTOR_RESTARTS as usize + 1,
         "one panic per incarnation: {log:?}"
     );
     assert!(
-        matches!(outcome, Some(AllocError::CollectorUnavailable { .. })),
+        matches!(outcome, AllocError::CollectorUnavailable { .. }),
         "expected CollectorUnavailable, got {outcome:?}"
     );
     assert!(gc.is_poisoned());
@@ -332,8 +361,9 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
 /// fixed order per cycle: cycle-start, handshake-1, handshake-2,
 /// handshake-3, trace, reclaim), then assert the supervisor recovered —
 /// not poisoned, ≥ 1 restart, the blocking full collection completed,
-/// retained objects intact, and the heap verifying clean.
-fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) {
+/// retained objects intact, and the heap verifying clean.  Returns the
+/// injection log.
+fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
     fault::install(
         FaultPlan::new(0xFA11).rule(
             FaultRule::at("collector.phase")
@@ -393,27 +423,45 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) {
     );
     let stats = gc.shutdown();
     assert!(!stats.collector_poisoned, "{label}: poisoned at shutdown");
+    log
 }
 
 /// The recovery matrix (tentpole acceptance): a collector panic at each
 /// of the six phases, for gen and nogen, eager and lazy sweep, N=1 and
 /// N=4 workers, must end unpoisoned with ≥ 1 restart, a completed
-/// subsequent full collection, and zero `verify_heap` violations.
+/// subsequent full collection, and zero `verify_heap` violations.  One
+/// cell, the gen-eager N=1 kill mid-trace, runs once more: the same seed
+/// must reproduce its injection log exactly.
 #[test]
 fn collector_panic_at_every_phase_recovers_under_restarts() {
     let _serial = fault::exclusive();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    for base in [GcConfig::generational, GcConfig::non_generational] {
+    let recover = |cfg: GcConfig, k: u64| {
+        let label = format!("plan {} N={} k={k}", cfg.plan_name(), cfg.gc_threads);
+        bounded(&label, move || kill_at_phase_and_recover(cfg, k))
+    };
+    let mut trace_kill_log = None;
+    for (gen, base) in [
+        (true, GcConfig::generational as fn() -> GcConfig),
+        (false, GcConfig::non_generational),
+    ] {
         for lazy in [false, true] {
             for threads in [1usize, 4] {
                 for k in 0..6u64 {
-                    let cfg = base().with_lazy_sweep(lazy).with_gc_threads(threads);
-                    kill_at_phase_and_recover(cfg, k);
+                    let log = recover(base().with_lazy_sweep(lazy).with_gc_threads(threads), k);
+                    if gen && !lazy && threads == 1 && k == 4 {
+                        trace_kill_log = Some(log);
+                    }
                 }
             }
         }
     }
+    assert_eq!(
+        trace_kill_log,
+        Some(recover(GcConfig::generational(), 4)),
+        "same seed must reproduce the recovery round's injection log"
+    );
     std::panic::set_hook(prev_hook);
 }
 

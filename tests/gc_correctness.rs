@@ -187,7 +187,9 @@ fn multithreaded_churn_then_verify(cfg: GcConfig, threads: u64) -> Gc {
 
 #[test]
 fn multithreaded_churn_leaves_heap_verifiable() {
-    multithreaded_churn_then_verify(GcConfig::generational(), 8);
+    for workers in [1, 4] {
+        multithreaded_churn_then_verify(GcConfig::generational().with_gc_threads(workers), 8);
+    }
 }
 
 #[test]
@@ -195,8 +197,13 @@ fn lazy_sweep_multithreaded_churn_leaves_heap_verifiable() {
     // Lazy allocation-time sweeping racing across mutator threads, then
     // forced completion of all outstanding segments (verify_heap
     // finalizes the epoch) must leave a clean heap.
-    let gc = multithreaded_churn_then_verify(GcConfig::generational().with_lazy_sweep(true), 4);
-    assert!(gc.stats().lazy_epochs > 0, "no lazy epochs were published");
+    for workers in [1, 4] {
+        let cfg = GcConfig::generational()
+            .with_lazy_sweep(true)
+            .with_gc_threads(workers);
+        let gc = multithreaded_churn_then_verify(cfg, 4);
+        assert!(gc.stats().lazy_epochs > 0, "no lazy epochs were published");
+    }
 }
 
 /// Deterministic single-mutator workload, no collections until one
@@ -288,13 +295,20 @@ fn lazy_and_eager_sweep_reach_identical_end_state() {
     }
 }
 
+/// Every variant, on the serial collector and on four GC workers with
+/// either sweep.
 #[test]
 fn multithreaded_churn_all_variants() {
-    for cfg in [
+    let variants = [
         GcConfig::generational(),
         GcConfig::non_generational(),
         GcConfig::aging(3),
-    ] {
+    ];
+    let configs = variants.into_iter().flat_map(|v| {
+        let four = v.with_gc_threads(4);
+        [v, four, four.with_lazy_sweep(true)]
+    });
+    for cfg in configs {
         let gc = Gc::new(small(cfg));
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -426,11 +440,12 @@ fn build_comb(
 /// into the free-space pool by real collections: each hole between two
 /// survivors must come back as its own chunk, and once the survivors die
 /// too the holes must have merged, so that no two pooled chunks touch.
+/// Eager and lazy sweep alike.
 #[test]
 fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
     const TEETH: usize = 6000;
-    for survivors_die in [false, true] {
-        let mut gc = Gc::new(comb_heap(GcConfig::generational()));
+    for (survivors_die, lazy) in [(false, false), (true, false), (false, true), (true, true)] {
+        let mut gc = Gc::new(comb_heap(GcConfig::generational().with_lazy_sweep(lazy)));
         let mut m = gc.mutator();
         let root = m.root_len();
         let (head, live, dead) = build_comb(&mut m, TEETH);
@@ -476,17 +491,21 @@ fn comb_of_dead_objects_is_pooled_as_maximal_runs() {
 
 /// Allocating into a comb: every hole takes one object, and a LAB is a
 /// queue of up to 64 of them, so the refills are a small fraction of the
-/// allocations — in every mode, with the heap verifying clean around the
-/// mutator's live queue.
+/// allocations — in every mode and with either sweep, with the heap
+/// verifying clean around the mutator's live queue.
 #[test]
 fn comb_holes_are_allocated_at_one_refill_per_queue() {
     const TEETH: usize = 6000;
     const N: u64 = 4000;
-    for cfg in [
+    let variants = [
         GcConfig::generational(),
         GcConfig::non_generational(),
         GcConfig::aging(4),
-    ] {
+    ];
+    for cfg in variants
+        .into_iter()
+        .flat_map(|v| [v, v.with_lazy_sweep(true)])
+    {
         let mut gc = Gc::new(comb_heap(cfg));
         let mut m = gc.mutator();
         let (_, live, dead) = build_comb(&mut m, TEETH);
@@ -503,8 +522,8 @@ fn comb_holes_are_allocated_at_one_refill_per_queue() {
         let refills = gc.stats().lab_refill.count() - before;
         assert!(
             refills <= N / 32,
-            "{refills} refills for {N} objects ({:?})",
-            gc.config().mode
+            "{refills} refills for {N} objects ({})",
+            gc.config().plan_name()
         );
         // The pool serves before the frontier does (a lazy sweep hands
         // its first segments' runs over one at a time, and the mutator's
@@ -523,91 +542,100 @@ fn comb_holes_are_allocated_at_one_refill_per_queue() {
 /// failed allocation, so the first cycle must come only once the heap is
 /// genuinely full — all of it but the sitter's lease and the runner's own
 /// — and then as a blocking full collection the runner comes back from,
-/// not as `OutOfMemory`.
+/// not as `OutOfMemory`.  Eager and lazy sweep alike: a lazy refill
+/// drains the sweep before it escalates to that collection.
 #[test]
 fn parked_mutator_on_a_full_queue_does_not_starve_the_other() {
     const HEAP: usize = 1 << 20;
-    let mut cfg = GcConfig::non_generational()
-        .with_max_heap(HEAP)
-        .with_initial_heap(HEAP);
-    cfg.full_trigger_fraction = 1.0;
-    let lab_bytes = cfg.lab_granules as usize * 16;
-    let mut gc = Gc::new(cfg);
-    let mut sitter = gc.mutator();
-    let mut runner = gc.mutator();
-    let kept = sitter.alloc(&ObjShape::new(0, 0)).unwrap();
-    sitter.root_push(kept);
-    let done = std::sync::Barrier::new(2);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            sitter.parked(|| done.wait());
-            // The queue was kept across the park.
-            let before = gc.stats().lab_refill.count();
-            sitter.alloc(&ObjShape::new(0, 0)).unwrap();
-            assert_eq!(gc.stats().lab_refill.count(), before);
-        });
-        let shape = ObjShape::new(1, 5); // 64 bytes
-        let mut before_first_cycle = None;
-        for i in 0..3 * HEAP / shape.size_bytes() {
-            if before_first_cycle.is_none() && gc.cycles_completed() > 0 {
-                before_first_cycle = Some(i * shape.size_bytes());
-            }
-            if let Err(e) = runner.alloc(&shape) {
-                panic!("allocation {i} failed with {e} on a heap of garbage");
-            }
-        }
-        let filled = before_first_cycle.expect("3 MiB through a 1 MiB heap without a cycle");
-        assert!(
-            filled + 3 * lab_bytes >= HEAP,
-            "first collection after only {filled} bytes"
-        );
-        let stats = gc.stats();
-        assert!(stats.alloc_stall.count() >= 2, "no blocking collection");
-        assert!(stats.cycles.iter().all(|c| c.kind == CycleKind::Full));
-        done.wait();
-    });
-    gc.stop_collector();
-    let violations = gc.verify_heap();
-    assert!(violations.is_empty(), "heap violations: {violations:?}");
-    drop((sitter, runner));
-    gc.shutdown();
-}
-
-#[test]
-fn oom_is_reported_not_crashed() {
-    let cfg = GcConfig::generational()
-        .with_max_heap(256 << 10)
-        .with_initial_heap(256 << 10)
-        .with_young_size(32 << 10);
-    let gc = Gc::new(cfg);
-    let mut m = gc.mutator();
-    let shape = ObjShape::new(1, 10);
-    let mut err = None;
-    // Keep everything alive: the heap must eventually overflow.
-    let mut prev = ObjectRef::NULL;
-    for _ in 0..10_000 {
-        match m.alloc(&shape) {
-            Ok(obj) => {
-                m.write_ref(obj, 0, prev);
-                prev = obj;
-                if m.root_len() == 0 {
-                    m.root_push(obj);
-                } else {
-                    m.root_set(0, obj);
+    for lazy in [false, true] {
+        let mut cfg = GcConfig::non_generational()
+            .with_max_heap(HEAP)
+            .with_initial_heap(HEAP)
+            .with_lazy_sweep(lazy);
+        cfg.full_trigger_fraction = 1.0;
+        let lab_bytes = cfg.lab_granules as usize * 16;
+        let mut gc = Gc::new(cfg);
+        let mut sitter = gc.mutator();
+        let mut runner = gc.mutator();
+        let kept = sitter.alloc(&ObjShape::new(0, 0)).unwrap();
+        sitter.root_push(kept);
+        let done = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                sitter.parked(|| done.wait());
+                // The queue was kept across the park.
+                let before = gc.stats().lab_refill.count();
+                sitter.alloc(&ObjShape::new(0, 0)).unwrap();
+                assert_eq!(gc.stats().lab_refill.count(), before);
+            });
+            let shape = ObjShape::new(1, 5); // 64 bytes
+            let mut before_first_cycle = None;
+            for i in 0..3 * HEAP / shape.size_bytes() {
+                if before_first_cycle.is_none() && gc.cycles_completed() > 0 {
+                    before_first_cycle = Some(i * shape.size_bytes());
+                }
+                if let Err(e) = runner.alloc(&shape) {
+                    panic!("allocation {i} failed with {e} on a heap of garbage");
                 }
             }
-            Err(e) => {
-                err = Some(e);
-                break;
+            let filled = before_first_cycle.expect("3 MiB through a 1 MiB heap without a cycle");
+            assert!(
+                filled + 3 * lab_bytes >= HEAP,
+                "first collection after only {filled} bytes"
+            );
+            let stats = gc.stats();
+            assert!(stats.alloc_stall.count() >= 2, "no blocking collection");
+            assert!(stats.cycles.iter().all(|c| c.kind == CycleKind::Full));
+            done.wait();
+        });
+        gc.stop_collector();
+        let violations = gc.verify_heap();
+        assert!(violations.is_empty(), "heap violations: {violations:?}");
+        drop((sitter, runner));
+        gc.shutdown();
+    }
+}
+
+/// A heap that fills with live objects reports `OutOfMemory`, with
+/// either sweep.
+#[test]
+fn oom_is_reported_not_crashed() {
+    for lazy in [false, true] {
+        let cfg = GcConfig::generational()
+            .with_max_heap(256 << 10)
+            .with_initial_heap(256 << 10)
+            .with_young_size(32 << 10)
+            .with_lazy_sweep(lazy);
+        let gc = Gc::new(cfg);
+        let mut m = gc.mutator();
+        let shape = ObjShape::new(1, 10);
+        let mut err = None;
+        // Keep everything alive: the heap must eventually overflow.
+        let mut prev = ObjectRef::NULL;
+        for _ in 0..10_000 {
+            match m.alloc(&shape) {
+                Ok(obj) => {
+                    m.write_ref(obj, 0, prev);
+                    prev = obj;
+                    if m.root_len() == 0 {
+                        m.root_push(obj);
+                    } else {
+                        m.root_set(0, obj);
+                    }
+                }
+                Err(e) => {
+                    err = Some(e);
+                    break;
+                }
             }
         }
+        assert!(matches!(
+            err,
+            Some(otf_gengc::gc::AllocError::OutOfMemory { .. })
+        ));
+        drop(m);
+        gc.shutdown();
     }
-    assert!(matches!(
-        err,
-        Some(otf_gengc::gc::AllocError::OutOfMemory { .. })
-    ));
-    drop(m);
-    gc.shutdown();
 }
 
 #[test]
@@ -665,26 +693,29 @@ fn yellow_objects_survive_the_cycle_they_are_born_in() {
     // so we just hammer allocation during induced cycles and rely on the
     // payload checks of the churn tests; here we verify the weaker,
     // directly observable property: an object allocated and immediately
-    // rooted while a collection runs is alive and intact afterwards.
-    let gc = Gc::new(small(GcConfig::generational()));
-    let mut m = gc.mutator();
-    gc.request_full();
-    let node = ObjShape::new(0, 1);
-    let mut kept = Vec::new();
-    for i in 0..5000u64 {
-        let obj = m.alloc(&node).unwrap();
-        m.write_data(obj, 0, i);
-        if i % 100 == 0 {
-            m.root_push(obj);
-            kept.push((obj, i));
+    // rooted while a collection runs is alive and intact afterwards,
+    // with either sweep.
+    for lazy in [false, true] {
+        let gc = Gc::new(small(GcConfig::generational().with_lazy_sweep(lazy)));
+        let mut m = gc.mutator();
+        gc.request_full();
+        let node = ObjShape::new(0, 1);
+        let mut kept = Vec::new();
+        for i in 0..5000u64 {
+            let obj = m.alloc(&node).unwrap();
+            m.write_data(obj, 0, i);
+            if i % 100 == 0 {
+                m.root_push(obj);
+                kept.push((obj, i));
+            }
         }
+        m.parked(|| gc.collect_full_blocking());
+        for (obj, i) in kept {
+            assert_eq!(m.read_data(obj, 0), i);
+        }
+        drop(m);
+        gc.shutdown();
     }
-    m.parked(|| gc.collect_full_blocking());
-    for (obj, i) in kept {
-        assert_eq!(m.read_data(obj, 0), i);
-    }
-    drop(m);
-    gc.shutdown();
 }
 
 /// The staleness contract of the allocation totals (DESIGN.md §4.10):

@@ -107,8 +107,6 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
 
 fn assert_plan_parity(cfg: fn() -> GcConfig) {
     for lazy in [false, true] {
-        // Pinned explicitly so the comparison keeps its meaning under
-        // the CI env cell (`OTF_GC_LAZY_SWEEP`) that reruns this suite.
         let make = || cfg().with_lazy_sweep(lazy);
         let one = run_plan(make(), 1);
         let four = run_plan(make(), 4);
