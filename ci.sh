@@ -45,13 +45,12 @@ step clippy cargo clippy -q --offline --workspace --all-targets -- -D warnings
 step benchmark-check benchmark/check.sh
 
 # The plan matrix lives in the tests, each configuration written where
-# it is checked: `tests/plan_equivalence.rs` runs every plan eager and
-# lazy at one and four GC workers, `tests/chaos.rs` runs the variant ×
-# sweep fault matrix and the four-worker × lazy one (each schedule under
-# a hang bound), and `gc_correctness`, the sweep and the mutator unit
-# tests name their `with_gc_threads` / `with_lazy_sweep` inputs.  No
-# environment variable selects a plan, so `test` above runs all of them
-# (DESIGN.md §4.15 maps each former env cell to its test).
+# it is checked: `tests/plan_equivalence.rs` runs every plan at one and
+# four GC workers, `tests/chaos.rs` runs the variant fault matrix at one
+# worker and at four (each schedule under a hang bound), and
+# `gc_correctness` and the sweep unit tests name their `with_gc_threads`
+# inputs.  No environment variable selects a plan, so `test` above runs
+# all of them (DESIGN.md §4.15 maps each former env cell to its test).
 
 echo
 echo "=== verdicts"
@@ -63,6 +62,7 @@ echo
 echo "=== size"
 echo "crates/ lines of Rust:   $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
+echo "GcConfig vestiges:       $(grep -c '/// Vestige:' crates/core/src/config.rs)"
 echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' | sort -u | wc -l)"
 echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
 echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"

@@ -8,7 +8,6 @@ use otf_heap::Color;
 use otf_support::packet::Schedule;
 
 use crate::cycle::CycleCx;
-use crate::lazy::LazyWho;
 use crate::obs::{dur_ns, EventKind};
 use crate::plan::CycleFrame;
 use crate::shared::{bucket, GcShared};
@@ -57,8 +56,7 @@ impl GcShared {
             .saturating_sub(cx.phases.cards)
             .saturating_sub(cx.phases.roots);
         cx.phases.trace = sched.span(buckets.trace);
-        cx.phases.sweep = sched.span(buckets.reclaim)
-            + buckets.finalize.map_or(Duration::ZERO, |b| sched.span(b));
+        cx.phases.sweep = sched.span(buckets.reclaim);
 
         self.open_bucket
             .store(crate::shared::bucket::NONE, Ordering::Release);
@@ -111,7 +109,6 @@ impl GcShared {
             if kind == CycleKind::Partial
                 && self.control.bytes_since_cycle() < self.config.young_size as u64 / 2
             {
-                self.lazy_drain_between_cycles();
                 continue;
             }
             let stats = self.run_cycle(kind, &mut cx);
@@ -172,10 +169,6 @@ impl GcShared {
             // mutator that stopped allocating — or one still below its
             // next 64 KB batch — cannot starve a due collection.
             self.evaluate_triggers();
-            // Lazy back-end: reclaim leftover epoch segments between
-            // cycles so garbage is not stranded on an idle heap, yielding
-            // to fresh cycle requests segment-by-segment.
-            self.lazy_drain_between_cycles();
         }
     }
 
@@ -204,11 +197,7 @@ impl GcShared {
     ///    plans, the generations — its init pass demotes every black
     ///    object before the toggle, restoring the "all pre-cycle objects
     ///    carry the clear color" invariant the trace needs);
-    /// 5. force-finalizes any published lazy-sweep epoch (the schedule
-    ///    order guarantees its parameters predate the aborted cycle's
-    ///    toggle, so finalizing is exactly what the next cycle's
-    ///    `lazy-finalize` bucket would have done);
-    /// 6. clears the cycle-in-flight state and re-arms `Control` with a
+    /// 5. clears the cycle-in-flight state and re-arms `Control` with a
     ///    full-collection request, so allocators parked in
     ///    `wait_for_full` are served by the restarted loop instead of
     ///    poisoned, then replays `evaluate_triggers`.
@@ -257,8 +246,6 @@ impl GcShared {
             colors.set(g, live);
             g += 1;
         }
-
-        self.lazy_finalize(LazyWho::Collector);
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
         self.collecting.store(false, Ordering::Release);

@@ -84,14 +84,14 @@ pub struct GcConfig {
     /// per-worker work-stealing deques and sweep over page-partitioned
     /// segments.
     pub gc_threads: usize,
-    /// Opt-in lazy (allocation-time) sweep, Nofl/Immix-style (DESIGN.md
-    /// §4.6).  `false` (the default) keeps the eager serial/parallel
-    /// sweep byte-for-byte.  `true` turns the collector's cycle
-    /// mark-only: where the sweep phase used to run, the collector
-    /// finalizes the previous sweep epoch and publishes a new one; the
-    /// actual reclamation is done by mutators at LAB-refill time
-    /// (sweep-to-allocate) and by the collector draining leftover
-    /// segments between cycles.
+    /// Vestige: recorded, never read.  The allocation-time sweep it used
+    /// to select is gone (DESIGN.md §4.6); the collector always sweeps
+    /// at the end of its cycle.  The field stays only because
+    /// `benchmark/src/cli.rs:60` (`--lazy`) sets it through
+    /// [`GcConfig::with_lazy_sweep`], `cli.rs:197` asserts it, and
+    /// `benchmark/tests/smoke.rs:75` looks for `lazy_sweep: false` in
+    /// this struct's `Debug` output; field and builder go when a
+    /// `[benchmark]` PR drops those lines.
     pub lazy_sweep: bool,
 }
 
@@ -197,8 +197,8 @@ impl GcConfig {
         self
     }
 
-    /// Enables (or disables) the lazy allocation-time sweep (see
-    /// [`GcConfig::lazy_sweep`]).
+    /// Sets [`GcConfig::lazy_sweep`], which nothing reads: the
+    /// configuration runs exactly as without the call.
     pub fn with_lazy_sweep(mut self, enabled: bool) -> GcConfig {
         self.lazy_sweep = enabled;
         self
@@ -226,17 +226,13 @@ impl GcConfig {
         matches!(self.mode, Mode::Generational(_))
     }
 
-    /// The name of the plan this configuration selects — the
-    /// (mode × sweep-backend) combination whose packet sets the cycle
-    /// schedule is built from (DESIGN.md §4.7).
+    /// The name of the plan this configuration selects — the mode whose
+    /// packet sets the cycle schedule is built from (DESIGN.md §4.7).
     pub fn plan_name(&self) -> &'static str {
-        match (self.mode, self.lazy_sweep) {
-            (Mode::Generational(Promotion::Simple), false) => "gen-eager",
-            (Mode::Generational(Promotion::Simple), true) => "gen-lazy",
-            (Mode::Generational(Promotion::Aging { .. }), false) => "aging-eager",
-            (Mode::Generational(Promotion::Aging { .. }), true) => "aging-lazy",
-            (Mode::NonGenerational, false) => "nogen-eager",
-            (Mode::NonGenerational, true) => "nogen-lazy",
+        match self.mode {
+            Mode::Generational(Promotion::Simple) => "gen",
+            Mode::Generational(Promotion::Aging { .. }) => "aging",
+            Mode::NonGenerational => "nogen",
         }
     }
 
@@ -304,24 +300,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_names_cover_mode_and_backend() {
-        assert_eq!(GcConfig::generational().plan_name(), "gen-eager");
-        assert_eq!(
-            GcConfig::generational().with_lazy_sweep(true).plan_name(),
-            "gen-lazy"
-        );
-        assert_eq!(GcConfig::aging(3).plan_name(), "aging-eager");
-        assert_eq!(
-            GcConfig::aging(3).with_lazy_sweep(true).plan_name(),
-            "aging-lazy"
-        );
-        assert_eq!(GcConfig::non_generational().plan_name(), "nogen-eager");
-        assert_eq!(
-            GcConfig::non_generational()
-                .with_lazy_sweep(true)
-                .plan_name(),
-            "nogen-lazy"
-        );
+    fn plan_names_cover_every_mode() {
+        assert_eq!(GcConfig::generational().plan_name(), "gen");
+        assert_eq!(GcConfig::aging(3).plan_name(), "aging");
+        assert_eq!(GcConfig::non_generational().plan_name(), "nogen");
     }
 
     #[test]
@@ -337,8 +319,9 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    /// Pins the vestiges: `benchmark -- --shards N` and `-- --overlap`
-    /// are the baseline run — same configuration, same schedule.
+    /// Pins the vestiges: `benchmark -- --shards N`, `-- --overlap` and
+    /// `-- --lazy` are the baseline run — same configuration (up to the
+    /// recorded field), same plan, same schedule.
     #[test]
     fn vestige_builders_are_no_ops() {
         use crate::plan::CycleFrame;
@@ -357,8 +340,11 @@ mod tests {
         for (name, built) in [
             ("with_alloc_shards", base().with_alloc_shards(2)),
             ("with_overlap_phases", base().with_overlap_phases(true)),
+            ("with_lazy_sweep", base().with_lazy_sweep(true)),
         ] {
-            assert_eq!(format!("{built:?}"), format!("{:?}", base()), "{name}");
+            let debug = format!("{built:?}").replace("lazy_sweep: true", "lazy_sweep: false");
+            assert_eq!(debug, format!("{:?}", base()), "{name}");
+            assert_eq!(built.plan_name(), base().plan_name(), "{name}");
             assert_eq!(buckets(built), buckets(base()), "{name}");
         }
     }

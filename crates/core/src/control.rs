@@ -93,9 +93,8 @@ impl Control {
         }
     }
 
-    /// Non-blocking peek: is a cycle request pending?  Used by the
-    /// lazy-sweep background drain so between-cycle sweeping yields to
-    /// cycle requests segment-by-segment instead of delaying them.
+    /// Non-blocking peek: is a cycle request pending?
+    #[cfg(test)]
     pub(crate) fn has_request(&self) -> bool {
         let p = self.pending.lock();
         p.partial || p.full

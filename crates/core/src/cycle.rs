@@ -12,12 +12,6 @@ use crate::stats::PhaseTimes;
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Counters {
     pub objects_traced: u64,
-    /// Bytes of the objects the trace blackened.  Feeds the lazy-sweep
-    /// unswept-garbage estimate: at epoch publish,
-    /// `used − traced − alloc-colored` approximates the dead bytes the
-    /// deferred sweep will reclaim, so the full-collection trigger can
-    /// count them as available space (DESIGN.md §4.6).
-    pub bytes_traced: u64,
     pub intergen_objects: u64,
     pub intergen_bytes: u64,
     pub dirty_cards: u64,
@@ -39,7 +33,6 @@ impl Counters {
     /// one worker), so merging is plain addition.
     pub(crate) fn merge(&mut self, o: &Counters) {
         self.objects_traced += o.objects_traced;
-        self.bytes_traced += o.bytes_traced;
         self.intergen_objects += o.intergen_objects;
         self.intergen_bytes += o.intergen_bytes;
         self.dirty_cards += o.dirty_cards;

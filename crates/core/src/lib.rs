@@ -64,7 +64,6 @@ mod collector;
 mod config;
 mod control;
 mod cycle;
-mod lazy;
 mod mutator;
 mod obs;
 mod plan;
@@ -227,9 +226,6 @@ impl Gc {
                 })
                 .collect(),
             lab_refill: self.shared.obs.lab_refill.snapshot(),
-            lazy_freed_at_alloc_granules: self.shared.lazy.freed_at_alloc_granules(),
-            lazy_freed_at_final_granules: self.shared.lazy.freed_at_final_granules(),
-            lazy_epochs: self.shared.lazy.epochs_published(),
             used_bytes: self.shared.heap.used_bytes(),
         }
     }
@@ -287,7 +283,7 @@ impl Gc {
 
     /// Diagnostic: every chunk on the free lists, sorted by start granule.
     /// Whole only where [`verify_heap`](Gc::verify_heap) is: at a quiescent
-    /// point, after it has forced any lazy sweep to completion.
+    /// point.
     pub fn debug_free_chunks(&self) -> Vec<otf_heap::Chunk> {
         self.shared.heap.free_list_snapshot()
     }
@@ -302,12 +298,6 @@ impl Gc {
     /// [`collect_full_blocking`](Gc::collect_full_blocking) with all
     /// mutators parked or dropped).
     pub fn verify_heap(&self) -> Vec<HeapViolation> {
-        // Lazy sweep defers reclamation to allocation time: force any
-        // outstanding epoch to completion first, so the verifier sees
-        // the same fully-swept heap an eager cycle would leave (the
-        // verifier treats unreclaimed clear-colored objects as live
-        // parseable objects, but free-granule totals would differ).
-        self.shared.lazy_finalize(crate::lazy::LazyWho::Collector);
         self.shared.verify_heap()
     }
 
@@ -343,11 +333,6 @@ impl Gc {
         self.shared.control.begin_shutdown();
         if let Some(h) = self.collector.take() {
             let _ = h.join();
-            // Lazy sweep: with the collector gone, nothing else will
-            // drain an outstanding epoch — finalize it so the heap ends
-            // fully swept (and `verify_heap` after shutdown matches an
-            // eager run).
-            self.shared.lazy_finalize(crate::lazy::LazyWho::Collector);
             // With the collector joined the trace ring is quiescent: dump
             // it if the user asked for a trace file.  Append, so multiple
             // collectors in one process share the file.

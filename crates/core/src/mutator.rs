@@ -9,7 +9,6 @@ use std::time::Instant;
 use otf_heap::{Chunk, Header, Lab, ObjShape, ObjectRef};
 
 use crate::config::{Mode, Promotion};
-use crate::lazy::LazyWho;
 use crate::obs::dur_ns;
 use crate::shared::GcShared;
 use crate::state::{MutatorShared, Status};
@@ -185,10 +184,8 @@ impl Mutator {
             return Ok(s as usize);
         }
         otf_support::fault::point("mutator.lab.refill");
-        // The refill latency histogram times the whole acquisition in
-        // *both* sweep modes, so sweep work moved onto the allocation
-        // path in lazy mode is visible in p99.99 comparisons instead of
-        // hiding outside the stall histogram.
+        // The refill latency histogram times the whole acquisition,
+        // including a blocking collection, so a stall shows in its tail.
         let refill_start = Instant::now();
         let refilled = self.refill(n, lab_granules);
         self.shared
@@ -210,21 +207,17 @@ impl Mutator {
         }
     }
 
-    /// Replaces the used-up queue: a lazy segment's run if the sweep has
-    /// one for us (a one-hole queue), else one exchange with the pool,
-    /// else — the heap is dry — whatever chunk the blocking path ends up
-    /// with.
+    /// Replaces the used-up queue: one exchange with the pool, else — the
+    /// heap is dry — whatever chunk the blocking path ends up with.
     fn refill(&mut self, n: u32, lab_granules: u32) -> Result<(), AllocError> {
-        let chunk = match self.lazy_refill_chunk(n, lab_granules) {
-            Some(c) => c,
-            None => {
-                let heap = &self.shared.heap;
-                if heap.exchange_lab(&mut self.lab, n, lab_granules) {
-                    return Ok(());
-                }
-                self.alloc_chunk_blocking(n, lab_granules)?
-            }
-        };
+        if self
+            .shared
+            .heap
+            .exchange_lab(&mut self.lab, n, lab_granules)
+        {
+            return Ok(());
+        }
+        let chunk = self.alloc_chunk_blocking(n, lab_granules)?;
         self.shared.heap.refill_lab(&mut self.lab, chunk);
         Ok(())
     }
@@ -242,23 +235,6 @@ impl Mutator {
         }
     }
 
-    /// Lazy-sweep hook at LAB refill: sweep-to-allocate one epoch
-    /// segment (DESIGN.md §4.6).  A reclaimed run satisfying the request
-    /// is handed back directly without a round trip through the free
-    /// lists; its granules stay in `used` (dead objects became this
-    /// caller's space), the same balance the eager free-then-reallocate
-    /// sequence reaches.  `None` in eager mode, when the epoch is
-    /// drained, or when the swept segment yielded no suitable run (its
-    /// reclaimed chunks still went to the free lists).
-    fn lazy_refill_chunk(&self, min: u32, preferred: u32) -> Option<Chunk> {
-        if !self.shared.config.lazy_sweep {
-            return None;
-        }
-        self.shared
-            .lazy_sweep_segment(LazyWho::Mutator, Some((min, preferred)))
-            .flatten()
-    }
-
     /// Gets a chunk, blocking on a full collection (and growing the heap)
     /// when the committed region is exhausted.
     ///
@@ -271,32 +247,10 @@ impl Mutator {
     /// consecutive-restart budget spent, or a panic during the abort
     /// itself) trips the `is_poisoned` checks below and degrades
     /// allocation to grow-only with `CollectorUnavailable` at exhaustion.
-    fn alloc_chunk_blocking(
-        &mut self,
-        min: u32,
-        preferred: u32,
-    ) -> Result<otf_heap::Chunk, AllocError> {
+    fn alloc_chunk_blocking(&mut self, min: u32, preferred: u32) -> Result<Chunk, AllocError> {
         for _attempt in 0..8 {
             if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
                 return Ok(c);
-            }
-            // Lazy mode under pressure: drain outstanding sweep segments
-            // — the space this request needs may already be dead but
-            // unswept — before escalating to a blocking full collection.
-            if self.shared.config.lazy_sweep {
-                loop {
-                    match self
-                        .shared
-                        .lazy_sweep_segment(LazyWho::Mutator, Some((min, preferred)))
-                    {
-                        Some(Some(c)) => return Ok(c),
-                        Some(None) => continue,
-                        None => break,
-                    }
-                }
-                if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
-                    return Ok(c);
-                }
             }
             if self.shared.control.is_shutdown() || self.shared.control.is_poisoned() {
                 // No collector to help us (clean shutdown or poisoned by
@@ -801,31 +755,25 @@ mod tests {
 
     #[test]
     fn lab_refill_and_handshake_ack_flush() {
-        for lazy in [false, true] {
-            let (shared, mut m) = setup(
-                GcConfig::generational()
-                    .with_lab_granules(64)
-                    .with_lazy_sweep(lazy),
-            );
-            // Eight-granule holes: one refill queues eight of them.
-            fragment(&shared, 8, None);
-            let shape = ObjShape::new(0, 0); // one granule
-            for _ in 0..64 {
-                m.alloc(&shape).unwrap();
-            }
-            // Moving from hole to hole is private: no flush, no second refill.
-            assert_eq!(shared.heap.objects_allocated(), 0);
-            assert_eq!(shared.obs.lab_refill.count(), 1);
-            assert_eq!(shared.heap.lab_leased_granules(), 64);
-            // The 65th allocation finds the queue used up: the refill reports
-            // the 64 objects the retired queue holds.
+        let (shared, mut m) = setup(GcConfig::generational().with_lab_granules(64));
+        // Eight-granule holes: one refill queues eight of them.
+        fragment(&shared, 8, None);
+        let shape = ObjShape::new(0, 0); // one granule
+        for _ in 0..64 {
             m.alloc(&shape).unwrap();
-            assert_eq!(shared.heap.objects_allocated(), 64);
-            assert_eq!(shared.obs.lab_refill.count(), 2);
-            shared.post_handshake(Status::Sync1);
-            m.cooperate();
-            assert_eq!(shared.heap.objects_allocated(), 65);
         }
+        // Moving from hole to hole is private: no flush, no second refill.
+        assert_eq!(shared.heap.objects_allocated(), 0);
+        assert_eq!(shared.obs.lab_refill.count(), 1);
+        assert_eq!(shared.heap.lab_leased_granules(), 64);
+        // The 65th allocation finds the queue used up: the refill reports
+        // the 64 objects the retired queue holds.
+        m.alloc(&shape).unwrap();
+        assert_eq!(shared.heap.objects_allocated(), 64);
+        assert_eq!(shared.obs.lab_refill.count(), 2);
+        shared.post_handshake(Status::Sync1);
+        m.cooperate();
+        assert_eq!(shared.heap.objects_allocated(), 65);
     }
 
     #[test]
@@ -933,100 +881,92 @@ mod tests {
         // tiny object.  Raw `used_bytes` crosses the trigger (70% here),
         // but almost all of it is leased-unused LAB space.  The heap is
         // all 1000-granule holes, so each of those LABs is a queue of 16
-        // or 17 of them, leased in one refill.  Under the lazy sweep the
-        // refill first asks it for a run (none is published), then the
-        // pool: the same accounting.
+        // or 17 of them, leased in one refill.
         const LAB: usize = 16384;
-        for lazy in [false, true] {
-            let mut cfg = GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_lab_granules(LAB as u32)
-                .with_lazy_sweep(lazy);
-            cfg.full_trigger_fraction = 0.7;
-            let shared = Arc::new(GcShared::new(cfg));
-            fragment(&shared, 1000, None);
-            let mut muts: Vec<Mutator> =
-                (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
-            for (i, m) in muts.iter_mut().enumerate() {
-                let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
-                m.root_push(r);
-                let leased = shared.heap.lab_leased_granules();
-                assert!(
-                    leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
-                    "{leased} granules leased by {} LABs",
-                    i + 1
-                );
-            }
-            assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
+        let mut cfg = GcConfig::generational()
+            .with_max_heap(1 << 20)
+            .with_initial_heap(1 << 20)
+            .with_lab_granules(LAB as u32);
+        cfg.full_trigger_fraction = 0.7;
+        let shared = Arc::new(GcShared::new(cfg));
+        fragment(&shared, 1000, None);
+        let mut muts: Vec<Mutator> = (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
+        for (i, m) in muts.iter_mut().enumerate() {
+            let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
+            m.root_push(r);
+            let leased = shared.heap.lab_leased_granules();
             assert!(
-                shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
-                "test premise: raw used crosses the 70% trigger"
-            );
-            shared.control.add_allocated(128 << 10); // past the progress floor
-            shared.evaluate_triggers();
-            assert!(
-                !shared.control.has_request(),
-                "mostly-empty LABs fired a premature full collection"
-            );
-            // The other side of the same accounting: a lease is subtracted
-            // whole for as long as its queue lives, so queues carved nearly
-            // empty (and the 64 KB flushes on the way) still read as unused —
-            // the trigger runs late by under one LAB per live mutator — and
-            // the space counts as used the moment the queues retire.
-            let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
-            for m in &mut muts {
-                for _ in 0..155 {
-                    m.alloc(&filler).unwrap();
-                }
-            }
-            assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
-            assert!(!shared.control.has_request());
-            drop(muts);
-            assert_eq!(shared.heap.lab_leased_granules(), 0);
-            assert_eq!(
-                shared.control.next_request(),
-                Some(crate::stats::CycleKind::Full)
+                leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
+                "{leased} granules leased by {} LABs",
+                i + 1
             );
         }
+        assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
+        assert!(
+            shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
+            "test premise: raw used crosses the 70% trigger"
+        );
+        shared.control.add_allocated(128 << 10); // past the progress floor
+        shared.evaluate_triggers();
+        assert!(
+            !shared.control.has_request(),
+            "mostly-empty LABs fired a premature full collection"
+        );
+        // The other side of the same accounting: a lease is subtracted
+        // whole for as long as its queue lives, so queues carved nearly
+        // empty (and the 64 KB flushes on the way) still read as unused —
+        // the trigger runs late by under one LAB per live mutator — and
+        // the space counts as used the moment the queues retire.
+        let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
+        for m in &mut muts {
+            for _ in 0..155 {
+                m.alloc(&filler).unwrap();
+            }
+        }
+        assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
+        assert!(!shared.control.has_request());
+        drop(muts);
+        assert_eq!(shared.heap.lab_leased_granules(), 0);
+        assert_eq!(
+            shared.control.next_request(),
+            Some(crate::stats::CycleKind::Full)
+        );
     }
 
     #[test]
     fn lab_lease_accounting_balances_on_drop() {
-        for lazy in [false, true] {
-            let (shared, mut m) = setup(GcConfig::generational().with_lazy_sweep(lazy));
-            let lab = shared.config.lab_granules as usize;
-            // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
-            // a piece of the 56th.
-            let fenced = fragment(&shared, 37, None);
-            let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
-            // The whole lease stays on the books while the queue is live, no
-            // matter how much of it is carved.
-            let leased = shared.heap.lab_leased_granules();
-            assert_eq!(leased, lab);
-            assert_eq!(shared.heap.used_granules(), fenced + leased);
-            let _ = m.alloc(&ObjShape::new(0, 50)).unwrap();
-            assert_eq!(shared.heap.lab_leased_granules(), leased);
-            // Mixed sizes leave a tail in nearly every hole; whatever the
-            // queue, a live mutator never holds more than one LAB.
-            let mut objects = 1 + ObjShape::new(0, 50).size_granules();
-            for i in 0..2000 {
-                let shape = ObjShape::new(0, i % 40);
-                m.alloc(&shape).unwrap();
-                objects += shape.size_granules();
-                assert!(shared.heap.lab_leased_granules() <= lab);
-            }
-            assert!(shared.obs.lab_refill.count() > 10);
-            drop(m);
-            assert_eq!(
-                shared.heap.lab_leased_granules(),
-                0,
-                "retiring the queue must return the whole lease"
-            );
-            // Only the objects are still in use: every tail and every hole
-            // not reached went back.
-            assert_eq!(shared.heap.used_granules(), fenced + objects);
+        let (shared, mut m) = setup(GcConfig::generational());
+        let lab = shared.config.lab_granules as usize;
+        // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
+        // a piece of the 56th.
+        let fenced = fragment(&shared, 37, None);
+        let _ = m.alloc(&ObjShape::new(0, 0)).unwrap();
+        // The whole lease stays on the books while the queue is live, no
+        // matter how much of it is carved.
+        let leased = shared.heap.lab_leased_granules();
+        assert_eq!(leased, lab);
+        assert_eq!(shared.heap.used_granules(), fenced + leased);
+        let _ = m.alloc(&ObjShape::new(0, 50)).unwrap();
+        assert_eq!(shared.heap.lab_leased_granules(), leased);
+        // Mixed sizes leave a tail in nearly every hole; whatever the
+        // queue, a live mutator never holds more than one LAB.
+        let mut objects = 1 + ObjShape::new(0, 50).size_granules();
+        for i in 0..2000 {
+            let shape = ObjShape::new(0, i % 40);
+            m.alloc(&shape).unwrap();
+            objects += shape.size_granules();
+            assert!(shared.heap.lab_leased_granules() <= lab);
         }
+        assert!(shared.obs.lab_refill.count() > 10);
+        drop(m);
+        assert_eq!(
+            shared.heap.lab_leased_granules(),
+            0,
+            "retiring the queue must return the whole lease"
+        );
+        // Only the objects are still in use: every tail and every hole
+        // not reached went back.
+        assert_eq!(shared.heap.used_granules(), fenced + objects);
     }
 
     #[test]
@@ -1095,32 +1035,30 @@ mod tests {
 
     #[test]
     fn oom_error_reports_requested_bytes() {
-        for lazy in [false, true] {
-            let (shared, mut m) = setup(GcConfig::generational().with_lazy_sweep(lazy));
-            // These unit tests run without a collector thread, so shut the
-            // control down: the blocking allocation path then falls back to
-            // heap growth only, and reports OOM once the 1 MB heap is full.
-            shared.control.begin_shutdown();
-            let shape = ObjShape::new(0, 1000); // ~8 KB objects
-            let mut oom = None;
-            for _ in 0..400 {
-                match m.alloc(&shape) {
-                    Ok(r) => {
-                        m.root_push(r);
-                    }
-                    Err(e) => {
-                        oom = Some(e);
-                        break;
-                    }
+        let (shared, mut m) = setup(GcConfig::generational());
+        // These unit tests run without a collector thread, so shut the
+        // control down: the blocking allocation path then falls back to
+        // heap growth only, and reports OOM once the 1 MB heap is full.
+        shared.control.begin_shutdown();
+        let shape = ObjShape::new(0, 1000); // ~8 KB objects
+        let mut oom = None;
+        for _ in 0..400 {
+            match m.alloc(&shape) {
+                Ok(r) => {
+                    m.root_push(r);
+                }
+                Err(e) => {
+                    oom = Some(e);
+                    break;
                 }
             }
-            match oom {
-                Some(AllocError::OutOfMemory { requested }) => {
-                    assert!(requested >= shape.size_bytes());
-                }
-                Some(other) => panic!("expected OutOfMemory, got {other}"),
-                None => panic!("1 MB heap never overflowed"),
+        }
+        match oom {
+            Some(AllocError::OutOfMemory { requested }) => {
+                assert!(requested >= shape.size_bytes());
             }
+            Some(other) => panic!("expected OutOfMemory, got {other}"),
+            None => panic!("1 MB heap never overflowed"),
         }
     }
 }

@@ -348,9 +348,7 @@ pub(crate) struct Obs {
     /// collection, in nanoseconds.
     pub alloc_stall: Histogram,
     /// LAB refill latency (chunk acquisition at the refill slow path),
-    /// in nanoseconds — recorded in both sweep modes, so sweep work the
-    /// lazy back-end moves onto the allocation path shows up in p99.99
-    /// comparisons instead of hiding outside the stall histogram.
+    /// in nanoseconds.
     pub lab_refill: Histogram,
     /// Write-barrier slow-path hits (graying branches), as flushed so far.
     pub barrier_slow: AtomicU64,
@@ -364,8 +362,8 @@ pub(crate) struct Obs {
     /// Collection cycles that were aborted mid-flight and rolled forward
     /// to a no-op by the safe abort protocol.
     pub cycles_aborted: AtomicU64,
-    /// Duration of each safe cycle-abort (handshake restore + repaint +
-    /// epoch finalize), in nanoseconds.
+    /// Duration of each safe cycle-abort (handshake restore + repaint),
+    /// in nanoseconds.
     pub recovery: Histogram,
     /// Per-worker phase histograms and steal counters, one per
     /// configured GC thread.
@@ -450,8 +448,8 @@ impl Obs {
     }
 
     /// Mutator side: a LAB refill took `ns` nanoseconds — one sample per
-    /// exchange (a lazy segment sweep, or up to 64 holes from the pool,
-    /// or the blocking path), not per hole.
+    /// exchange (up to 64 holes from the pool, or the blocking path),
+    /// not per hole.
     pub(crate) fn note_lab_refill(&self, ns: u64) {
         self.lab_refill.record(ns);
     }

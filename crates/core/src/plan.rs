@@ -6,19 +6,17 @@
 //! branches inside `run_cycle`.  This module re-expresses the cycle the
 //! way MMTk structures collectors (PAPERS.md): each protocol step is a
 //! typed [`Packet`]; packets live in phase buckets that open in a
-//! declared order; a *plan* — the (mode × sweep-backend) combination —
-//! selects which packets go into which bucket.  The bucket sequence of
-//! every plan is:
+//! declared order; a *plan* — the collector mode — selects which packets
+//! go into which bucket.  The bucket sequence of every plan is:
 //!
 //! | bucket         | kind     | packets (by plan)                                  |
 //! |----------------|----------|----------------------------------------------------|
-//! | `lazy-finalize`| serial   | lazy plans only: drain the previous sweep epoch    |
 //! | `init`         | serial   | full collections: `InitFullCollection` (gen modes) |
 //! | `handshake-1`  | serial   | post `sync1`, wait                                 |
 //! | `handshake-2`  | serial   | post `sync2`, card scan / color toggle (Fig. 2/5 order), wait |
 //! | `handshake-3`  | serial   | raise tracing, post `async`, mark global roots, wait |
 //! | `trace`        | parallel | one `TraceDrain` per worker lane                   |
-//! | `reclaim`      | parallel | eager: sweep (serial kernel or page-partitioned lanes); lazy: publish the epoch |
+//! | `reclaim`      | parallel | sweep: the serial kernel, or page-partitioned lanes |
 //!
 //! Buckets open strictly in declaration order and serial buckets drain
 //! FIFO, so with one worker the schedule runs byte-for-byte the
@@ -47,7 +45,6 @@ use otf_support::sync::Mutex;
 
 use crate::config::{Mode, Promotion};
 use crate::cycle::CycleCx;
-use crate::lazy::LazyWho;
 use crate::obs::{dur_ns, phase, EventKind};
 use crate::shared::{bucket, GcShared};
 use crate::state::Status;
@@ -76,12 +73,8 @@ pub(crate) struct CycleFrame {
     pub mark_ns: Vec<AtomicU64>,
     /// Per-lane steal counts (sibling deques + the shared gray queue).
     pub steals: Vec<AtomicU64>,
-    /// Total bytes blackened by the trace, summed across lanes as each
-    /// packet returns — the lazy epoch is published from this *before*
-    /// helper counters merge back into the main context.
-    pub bytes_traced: AtomicU64,
-    /// Heap bytes in use when the cycle proper began (sampled by the
-    /// init bucket's open hook, after any lazy finalize).
+    /// Heap bytes in use when the cycle began (sampled by the init
+    /// bucket's open hook).
     pub used_before: AtomicUsize,
     /// Allocation-trigger accumulator sampled at the same point.
     pub allocated_since: AtomicU64,
@@ -98,7 +91,6 @@ impl CycleFrame {
             roots_ns: AtomicU64::new(0),
             mark_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            bytes_traced: AtomicU64::new(0),
             used_before: AtomicUsize::new(0),
             allocated_since: AtomicU64::new(0),
         }
@@ -108,7 +100,6 @@ impl CycleFrame {
 /// The bucket handles of one full-cycle schedule, kept so `run_cycle`
 /// can read the closed buckets' spans for phase attribution.
 pub(crate) struct CycleBuckets {
-    pub finalize: Option<BucketId>,
     pub init: BucketId,
     pub hs1: BucketId,
     pub hs2: BucketId,
@@ -118,24 +109,6 @@ pub(crate) struct CycleBuckets {
 }
 
 // ----- packets ---------------------------------------------------------
-
-/// Lazy plans: drain the previous sweep epoch before this cycle's color
-/// toggle, folding its deferred counters into this cycle (DESIGN.md
-/// §4.6 — a straggling sweeper under stale params would free fresh
-/// objects after the toggle).
-struct LazyFinalize<'s> {
-    sh: &'s GcShared,
-}
-
-impl<'s> Packet<'s, CycleCx> for LazyFinalize<'s> {
-    fn name(&self) -> &'static str {
-        "lazy-finalize"
-    }
-    fn run(self: Box<Self>, _w: usize, cx: &mut CycleCx, _s: &Schedule<'s, CycleCx>) {
-        self.sh.lazy_finalize(LazyWho::Collector);
-        cx.counters.merge(&self.sh.lazy_take_counters());
-    }
-}
 
 /// `InitFullCollection` (Figure 3 / §6): recolor old objects young;
 /// the simple variant also wipes the card marks, aging keeps them.
@@ -287,26 +260,21 @@ impl<'s> Packet<'s, CycleCx> for TraceDrain<'s> {
                 }
             }
         }
-        let before = cx.counters.bytes_traced;
         let steals = self
             .sh
             .trace_drain(self.lane, self.workers, &self.frame.deques, cx);
-        let traced = cx.counters.bytes_traced - before;
-        self.frame.bytes_traced.fetch_add(traced, Ordering::Relaxed);
         self.frame.steals[self.lane].fetch_add(steals, Ordering::Relaxed);
         self.frame.mark_ns[self.lane].fetch_add(dur_ns(t.elapsed()), Ordering::Relaxed);
     }
 }
 
-/// The reclaim step of the selected plan: lazy plans publish the sweep
-/// epoch (mark-only cycle); eager plans run the serial sweep kernel or
-/// fan out one [`SweepLane`] per worker into their own bucket.
+/// The reclaim step: the serial sweep kernel at one worker, otherwise
+/// one [`SweepLane`] per worker fanned out into the same bucket.
 struct ReclaimPlan<'s> {
     sh: &'s GcShared,
     frame: &'s CycleFrame,
     bucket: BucketId,
     workers: usize,
-    lazy: bool,
 }
 
 impl<'s> Packet<'s, CycleCx> for ReclaimPlan<'s> {
@@ -314,13 +282,7 @@ impl<'s> Packet<'s, CycleCx> for ReclaimPlan<'s> {
         "reclaim-plan"
     }
     fn run(self: Box<Self>, _w: usize, cx: &mut CycleCx, sched: &Schedule<'s, CycleCx>) {
-        if self.lazy {
-            // Mark-only cycle: order every trace-phase color store
-            // before the epoch becomes claimable, then publish it.
-            std::sync::atomic::fence(Ordering::SeqCst);
-            self.sh
-                .lazy_publish(self.frame.bytes_traced.load(Ordering::Relaxed));
-        } else if self.workers <= 1 {
+        if self.workers <= 1 {
             self.sh.sweep_serial(cx);
         } else {
             let frontier = self.sh.heap.frontier_granule();
@@ -366,7 +328,7 @@ impl<'s> Packet<'s, CycleCx> for SweepLane<'s> {
 impl GcShared {
     /// Builds the full-cycle schedule for this configuration's plan:
     /// every bucket in Figure 2/5 order, packets selected by
-    /// (mode × kind × sweep backend).
+    /// (mode × kind).
     pub(crate) fn build_cycle_schedule<'s>(
         &'s self,
         sched: &mut Schedule<'s, CycleCx>,
@@ -374,20 +336,6 @@ impl GcShared {
         frame: &'s CycleFrame,
         workers: usize,
     ) -> CycleBuckets {
-        // Lazy plans: the previous epoch drains *before* the toggle
-        // (its residual time is attributed to the sweep phase).
-        let finalize = if self.config.lazy_sweep {
-            let b = sched.add_serial_bucket("lazy-finalize");
-            sched.on_open(b, move || {
-                self.open_bucket
-                    .store(bucket::LAZY_FINALIZE, Ordering::Release);
-            });
-            sched.enqueue(b, LazyFinalize { sh: self });
-            Some(b)
-        } else {
-            None
-        };
-
         // ----- clear (Figure 2/5: "clear: If (full collection) Init...")
         let init = sched.add_serial_bucket("init");
         sched.on_open(init, move || {
@@ -549,10 +497,9 @@ impl GcShared {
         });
 
         let trace = self.add_trace_bucket(sched, frame, workers, true);
-        let reclaim = self.add_reclaim_bucket(sched, frame, workers, self.config.lazy_sweep, true);
+        let reclaim = self.add_reclaim_bucket(sched, frame, workers, true);
 
         CycleBuckets {
-            finalize,
             init,
             hs1,
             hs2,
@@ -647,22 +594,20 @@ impl GcShared {
     }
 
     /// Appends the reclaim bucket: one [`ReclaimPlan`] packet that
-    /// either publishes the lazy epoch, runs the serial sweep kernel,
-    /// or fans one [`SweepLane`] per worker into this same bucket.
+    /// either runs the serial sweep kernel or fans one [`SweepLane`] per
+    /// worker into this same bucket.
     pub(crate) fn add_reclaim_bucket<'s>(
         &'s self,
         sched: &mut Schedule<'s, CycleCx>,
         frame: &'s CycleFrame,
         workers: usize,
-        lazy: bool,
         cycle_events: bool,
     ) -> BucketId {
         let b = sched.add_bucket("reclaim");
         if cycle_events {
             sched.on_open(b, move || {
                 self.open_bucket.store(bucket::RECLAIM, Ordering::Release);
-                // Chaos kill site 6 of 6 — before the sweep frees (or the
-                // lazy epoch publishes) anything.
+                // Chaos kill site 6 of 6 — before the sweep frees anything.
                 if fault::point("collector.phase") {
                     panic!("injected collector panic (phase: reclaim)");
                 }
@@ -676,11 +621,10 @@ impl GcShared {
                 frame,
                 bucket: b,
                 workers,
-                lazy,
             },
         );
         sched.on_close(b, move |span| {
-            if !lazy && workers > 1 {
+            if workers > 1 {
                 // The lanes are done: report the completed sweep (the
                 // serial kernel emits its own final progress event).
                 let f = frame.frontier.load(Ordering::Relaxed) as u64;
@@ -782,8 +726,6 @@ mod tests {
             freed += stats.objects_freed;
             survived += stats.objects_survived;
         }
-        // Settle any lazy epoch so end states compare against eager.
-        sh.lazy_finalize(LazyWho::Collector);
         (traced, freed, survived)
     }
 
@@ -799,27 +741,19 @@ mod tests {
         (table, sh.heap.free_list_granules(), sh.heap.used_bytes())
     }
 
-    /// Every mode × sweep-backend plan must produce an end state
-    /// identical to the serial DLG sequence, at N=1 and N=4.
+    /// Every plan at N=4 must reach the end state and the traced /
+    /// freed / survived totals of the serial DLG sequence (N=1).
     fn assert_plan_parity(make: fn() -> GcConfig, kinds: &[CycleKind]) {
-        for lazy in [false, true] {
-            let run = |threads: usize| {
-                let (sh, mut cx) = setup(make().with_lazy_sweep(lazy), threads);
-                let counts = drive(&sh, &mut cx, kinds);
-                (end_state(&sh), counts)
-            };
-            let (state1, counts1) = run(1);
-            let (state4, counts4) = run(4);
-            let label = make().with_lazy_sweep(lazy).plan_name();
-            assert_eq!(state1, state4, "end-state mismatch for plan {label}");
-            // Trace totals are deterministic in both backends; freed /
-            // survived totals are per-cycle identical only for eager
-            // (lazy defers reclamation counters by an epoch).
-            assert_eq!(counts1.0, counts4.0, "traced mismatch for plan {label}");
-            if !lazy {
-                assert_eq!(counts1, counts4, "counter mismatch for plan {label}");
-            }
-        }
+        let run = |threads: usize| {
+            let (sh, mut cx) = setup(make(), threads);
+            let counts = drive(&sh, &mut cx, kinds);
+            (end_state(&sh), counts)
+        };
+        let (state1, counts1) = run(1);
+        let (state4, counts4) = run(4);
+        let label = make().plan_name();
+        assert_eq!(state1, state4, "end-state mismatch for plan {label}");
+        assert_eq!(counts1, counts4, "counter mismatch for plan {label}");
     }
 
     #[test]
@@ -848,27 +782,21 @@ mod tests {
 
     #[test]
     fn cycle_schedule_has_declared_bucket_order() {
-        // Exactly the module table's buckets, in Figure 2/5 order; the
-        // finalize bucket exists only for lazy plans and precedes init.
-        const EAGER: [&str; 6] = [
-            "init",
-            "handshake-1",
-            "handshake-2",
-            "handshake-3",
-            "trace",
-            "reclaim",
-        ];
-        for lazy in [false, true] {
-            let (sh, _cx) = setup(GcConfig::generational().with_lazy_sweep(lazy), 1);
-            let frame = CycleFrame::new(1);
-            let mut sched = Schedule::new();
-            let b = sh.build_cycle_schedule(&mut sched, CycleKind::Full, &frame, 1);
-            let names = sched.bucket_names();
-            assert_eq!(b.finalize.is_some(), lazy);
-            if lazy {
-                assert_eq!(names[0], "lazy-finalize");
-            }
-            assert_eq!(names[lazy as usize..], EAGER);
-        }
+        // Exactly the module table's buckets, in Figure 2/5 order.
+        let (sh, _cx) = setup(GcConfig::generational(), 1);
+        let frame = CycleFrame::new(1);
+        let mut sched = Schedule::new();
+        sh.build_cycle_schedule(&mut sched, CycleKind::Full, &frame, 1);
+        assert_eq!(
+            sched.bucket_names(),
+            [
+                "init",
+                "handshake-1",
+                "handshake-2",
+                "handshake-3",
+                "trace",
+                "reclaim",
+            ]
+        );
     }
 }

@@ -11,7 +11,6 @@ use otf_support::sync::{Condvar, Mutex};
 
 use crate::config::GcConfig;
 use crate::control::Control;
-use crate::lazy::LazySweep;
 use crate::obs::Obs;
 use crate::state::{ColorState, MutatorShared, Status};
 use crate::stats::CycleStats;
@@ -19,10 +18,10 @@ use crate::stats::CycleStats;
 /// Codes for the cycle bucket currently open, published in
 /// [`GcShared::open_bucket`] so the supervisor's abort routine and the
 /// watchdog's stall reports can name where a cycle was interrupted.
-/// `0` means no bucket is open (no cycle in flight).
+/// `0` means no bucket is open (no cycle in flight).  Code `1` is
+/// retired, not reused, so recorded traces keep their meaning.
 pub(crate) mod bucket {
     pub const NONE: u8 = 0;
-    pub const LAZY_FINALIZE: u8 = 1;
     pub const INIT: u8 = 2;
     pub const HANDSHAKE_1: u8 = 3;
     pub const HANDSHAKE_2: u8 = 4;
@@ -35,7 +34,6 @@ pub(crate) mod bucket {
 /// ring's JSON rendering, which carries the code as a `u64` payload).
 pub(crate) fn bucket_label(code: u64) -> &'static str {
     match code as u8 {
-        bucket::LAZY_FINALIZE => "lazy-finalize",
         bucket::INIT => "init",
         bucket::HANDSHAKE_1 => "handshake-1",
         bucket::HANDSHAKE_2 => "handshake-2",
@@ -81,9 +79,6 @@ pub(crate) struct GcShared {
     /// handshake.
     pub globals: Mutex<Vec<ObjectRef>>,
     pub control: Control,
-    /// Lazy (allocation-time) sweep epoch state — inert unless
-    /// `config.lazy_sweep` is set (DESIGN.md §4.6).
-    pub lazy: LazySweep,
     pub stats: Mutex<StatsInner>,
     /// Pause histograms and the GC event trace ring.
     pub obs: Obs,
@@ -124,7 +119,6 @@ impl GcShared {
             next_mutator_id: AtomicU64::new(1),
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
-            lazy: LazySweep::default(),
             stats: Mutex::new(StatsInner::default()),
             obs: Obs::new(
                 config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some(),
@@ -262,16 +256,10 @@ impl GcShared {
         // pressure and fires premature full collections.  A lease comes
         // off whole until its LAB retires (DESIGN.md §4.10), so `used`
         // runs low — and the trigger late — by under one LAB per mutator.
-        // In lazy-sweep mode, granules the published epoch has not yet
-        // reclaimed still sit in `used_granules` even though they are
-        // dead: subtract the epoch's unswept-garbage estimate so the
-        // deferred sweep does not masquerade as occupancy and fire
-        // premature full collections (DESIGN.md §4.6).
         let used = self
             .heap
             .used_bytes()
-            .saturating_sub(self.heap.lab_leased_bytes())
-            .saturating_sub(self.lazy.unswept_bytes() as usize) as f64;
+            .saturating_sub(self.heap.lab_leased_bytes()) as f64;
         let committed = self.heap.committed_bytes() as f64;
         if used >= self.config.full_trigger_fraction * committed && since >= (64 << 10) {
             self.control.request_full();
@@ -710,56 +698,6 @@ mod tests {
         sh.heap.refill_lab(&mut lab, c);
         lab.carve(granules).unwrap(); // all of it now holds objects
         sh.heap.retire_lab(&mut lab);
-        sh.control.add_allocated(128 << 10);
-        sh.evaluate_triggers();
-        assert_eq!(
-            sh.control.next_request(),
-            Some(crate::stats::CycleKind::Full)
-        );
-    }
-
-    #[test]
-    fn unswept_lazy_garbage_does_not_fire_full_trigger() {
-        // Regression (lazy-sweep analogue of the LAB-lease tests above):
-        // after a mark-only cycle the dead bytes are still counted in
-        // `used_granules` until a lazy segment reclaims them.  The
-        // unswept-garbage estimate published with the epoch must keep
-        // that deferred garbage from reading as heap pressure, or lazy
-        // mode would fire back-to-back full collections that the eager
-        // sweep never would.
-        let sh = GcShared::new(
-            GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_lazy_sweep(true),
-        );
-        let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32; // 80%
-        sh.heap.alloc_chunk(granules, granules).unwrap();
-        // Mark-only cycle ends having traced nothing: everything that is
-        // used is garbage awaiting the lazy sweep.
-        sh.lazy_publish(0);
-        sh.control.add_allocated(128 << 10); // past the progress floor
-        sh.evaluate_triggers();
-        assert!(
-            !sh.control.has_request(),
-            "unswept lazy garbage must count as available space"
-        );
-    }
-
-    #[test]
-    fn lazy_traced_live_bytes_still_fire_full_trigger() {
-        // Companion: when the mark phase saw the bytes alive, the epoch
-        // carries no unswept-garbage credit and the full trigger fires at
-        // the same effective occupancy as eager mode.
-        let sh = GcShared::new(
-            GcConfig::generational()
-                .with_max_heap(1 << 20)
-                .with_initial_heap(1 << 20)
-                .with_lazy_sweep(true),
-        );
-        let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32;
-        sh.heap.alloc_chunk(granules, granules).unwrap();
-        sh.lazy_publish(sh.heap.used_bytes() as u64); // all of it traced live
         sh.control.add_allocated(128 << 10);
         sh.evaluate_triggers();
         assert_eq!(

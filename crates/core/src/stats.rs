@@ -195,38 +195,22 @@ pub struct GcStats {
     /// its garbage floats to the next completed collection.
     pub cycles_aborted: u64,
     /// Histogram of safe cycle-abort durations (handshake restore +
-    /// live repaint + lazy-epoch finalization), in nanoseconds.
+    /// live repaint), in nanoseconds.
     pub recovery: Snapshot,
     /// Per-collector-worker statistics (one entry per configured GC
     /// thread, §4.4).  Worker 0 is the collector thread itself; at
     /// `gc_threads = 1` this is a single entry with zero steals.
     pub workers: Vec<WorkerStats>,
-    /// Histogram of LAB-refill latency, in nanoseconds, recorded in both
-    /// sweep modes.  One sample is one *exchange* with the pool — the
-    /// previous queue's leftovers back, up to 64 holes out (DESIGN.md
-    /// §4.13) — not one hole, so its quantiles are those of a whole
-    /// queue: the count, and count × mean as a share of mutator time, are
-    /// what compare across the change.  Under `GcConfig::lazy_sweep` the
-    /// refill sweeps an epoch segment first, so sweep work moved onto
-    /// mutators is visible here (and in the p99.99 comparison against
-    /// eager mode) instead of hiding.
+    /// Histogram of LAB-refill latency, in nanoseconds.  One sample is
+    /// one *exchange* with the pool — the previous queue's leftovers
+    /// back, up to 64 holes out (DESIGN.md §4.13) — not one hole, so its
+    /// quantiles are those of a whole queue: the count, and count × mean
+    /// as a share of mutator time, are what compare across a change.  A
+    /// refill that has to wait for a full collection is timed whole.
     pub lab_refill: Snapshot,
-    /// Lazy sweep only: cumulative granules reclaimed *at allocation* —
-    /// by mutator segment sweeps (LAB refill sweep-to-allocate and the
-    /// allocation-pressure drain).  Zero in eager mode.
-    pub lazy_freed_at_alloc_granules: u64,
-    /// Lazy sweep only: cumulative granules reclaimed *at cycle
-    /// finalization* — by the collector's between-cycle drain and the
-    /// cycle-start / shutdown epoch finalization.  Zero in eager mode.
-    pub lazy_freed_at_final_granules: u64,
-    /// Lazy sweep only: sweep epochs published (one per completed
-    /// cycle).  Zero in eager mode.
-    pub lazy_epochs: u64,
     /// Heap bytes in use at snapshot time (object bytes plus leased
-    /// LABs).  In a post-shutdown snapshot every LAB has been retired
-    /// and any lazy epoch finalized, so this is exactly the surviving
-    /// live set — the end-state figure the sweep-mode parity gates
-    /// compare.
+    /// LABs).  In a post-shutdown snapshot every LAB has been retired,
+    /// so this counts object bytes only.
     pub used_bytes: usize,
 }
 

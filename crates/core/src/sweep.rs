@@ -55,7 +55,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use otf_heap::{Chunk, Color, PageTracker, GRANULE};
+use otf_heap::{Chunk, Color, GRANULE};
 use otf_support::fault;
 
 use crate::config::{Mode, Promotion};
@@ -67,52 +67,47 @@ use crate::shared::GcShared;
 /// lists whenever this many are pending, so concurrent allocation never
 /// starves behind a long sweep.  The batch is pre-sized to this
 /// threshold.
-pub(crate) const SWEEP_FLUSH_CHUNKS: usize = 256;
+const SWEEP_FLUSH_CHUNKS: usize = 256;
 
 /// Emit a `SweepProgress` event every time the sweep cursor advances this
 /// many granules, independent of chunk-batch flushes, so the event ring
 /// can reconstruct the sweep rate even on a heap that frees little.
-pub(crate) const SWEEP_PROGRESS_STRIDE: usize = 1 << 15;
+const SWEEP_PROGRESS_STRIDE: usize = 1 << 15;
 
 /// Parallel sweep segment size in granules: 64 pages of arena
 /// (16 KiB-granule heap pages × 256 granules/page), which is also
-/// page-aligned in the color table (one byte per granule).  The lazy
-/// (allocation-time) sweep claims the same segments from its epoch
-/// cursor (`crate::lazy`).
-pub(crate) const SWEEP_SEGMENT_GRANULES: usize = 64 * 256;
+/// page-aligned in the color table (one byte per granule).
+const SWEEP_SEGMENT_GRANULES: usize = 64 * 256;
 
-/// Sweep configuration pinned once per sweep epoch: the cycle's clear /
-/// allocation colors and promotion policy.  The eager sweep captures it
-/// at sweep start; the lazy back-end captures it when the collector
-/// publishes a sweep epoch and keeps using the *pinned* copy even after
-/// the next cycle's color toggle — re-reading `ColorState` mid-epoch
-/// would reclaim the wrong color (DESIGN.md §4.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The cycle's sweep configuration: its clear / allocation colors and
+/// promotion policy, read once after the trace and shared by every
+/// sweep lane.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SweepParams {
     /// The color being reclaimed (the dead color of the finished trace).
     pub clear: Color,
-    /// The epoch's allocation color (left untouched / re-applied to
+    /// The cycle's allocation color (left untouched / re-applied to
     /// young survivors under aging).
     pub alloc: Color,
     /// `Some(threshold)` in the aging variant (Figure 5).
     pub aging: Option<u8>,
     /// The color a leaked gray is conservatively promoted to in the
-    /// non-aging arms (pinned: for the non-generational baseline this is
-    /// the epoch's mark color, which toggles).
+    /// non-aging arms (for the non-generational baseline this is the
+    /// cycle's mark color, which toggles).
     pub trace_target: Color,
 }
 
 /// Per-sweeper scratch threaded through [`GcShared::sweep_range`]: the
 /// open reclaimed run, the pending chunk batch, and the granule mark for
 /// the next stride `SweepProgress` event.
-pub(crate) struct SweepBuf {
-    pub run: Option<Chunk>,
-    pub batch: Vec<Chunk>,
-    pub next_mark: usize,
+struct SweepBuf {
+    run: Option<Chunk>,
+    batch: Vec<Chunk>,
+    next_mark: usize,
 }
 
 impl SweepBuf {
-    pub(crate) fn new(next_mark: usize) -> SweepBuf {
+    fn new(next_mark: usize) -> SweepBuf {
         SweepBuf {
             run: None,
             batch: Vec::with_capacity(SWEEP_FLUSH_CHUNKS),
@@ -123,10 +118,7 @@ impl SweepBuf {
 
 impl GcShared {
     /// Captures the current cycle's sweep configuration (see
-    /// [`SweepParams`]).  Both sweep back-ends call this at the same
-    /// protocol point — after the trace, before any reclamation — so the
-    /// pinned copy is identical to what the eager sweep used to re-read
-    /// per range.
+    /// [`SweepParams`]), after the trace and before any reclamation.
     pub(crate) fn sweep_params(&self) -> SweepParams {
         SweepParams {
             clear: self.colors.clear_color(),
@@ -151,7 +143,7 @@ impl GcShared {
         if workers > 1 {
             let frame = crate::plan::CycleFrame::new(workers);
             let mut sched = otf_support::packet::Schedule::new();
-            self.add_reclaim_bucket(&mut sched, &frame, workers, false, false);
+            self.add_reclaim_bucket(&mut sched, &frame, workers, false);
             self.run_schedule(&sched, cx, workers);
         } else {
             self.sweep_serial(cx);
@@ -169,15 +161,7 @@ impl GcShared {
         cx.touch_color_range(1, end);
 
         let mut buf = SweepBuf::new(1 + SWEEP_PROGRESS_STRIDE);
-        self.sweep_range(
-            &params,
-            1,
-            end,
-            end,
-            &mut cx.counters,
-            Some(&mut cx.pages),
-            &mut buf,
-        );
+        self.sweep_range(&params, 1, end, end, cx, &mut buf);
         Self::flush_run(&mut buf.run, &mut buf.batch);
         self.heap.free_chunk_batch(&buf.batch);
         self.obs
@@ -208,15 +192,7 @@ impl GcShared {
             // swept exactly once — so the verdict is ignored.
             let _ = fault::point("collector.worker");
             let seg_stop = (seg_start + SWEEP_SEGMENT_GRANULES).min(frontier);
-            self.sweep_range(
-                params,
-                seg_start,
-                seg_stop,
-                frontier,
-                &mut cx.counters,
-                Some(&mut cx.pages),
-                &mut buf,
-            );
+            self.sweep_range(params, seg_start, seg_stop, frontier, cx, &mut buf);
             // Never coalesce a reclaimed run across a segment boundary —
             // the adjacent segment may belong to another worker.
             Self::flush_run(&mut buf.run, &mut buf.batch);
@@ -232,22 +208,14 @@ impl GcShared {
     /// segment start (`start > 1`) is the tail of such a straddler and
     /// is the previous segment's owner's to free or count.
     ///
-    /// This is the kernel shared by both sweep back-ends.  The eager
-    /// collector paths pass their `CycleCx` split into `counters` +
-    /// `Some(pages)`; the lazy allocation-time path (`crate::lazy`)
-    /// passes standalone counters and `None` for the page tracker — a
-    /// `PageTracker` is a heap-sized bitmap far too heavy to build per
-    /// LAB refill, so lazy sweeps are simply absent from the page-touch
-    /// figures (documented in DESIGN.md §4.6).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sweep_range(
+    /// The kernel under both the serial sweep and every parallel lane.
+    fn sweep_range(
         &self,
         params: &SweepParams,
         start: usize,
         stop: usize,
         frontier: usize,
-        counters: &mut Counters,
-        mut pages: Option<&mut PageTracker>,
+        cx: &mut CycleCx,
         buf: &mut SweepBuf,
     ) {
         let SweepParams {
@@ -258,6 +226,9 @@ impl GcShared {
         } = *params;
         let colors = self.heap.colors();
         let ages = self.heap.ages();
+        let CycleCx {
+            counters, pages, ..
+        } = cx;
         // The one survivor color that needs nothing from this sweep: it
         // is counted on the way past, never visited.  Under aging every
         // survivor needs its age touched, so no color passes.
@@ -356,9 +327,7 @@ impl GcShared {
             }
             match aging {
                 Some(threshold) => {
-                    if let Some(p) = pages.as_mut() {
-                        p.touch_byte(otf_heap::Space::AgeTable, g);
-                    }
+                    pages.touch_byte(otf_heap::Space::AgeTable, g);
                     let age = ages.get(g);
                     if age < threshold {
                         // Young survivor: stays in the young
@@ -403,7 +372,7 @@ impl GcShared {
 
     /// Moves a finished reclaimed run into the pending batch (inserted
     /// into the free lists in bulk at the end of the sweep).
-    pub(crate) fn flush_run(run: &mut Option<Chunk>, batch: &mut Vec<Chunk>) {
+    fn flush_run(run: &mut Option<Chunk>, batch: &mut Vec<Chunk>) {
         if let Some(r) = run.take() {
             batch.push(r);
         }
@@ -909,8 +878,7 @@ mod tests {
 
     /// The run-at-a-time sweep against the object-at-a-time oracle, on
     /// generated tables: all three modes × both toggle states, through
-    /// the serial sweep, the page-partitioned sweep and the lazy segment
-    /// path.  Colors, ages and the five sweep counters must agree; the
+    /// the serial sweep and the page-partitioned sweep.  Colors, ages and the five sweep counters must agree; the
     /// serial free lists chunk for chunk, the partitioned ones in total.
     #[test]
     fn run_sweep_matches_object_sweep_oracle() {
@@ -985,17 +953,6 @@ mod tests {
                 assert_eq!(table_bytes(&parallel, len), expect_tables, "parallel");
                 assert_eq!(
                     parallel.heap.free_list_granules(),
-                    oracle.heap.free_list_granules()
-                );
-
-                let (lazy, _) = build(modes[mode]().with_lazy_sweep(true));
-                image.install(&lazy);
-                lazy.lazy_publish(0);
-                lazy.lazy_finalize(crate::lazy::LazyWho::Collector);
-                check("lazy", sweep_counters(&lazy.lazy_take_counters()), false);
-                assert_eq!(table_bytes(&lazy, len), expect_tables, "lazy");
-                assert_eq!(
-                    lazy.heap.free_list_granules(),
                     oracle.heap.free_list_granules()
                 );
             }

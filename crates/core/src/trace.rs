@@ -41,14 +41,12 @@ impl GcShared {
         if !colors.cas(g, Color::Gray, target) {
             return; // another worker claimed it, or a duplicate entry
         }
-        let header = self.heap.arena().header(obj);
-        let ref_slots = header.ref_slots();
+        let ref_slots = self.heap.arena().header(obj).ref_slots();
         for i in 0..ref_slots {
             let son = self.heap.arena().load_ref_slot(obj, i);
             self.mark_gray_clear_local(son, &mut cx.mark_stack);
         }
         cx.counters.objects_traced += 1;
-        cx.counters.bytes_traced += header.size_bytes() as u64;
         cx.touch_object(obj, 1 + ref_slots);
         cx.touch_color(g);
     }

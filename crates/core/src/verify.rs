@@ -21,13 +21,6 @@
 //!    referenced from a black object lies on a dirty card, so the next
 //!    partial collection will find it.
 //!
-//! Under the lazy sweep (DESIGN.md §4.6) a quiescent heap may still hold
-//! an unfinalized epoch — dead objects wearing the clear color that no
-//! claimant has reclaimed yet, which invariant 2 would misread as
-//! pool/table disagreement.  [`Gc::verify_heap`] therefore finalizes any
-//! pending epoch before walking, so the walk always sees a fully swept
-//! heap and the invariants below need no lazy-mode carve-outs.
-//!
 //! [`Gc::verify_heap`]: crate::Gc::verify_heap
 
 use otf_heap::{Color, Header, ObjectRef, GRANULE};

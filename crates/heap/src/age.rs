@@ -9,11 +9,10 @@
 //! An object is allocated with age 1 (§8.5.2: "an object is allocated with
 //! age 1, and its age gets increased for each collection it survives") and
 //! sweep stops incrementing once the age reaches the tenuring threshold.
-//! The incrementing pass is part of the shared sweep kernel, so under the
-//! lazy back-end (DESIGN.md §4.6) the bytes are bumped by whichever
-//! mutator claims the segment — still exactly once per object per cycle,
-//! because segments partition the heap and an epoch is finalized before
-//! the next cycle begins.
+//! The incrementing pass is part of the sweep kernel, so with parallel
+//! sweep lanes the bytes are bumped by whichever lane claims the segment —
+//! still exactly once per object per cycle, because segments partition
+//! the heap.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

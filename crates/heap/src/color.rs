@@ -15,12 +15,6 @@
 //! `Interior` at an in-flight object's granules simply skips one granule —
 //! which is always safe, because a freshly allocated object carries the
 //! allocation color and is never a reclamation candidate.
-//!
-//! Nothing here assumes *who* performs the sweep-side scan: in the lazy
-//! back-end (DESIGN.md §4.6) it is mutators, not collector workers, that
-//! walk the table and fill reclaimed runs with `Free` — but they do so
-//! only between cycles under the epoch's pinned clear color, so every
-//! ordering argument above is unchanged.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -21,10 +21,8 @@
 //! gracefully on a tight heap.  Bins are LIFO, so which chunk is taken
 //! depends only on the sequence of calls.
 //!
-//! The pool is indifferent to which thread performs reclamation: sweep
-//! batches arrive from collector workers in the eager back-end and from
-//! allocating mutators in the lazy one (DESIGN.md §4.6), always through
-//! the same insert paths under the same lock.
+//! Sweep batches arrive from every collector sweep lane through the same
+//! insert paths under the same lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -102,12 +102,6 @@ impl HeapSpace {
     }
 
     /// Granules in use (objects + leased LABs), in granules.
-    ///
-    /// A lazy-sweep segment handed directly to a requesting mutator's
-    /// LAB (DESIGN.md §4.6) never passes through [`Self::free_chunk_batch`],
-    /// so its dead object bytes stay counted here as they become leased
-    /// LAB bytes — the trigger controller compensates for still-unswept
-    /// garbage separately, with the epoch's unswept estimate.
     #[inline]
     pub fn used_granules(&self) -> usize {
         self.used_granules.load(Ordering::Relaxed)

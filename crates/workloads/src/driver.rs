@@ -99,9 +99,9 @@ pub fn run_workload_verified(
         // allocation color of the last concurrent cycle survives the
         // first full (the born-during-the-cycle rule) and dies in the
         // second.  One full would leave a timing-dependent amount of
-        // floating garbage behind, making the post-run live set —
-        // which the sweep-mode parity gates compare — depend on when
-        // the trigger last fired instead of on the workload.
+        // floating garbage behind, making the post-run live set that
+        // `verify_heap` walks and `GcStats::used_bytes` reports depend
+        // on when the trigger last fired instead of on the workload.
         gc.collect_full_blocking();
         gc.collect_full_blocking();
     }

@@ -88,11 +88,10 @@ fn same_seed_reproduces_identical_injection_sequence() {
     );
 }
 
-/// The seeded chaos matrix: every collector variant × both sweep modes
-/// survives both a scheduling-storm plan (delays and yields inside the
-/// protocol's race windows — including the lazy segment-claim and
-/// run-reclaim windows) and a failure-storm plan (refused chunk
-/// allocations) with a structurally consistent heap at the end.
+/// The seeded chaos matrix: every collector variant survives both a
+/// scheduling-storm plan (delays and yields inside the protocol's race
+/// windows) and a failure-storm plan (refused chunk allocations) with a
+/// structurally consistent heap at the end.
 #[test]
 fn chaos_matrix_verifies_clean_under_fault_plans() {
     let _serial = fault::exclusive();
@@ -105,11 +104,6 @@ fn chaos_matrix_verifies_clean_under_fault_plans() {
             )
             .rule(FaultRule::at("mutator.barrier.window").yielding(0.1))
             .rule(FaultRule::at("mutator.lab.refill").delaying(0.1, 100))
-            .rule(
-                FaultRule::at("mutator.lazy_sweep.segment")
-                    .delaying(0.2, 200)
-                    .yielding(0.2),
-            )
             .rule(FaultRule::at("collector.phase").delaying(0.5, 500))
             .rule(FaultRule::at("collector.handshake.wait").yielding(0.3))
     };
@@ -121,29 +115,25 @@ fn chaos_matrix_verifies_clean_under_fault_plans() {
                     .max_fires(25),
             )
             .rule(FaultRule::at("mutator.lab.refill").yielding(0.2))
-            .rule(FaultRule::at("mutator.lazy_sweep.segment").yielding(0.3))
             .rule(FaultRule::at("mutator.cooperate").yielding(0.1))
     };
     let w = Chaos::new().with_threads(3).scaled(0.2);
     for cfg in variants() {
-        for lazy in [false, true] {
-            let cfg = cfg.with_lazy_sweep(lazy);
-            for (name, mk) in [("storm", storm), ("failures", failures)] {
-                fault::install(mk());
-                let w = w.clone();
-                let (_, violations) = bounded(
-                    &format!("plan {name:?} under {}", cfg.plan_name()),
-                    move || driver::run_workload_verified(&w, cfg, 23),
-                );
-                let log = fault::uninstall();
-                assert!(
-                    violations.is_empty(),
-                    "plan {name:?} under {:?} (lazy_sweep={lazy}) left heap violations \
-                     after {} injections: {violations:?}",
-                    cfg.mode,
-                    log.len()
-                );
-            }
+        for (name, mk) in [("storm", storm), ("failures", failures)] {
+            fault::install(mk());
+            let w = w.clone();
+            let (_, violations) = bounded(
+                &format!("plan {name:?} under {}", cfg.plan_name()),
+                move || driver::run_workload_verified(&w, cfg, 23),
+            );
+            let log = fault::uninstall();
+            assert!(
+                violations.is_empty(),
+                "plan {name:?} under {:?} left heap violations \
+                 after {} injections: {violations:?}",
+                cfg.mode,
+                log.len()
+            );
         }
     }
 }
@@ -249,7 +239,7 @@ fn barrier_window_delays_never_lose_a_moved_reference() {
     }
 }
 
-/// The parallel back-end under chaos: every variant runs with four GC
+/// The parallel collector under chaos: every variant runs with four GC
 /// workers while `collector.worker` injections delay and yield workers at
 /// steal attempts (mark) and segment claims (sweep), stretching the
 /// §4.4 termination race windows.  The heap must still verify clean and
@@ -268,37 +258,34 @@ fn parallel_chaos_matrix_verifies_clean_at_four_workers() {
             )
             .rule(FaultRule::at("mutator.cooperate").yielding(0.2))
             .rule(FaultRule::at("mutator.barrier.window").yielding(0.1))
-            .rule(FaultRule::at("mutator.lazy_sweep.segment").yielding(0.3))
             .rule(FaultRule::at("collector.phase").delaying(0.2, 200))
     };
     let w = Chaos::new().with_threads(3).scaled(0.2);
     for cfg in variants() {
-        for lazy in [false, true] {
-            let cfg = cfg.with_gc_threads(4).with_lazy_sweep(lazy);
-            fault::install(plan());
-            let w = w.clone();
-            let (result, violations) =
-                bounded(&format!("N=4 chaos under {}", cfg.plan_name()), move || {
-                    driver::run_workload_verified(&w, cfg, 31)
-                });
-            let log = fault::uninstall();
-            assert!(
-                violations.is_empty(),
-                "N=4 chaos under {:?} (lazy_sweep={lazy}) left heap violations \
-                 after {} injections: {violations:?}",
-                cfg.mode,
-                log.len()
-            );
-            assert_eq!(
-                result.stats.workers.len(),
-                4,
-                "expected per-worker stats for all four GC workers"
-            );
-            assert!(
-                result.stats.workers[0].mark.count() > 0,
-                "worker 0 never recorded a mark phase"
-            );
-        }
+        let cfg = cfg.with_gc_threads(4);
+        fault::install(plan());
+        let w = w.clone();
+        let (result, violations) =
+            bounded(&format!("N=4 chaos under {}", cfg.plan_name()), move || {
+                driver::run_workload_verified(&w, cfg, 31)
+            });
+        let log = fault::uninstall();
+        assert!(
+            violations.is_empty(),
+            "N=4 chaos under {:?} left heap violations \
+             after {} injections: {violations:?}",
+            cfg.mode,
+            log.len()
+        );
+        assert_eq!(
+            result.stats.workers.len(),
+            4,
+            "expected per-worker stats for all four GC workers"
+        );
+        assert!(
+            result.stats.workers[0].mark.count() > 0,
+            "worker 0 never recorded a mark phase"
+        );
     }
 }
 
@@ -427,11 +414,11 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
 }
 
 /// The recovery matrix (tentpole acceptance): a collector panic at each
-/// of the six phases, for gen and nogen, eager and lazy sweep, N=1 and
-/// N=4 workers, must end unpoisoned with ≥ 1 restart, a completed
-/// subsequent full collection, and zero `verify_heap` violations.  One
-/// cell, the gen-eager N=1 kill mid-trace, runs once more: the same seed
-/// must reproduce its injection log exactly.
+/// of the six phases, for gen and nogen, N=1 and N=4 workers, must end
+/// unpoisoned with ≥ 1 restart, a completed subsequent full collection,
+/// and zero `verify_heap` violations.  One cell, the gen N=1 kill
+/// mid-trace, runs once more: the same seed must reproduce its injection
+/// log exactly.
 #[test]
 fn collector_panic_at_every_phase_recovers_under_restarts() {
     let _serial = fault::exclusive();
@@ -446,13 +433,11 @@ fn collector_panic_at_every_phase_recovers_under_restarts() {
         (true, GcConfig::generational as fn() -> GcConfig),
         (false, GcConfig::non_generational),
     ] {
-        for lazy in [false, true] {
-            for threads in [1usize, 4] {
-                for k in 0..6u64 {
-                    let log = recover(base().with_lazy_sweep(lazy).with_gc_threads(threads), k);
-                    if gen && !lazy && threads == 1 && k == 4 {
-                        trace_kill_log = Some(log);
-                    }
+        for threads in [1usize, 4] {
+            for k in 0..6u64 {
+                let log = recover(base().with_gc_threads(threads), k);
+                if gen && threads == 1 && k == 4 {
+                    trace_kill_log = Some(log);
                 }
             }
         }

@@ -1,7 +1,7 @@
-//! Plan/packet equivalence through the public API: every
-//! (mode × sweep-backend) plan must produce an identical end state
-//! whether the packet schedule runs on one worker (byte-for-byte the
-//! verified DLG sequence) or on four (DESIGN.md §4.7).
+//! Plan/packet equivalence through the public API: every plan (one per
+//! collector mode) must produce an identical end state whether the
+//! packet schedule runs on one worker (byte-for-byte the verified DLG
+//! sequence) or on four (DESIGN.md §4.7).
 //!
 //! The driver is deterministic: a single mutator builds the same object
 //! graph, parks for every collection (so handshakes are proxied and no
@@ -47,7 +47,7 @@ struct EndState {
     free_granules: u64,
     keeper: Vec<(Color, u8)>,
     traced: Vec<u64>,
-    freed: Option<Vec<(u64, u64)>>,
+    freed: Vec<(u64, u64)>,
 }
 
 fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
@@ -66,8 +66,7 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
     }
     assert_eq!(m.root_get(kroot), keeper);
 
-    // Settle the lazy backend (verify_heap finalizes any open sweep
-    // epoch first) and require a clean heap in every cell.
+    // Require a clean heap in every cell.
     let violations = gc.verify_heap();
     assert!(violations.is_empty(), "heap violations: {violations:?}");
 
@@ -80,20 +79,11 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
 
     let stats = gc.stats();
     let traced = stats.cycles.iter().map(|c| c.objects_traced).collect();
-    // Reclamation counters are per-cycle identical only for the eager
-    // backend; the lazy backend defers them by an epoch and the tail
-    // folds into the finalize outside any cycle.
-    let freed = if gc.config().lazy_sweep {
-        None
-    } else {
-        Some(
-            stats
-                .cycles
-                .iter()
-                .map(|c| (c.objects_freed, c.bytes_freed))
-                .collect(),
-        )
-    };
+    let freed = stats
+        .cycles
+        .iter()
+        .map(|c| (c.objects_freed, c.bytes_freed))
+        .collect();
 
     drop(m);
     EndState {
@@ -106,17 +96,14 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
 }
 
 fn assert_plan_parity(cfg: fn() -> GcConfig) {
-    for lazy in [false, true] {
-        let make = || cfg().with_lazy_sweep(lazy);
-        let one = run_plan(make(), 1);
-        let four = run_plan(make(), 4);
-        assert_eq!(
-            one,
-            four,
-            "plan {} diverges between 1 and 4 workers",
-            make().plan_name()
-        );
-    }
+    let one = run_plan(cfg(), 1);
+    let four = run_plan(cfg(), 4);
+    assert_eq!(
+        one,
+        four,
+        "plan {} diverges between 1 and 4 workers",
+        cfg().plan_name()
+    );
 }
 
 #[test]
