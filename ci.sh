@@ -36,6 +36,9 @@ step build cargo build --release --offline --workspace --all-targets
 step test cargo test -q --offline --workspace
 step fmt cargo fmt --check
 step clippy cargo clippy -q --offline --workspace --all-targets -- -D warnings
+# Rustdoc with warnings as errors: a deleted item must not leave a
+# dangling intra-doc link behind.
+step doc env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # The benchmark is a cargo workspace of its own that drives the crates
 # through their public API (benchmark/README.md): its gate — fmt, clippy
@@ -45,12 +48,12 @@ step clippy cargo clippy -q --offline --workspace --all-targets -- -D warnings
 step benchmark-check benchmark/check.sh
 
 # The plan matrix lives in the tests, each configuration written where
-# it is checked: `tests/plan_equivalence.rs` runs every plan at one and
-# four GC workers, `tests/chaos.rs` runs the variant fault matrix at one
-# worker and at four (each schedule under a hang bound), and
-# `gc_correctness` and the sweep unit tests name their `with_gc_threads`
-# inputs.  No environment variable selects a plan, so `test` above runs
-# all of them (DESIGN.md §4.15 maps each former env cell to its test).
+# it is checked: `tests/plan_equivalence.rs` pins every plan's end state,
+# the `collector` unit tests pin every (plan × kind) event sequence, and
+# `tests/chaos.rs` runs the variant fault matrix and the recovery matrix
+# (each schedule under a hang bound).  No environment variable selects a
+# plan, so `test` above runs all of them (DESIGN.md §4.15 maps each
+# former env cell to its test).
 
 echo
 echo "=== verdicts"

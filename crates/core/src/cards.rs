@@ -1,9 +1,9 @@
 //! Dirty-card scanning (`ClearCards`) and full-collection initialization
 //! (`InitFullCollection`) — Figures 3 and 6 of the paper.
 //!
-//! Both run as packets of the cycle schedule (DESIGN.md §4.7): the card
-//! scan inside the second handshake window (simple promotion before the
-//! color toggle, aging after it — Figure 2 vs Figure 5 order), the
+//! Both run as steps of the cycle (DESIGN.md §4.7): the card scan inside
+//! the second handshake window (simple promotion before the color
+//! toggle, aging after it — Figure 2 vs Figure 5 order), the
 //! initialization pass in the init bucket of full collections.
 
 use otf_heap::{Color, GRANULE};

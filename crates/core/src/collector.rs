@@ -1,16 +1,35 @@
 //! The collection cycle (Figures 2 and 5) and the collector thread.
+//!
+//! One collector thread runs every phase of a cycle in the paper's
+//! order (DESIGN.md §4.7):
+//!
+//! | bucket        | work (by plan)                                                  |
+//! |---------------|-----------------------------------------------------------------|
+//! | `init`        | full collections of the gen modes: `InitFullCollection`         |
+//! | `handshake-1` | post `sync1`, wait                                              |
+//! | `handshake-2` | post `sync2`, card scan and toggle in Figure 2/5 order, wait    |
+//! | `handshake-3` | raise tracing, post `async`, mark global roots, wait            |
+//! | `trace`       | drain the mark stack and the gray queue until termination       |
+//! | `reclaim`     | sweep `[1, frontier)`                                           |
+//!
+//! Each bucket publishes its code in [`GcShared::open_bucket`] (the
+//! supervisor's abort and the watchdog name it), fires the
+//! `collector.phase` chaos kill site, and is one phase window in the
+//! event ring.  Card and root work nest inside their handshake windows
+//! as phases of their own, so root marking is not billed to handshake
+//! latency.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use otf_heap::Color;
-use otf_support::packet::Schedule;
+use otf_support::fault;
 
+use crate::config::{Mode, Promotion};
 use crate::cycle::CycleCx;
-use crate::obs::{dur_ns, EventKind};
-use crate::plan::CycleFrame;
-use crate::shared::{bucket, GcShared};
+use crate::obs::{dur_ns, phase, EventKind};
+use crate::shared::{bucket, bucket_label, GcShared};
 use crate::state::Status;
 use crate::stats::{CycleKind, CycleStats};
 
@@ -25,41 +44,98 @@ impl GcShared {
     /// barrier keeps the trace sound, and their allocations proceed with
     /// the allocation color.
     ///
-    /// The cycle is a packet schedule (DESIGN.md §4.7): this
-    /// configuration's plan selects the packets, the buckets open in
-    /// Figure 2/5 order, and with one worker the schedule drains
-    /// byte-for-byte the verified DLG sequence.  Phase attribution reads
-    /// the closed buckets' spans back: each span is sampled exactly once
-    /// at bucket close, handshake windows cover the full post→ack
-    /// interval, and the card/root work nested inside them is subtracted
-    /// out into its own slots.
+    /// The buckets run in the module table's order; the plan (the
+    /// collector mode) only selects what the init and second-handshake
+    /// buckets do.  Phase attribution takes each bucket's span once, at
+    /// its end: handshake windows cover the full post→ack interval, and
+    /// the card/root work nested inside them is subtracted out into its
+    /// own slots.
     pub(crate) fn run_cycle(&self, kind: CycleKind, cx: &mut CycleCx) -> CycleStats {
         let cycle_start = Instant::now();
         // Chaos kill site 1 of 6 (cycle start, before any bucket opens);
-        // the remaining five fire from the schedule's bucket-open hooks.
-        if otf_support::fault::point("collector.phase") {
+        // the remaining five fire as each later bucket opens.
+        if fault::point("collector.phase") {
             panic!("injected collector panic (phase: cycle-start)");
         }
         cx.reset();
 
-        let workers = self.config.gc_threads;
-        let frame = CycleFrame::new(workers);
-        let mut sched = Schedule::new();
-        let buckets = self.build_cycle_schedule(&mut sched, kind, &frame, workers);
-        self.run_schedule(&sched, cx, workers);
+        // ----- clear (Figure 2/5: "clear: If (full collection) Init...")
+        self.collecting.store(true, Ordering::Release);
+        self.obs.note_cycle_begin(kind);
+        let used_before = self.heap.used_bytes();
+        let allocated_since = self.control.bytes_since_cycle();
+        cx.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
+            if kind == CycleKind::Full {
+                match self.config.mode {
+                    // The toggled non-generational baseline needs no
+                    // initialization pass (Remark 5.1).
+                    Mode::NonGenerational => {}
+                    // Simple variant: recolor old objects young and wipe
+                    // all card marks (Figure 3).
+                    Mode::Generational(Promotion::Simple) => self.init_full_collection(true, cx),
+                    // Aging variant: recolor but *keep* the card marks (§6).
+                    Mode::Generational(Promotion::Aging { .. }) => {
+                        self.init_full_collection(false, cx)
+                    }
+                }
+            }
+        });
 
-        cx.phases.init = sched.span(buckets.init);
-        cx.phases.cards = Duration::from_nanos(frame.cards_ns.load(Ordering::Relaxed));
-        cx.phases.roots = Duration::from_nanos(frame.roots_ns.load(Ordering::Relaxed));
-        let windows = sched.span(buckets.hs1) + sched.span(buckets.hs2) + sched.span(buckets.hs3);
+        let mut windows = self.bucket(bucket::HANDSHAKE_1, phase::HANDSHAKE, || {
+            self.post_handshake(Status::Sync1);
+            self.wait_handshake();
+        });
+
+        // ----- second handshake: card work and the color toggle --------
+        windows += self.bucket(bucket::HANDSHAKE_2, phase::HANDSHAKE, || {
+            self.post_handshake(Status::Sync2);
+            match self.config.mode {
+                Mode::NonGenerational => self.colors.toggle(),
+                Mode::Generational(Promotion::Simple) => {
+                    // Figure 2 order: ClearCards *before* the toggle, so
+                    // card marks for parents of yellow objects are never
+                    // lost (§7.1).  Both kinds scan.
+                    cx.phases.cards = self.timed(phase::CARDS, || self.clear_cards_simple(cx));
+                    self.colors.toggle();
+                }
+                Mode::Generational(Promotion::Aging { threshold }) => {
+                    // Figure 5 order: toggle first, then scan — the aging
+                    // scan grays the previous cycle's young survivors,
+                    // which only carry the clear color after the toggle.
+                    // Full collections skip the scan entirely (§6).
+                    self.colors.toggle();
+                    if kind == CycleKind::Partial {
+                        cx.phases.cards =
+                            self.timed(phase::CARDS, || self.clear_cards_aging(threshold, cx));
+                    }
+                }
+            }
+            self.wait_handshake();
+        });
+
+        // ----- third handshake: root marking ---------------------------
+        // Its kill site fires after the toggle and before tracing is
+        // raised: the abort repaint must be sound there too.
+        windows += self.bucket(bucket::HANDSHAKE_3, phase::HANDSHAKE, || {
+            // Tracing goes up first: the barrier must start graying
+            // overwritten values before any mutator can observe async.
+            self.tracing.store(true, Ordering::Release);
+            self.post_handshake(Status::Async);
+            // Global roots between the post and its wait (Figure 2).
+            cx.phases.roots = self.timed(phase::ROOTS, || {
+                self.mark_global_roots_local(&mut cx.mark_stack)
+            });
+            self.wait_handshake();
+        });
         cx.phases.handshakes = windows
             .saturating_sub(cx.phases.cards)
             .saturating_sub(cx.phases.roots);
-        cx.phases.trace = sched.span(buckets.trace);
-        cx.phases.sweep = sched.span(buckets.reclaim);
 
-        self.open_bucket
-            .store(crate::shared::bucket::NONE, Ordering::Release);
+        cx.phases.trace = self.bucket(bucket::TRACE, phase::TRACE, || self.trace(cx));
+        self.tracing.store(false, Ordering::Release);
+        cx.phases.sweep = self.bucket(bucket::RECLAIM, phase::SWEEP, || self.sweep(cx));
+
+        self.open_bucket.store(bucket::NONE, Ordering::Release);
         self.collecting.store(false, Ordering::Release);
 
         let duration = cycle_start.elapsed();
@@ -81,10 +157,36 @@ impl GcShared {
             bytes_survived: c.bytes_survived,
             bytes_alloc_colored: c.bytes_alloc_colored,
             pages_touched: cx.pages.touched() as u64,
-            used_before: frame.used_before.load(Ordering::Relaxed),
+            used_before,
             used_after: self.heap.used_bytes(),
-            allocated_since_last: frame.allocated_since.load(Ordering::Relaxed),
+            allocated_since_last: allocated_since,
         }
+    }
+
+    /// Runs `body` as the cycle's bucket `code`: publishes the code in
+    /// `open_bucket`, fires the `collector.phase` kill site (every bucket
+    /// but `init`, which follows kill site 1 directly), and times it as
+    /// phase `id` ([`GcShared::timed`]).
+    fn bucket(&self, code: u8, id: u64, body: impl FnOnce()) -> Duration {
+        self.open_bucket.store(code, Ordering::Release);
+        if code != bucket::INIT && fault::point("collector.phase") {
+            panic!(
+                "injected collector panic (phase: {})",
+                bucket_label(code as u64)
+            );
+        }
+        self.timed(id, body)
+    }
+
+    /// Runs `body` between a `PhaseBegin` and a `PhaseEnd` event for
+    /// phase `id` and returns its span, which the `PhaseEnd` carries too.
+    fn timed(&self, id: u64, body: impl FnOnce()) -> Duration {
+        let t = Instant::now();
+        self.obs.event(EventKind::PhaseBegin, id, 0);
+        body();
+        let span = t.elapsed();
+        self.obs.event(EventKind::PhaseEnd, id, dur_ns(span));
+        span
     }
 
     /// The collector thread body: sleep until a collection is requested,
@@ -97,7 +199,7 @@ impl GcShared {
             // Chaos hook: a failing injection here kills the collector
             // thread, exercising the panic-containment path (poisoned
             // shutdown, `AllocError::CollectorUnavailable`).
-            if otf_support::fault::point("collector.panic") {
+            if fault::point("collector.panic") {
                 panic!("injected collector panic (chaos fault plan)");
             }
             // Re-validate partial requests: a mutator can re-post one in
@@ -230,7 +332,7 @@ impl GcShared {
         // Chaos window: a failing injection here models a panic *during*
         // recovery (the double-panic path — the supervisor falls back to
         // permanent poison).
-        if otf_support::fault::point("collector.recovery") {
+        if fault::point("collector.recovery") {
             panic!("injected collector panic (recovery window)");
         }
 
@@ -281,6 +383,95 @@ mod tests {
         let c = sh.heap.alloc_chunk(n, n).unwrap();
         sh.heap
             .install_object(c.start as usize, &shape, sh.colors.allocation_color())
+    }
+
+    /// The bucket sequence of every (plan × kind), as the event ring
+    /// records it: one traced cycle with no mutators, a rooted object and
+    /// a dirtied card.  The literals are the sequences the packet
+    /// scheduler emitted before this straight-line cycle replaced it.
+    /// The toggle is no event: it falls inside the second handshake
+    /// window, after the CARDS phase in gen and before it in aging
+    /// partials; aging fulls and nogen have no CARDS phase.
+    #[test]
+    fn cycle_events_follow_figure_2_and_5_order() {
+        use crate::obs::phase::{CARDS, HANDSHAKE as HS, INIT, ROOTS, SWEEP, TRACE};
+        use EventKind::{
+            CycleBegin, CycleEnd, HandshakePost, PhaseBegin as Begin, PhaseEnd as End,
+            SweepProgress,
+        };
+        const SYNC1: u64 = Status::Sync1 as u64;
+        const SYNC2: u64 = Status::Sync2 as u64;
+        const ASYNC: u64 = Status::Async as u64;
+
+        let head = |k: u64| vec![(CycleBegin, k), (Begin, INIT), (End, INIT)];
+        let hs1 = [(Begin, HS), (HandshakePost, SYNC1), (End, HS)];
+        let hs2_cards = [
+            (Begin, HS),
+            (HandshakePost, SYNC2),
+            (Begin, CARDS),
+            (End, CARDS),
+            (End, HS),
+        ];
+        let hs2_bare = [(Begin, HS), (HandshakePost, SYNC2), (End, HS)];
+        let tail = |k: u64| {
+            vec![
+                (Begin, HS),
+                (HandshakePost, ASYNC),
+                (Begin, ROOTS),
+                (End, ROOTS),
+                (End, HS),
+                (Begin, TRACE),
+                (End, TRACE),
+                (Begin, SWEEP),
+                (SweepProgress, 3),
+                (End, SWEEP),
+                (CycleEnd, k),
+            ]
+        };
+        let seq = |k: u64, hs2: &[(EventKind, u64)]| {
+            [head(k), hs1.to_vec(), hs2.to_vec(), tail(k)].concat()
+        };
+
+        let aging: fn() -> GcConfig = || GcConfig::aging(3);
+        for (make, kind, expect) in [
+            (
+                GcConfig::generational as fn() -> GcConfig,
+                CycleKind::Partial,
+                seq(0, &hs2_cards),
+            ),
+            (GcConfig::generational, CycleKind::Full, seq(1, &hs2_cards)),
+            (aging, CycleKind::Partial, seq(0, &hs2_cards)),
+            (aging, CycleKind::Full, seq(1, &hs2_bare)),
+            (
+                GcConfig::non_generational,
+                CycleKind::Partial,
+                seq(0, &hs2_bare),
+            ),
+            (
+                GcConfig::non_generational,
+                CycleKind::Full,
+                seq(1, &hs2_bare),
+            ),
+        ] {
+            let (sh, mut cx) = setup(make().with_event_trace(true));
+            let parent = alloc(&sh, 1);
+            sh.add_global_root(parent);
+            sh.cards.mark_byte(parent.byte());
+            sh.run_cycle(kind, &mut cx);
+            let got: Vec<(EventKind, u64)> = sh
+                .obs
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        CycleBegin | Begin | End | HandshakePost | SweepProgress | CycleEnd
+                    )
+                })
+                .map(|e| (e.kind, e.a))
+                .collect();
+            assert_eq!(got, expect, "{} {kind:?}", make().plan_name());
+        }
     }
 
     #[test]

@@ -77,13 +77,6 @@ pub struct GcConfig {
     /// wedged cycle into the collector supervisor (DESIGN.md §4.8).  `0`
     /// disables the watchdog.
     pub handshake_stall_ms: u64,
-    /// Number of collector worker threads for the trace and sweep phases
-    /// (§4.4).  `1` (the default) is the paper's single-collector
-    /// configuration — the verified DLG protocol with no parallel-
-    /// termination machinery on the hot path.  `N > 1` runs mark with
-    /// per-worker work-stealing deques and sweep over page-partitioned
-    /// segments.
-    pub gc_threads: usize,
     /// Vestige: recorded, never read.  The allocation-time sweep it used
     /// to select is gone (DESIGN.md §4.6); the collector always sweeps
     /// at the end of its cycle.  The field stays only because
@@ -94,11 +87,6 @@ pub struct GcConfig {
     /// `[benchmark]` PR drops those lines.
     pub lazy_sweep: bool,
 }
-
-/// Upper bound on [`GcConfig::gc_threads`] — far above any sensible
-/// worker count, present so a typo'd configuration fails validation
-/// instead of spawning thousands of threads per cycle.
-pub const MAX_GC_THREADS: usize = 64;
 
 impl GcConfig {
     /// The paper's best generational configuration: simple promotion,
@@ -114,7 +102,6 @@ impl GcConfig {
             lab_granules: otf_heap::DEFAULT_LAB_GRANULES,
             trace_events: false,
             handshake_stall_ms: 1000,
-            gc_threads: 1,
             lazy_sweep: false,
         }
     }
@@ -190,13 +177,6 @@ impl GcConfig {
         self
     }
 
-    /// Sets the number of collector worker threads (clamped to at least
-    /// 1; see [`GcConfig::gc_threads`]).
-    pub fn with_gc_threads(mut self, n: usize) -> GcConfig {
-        self.gc_threads = n.max(1);
-        self
-    }
-
     /// Sets [`GcConfig::lazy_sweep`], which nothing reads: the
     /// configuration runs exactly as without the call.
     pub fn with_lazy_sweep(mut self, enabled: bool) -> GcConfig {
@@ -221,13 +201,22 @@ impl GcConfig {
         self
     }
 
+    /// Vestige: does nothing and returns `self`.  The parallel collector
+    /// it used to size is gone (DESIGN.md §4.4); one collector thread
+    /// runs every cycle.  The method stays only because
+    /// `benchmark/src/cli.rs:54` (`--gc-threads`) still calls it, and
+    /// goes when a `[benchmark]` PR drops that flag.
+    pub fn with_gc_threads(self, _n: usize) -> GcConfig {
+        self
+    }
+
     /// Whether this configuration is generational.
     pub fn is_generational(&self) -> bool {
         matches!(self.mode, Mode::Generational(_))
     }
 
-    /// The name of the plan this configuration selects — the mode whose
-    /// packet sets the cycle schedule is built from (DESIGN.md §4.7).
+    /// The name of the plan this configuration selects — the mode that
+    /// picks the cycle's init and card steps (DESIGN.md §4.7).
     pub fn plan_name(&self) -> &'static str {
         match self.mode {
             Mode::Generational(Promotion::Simple) => "gen",
@@ -272,12 +261,6 @@ impl GcConfig {
                 return Err("aging threshold must be at least 2".into());
             }
         }
-        if !(1..=MAX_GC_THREADS).contains(&self.gc_threads) {
-            return Err(format!(
-                "gc_threads {} not in [1, {MAX_GC_THREADS}]",
-                self.gc_threads
-            ));
-        }
         if self.max_heap.div_ceil(GRANULE) > MAX_HEAP_GRANULES {
             return Err(format!(
                 "max_heap {} exceeds the u32 object-offset space ({} bytes)",
@@ -314,38 +297,25 @@ mod tests {
         assert_eq!(c.young_size, 4 << 20);
         assert_eq!(c.card_size, 16);
         assert!(c.is_generational());
-        assert_eq!(c.gc_threads, 1);
         assert!(!c.lazy_sweep);
         assert!(c.validate().is_ok());
     }
 
-    /// Pins the vestiges: `benchmark -- --shards N`, `-- --overlap` and
-    /// `-- --lazy` are the baseline run — same configuration (up to the
-    /// recorded field), same plan, same schedule.
+    /// Pins the vestiges: `benchmark -- --shards N`, `-- --overlap`,
+    /// `-- --lazy` and `-- --gc-threads N` are the baseline run — same
+    /// configuration (up to the recorded field) and same plan.
     #[test]
     fn vestige_builders_are_no_ops() {
-        use crate::plan::CycleFrame;
-        use crate::shared::GcShared;
-        use crate::stats::CycleKind;
-        use otf_support::packet::Schedule;
-
-        let buckets = |cfg: GcConfig| {
-            let sh = GcShared::new(cfg);
-            let frame = CycleFrame::new(1);
-            let mut sched = Schedule::new();
-            sh.build_cycle_schedule(&mut sched, CycleKind::Partial, &frame, 1);
-            sched.bucket_names()
-        };
         let base = GcConfig::generational;
         for (name, built) in [
             ("with_alloc_shards", base().with_alloc_shards(2)),
             ("with_overlap_phases", base().with_overlap_phases(true)),
             ("with_lazy_sweep", base().with_lazy_sweep(true)),
+            ("with_gc_threads", base().with_gc_threads(2)),
         ] {
             let debug = format!("{built:?}").replace("lazy_sweep: true", "lazy_sweep: false");
             assert_eq!(debug, format!("{:?}", base()), "{name}");
             assert_eq!(built.plan_name(), base().plan_name(), "{name}");
-            assert_eq!(buckets(built), buckets(base()), "{name}");
         }
     }
 
@@ -382,17 +352,6 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn aging_threshold_one_panics() {
         let _ = GcConfig::aging(1);
-    }
-
-    #[test]
-    fn gc_threads_clamped_and_validated() {
-        assert_eq!(GcConfig::generational().with_gc_threads(0).gc_threads, 1);
-        let c = GcConfig::generational().with_gc_threads(4);
-        assert_eq!(c.gc_threads, 4);
-        assert!(c.validate().is_ok());
-        let mut c = GcConfig::generational();
-        c.gc_threads = MAX_GC_THREADS + 1;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -26,25 +26,6 @@ pub(crate) struct Counters {
     pub bytes_alloc_colored: u64,
 }
 
-impl Counters {
-    /// Adds a parallel worker's counters into this one.  Every field is
-    /// a sum of disjoint events (the mark CAS-claim and the sweep's
-    /// segment ownership guarantee each object is counted by exactly
-    /// one worker), so merging is plain addition.
-    pub(crate) fn merge(&mut self, o: &Counters) {
-        self.objects_traced += o.objects_traced;
-        self.intergen_objects += o.intergen_objects;
-        self.intergen_bytes += o.intergen_bytes;
-        self.dirty_cards += o.dirty_cards;
-        self.cards_in_use += o.cards_in_use;
-        self.objects_freed += o.objects_freed;
-        self.bytes_freed += o.bytes_freed;
-        self.objects_survived += o.objects_survived;
-        self.bytes_survived += o.bytes_survived;
-        self.bytes_alloc_colored += o.bytes_alloc_colored;
-    }
-}
-
 /// Collector-thread-private context for one cycle.
 #[derive(Debug)]
 pub(crate) struct CycleCx {
@@ -81,15 +62,6 @@ impl CycleCx {
             scratch_grayed: Vec::new(),
             scratch_tenured: Vec::new(),
         }
-    }
-
-    /// Folds a parallel worker's context into this one at the phase
-    /// barrier: counters add ([`Counters::merge`]), page touch-sets
-    /// union ([`PageTracker::merge`]).  Phase times stay the main
-    /// context's — workers run *inside* a phase, they don't own one.
-    pub(crate) fn merge_worker(&mut self, worker: &CycleCx) {
-        self.counters.merge(&worker.counters);
-        self.pages.merge(&worker.pages);
     }
 
     /// Resets all per-cycle state.

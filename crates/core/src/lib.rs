@@ -66,7 +66,6 @@ mod control;
 mod cycle;
 mod mutator;
 mod obs;
-mod plan;
 mod proptest_cycle;
 mod shared;
 mod state;
@@ -82,7 +81,7 @@ use std::thread::JoinHandle;
 pub use config::{GcConfig, Mode, Promotion};
 pub use mutator::{AllocError, Mutator};
 pub use obs::{phase, EventKind, GcEvent};
-pub use stats::{CycleKind, CycleStats, GcStats, PhaseTimes, WorkerStats};
+pub use stats::{CycleKind, CycleStats, GcStats, PhaseTimes};
 pub use verify::HeapViolation;
 
 // Re-export the heap vocabulary users need at the API boundary, and the
@@ -214,17 +213,6 @@ impl Gc {
             collector_restarts: self.shared.obs.collector_restarts.load(Ordering::Relaxed),
             cycles_aborted: self.shared.obs.cycles_aborted.load(Ordering::Relaxed),
             recovery: self.shared.obs.recovery.snapshot(),
-            workers: self
-                .shared
-                .obs
-                .workers
-                .iter()
-                .map(|w| WorkerStats {
-                    mark: w.mark_ns.snapshot(),
-                    sweep: w.sweep_ns.snapshot(),
-                    steals: w.steals.load(Ordering::Relaxed),
-                })
-                .collect(),
             lab_refill: self.shared.obs.lab_refill.snapshot(),
             used_bytes: self.shared.heap.used_bytes(),
         }

@@ -109,9 +109,9 @@ pub enum EventKind {
     /// frontier granule (total to process).
     SweepProgress = 7,
     /// The collector supervisor caught a panic and began the safe
-    /// cycle-abort + restart protocol (DESIGN.md §4.8).  `a` = the open
-    /// schedule bucket when the panic unwound (see
-    /// [`bucket_label`](crate::shared::bucket_label); 0 = none).
+    /// cycle-abort + restart protocol (DESIGN.md §4.8).  `a` = the code
+    /// of the cycle bucket open when the panic unwound (0 = none; the
+    /// JSONL trace names it: `init`, `handshake-1` … `reclaim`).
     RecoveryBegin = 8,
     /// Recovery finished and the collector is about to respawn.  `a` =
     /// restarts consumed so far (including this one), `b` = recovery
@@ -310,31 +310,6 @@ impl EventRing {
     }
 }
 
-/// Per-collector-worker observability: phase latency histograms plus a
-/// steal counter, one instance per configured GC thread (§4.4).  Worker
-/// 0 is the collector thread itself; at `gc_threads = 1` its histograms
-/// are the whole story and `steals` stays 0.
-#[derive(Debug)]
-pub(crate) struct WorkerObs {
-    /// Time this worker spent in the mark phase per cycle, in ns.
-    pub mark_ns: Histogram,
-    /// Time this worker spent in the sweep phase per cycle, in ns.
-    pub sweep_ns: Histogram,
-    /// Objects this worker obtained by stealing (from a sibling's deque
-    /// or the shared gray queue while idle).
-    pub steals: AtomicU64,
-}
-
-impl WorkerObs {
-    fn new() -> WorkerObs {
-        WorkerObs {
-            mark_ns: Histogram::new(),
-            sweep_ns: Histogram::new(),
-            steals: AtomicU64::new(0),
-        }
-    }
-}
-
 /// The collector's observability state, owned by `GcShared`.
 #[derive(Debug)]
 pub(crate) struct Obs {
@@ -365,9 +340,6 @@ pub(crate) struct Obs {
     /// Duration of each safe cycle-abort (handshake restore + repaint),
     /// in nanoseconds.
     pub recovery: Histogram,
-    /// Per-worker phase histograms and steal counters, one per
-    /// configured GC thread.
-    pub workers: Vec<WorkerObs>,
     /// Whether event tracing is enabled.  Plain bool fixed at
     /// construction: the disabled cost of [`Obs::event`] is one
     /// predictable load + branch.
@@ -380,7 +352,7 @@ pub(crate) struct Obs {
 }
 
 impl Obs {
-    pub(crate) fn new(enabled: bool, gc_threads: usize) -> Obs {
+    pub(crate) fn new(enabled: bool) -> Obs {
         Obs {
             pause: Histogram::new(),
             handshake: Histogram::new(),
@@ -391,7 +363,6 @@ impl Obs {
             collector_restarts: AtomicU64::new(0),
             cycles_aborted: AtomicU64::new(0),
             recovery: Histogram::new(),
-            workers: (0..gc_threads.max(1)).map(|_| WorkerObs::new()).collect(),
             enabled,
             start: Instant::now(),
             hs_posted_ns: AtomicU64::new(0),
@@ -454,20 +425,6 @@ impl Obs {
         self.lab_refill.record(ns);
     }
 
-    /// Worker side: worker `w` finished its share of a mark phase after
-    /// `ns` nanoseconds, having stolen `steals` objects.
-    pub(crate) fn note_worker_mark(&self, w: usize, ns: u64, steals: u64) {
-        let worker = &self.workers[w];
-        worker.mark_ns.record(ns);
-        worker.steals.fetch_add(steals, Ordering::Relaxed);
-    }
-
-    /// Worker side: worker `w` finished its share of a sweep phase after
-    /// `ns` nanoseconds.
-    pub(crate) fn note_worker_sweep(&self, w: usize, ns: u64) {
-        self.workers[w].sweep_ns.record(ns);
-    }
-
     /// Collector side: a cycle began.
     pub(crate) fn note_cycle_begin(&self, kind: CycleKind) {
         self.event(EventKind::CycleBegin, cycle_word(kind), 0);
@@ -512,7 +469,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_records_nothing() {
-        let obs = Obs::new(false, 1);
+        let obs = Obs::new(false);
         obs.event(EventKind::CycleBegin, 1, 0);
         obs.note_cycle_begin(CycleKind::Full);
         assert!(obs.events().is_empty());
@@ -524,7 +481,7 @@ mod tests {
 
     #[test]
     fn enabled_ring_round_trips_events() {
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         obs.note_cycle_begin(CycleKind::Full);
         obs.event(EventKind::PhaseBegin, phase::SWEEP, 0);
         obs.event(EventKind::PhaseEnd, phase::SWEEP, 1234);
@@ -544,7 +501,7 @@ mod tests {
     #[test]
     fn concurrent_events_drain_in_timestamp_order() {
         const PER_THREAD: u64 = RING_CAP as u64 / 4;
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             for t in 0..2 {
@@ -568,7 +525,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_on_overflow() {
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         let total = RING_CAP as u64 + 100;
         for i in 0..total {
             obs.event(EventKind::SweepProgress, i, total);
@@ -583,7 +540,7 @@ mod tests {
 
     #[test]
     fn no_drops_below_capacity() {
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         for i in 0..100 {
             obs.event(EventKind::SweepProgress, i, 100);
         }
@@ -592,7 +549,7 @@ mod tests {
 
     #[test]
     fn handshake_latency_measured_from_post() {
-        let obs = Obs::new(false, 1);
+        let obs = Obs::new(false);
         obs.note_handshake_post(Status::Sync1);
         std::thread::sleep(std::time::Duration::from_millis(2));
         obs.note_handshake_ack(Status::Sync1, 10);
@@ -607,7 +564,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_well_formed() {
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         obs.note_handshake_post(Status::Sync2);
         obs.note_handshake_ack(Status::Sync2, 77);
         obs.event(EventKind::CardClear, 5, 300);
@@ -630,7 +587,7 @@ mod tests {
 
     #[test]
     fn recovery_events_round_trip() {
-        let obs = Obs::new(true, 1);
+        let obs = Obs::new(true);
         obs.event(EventKind::RecoveryBegin, 6, 0);
         obs.event(EventKind::CycleAborted, 6, 0);
         obs.event(EventKind::RecoveryEnd, 1, 1234);
@@ -647,7 +604,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_yields_whole_events() {
-        let obs = std::sync::Arc::new(Obs::new(true, 1));
+        let obs = std::sync::Arc::new(Obs::new(true));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let obs = std::sync::Arc::clone(&obs);

@@ -63,8 +63,8 @@ pub(crate) struct GcShared {
     pub tracing: AtomicBool,
     /// True while any collection cycle is in progress.
     pub collecting: AtomicBool,
-    /// The [`bucket`] code of the schedule bucket currently open (0 =
-    /// none).  Written by the cycle schedule's open hooks; read by the
+    /// The [`bucket`] code of the cycle bucket currently open (0 =
+    /// none).  Written by `run_cycle` as each bucket opens; read by the
     /// watchdog (report enrichment) and the supervisor's abort routine
     /// (which bucket the panic unwound out of).
     pub open_bucket: AtomicU8,
@@ -120,10 +120,7 @@ impl GcShared {
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
             stats: Mutex::new(StatsInner::default()),
-            obs: Obs::new(
-                config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some(),
-                config.gc_threads,
-            ),
+            obs: Obs::new(config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some()),
             start: Instant::now(),
             hs_lock: Mutex::new(()),
             hs_cond: Condvar::new(),
@@ -358,7 +355,7 @@ impl GcShared {
 
     /// Watchdog report: which mutators have not acked the posted status
     /// after `waited`, on stderr, attributed to the active plan and the
-    /// schedule bucket that is currently open, followed by the event-trace
+    /// cycle bucket that is currently open, followed by the event-trace
     /// ring when tracing is on.  Every report of a stall is the same; only
     /// the caller's third one goes on to abort the cycle.
     fn report_handshake_stall(
@@ -412,7 +409,7 @@ impl GcShared {
     }
 
     /// Convenience: `Handshake(s)` = post + wait (Figure 3).  The cycle
-    /// schedule posts and waits as separate packets (tests).
+    /// posts and waits separately, with bucket work between (tests).
     #[allow(dead_code)]
     pub(crate) fn handshake(&self, s: Status) {
         self.post_handshake(s);
@@ -478,7 +475,7 @@ impl GcShared {
     }
 
     /// Whether every registered mutator is outside its write-barrier
-    /// epoch (§4.3): the trace bucket's closing condition observes this
+    /// epoch (§4.3): the trace's termination check observes this
     /// *before* re-checking queue emptiness.
     pub(crate) fn mutators_all_even(&self) -> bool {
         self.mutators.lock().iter().all(|m| m.epoch_is_even())

@@ -197,10 +197,6 @@ pub struct GcStats {
     /// Histogram of safe cycle-abort durations (handshake restore +
     /// live repaint), in nanoseconds.
     pub recovery: Snapshot,
-    /// Per-collector-worker statistics (one entry per configured GC
-    /// thread, §4.4).  Worker 0 is the collector thread itself; at
-    /// `gc_threads = 1` this is a single entry with zero steals.
-    pub workers: Vec<WorkerStats>,
     /// Histogram of LAB-refill latency, in nanoseconds.  One sample is
     /// one *exchange* with the pool — the previous queue's leftovers
     /// back, up to 64 holes out (DESIGN.md §4.13) — not one hole, so its
@@ -212,18 +208,6 @@ pub struct GcStats {
     /// LABs).  In a post-shutdown snapshot every LAB has been retired,
     /// so this counts object bytes only.
     pub used_bytes: usize,
-}
-
-/// Per-collector-worker phase latency and steal counts (§4.4).
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStats {
-    /// Histogram of this worker's per-cycle mark-phase time, in ns.
-    pub mark: Snapshot,
-    /// Histogram of this worker's per-cycle sweep-phase time, in ns.
-    pub sweep: Snapshot,
-    /// Objects this worker obtained by stealing (sibling deques or the
-    /// shared gray queue while out of local work).
-    pub steals: u64,
 }
 
 impl GcStats {

@@ -37,30 +37,15 @@
 //! statistic: the `Interior` tail of an in-flight object is crossed as
 //! if it were a survivor's and adds to `bytes_survived`.
 //!
-//! With `gc_threads > 1` the sweep is **page-partitioned** (DESIGN.md
-//! §4.4): `[1, frontier)` is cut into page-aligned segments claimed from a
-//! shared cursor.  An object belongs to the segment its *start* granule
-//! falls in: a sweeper begins at the first start byte of its segment (a
-//! leading `Interior` run is the tail of an object the previous segment's
-//! owner accounts for whole), searches for starts only below its
-//! segment's end, and follows only the `Interior` tail of its last
-//! object beyond it, up to the frontier.
-//! Reclaimed runs never coalesce across a segment boundary, and each
-//! worker flushes its own chunk batches to the free lists independently
-//! (one pool lock per batch; the pool joins runs that meet at a
-//! boundary).  Colors are filled `Free` *before* a chunk enters a batch,
-//! so every pooled chunk covers only `Free` granules (the `verify_heap`
-//! free-list pass relies on it).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+//! Reclaimed chunks reach the free lists in batches.  Colors are filled
+//! `Free` *before* a chunk enters a batch, so every pooled chunk covers
+//! only `Free` granules (the `verify_heap` free-list pass relies on it).
 
 use otf_heap::{Chunk, Color, GRANULE};
-use otf_support::fault;
 
 use crate::config::{Mode, Promotion};
-use crate::cycle::{Counters, CycleCx};
-use crate::obs::{dur_ns, EventKind};
+use crate::cycle::CycleCx;
+use crate::obs::EventKind;
 use crate::shared::GcShared;
 
 /// Reclaimed chunks accumulate in a batch and are published to the free
@@ -74,14 +59,8 @@ const SWEEP_FLUSH_CHUNKS: usize = 256;
 /// can reconstruct the sweep rate even on a heap that frees little.
 const SWEEP_PROGRESS_STRIDE: usize = 1 << 15;
 
-/// Parallel sweep segment size in granules: 64 pages of arena
-/// (16 KiB-granule heap pages × 256 granules/page), which is also
-/// page-aligned in the color table (one byte per granule).
-const SWEEP_SEGMENT_GRANULES: usize = 64 * 256;
-
 /// The cycle's sweep configuration: its clear / allocation colors and
-/// promotion policy, read once after the trace and shared by every
-/// sweep lane.
+/// promotion policy, read once after the trace.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SweepParams {
     /// The color being reclaimed (the dead color of the finished trace).
@@ -95,25 +74,6 @@ pub(crate) struct SweepParams {
     /// non-aging arms (for the non-generational baseline this is the
     /// cycle's mark color, which toggles).
     pub trace_target: Color,
-}
-
-/// Per-sweeper scratch threaded through [`GcShared::sweep_range`]: the
-/// open reclaimed run, the pending chunk batch, and the granule mark for
-/// the next stride `SweepProgress` event.
-struct SweepBuf {
-    run: Option<Chunk>,
-    batch: Vec<Chunk>,
-    next_mark: usize,
-}
-
-impl SweepBuf {
-    fn new(next_mark: usize) -> SweepBuf {
-        SweepBuf {
-            run: None,
-            batch: Vec::with_capacity(SWEEP_FLUSH_CHUNKS),
-            next_mark,
-        }
-    }
 }
 
 impl GcShared {
@@ -131,99 +91,24 @@ impl GcShared {
         }
     }
 
-    /// Runs the sweep for the current cycle: serial at `gc_threads == 1`
-    /// (the verified-default DLG configuration), page-partitioned
-    /// parallel otherwise — run as a standalone one-bucket schedule (the
-    /// full cycle builds this same bucket via
-    /// [`GcShared::build_cycle_schedule`]; this entry point exists for
-    /// the sweep-phase tests).
-    #[allow(dead_code)]
+    /// The sweep (the cycle's `reclaim` bucket): one pass over
+    /// `[1, frontier)`, a run at a time (module docs; DESIGN.md §4.12),
+    /// ending in a `SweepProgress` event for the whole frontier.
     pub(crate) fn sweep(&self, cx: &mut CycleCx) {
-        let workers = self.config.gc_threads;
-        if workers > 1 {
-            let frame = crate::plan::CycleFrame::new(workers);
-            let mut sched = otf_support::packet::Schedule::new();
-            self.add_reclaim_bucket(&mut sched, &frame, workers, false);
-            self.run_schedule(&sched, cx, workers);
-        } else {
-            self.sweep_serial(cx);
-        }
-    }
-
-    /// The serial sweep kernel: one pass over `[1, frontier)`, emitting
-    /// its own final `SweepProgress` event.
-    pub(crate) fn sweep_serial(&self, cx: &mut CycleCx) {
-        let t0 = Instant::now();
-        let end = self.heap.frontier_granule();
-        let params = self.sweep_params();
-
+        let frontier = self.heap.frontier_granule();
         // Sweep reads every color byte up to the frontier.
-        cx.touch_color_range(1, end);
-
-        let mut buf = SweepBuf::new(1 + SWEEP_PROGRESS_STRIDE);
-        self.sweep_range(&params, 1, end, end, cx, &mut buf);
-        Self::flush_run(&mut buf.run, &mut buf.batch);
-        self.heap.free_chunk_batch(&buf.batch);
-        self.obs
-            .event(EventKind::SweepProgress, end as u64, end as u64);
-        self.obs.note_worker_sweep(0, dur_ns(t0.elapsed()));
-    }
-
-    /// One page-partitioned sweep lane (the body of a `SweepLane`
-    /// packet): claim segments from the shared cursor until the frontier
-    /// is reached.
-    pub(crate) fn sweep_worker(
-        &self,
-        w: usize,
-        frontier: usize,
-        cursor: &AtomicUsize,
-        params: &SweepParams,
-        cx: &mut CycleCx,
-    ) {
-        let t0 = Instant::now();
-        let mut buf = SweepBuf::new(SWEEP_PROGRESS_STRIDE);
-        loop {
-            let seg_start = cursor.fetch_add(SWEEP_SEGMENT_GRANULES, Ordering::SeqCst);
-            if seg_start >= frontier {
-                break;
-            }
-            // Delay/yield injection at segment claims.  A "failing" rule
-            // cannot skip the segment — every claimed segment must be
-            // swept exactly once — so the verdict is ignored.
-            let _ = fault::point("collector.worker");
-            let seg_stop = (seg_start + SWEEP_SEGMENT_GRANULES).min(frontier);
-            self.sweep_range(params, seg_start, seg_stop, frontier, cx, &mut buf);
-            // Never coalesce a reclaimed run across a segment boundary —
-            // the adjacent segment may belong to another worker.
-            Self::flush_run(&mut buf.run, &mut buf.batch);
-        }
-        self.heap.free_chunk_batch(&buf.batch);
-        self.obs.note_worker_sweep(w, dur_ns(t0.elapsed()));
-    }
-
-    /// Sweeps every object whose start granule lies in `[start, stop)`,
-    /// a run at a time (module docs; DESIGN.md §4.12).  `frontier` bounds
-    /// the *extent* scans, so an object straddling `stop` is still
-    /// processed whole by this call; a leading `Interior` run at a
-    /// segment start (`start > 1`) is the tail of such a straddler and
-    /// is the previous segment's owner's to free or count.
-    ///
-    /// The kernel under both the serial sweep and every parallel lane.
-    fn sweep_range(
-        &self,
-        params: &SweepParams,
-        start: usize,
-        stop: usize,
-        frontier: usize,
-        cx: &mut CycleCx,
-        buf: &mut SweepBuf,
-    ) {
+        cx.touch_color_range(1, frontier);
         let SweepParams {
             clear,
             alloc,
             aging,
             trace_target,
-        } = *params;
+        } = self.sweep_params();
+        // The open reclaimed run, the pending chunk batch, and the
+        // granule mark for the next stride `SweepProgress` event.
+        let mut run: Option<Chunk> = None;
+        let mut batch = Vec::with_capacity(SWEEP_FLUSH_CHUNKS);
+        let mut next_mark = 1 + SWEEP_PROGRESS_STRIDE;
         let colors = self.heap.colors();
         let ages = self.heap.ages();
         let CycleCx {
@@ -237,47 +122,32 @@ impl GcShared {
         } else {
             trace_target
         };
-        // Granules crossed by the survivor skip: `pass`-colored objects
-        // and their interiors (plus, stats-only, the interior of an
-        // object caught mid-installation).
-        let survived = |counters: &mut Counters, granules: usize| {
-            let bytes = (granules * GRANULE) as u64;
-            counters.bytes_survived += bytes;
-            if pass == alloc {
-                counters.bytes_alloc_colored += bytes;
-            }
-        };
-
-        let mut g = if start == 1 {
-            start
-        } else {
-            colors.next_color_above(start, stop, Color::Interior)
-        };
-        if g >= stop {
-            // No object starts in this segment.  Not the same as falling
-            // through the loop below: a giant filling the whole segment
-            // had its tail counted by its own segment's sweeper, and the
-            // straddler rule after the loop would count it again.
-            return;
-        }
-        while g < stop {
-            if g >= buf.next_mark {
+        let mut g = 1;
+        while g < frontier {
+            if g >= next_mark {
                 self.obs
                     .event(EventKind::SweepProgress, g as u64, frontier as u64);
-                buf.next_mark = g + SWEEP_PROGRESS_STRIDE;
+                next_mark = g + SWEEP_PROGRESS_STRIDE;
             }
             // Each scan stops at the next progress mark as well as at
-            // `stop`, so a heap that frees nothing still reports its
-            // sweep rate on the stride.
-            let lim = stop.min(buf.next_mark);
+            // the frontier, so a heap that frees nothing still reports
+            // its sweep rate on the stride.
+            let lim = frontier.min(next_mark);
             let (next, objects, granules) = colors.skip_survivors(g, lim, pass);
             if next != g {
                 // Space that is never reclaimed (again) by this sweep was
                 // crossed, so the pending run ends here: chunks must not
-                // merge into space someone else may own.
+                // merge into space someone else may own.  The granules
+                // crossed are `pass`-colored objects and their interiors
+                // (plus, stats-only, the interior of an object caught
+                // mid-installation).
+                let bytes = (granules * GRANULE) as u64;
                 counters.objects_survived += objects as u64;
-                survived(counters, granules);
-                self.close_run(buf, g, frontier);
+                counters.bytes_survived += bytes;
+                if pass == alloc {
+                    counters.bytes_alloc_colored += bytes;
+                }
+                self.close_run(&mut run, &mut batch, g, frontier);
                 g = next;
                 if g == lim {
                     continue;
@@ -292,7 +162,7 @@ impl GcShared {
                 // Reclaim the whole dead run: free ← free ∪ run;
                 // color(run) ← blue.  Start bytes are searched for below
                 // `lim` only; the Interior tail of the run's last object
-                // is followed beyond it.
+                // is followed beyond a progress mark.
                 let (mut end, objects) = colors.dead_run_end(g, lim, clear);
                 if end == lim {
                     end = colors.object_end(lim - 1, frontier);
@@ -304,21 +174,21 @@ impl GcShared {
                 // ages are read at start bytes only (DESIGN.md §4.12).
                 ages.clear(g, end - g);
                 // A run cut at a progress mark resumes where it stopped.
-                let begin = match buf.run {
+                let begin = match run {
                     Some(r) if r.end() as usize == g => r.start as usize,
                     _ => {
-                        Self::flush_run(&mut buf.run, &mut buf.batch);
+                        Self::flush_run(&mut run, &mut batch);
                         g
                     }
                 };
-                buf.run = Some(Chunk::new(begin as u32, (end - begin) as u32));
+                run = Some(Chunk::new(begin as u32, (end - begin) as u32));
                 g = end;
                 continue;
             }
             // A visited survivor: created during the cycle, below the
             // tenuring threshold, or — for robustness — a leaked gray,
             // treated as live.
-            self.close_run(buf, g, frontier);
+            self.close_run(&mut run, &mut batch, g, frontier);
             let obj_end = colors.object_end(g, frontier);
             counters.objects_survived += 1;
             counters.bytes_survived += ((obj_end - g) * GRANULE) as u64;
@@ -349,22 +219,27 @@ impl GcShared {
             }
             g = obj_end;
         }
-        // A skipped survivor straddling `stop`: its tail is this call's
-        // to count (the next segment's owner starts past it).
-        if g == stop && stop < frontier {
-            survived(counters, colors.object_end(stop - 1, frontier) - stop);
-        }
+        Self::flush_run(&mut run, &mut batch);
+        self.heap.free_chunk_batch(&batch);
+        self.obs
+            .event(EventKind::SweepProgress, frontier as u64, frontier as u64);
     }
 
     /// Ends the pending reclaimed run before the sweep crosses space it
     /// does not reclaim, and publishes the batch to the free lists once
     /// it is full, so concurrent allocation never starves behind a long
     /// sweep.
-    fn close_run(&self, buf: &mut SweepBuf, g: usize, frontier: usize) {
-        Self::flush_run(&mut buf.run, &mut buf.batch);
-        if buf.batch.len() >= SWEEP_FLUSH_CHUNKS {
-            self.heap.free_chunk_batch(&buf.batch);
-            buf.batch.clear();
+    fn close_run(
+        &self,
+        run: &mut Option<Chunk>,
+        batch: &mut Vec<Chunk>,
+        g: usize,
+        frontier: usize,
+    ) {
+        Self::flush_run(run, batch);
+        if batch.len() >= SWEEP_FLUSH_CHUNKS {
+            self.heap.free_chunk_batch(batch);
+            batch.clear();
             self.obs
                 .event(EventKind::SweepProgress, g as u64, frontier as u64);
         }
@@ -383,7 +258,7 @@ impl GcShared {
 mod tests {
     use super::*;
     use crate::config::GcConfig;
-    use crate::cycle::CycleCx;
+    use crate::cycle::{Counters, CycleCx};
     use otf_heap::{ObjShape, ObjectRef};
     use otf_support::check::{run_cases, Gen};
 
@@ -538,108 +413,6 @@ mod tests {
         assert_eq!(c.start as usize, dead.granule());
     }
 
-    /// Deterministically fills a heap with a color-mixed population that
-    /// spans several sweep segments, including one huge dead object that
-    /// straddles segment boundaries.  Returns `(object, color)` pairs.
-    fn build_mixed_heap(sh: &GcShared) -> Vec<(ObjectRef, Color)> {
-        sh.colors.toggle(); // clear = White, allocation = Yellow
-        let mut objs = Vec::new();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for i in 0..4000usize {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = state >> 33;
-            let granules = 1 + (r % 9) as usize;
-            let color = match r % 3 {
-                0 => Color::White,
-                1 => Color::Black,
-                _ => Color::Yellow,
-            };
-            objs.push((alloc(sh, granules, color), color));
-            if i == 2000 {
-                // Dead giant spanning more than one 16384-granule segment.
-                objs.push((alloc(sh, 18_000, Color::White), Color::White));
-            }
-        }
-        assert!(
-            sh.heap.frontier_granule() > 2 * SWEEP_SEGMENT_GRANULES,
-            "population must span several segments"
-        );
-        objs
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_on_identical_heap() {
-        let (serial, mut scx) = setup(GcConfig::generational());
-        let (parallel, mut pcx) = setup(GcConfig::generational().with_gc_threads(4));
-        let sobjs = build_mixed_heap(&serial);
-        let pobjs = build_mixed_heap(&parallel);
-
-        serial.sweep(&mut scx);
-        parallel.sweep(&mut pcx);
-
-        assert_eq!(scx.counters.objects_freed, pcx.counters.objects_freed);
-        assert_eq!(scx.counters.bytes_freed, pcx.counters.bytes_freed);
-        assert_eq!(scx.counters.objects_survived, pcx.counters.objects_survived);
-        assert_eq!(scx.counters.bytes_survived, pcx.counters.bytes_survived);
-        assert_eq!(
-            scx.counters.bytes_alloc_colored,
-            pcx.counters.bytes_alloc_colored
-        );
-        // Identical allocation sequences place objects identically, so
-        // the post-sweep color of every object must agree byte-for-byte.
-        for ((so, _), (po, pc)) in sobjs.iter().zip(pobjs.iter()) {
-            assert_eq!(so.granule(), po.granule());
-            let sc = serial.heap.colors().get(so.granule());
-            let pcolor = parallel.heap.colors().get(po.granule());
-            assert_eq!(sc, pcolor, "color mismatch at granule {}", po.granule());
-            if *pc == Color::White {
-                assert_eq!(pcolor, Color::Free);
-            }
-        }
-        // Freed space totals agree (chunk boundaries may differ at
-        // segment edges, but not the amount reclaimed).
-        assert_eq!(
-            serial.heap.free_list_granules(),
-            parallel.heap.free_list_granules()
-        );
-    }
-
-    #[test]
-    fn parallel_sweep_frees_segment_straddler_exactly_once() {
-        let (sh, mut cx) = setup(GcConfig::generational().with_gc_threads(4));
-        sh.colors.toggle();
-        // Pad so the straddler starts just before a segment boundary.
-        let pad = SWEEP_SEGMENT_GRANULES - 1 - 4;
-        let _live = alloc(&sh, pad, Color::Black);
-        let dead = alloc(&sh, 3 * SWEEP_SEGMENT_GRANULES, Color::White);
-        let tail = alloc(&sh, 2, Color::Black);
-        sh.sweep(&mut cx);
-        assert_eq!(cx.counters.objects_freed, 1);
-        assert_eq!(
-            cx.counters.bytes_freed,
-            (3 * SWEEP_SEGMENT_GRANULES * GRANULE) as u64
-        );
-        // Every granule of the straddler is Free, and the space comes
-        // back as one chunk covering the full extent.
-        let colors = sh.heap.colors();
-        assert_eq!(colors.get(dead.granule()), Color::Free);
-        assert_eq!(
-            colors.object_end(dead.granule() - 1, sh.heap.frontier_granule()),
-            dead.granule()
-        );
-        assert_eq!(colors.get(tail.granule()), Color::Black);
-        let c = sh
-            .heap
-            .alloc_chunk(
-                3 * SWEEP_SEGMENT_GRANULES as u32,
-                3 * SWEEP_SEGMENT_GRANULES as u32,
-            )
-            .expect("straddler reclaimed as one chunk");
-        assert_eq!(c.start as usize, dead.granule());
-    }
-
     #[test]
     fn sweep_emits_stride_progress_events_without_flushes() {
         // All-survivor heap: no chunk batches ever flush, yet the sweep
@@ -661,40 +434,6 @@ mod tests {
             mid_sweep >= 1,
             "expected at least one stride progress event before the end"
         );
-    }
-
-    #[test]
-    fn parallel_aging_sweep_matches_serial() {
-        let (serial, mut scx) = setup(GcConfig::aging(3));
-        let (parallel, mut pcx) = setup(GcConfig::aging(3).with_gc_threads(3));
-        let sobjs = build_mixed_heap(&serial);
-        let pobjs = build_mixed_heap(&parallel);
-        for (o, c) in &sobjs {
-            if *c == Color::Black {
-                serial.heap.ages().set(o.granule(), 2);
-            }
-        }
-        for (o, c) in &pobjs {
-            if *c == Color::Black {
-                parallel.heap.ages().set(o.granule(), 2);
-            }
-        }
-
-        serial.sweep(&mut scx);
-        parallel.sweep(&mut pcx);
-
-        assert_eq!(scx.counters.objects_survived, pcx.counters.objects_survived);
-        assert_eq!(scx.counters.bytes_freed, pcx.counters.bytes_freed);
-        for ((so, _), (po, _)) in sobjs.iter().zip(pobjs.iter()) {
-            assert_eq!(
-                serial.heap.colors().get(so.granule()),
-                parallel.heap.colors().get(po.granule())
-            );
-            assert_eq!(
-                serial.heap.ages().get(so.granule()),
-                parallel.heap.ages().get(po.granule())
-            );
-        }
     }
 
     /// The object-at-a-time sweep the run kernels replaced, kept as the
@@ -802,10 +541,10 @@ mod tests {
 
     /// Draws an image of roughly `target` granules under the given clear
     /// color: small and 1-granule objects of every color, free gaps,
-    /// in-flight objects, rare `Gray` leaks, and — wherever a sweep
-    /// segment boundary comes within reach — a giant that straddles it or
-    /// a dead run that ends exactly on it.  The last object is dead or
-    /// live at random, so dead runs also end exactly at the frontier.
+    /// in-flight objects, rare `Gray` leaks, and — where the sweep's first
+    /// progress mark comes within reach — a giant that straddles it or a
+    /// dead run that ends exactly on it.  The last object is dead or live
+    /// at random, so dead runs also end exactly at the frontier.
     fn random_image(g: &mut Gen, target: usize, clear: Color, alloc: Color) -> Image {
         let mut im = Image {
             colors: vec![Color::Free as u8],
@@ -814,7 +553,7 @@ mod tests {
         };
         while im.colors.len() < target {
             let at = im.colors.len();
-            let to_boundary = SWEEP_SEGMENT_GRANULES - (at - 1) % SWEEP_SEGMENT_GRANULES;
+            let to_mark = (1 + SWEEP_PROGRESS_STRIDE).saturating_sub(at);
             let color = match g.usize_in(0..16) {
                 0..=5 => clear,
                 6..=10 => Color::Black,
@@ -823,13 +562,13 @@ mod tests {
                 _ => Color::Free,
             };
             let age = g.usize_in(0..5) as u8;
-            if to_boundary <= 64 && g.bool() {
-                // Boundary cases: end exactly on the boundary, or
-                // straddle it (by a little, or by more than a segment).
+            if (1..=64).contains(&to_mark) && g.bool() {
+                // Mark cases: end exactly on the mark, or straddle it
+                // (by a little, or by a giant).
                 let granules = match g.usize_in(0..3) {
-                    0 => to_boundary,
-                    1 => to_boundary + g.usize_in(1..40),
-                    _ => to_boundary + SWEEP_SEGMENT_GRANULES + g.usize_in(0..40),
+                    0 => to_mark,
+                    1 => to_mark + g.usize_in(1..40),
+                    _ => to_mark + g.usize_in(4_000..12_000),
                 };
                 let color = if color == Color::Free { clear } else { color };
                 im.push_object(color, granules, age);
@@ -877,9 +616,9 @@ mod tests {
     }
 
     /// The run-at-a-time sweep against the object-at-a-time oracle, on
-    /// generated tables: all three modes × both toggle states, through
-    /// the serial sweep and the page-partitioned sweep.  Colors, ages and the five sweep counters must agree; the
-    /// serial free lists chunk for chunk, the partitioned ones in total.
+    /// generated tables: all three modes × both toggle states.  Colors,
+    /// ages, the five sweep counters and the free lists (chunk for
+    /// chunk) must agree.
     #[test]
     fn run_sweep_matches_object_sweep_oracle() {
         let modes: [fn() -> GcConfig; 3] = [
@@ -923,37 +662,22 @@ mod tests {
                 let expect = sweep_counters(&expect);
                 // Stats-only fuzz: in-flight interiors count as survived
                 // (and, where survivors are all allocation-colored, as
-                // that too).  A partitioned sweep drops the ones leading
-                // a segment, so there the fuzz is only an upper bound.
+                // that too).
                 let fuzz = image.inflight * GRANULE as u64;
-                let check = |what: &str, got: [u64; 5], exact: bool| {
-                    let ctx = format!("{what} mode={mode} toggled={toggled} len={len}");
-                    assert_eq!(got[..3], expect[..3], "{ctx}");
-                    let alloc_fuzz = if mode == 2 { fuzz } else { 0 };
-                    for (i, fuzz) in [(3, fuzz), (4, alloc_fuzz)] {
-                        let over = got[i].checked_sub(expect[i]).expect(&ctx);
-                        assert!(over <= fuzz && (!exact || over == fuzz), "{ctx} [{i}]");
-                    }
-                };
+                let alloc_fuzz = if mode == 2 { fuzz } else { 0 };
+                let ctx = format!("mode={mode} toggled={toggled} len={len}");
 
-                let (serial, mut cx) = build(modes[mode]().with_gc_threads(1));
-                image.install(&serial);
-                serial.sweep(&mut cx);
-                check("serial", sweep_counters(&cx.counters), true);
-                assert_eq!(table_bytes(&serial, len), expect_tables, "serial");
+                let (swept, mut cx) = build(modes[mode]());
+                image.install(&swept);
+                swept.sweep(&mut cx);
+                let got = sweep_counters(&cx.counters);
+                assert_eq!(got[..3], expect[..3], "{ctx}");
+                assert_eq!(got[3], expect[3] + fuzz, "{ctx}");
+                assert_eq!(got[4], expect[4] + alloc_fuzz, "{ctx}");
+                assert_eq!(table_bytes(&swept, len), expect_tables, "{ctx}");
                 assert_eq!(
-                    serial.heap.free_list_snapshot(),
+                    swept.heap.free_list_snapshot(),
                     oracle.heap.free_list_snapshot()
-                );
-
-                let (parallel, mut cx) = build(modes[mode]().with_gc_threads(3));
-                image.install(&parallel);
-                parallel.sweep(&mut cx);
-                check("parallel", sweep_counters(&cx.counters), false);
-                assert_eq!(table_bytes(&parallel, len), expect_tables, "parallel");
-                assert_eq!(
-                    parallel.heap.free_list_granules(),
-                    oracle.heap.free_list_granules()
                 );
             }
         });

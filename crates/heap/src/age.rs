@@ -9,10 +9,8 @@
 //! An object is allocated with age 1 (§8.5.2: "an object is allocated with
 //! age 1, and its age gets increased for each collection it survives") and
 //! sweep stops incrementing once the age reaches the tenuring threshold.
-//! The incrementing pass is part of the sweep kernel, so with parallel
-//! sweep lanes the bytes are bumped by whichever lane claims the segment —
-//! still exactly once per object per cycle, because segments partition
-//! the heap.
+//! The incrementing pass is part of the sweep kernel, which visits each
+//! object start once per cycle.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -1,6 +1,6 @@
 //! # otf-heap — heap substrate for the on-the-fly generational collector
 //!
-//! This crate is the memory-management substrate underneath [`otf-gc`], the
+//! This crate is the memory-management substrate underneath `otf-gc`, the
 //! Rust reproduction of *"A Generational On-the-fly Garbage Collector for
 //! Java"* (Domani, Kolodner & Petrank, PLDI 2000).  It provides everything
 //! the paper's collector assumes from the JVM heap manager:

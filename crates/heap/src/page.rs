@@ -8,11 +8,8 @@
 //! `touch_*` helpers from its trace/sweep/card-scan loops and reads the
 //! count at the end of the cycle.
 //!
-//! The tracker is collector-private, so it needs no atomics: with one
-//! collector thread there is a single tracker; with parallel workers
-//! each worker writes its own tracker and the phase barrier
-//! [`merge`](PageTracker::merge)s them (a page touched by two workers
-//! counts once, as it would have under a single collector).
+//! The tracker is private to the one collector thread, so it needs no
+//! atomics.
 
 use crate::addr::PAGE;
 
@@ -124,28 +121,6 @@ impl PageTracker {
         self.touched = 0;
         self.last = usize::MAX;
     }
-
-    /// Folds another worker's touch-set into this one (bitwise OR) and
-    /// recounts, so pages touched by several workers count once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trackers were built over different space layouts —
-    /// merging is only meaningful between per-worker trackers of the
-    /// same cycle.
-    pub fn merge(&mut self, other: &PageTracker) {
-        assert_eq!(self.bits.len(), other.bits.len(), "layout mismatch");
-        assert_eq!(
-            (self.base_color, self.base_card, self.base_age),
-            (other.base_color, other.base_card, other.base_age),
-            "layout mismatch"
-        );
-        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= o;
-        }
-        self.touched = self.bits.iter().map(|w| w.count_ones() as usize).sum();
-        self.last = usize::MAX;
-    }
 }
 
 #[cfg(test)]
@@ -178,30 +153,6 @@ mod tests {
         assert_eq!(t.touched(), 2);
         t.touch_range(Space::Arena, 0, 0); // empty range
         assert_eq!(t.touched(), 2);
-    }
-
-    #[test]
-    fn merge_unions_without_double_counting() {
-        let mut a = PageTracker::new(64 * PAGE, PAGE, PAGE, PAGE);
-        let mut b = PageTracker::new(64 * PAGE, PAGE, PAGE, PAGE);
-        a.touch_byte(Space::Arena, 0);
-        a.touch_byte(Space::Arena, PAGE);
-        b.touch_byte(Space::Arena, PAGE); // overlaps a
-        b.touch_byte(Space::ColorTable, 0);
-        a.merge(&b);
-        assert_eq!(a.touched(), 3);
-        // Merge is idempotent.
-        let c = PageTracker::new(64 * PAGE, PAGE, PAGE, PAGE);
-        a.merge(&c);
-        assert_eq!(a.touched(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "layout mismatch")]
-    fn merge_rejects_different_layouts() {
-        let mut a = PageTracker::new(64 * PAGE, PAGE, PAGE, PAGE);
-        let b = PageTracker::new(128 * PAGE, PAGE, PAGE, PAGE);
-        a.merge(&b);
     }
 
     #[test]

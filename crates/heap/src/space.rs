@@ -233,8 +233,7 @@ impl HeapSpace {
     }
 
     /// Returns many chunks to the free lists under one lock acquisition.
-    /// Empty batches return without touching the lock, so sweep workers
-    /// whose segment reclaimed nothing don't contend.
+    /// Empty batches return without touching the lock.
     pub fn free_chunk_batch(&self, chunks: &[Chunk]) {
         if chunks.is_empty() {
             return;

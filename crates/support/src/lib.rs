@@ -8,17 +8,9 @@
 //!   [`RwLock`](sync::RwLock) wrappers over `std::sync` with the
 //!   `parking_lot`-style guard API (no `.unwrap()` at every lock site),
 //!   plus [`Backoff`](sync::Backoff), the exponential spin/yield/park
-//!   ramp for the collector's quiescence loops.
+//!   ramp for the trace's termination wait.
 //! * [`queue`] — [`SegQueue`](queue::SegQueue), a mutex-sharded MPMC
 //!   injector queue for the gray-object work list.
-//! * [`steal`] — [`WorkerDeque`](steal::WorkerDeque), the per-worker
-//!   work-stealing deque (owner LIFO / thief FIFO, Chase–Lev access
-//!   pattern) under the parallel mark phase, with the same
-//!   conservative-length emptiness discipline as `SegQueue`.
-//! * [`packet`] — the work-packet scheduler: typed [`Packet`](packet::Packet)s
-//!   drained from phase buckets that open in a declared order
-//!   ([`Schedule`](packet::Schedule)), with per-bucket closing conditions
-//!   — the MMTk-style frame the collector's plans enqueue into.
 //! * [`rand`] — a seedable SplitMix64-seeded xoshiro256++ PRNG behind the
 //!   small [`RngExt`](rand::RngExt)/[`SeedableRng`](rand::SeedableRng)
 //!   API the workloads consume.
@@ -49,10 +41,8 @@
 pub mod check;
 pub mod fault;
 pub mod hist;
-pub mod packet;
 pub mod queue;
 pub mod rand;
-pub mod steal;
 pub mod sync;
 pub mod tablescan;
 pub mod zeroed;

@@ -260,8 +260,8 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 /// Exponential backoff for spin-wait loops: a few `spin_loop` hints,
 /// then `yield_now`, then short bounded sleeps.
 ///
-/// The collector's quiescence loops (trace termination waiting on odd
-/// mutator epochs, workers waiting for steals) previously burned a full
+/// The trace's termination check, waiting for a mutator's odd
+/// write-barrier epoch to go even, previously burned a full
 /// `yield_now` per probe.  `Backoff` ramps the wait instead: the first
 /// probes cost only pipeline hints (the common case — the condition
 /// flips within nanoseconds), repeated failures escalate to yielding

@@ -218,8 +218,9 @@ fn first_flag(mask: u64) -> usize {
 /// `Free`/`Interior` runs (`max = Interior`), the card scan's skip over
 /// clean cards (`max = CLEAN`), and `InitFullCollection`'s search for
 /// black/gray bytes (`max = Yellow`) are all instances.  Dispatches
-/// adaptively between the word path and a plain byte loop (see
-/// [`Adapt`]) so dense tables are not taxed with word-path setup.
+/// adaptively between the word path and a plain byte loop (a per-thread
+/// mode, demoted after repeated first-byte hits) so dense tables are not
+/// taxed with word-path setup.
 ///
 /// # Panics
 ///

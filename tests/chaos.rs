@@ -239,56 +239,6 @@ fn barrier_window_delays_never_lose_a_moved_reference() {
     }
 }
 
-/// The parallel collector under chaos: every variant runs with four GC
-/// workers while `collector.worker` injections delay and yield workers at
-/// steal attempts (mark) and segment claims (sweep), stretching the
-/// §4.4 termination race windows.  The heap must still verify clean and
-/// the per-worker stats must show all four workers participated — if the
-/// extended termination check ever fired early, the sweep would reclaim
-/// live objects and verification would catch it.
-#[test]
-fn parallel_chaos_matrix_verifies_clean_at_four_workers() {
-    let _serial = fault::exclusive();
-    let plan = || {
-        FaultPlan::new(0x5EED)
-            .rule(
-                FaultRule::at("collector.worker")
-                    .delaying(0.2, 300)
-                    .yielding(0.3),
-            )
-            .rule(FaultRule::at("mutator.cooperate").yielding(0.2))
-            .rule(FaultRule::at("mutator.barrier.window").yielding(0.1))
-            .rule(FaultRule::at("collector.phase").delaying(0.2, 200))
-    };
-    let w = Chaos::new().with_threads(3).scaled(0.2);
-    for cfg in variants() {
-        let cfg = cfg.with_gc_threads(4);
-        fault::install(plan());
-        let w = w.clone();
-        let (result, violations) =
-            bounded(&format!("N=4 chaos under {}", cfg.plan_name()), move || {
-                driver::run_workload_verified(&w, cfg, 31)
-            });
-        let log = fault::uninstall();
-        assert!(
-            violations.is_empty(),
-            "N=4 chaos under {:?} left heap violations \
-             after {} injections: {violations:?}",
-            cfg.mode,
-            log.len()
-        );
-        assert_eq!(
-            result.stats.workers.len(),
-            4,
-            "expected per-worker stats for all four GC workers"
-        );
-        assert!(
-            result.stats.workers[0].mark.count() > 0,
-            "worker 0 never recorded a mark phase"
-        );
-    }
-}
-
 /// Panic containment: when the collector dies for good — here it panics
 /// at the start of every incarnation, so the supervisor spends its whole
 /// restart budget — allocation-blocked mutators must *not* hang: heap
@@ -414,18 +364,17 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
 }
 
 /// The recovery matrix (tentpole acceptance): a collector panic at each
-/// of the six phases, for gen and nogen, N=1 and N=4 workers, must end
-/// unpoisoned with ≥ 1 restart, a completed subsequent full collection,
-/// and zero `verify_heap` violations.  One cell, the gen N=1 kill
-/// mid-trace, runs once more: the same seed must reproduce its injection
-/// log exactly.
+/// of the six phases, for gen and nogen, must end unpoisoned with ≥ 1
+/// restart, a completed subsequent full collection, and zero
+/// `verify_heap` violations.  One cell, the gen kill mid-trace, runs
+/// once more: the same seed must reproduce its injection log exactly.
 #[test]
 fn collector_panic_at_every_phase_recovers_under_restarts() {
     let _serial = fault::exclusive();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let recover = |cfg: GcConfig, k: u64| {
-        let label = format!("plan {} N={} k={k}", cfg.plan_name(), cfg.gc_threads);
+        let label = format!("plan {} k={k}", cfg.plan_name());
         bounded(&label, move || kill_at_phase_and_recover(cfg, k))
     };
     let mut trace_kill_log = None;
@@ -433,12 +382,10 @@ fn collector_panic_at_every_phase_recovers_under_restarts() {
         (true, GcConfig::generational as fn() -> GcConfig),
         (false, GcConfig::non_generational),
     ] {
-        for threads in [1usize, 4] {
-            for k in 0..6u64 {
-                let log = recover(base().with_gc_threads(threads), k);
-                if gen && threads == 1 && k == 4 {
-                    trace_kill_log = Some(log);
-                }
+        for k in 0..6u64 {
+            let log = recover(base(), k);
+            if gen && k == 4 {
+                trace_kill_log = Some(log);
             }
         }
     }

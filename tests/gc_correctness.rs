@@ -131,52 +131,48 @@ fn churn_block_marking() {
     churn_under_config(GcConfig::generational().with_card_size(4096));
 }
 
-/// Eight mutators churn lists against the collector, serial and with
-/// four GC workers; once it is stopped the heap must verify clean and
-/// the pooled chunks must add up to the free total.
+/// Eight mutators churn lists against the collector; once it is stopped
+/// the heap must verify clean and the pooled chunks must add up to the
+/// free total.
 #[test]
 fn multithreaded_churn_leaves_heap_verifiable() {
-    for workers in [1, 4] {
-        let mut gc = Gc::new(small(GcConfig::generational().with_gc_threads(workers)));
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let mut m = gc.mutator();
-                s.spawn(move || {
-                    let keeper = build_list(&mut m, 200, t * 1_000_000);
-                    m.root_push(keeper);
-                    for round in 0..100u64 {
-                        let seed = t * 1_000_000 + round * 997;
-                        let head = build_list(&mut m, 50, seed);
-                        check_list(&m, head, 50, seed);
-                        m.cooperate();
-                    }
-                    check_list(&m, keeper, 200, t * 1_000_000);
-                });
-            }
-        });
-        gc.collect_full_blocking();
-        gc.stop_collector();
-        let violations = gc.verify_heap();
-        assert!(violations.is_empty(), "heap violations: {violations:?}");
-        let pooled: u64 = gc.debug_free_chunks().iter().map(|c| c.len as u64).sum();
-        assert_eq!(
-            pooled,
-            gc.free_granules(),
-            "pooled chunks do not sum to the free total"
-        );
-    }
+    let mut gc = Gc::new(small(GcConfig::generational()));
+    std::thread::scope(|s| {
+        for t in 0..8u64 {
+            let mut m = gc.mutator();
+            s.spawn(move || {
+                let keeper = build_list(&mut m, 200, t * 1_000_000);
+                m.root_push(keeper);
+                for round in 0..100u64 {
+                    let seed = t * 1_000_000 + round * 997;
+                    let head = build_list(&mut m, 50, seed);
+                    check_list(&m, head, 50, seed);
+                    m.cooperate();
+                }
+                check_list(&m, keeper, 200, t * 1_000_000);
+            });
+        }
+    });
+    gc.collect_full_blocking();
+    gc.stop_collector();
+    let violations = gc.verify_heap();
+    assert!(violations.is_empty(), "heap violations: {violations:?}");
+    let pooled: u64 = gc.debug_free_chunks().iter().map(|c| c.len as u64).sum();
+    assert_eq!(
+        pooled,
+        gc.free_granules(),
+        "pooled chunks do not sum to the free total"
+    );
 }
 
-/// Every variant, on the serial collector and on four GC workers.
+/// Every variant under four churning mutators.
 #[test]
 fn multithreaded_churn_all_variants() {
-    let variants = [
+    for cfg in [
         GcConfig::generational(),
         GcConfig::non_generational(),
         GcConfig::aging(3),
-    ];
-    let configs = variants.into_iter().flat_map(|v| [v, v.with_gc_threads(4)]);
-    for cfg in configs {
+    ] {
         let gc = Gc::new(small(cfg));
         std::thread::scope(|s| {
             for t in 0..4u64 {

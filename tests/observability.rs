@@ -109,20 +109,16 @@ fn every_cooperate_during_a_cycle_lands_in_the_histograms() {
 }
 
 /// Phase accounting: over every recorded cycle, Σ phase times must be
-/// within 5 % of Σ cycle durations.  The breakdown reads the packet
-/// schedule's bucket spans back (each sampled once at bucket close, the
-/// card and root work subtracted out of its handshake window), so the
-/// sum telescopes the whole cycle minus prologue and epilogue; a ratio
+/// within 5 % of Σ cycle durations.  The breakdown reads the cycle's
+/// bucket spans back (each sampled once at the bucket's end, the card
+/// and root work subtracted out of its handshake window), so the sum
+/// telescopes the whole cycle minus prologue and epilogue; a ratio
 /// outside the band means a phase was double-sampled, unattributed or
 /// billed to two slots.  `mark_wall` is a vestige and must stay zero.
-///
-/// One collector worker: with helpers, `Schedule::run` ends in a scope
-/// join that waits for each helper to wake from its backoff sleep, and
-/// that wait follows the last bucket's close, outside every span.
 #[test]
 fn phase_times_sum_to_cycle_durations() {
     for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
-        let gc = run_cooperating_cycles_over(cfg.with_gc_threads(1), 4, 50_000);
+        let gc = run_cooperating_cycles_over(cfg, 4, 50_000);
         let stats = gc.stats();
         assert!(stats.cycles.len() >= 4);
         let (mut phase_ns, mut cycle_ns) = (0u128, 0u128);
@@ -240,7 +236,7 @@ fn injected_panic_produces_a_coherent_recovery_event_story() {
     let _serial = fault::exclusive();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    // Phase hit 4 of the first cycle is the trace bucket's open hook.
+    // Phase hit 4 of the first cycle is the trace bucket's kill site.
     fault::install(
         FaultPlan::new(9).rule(
             FaultRule::at("collector.phase")

@@ -1,16 +1,16 @@
-//! Plan/packet equivalence through the public API: every plan (one per
-//! collector mode) must produce an identical end state whether the
-//! packet schedule runs on one worker (byte-for-byte the verified DLG
-//! sequence) or on four (DESIGN.md §4.7).
+//! Plan end states through the public API: every plan (one per
+//! collector mode) must reach the end state pinned below, which is what
+//! the packet scheduler reached on one worker before the straight-line
+//! cycle replaced it (DESIGN.md §4.7).
 //!
 //! The driver is deterministic: a single mutator builds the same object
 //! graph, parks for every collection (so handshakes are proxied and no
 //! allocation races the cycle), and the heap never grows past its
-//! initial commitment — so any divergence between worker counts is a
-//! scheduler bug, not workload noise.  The kind-level matrix (partial
-//! vs full per plan) is covered by the `plan` unit tests in
-//! `crates/core`; here full blocking cycles exercise the whole stack:
-//! collector thread, schedule, packets, and the real handshake path.
+//! initial commitment — so any divergence from a pin is a change in the
+//! cycle, not workload noise.  The kind-level matrix (partial vs full
+//! per plan) is pinned by the `collector` unit tests in `crates/core`;
+//! here full blocking cycles exercise the whole stack: collector
+//! thread, cycle, and the real handshake path.
 
 use otf_gengc::gc::{Gc, GcConfig, Mutator};
 use otf_gengc::heap::{Color, ObjShape, ObjectRef};
@@ -38,7 +38,7 @@ fn build_list(m: &mut Mutator, n: usize, seed: u64) -> ObjectRef {
     head
 }
 
-/// Everything we compare across worker counts: the settled heap totals,
+/// Everything we pin: the settled heap totals,
 /// the keeper list's per-node (color, age), and the per-cycle trace /
 /// reclamation counters.
 #[derive(Debug, PartialEq, Eq)]
@@ -50,8 +50,8 @@ struct EndState {
     freed: Vec<(u64, u64)>,
 }
 
-fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
-    let gc = Gc::new(tiny(cfg).with_gc_threads(threads));
+fn run_plan(cfg: GcConfig) -> EndState {
+    let gc = Gc::new(tiny(cfg));
     let mut m = gc.mutator();
 
     // A long-lived list that must survive (and promote through) every
@@ -95,28 +95,36 @@ fn run_plan(cfg: GcConfig, threads: usize) -> EndState {
     }
 }
 
-fn assert_plan_parity(cfg: fn() -> GcConfig) {
-    let one = run_plan(cfg(), 1);
-    let four = run_plan(cfg(), 4);
+/// The pinned end state: three full cycles, each tracing the 200-node
+/// keeper and freeing the 8 × 50 garbage nodes (32 bytes each); every
+/// keeper node ends with `keeper`'s (color, age).
+fn pinned(keeper: (Color, u8)) -> EndState {
+    EndState {
+        used_bytes: 6416,
+        free_granules: 1648,
+        keeper: vec![keeper; 200],
+        traced: vec![200; 3],
+        freed: vec![(400, 12_800); 3],
+    }
+}
+
+#[test]
+fn generational_plan_reaches_pinned_end_state() {
     assert_eq!(
-        one,
-        four,
-        "plan {} diverges between 1 and 4 workers",
-        cfg().plan_name()
+        run_plan(GcConfig::generational()),
+        pinned((Color::Black, 1))
     );
 }
 
 #[test]
-fn generational_plans_match_across_worker_counts() {
-    assert_plan_parity(GcConfig::generational);
+fn non_generational_plan_reaches_pinned_end_state() {
+    assert_eq!(
+        run_plan(GcConfig::non_generational()),
+        pinned((Color::Yellow, 1))
+    );
 }
 
 #[test]
-fn non_generational_plans_match_across_worker_counts() {
-    assert_plan_parity(GcConfig::non_generational);
-}
-
-#[test]
-fn aging_plans_match_across_worker_counts() {
-    assert_plan_parity(|| GcConfig::aging(3));
+fn aging_plan_reaches_pinned_end_state() {
+    assert_eq!(run_plan(GcConfig::aging(3)), pinned((Color::Black, 3)));
 }
