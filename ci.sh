@@ -70,5 +70,6 @@ echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' |
 echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
 echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"
 echo "env reads in crates/:    $(grep -rn 'env::var' crates --include=*.rs | wc -l)"
+echo "dead_code allows in crates/: $(grep -rn 'allow(dead_code)' crates --include=*.rs | wc -l)"
 
 exit $failed

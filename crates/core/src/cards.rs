@@ -149,7 +149,7 @@ impl GcShared {
                     if son.is_null() {
                         continue;
                     }
-                    self.mark_gray_clear_local(son, &mut cx.mark_stack);
+                    self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
                     if ages.get(son.granule()) < threshold {
                         remark = true;
                     }
@@ -258,7 +258,7 @@ mod tests {
         sh.cards.mark_byte(young.byte());
         sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::White);
-        assert!(sh.gray.is_empty());
+        assert!(cx.mark_stack.is_empty());
         assert_eq!(cx.counters.intergen_objects, 0);
     }
 

@@ -9,7 +9,7 @@
 //! | `handshake-1` | post `sync1`, wait                                              |
 //! | `handshake-2` | post `sync2`, card scan and toggle in Figure 2/5 order, wait    |
 //! | `handshake-3` | raise tracing, post `async`, mark global roots, wait            |
-//! | `trace`       | drain the mark stack and the gray queue until termination       |
+//! | `trace`       | take the gray list onto the mark stack and drain, to termination |
 //! | `reclaim`     | sweep `[1, frontier)`                                           |
 //!
 //! Each bucket publishes its code in [`GcShared::open_bucket`] (the
@@ -122,9 +122,8 @@ impl GcShared {
             self.tracing.store(true, Ordering::Release);
             self.post_handshake(Status::Async);
             // Global roots between the post and its wait (Figure 2).
-            cx.phases.roots = self.timed(phase::ROOTS, || {
-                self.mark_global_roots_local(&mut cx.mark_stack)
-            });
+            cx.phases.roots =
+                self.timed(phase::ROOTS, || self.mark_global_roots(&mut cx.mark_stack));
             self.wait_handshake();
         });
         cx.phases.handshakes = windows
@@ -286,7 +285,7 @@ impl GcShared {
     ///    to `Async` and every mutator's status is forced to match, so
     ///    no mutator is stranded mid-`Sync` waiting on a dead collector;
     /// 3. waits (bounded) for write-barrier epochs to go even, then
-    ///    discards the gray queue — any entry a racing barrier pushes
+    ///    clears the gray list — any entry a racing barrier pushes
     ///    afterwards is harmless, because `mark_black` ignores entries
     ///    whose granule is no longer gray;
     /// 4. repaints every object granule to the *live* color
@@ -327,7 +326,7 @@ impl GcShared {
         while !self.mutators_all_even() && spin.elapsed() < Duration::from_millis(10) {
             std::thread::yield_now();
         }
-        while self.gray.pop().is_some() {}
+        self.gray.lock().clear();
 
         // Chaos window: a failing injection here models a panic *during*
         // recovery (the double-panic path — the supervisor falls back to
@@ -613,8 +612,8 @@ mod tests {
         sh.tracing.store(true, Ordering::Release);
         sh.status_c.store(Status::Sync2 as u8, Ordering::Release);
         sh.open_bucket.store(bucket::TRACE, Ordering::Release);
-        sh.mark_gray_snapshot(live);
-        assert!(!sh.gray.is_empty());
+        sh.mark_gray_snapshot(live, |o| sh.gray.lock().push(o));
+        assert!(!sh.gray.lock().is_empty());
 
         sh.abort_cycle(1);
 
@@ -622,7 +621,7 @@ mod tests {
         assert!(!sh.collecting.load(Ordering::Acquire));
         assert_eq!(sh.status_c(), Status::Async);
         assert_eq!(m.status(), Status::Async, "handshake completed by fiat");
-        assert!(sh.gray.is_empty());
+        assert!(sh.gray.lock().is_empty());
         assert_eq!(sh.open_bucket.load(Ordering::Acquire), bucket::NONE);
         // Repainted to the live color (black in the generational plans).
         assert_eq!(sh.heap.colors().get(live.granule()), Color::Black);

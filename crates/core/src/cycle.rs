@@ -32,10 +32,10 @@ pub(crate) struct CycleCx {
     pub counters: Counters,
     pub pages: PageTracker,
     pub phases: PhaseTimes,
-    /// The collector's private mark stack.  Only gray objects discovered
-    /// *by the collector* go here (a plain `Vec` is an order of magnitude
-    /// cheaper than the shared queue); mutator-barrier grays still arrive
-    /// through the shared gray queue.
+    /// The collector's private mark stack: gray objects the collector
+    /// discovers (sons, cards, global roots) go straight here, and each
+    /// trace round moves the shared gray list onto it whole, so every pop
+    /// is lock-free.
     pub mark_stack: Vec<ObjectRef>,
     /// Scratch buffer for `clear_cards_simple`'s per-card list of black
     /// objects to gray — reused across cards (and cycles) instead of

@@ -357,6 +357,7 @@ impl Mutator {
     /// observed this mutator even and closed the trace.
     fn write_ref_graying(&mut self, x: ObjectRef, i: usize, y: ObjectRef) {
         let shared = &self.shared;
+        let push = |o| shared.gray.lock().push(o);
         self.me.epoch_enter();
         let is_async = self.me.status.load(Ordering::Acquire) == Status::Async as u8;
         otf_support::fault::point("mutator.barrier.window");
@@ -364,18 +365,18 @@ impl Mutator {
             self.unflushed_barrier_slow += 1;
             let old = shared.heap.arena().load_ref_slot(x, i);
             if self.barrier == BarrierKind::Aging {
-                shared.mark_gray_clear(old);
-                shared.mark_gray_clear(y);
+                shared.mark_gray_clear(old, push);
+                shared.mark_gray_clear(y, push);
             } else {
                 // §7.1: in sync1/sync2 the barrier also shades yellow
                 // objects (mark_gray_snapshot shades both young colors).
-                shared.mark_gray_snapshot(old);
-                shared.mark_gray_snapshot(y);
+                shared.mark_gray_snapshot(old, push);
+                shared.mark_gray_snapshot(y, push);
             }
         } else if shared.tracing.load(Ordering::Acquire) {
             self.unflushed_barrier_slow += 1;
             let old = shared.heap.arena().load_ref_slot(x, i);
-            shared.mark_gray_clear(old);
+            shared.mark_gray_clear(old, push);
         }
         self.store_and_mark_card(x, i, y, is_async);
         self.me.epoch_exit();
@@ -464,9 +465,11 @@ impl Mutator {
         // waits for all mutators between handshakes.
         if sc == Status::Async as u8 {
             self.me.epoch_enter();
+            let mut gray = self.shared.gray.lock();
             for &r in &self.roots {
-                self.shared.mark_gray_snapshot(r);
+                self.shared.mark_gray_snapshot(r, |o| gray.push(o));
             }
+            drop(gray);
             self.me.epoch_exit();
         }
         self.me.status.store(sc, Ordering::Release);
@@ -637,7 +640,7 @@ mod tests {
         // Card of x's header dirty; nothing grayed.
         assert!(shared.cards.is_dirty(shared.cards.card_of_byte(x.byte())));
         assert_eq!(shared.heap.colors().get(y.granule()), Color::White);
-        assert!(shared.gray.is_empty());
+        assert!(shared.gray.lock().is_empty());
         assert_eq!(m.read_ref(x, 0), y);
     }
 
@@ -655,7 +658,7 @@ mod tests {
         m.write_ref(x, 0, new);
         // Old value (clear-colored) grayed; new value not.
         assert_eq!(shared.heap.colors().get(old.granule()), Color::Gray);
-        assert_eq!(shared.gray.pop(), Some(old));
+        assert_eq!(*shared.gray.lock(), [old]);
         assert_eq!(shared.heap.colors().get(new.granule()), Color::White);
     }
 
@@ -722,7 +725,7 @@ mod tests {
         shared.post_handshake(Status::Async);
         m.cooperate();
         assert_eq!(shared.heap.colors().get(r.granule()), Color::Gray);
-        assert_eq!(shared.gray.pop(), Some(r));
+        assert_eq!(*shared.gray.lock(), [r]);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use otf_heap::{CardTable, Color, HeapSpace, ObjectRef};
-use otf_support::queue::SegQueue;
 use otf_support::sync::{Condvar, Mutex};
 
 use crate::config::GcConfig;
@@ -68,9 +67,10 @@ pub(crate) struct GcShared {
     /// watchdog (report enrichment) and the supervisor's abort routine
     /// (which bucket the panic unwound out of).
     pub open_bucket: AtomicU8,
-    /// The gray-object work queue.  Mutators push after winning the
-    /// gray-coloring CAS; only the collector pops.
-    pub gray: SegQueue<ObjectRef>,
+    /// The gray list (DESIGN.md §4.16).  Mutators push after winning
+    /// the gray-coloring CAS; the collector takes the whole list at once.
+    /// A leaf lock: nothing else is acquired while it is held.
+    pub gray: Mutex<Vec<ObjectRef>>,
     /// Registered mutators.
     pub mutators: Mutex<Vec<Arc<MutatorShared>>>,
     /// Registration-id counter for mutators (watchdog diagnostics).
@@ -114,7 +114,7 @@ impl GcShared {
             tracing: AtomicBool::new(false),
             collecting: AtomicBool::new(false),
             open_bucket: AtomicU8::new(bucket::NONE),
-            gray: SegQueue::new(),
+            gray: Mutex::new(Vec::new()),
             mutators: Mutex::new(Vec::new()),
             next_mutator_id: AtomicU64::new(1),
             globals: Mutex::new(Vec::new()),
@@ -156,75 +156,35 @@ impl GcShared {
         }
     }
 
-    /// `MarkGray` as the collector (and the async-phase write barrier)
-    /// performs it: shade the object only if it has the clear color.
+    /// `MarkGray` under the clear-color rule (the collector's son
+    /// shading, the aging card scan, and the write barrier in `async` or
+    /// under aging promotion): shade the object only if it has the clear
+    /// color, and hand it to `push` if this call shaded it.
     #[inline]
-    pub(crate) fn mark_gray_clear(&self, obj: ObjectRef) {
+    pub(crate) fn mark_gray_clear(&self, obj: ObjectRef, push: impl FnOnce(ObjectRef)) {
         if obj.is_null() {
             return;
         }
         let clear = self.colors.clear_color();
         if self.heap.colors().cas(obj.granule(), clear, Color::Gray) {
-            self.gray.push(obj);
+            push(obj);
         }
     }
 
-    /// `MarkGray` as performed in the sync1/sync2 window and at root
-    /// marking: both young colors are shaded (the §7.1 yellow exception —
-    /// "whenever the DLG write barrier would shade a white object gray, it
-    /// will also shade a yellow object gray").
+    /// `MarkGray` under the snapshot rule (the sync1/sync2 barrier and
+    /// root marking): both young colors are shaded (the §7.1 yellow
+    /// exception — "whenever the DLG write barrier would shade a white
+    /// object gray, it will also shade a yellow object gray").  Hands the
+    /// object to `push` if this call shaded it.
     #[inline]
-    pub(crate) fn mark_gray_snapshot(&self, obj: ObjectRef) {
+    pub(crate) fn mark_gray_snapshot(&self, obj: ObjectRef, push: impl FnOnce(ObjectRef)) {
         if obj.is_null() {
             return;
         }
         let g = obj.granule();
         let ct = self.heap.colors();
         if ct.cas(g, Color::White, Color::Gray) || ct.cas(g, Color::Yellow, Color::Gray) {
-            self.gray.push(obj);
-        }
-    }
-
-    /// Grays an old (black) object found on a dirty card so the trace will
-    /// re-scan it (simple variant `ClearCards`, Figure 3).  Returns whether
-    /// this call performed the shading.
-    #[inline]
-    #[allow(dead_code)] // exercised by unit tests
-    pub(crate) fn mark_gray_from_black(&self, obj: ObjectRef) -> bool {
-        let shaded = self
-            .heap
-            .colors()
-            .cas(obj.granule(), Color::Black, Color::Gray);
-        if shaded {
-            self.gray.push(obj);
-        }
-        shaded
-    }
-
-    /// Collector-side `MarkGray` onto the collector's private mark stack
-    /// (cheaper than the shared queue; only the collector pops it).
-    #[inline]
-    pub(crate) fn mark_gray_clear_local(&self, obj: ObjectRef, stack: &mut Vec<ObjectRef>) {
-        if obj.is_null() {
-            return;
-        }
-        let clear = self.colors.clear_color();
-        if self.heap.colors().cas(obj.granule(), clear, Color::Gray) {
-            stack.push(obj);
-        }
-    }
-
-    /// Collector-side snapshot `MarkGray` (both young colors) onto the
-    /// private mark stack.
-    #[inline]
-    pub(crate) fn mark_gray_snapshot_local(&self, obj: ObjectRef, stack: &mut Vec<ObjectRef>) {
-        if obj.is_null() {
-            return;
-        }
-        let g = obj.granule();
-        let ct = self.heap.colors();
-        if ct.cas(g, Color::White, Color::Gray) || ct.cas(g, Color::Yellow, Color::Gray) {
-            stack.push(obj);
+            push(obj);
         }
     }
 
@@ -304,8 +264,9 @@ impl GcShared {
                 if park.parked {
                     // Respond on the parked mutator's behalf.
                     if target == Status::Async as u8 {
+                        let mut gray = self.gray.lock();
                         for &r in &park.roots {
-                            self.mark_gray_snapshot(r);
+                            self.mark_gray_snapshot(r, |o| gray.push(o));
                         }
                     }
                     m.status.store(target, Ordering::Release);
@@ -409,8 +370,8 @@ impl GcShared {
     }
 
     /// Convenience: `Handshake(s)` = post + wait (Figure 3).  The cycle
-    /// posts and waits separately, with bucket work between (tests).
-    #[allow(dead_code)]
+    /// posts and waits separately, with bucket work between.
+    #[cfg(test)]
     pub(crate) fn handshake(&self, s: Status) {
         self.post_handshake(s);
         self.wait_handshake();
@@ -465,29 +426,20 @@ impl GcShared {
         }
     }
 
-    /// Marks all global roots gray (between the third `postHandshake` and
-    /// its `waitHandshake`, Figure 2).
-    pub(crate) fn mark_global_roots_local(&self, stack: &mut Vec<ObjectRef>) {
-        let globals = self.globals.lock().clone();
-        for r in globals {
-            self.mark_gray_snapshot_local(r, stack);
+    /// Marks all global roots gray onto the collector's mark stack
+    /// (between the third `postHandshake` and its `waitHandshake`,
+    /// Figure 2).
+    pub(crate) fn mark_global_roots(&self, stack: &mut Vec<ObjectRef>) {
+        for &r in self.globals.lock().iter() {
+            self.mark_gray_snapshot(r, |o| stack.push(o));
         }
     }
 
     /// Whether every registered mutator is outside its write-barrier
     /// epoch (§4.3): the trace's termination check observes this
-    /// *before* re-checking queue emptiness.
+    /// *before* re-checking the gray list.
     pub(crate) fn mutators_all_even(&self) -> bool {
         self.mutators.lock().iter().all(|m| m.epoch_is_even())
-    }
-
-    /// Queue-based variant (tests).
-    #[allow(dead_code)]
-    pub(crate) fn mark_global_roots(&self) {
-        let globals = self.globals.lock().clone();
-        for r in globals {
-            self.mark_gray_snapshot(r);
-        }
     }
 }
 
@@ -526,43 +478,42 @@ mod tests {
     }
 
     #[test]
-    fn mark_gray_clear_only_shades_clear_color() {
+    fn clear_rule_shades_only_the_clear_color() {
         let sh = small();
         let obj = alloc_white(&sh, 1); // allocated White; clear color is Yellow
-        sh.mark_gray_clear(obj);
+        let mut pushed = Vec::new();
+        sh.mark_gray_clear(obj, |o| pushed.push(o));
         assert_eq!(sh.heap.colors().get(obj.granule()), Color::White);
-        assert!(sh.gray.is_empty());
+        assert!(pushed.is_empty());
         sh.colors.toggle(); // now White is the clear color
-        sh.mark_gray_clear(obj);
+        sh.mark_gray_clear(obj, |o| pushed.push(o));
         assert_eq!(sh.heap.colors().get(obj.granule()), Color::Gray);
-        assert_eq!(sh.gray.pop(), Some(obj));
+        assert_eq!(pushed, [obj]);
     }
 
     #[test]
-    fn mark_gray_snapshot_shades_both_young_colors() {
+    fn snapshot_rule_shades_both_young_colors() {
         let sh = small();
         let a = alloc_white(&sh, 0);
         sh.colors.toggle();
         let b = alloc_white(&sh, 0); // allocated Yellow
-        sh.mark_gray_snapshot(a);
-        sh.mark_gray_snapshot(b);
+        let mut pushed = Vec::new();
+        sh.mark_gray_snapshot(a, |o| pushed.push(o));
+        sh.mark_gray_snapshot(b, |o| pushed.push(o));
         assert_eq!(sh.heap.colors().get(a.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(b.granule()), Color::Gray);
         // Exactly two pushes, no duplicates on re-graying.
-        sh.mark_gray_snapshot(a);
-        let mut n = 0;
-        while sh.gray.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2);
+        sh.mark_gray_snapshot(a, |o| pushed.push(o));
+        assert_eq!(pushed, [a, b]);
     }
 
     #[test]
     fn null_is_never_grayed() {
         let sh = small();
-        sh.mark_gray_clear(ObjectRef::NULL);
-        sh.mark_gray_snapshot(ObjectRef::NULL);
-        assert!(sh.gray.is_empty());
+        let mut pushed = Vec::new();
+        sh.mark_gray_clear(ObjectRef::NULL, |o| pushed.push(o));
+        sh.mark_gray_snapshot(ObjectRef::NULL, |o| pushed.push(o));
+        assert!(pushed.is_empty());
     }
 
     #[test]
@@ -580,6 +531,7 @@ mod tests {
         assert_eq!(sh.heap.colors().get(obj.granule()), Color::White);
         sh.handshake(Status::Async);
         assert_eq!(sh.heap.colors().get(obj.granule()), Color::Gray);
+        assert_eq!(*sh.gray.lock(), [obj]);
         assert_eq!(m.status(), Status::Async);
     }
 
@@ -620,8 +572,10 @@ mod tests {
         assert!(sh.remove_global_root(obj));
         assert!(!sh.remove_global_root(obj));
         sh.add_global_root(obj);
-        sh.mark_global_roots();
+        let mut stack = Vec::new();
+        sh.mark_global_roots(&mut stack);
         assert_eq!(sh.heap.colors().get(obj.granule()), Color::Gray);
+        assert_eq!(stack, [obj]);
     }
 
     #[test]

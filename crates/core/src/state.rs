@@ -108,7 +108,7 @@ pub struct MutatorShared {
     /// Write-barrier epoch: odd while the mutator is inside an operation
     /// that may produce a gray (root marking, or a barrier outside the
     /// idle period — DESIGN.md §4.10).  The collector's trace-termination
-    /// check only believes an empty gray queue after observing every epoch
+    /// check only believes an empty gray list after observing every epoch
     /// even (closing the CAS-color-then-push window).
     pub epoch: AtomicUsize,
     /// Park state (see [`ParkState`]).
@@ -127,8 +127,7 @@ impl MutatorShared {
     }
 
     /// The mutator's current status.
-    #[inline]
-    #[allow(dead_code)] // used by tests and diagnostics
+    #[cfg(test)]
     pub fn status(&self) -> Status {
         Status::from_byte(self.status.load(Ordering::Acquire))
     }

@@ -11,7 +11,7 @@ impl GcShared {
     /// `MarkBlack` (Figure 3): *claim* the object with a gray→target
     /// color CAS, then shade every son gray.
     ///
-    /// Every enqueue site (write barrier, card scan, root marking, the
+    /// Every push site (write barrier, card scan, root marking, the
     /// collector's own son-shading) CASes the color to gray before
     /// pushing, so a popped object is gray unless a duplicate entry from
     /// a re-graying already claimed it.  The losing CAS returns without
@@ -28,38 +28,41 @@ impl GcShared {
         let ref_slots = self.heap.arena().header(obj).ref_slots();
         for i in 0..ref_slots {
             let son = self.heap.arena().load_ref_slot(obj, i);
-            self.mark_gray_clear_local(son, &mut cx.mark_stack);
+            self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
         }
         cx.counters.objects_traced += 1;
         cx.touch_object(obj, 1 + ref_slots);
         cx.touch_color(g);
     }
 
-    /// The trace loop: pop gray objects and blacken them until no gray
-    /// object exists.  The cycle's `trace` bucket runs it after the third
-    /// handshake, with the card and root grays already on the mark stack.
+    /// The trace loop: blacken gray objects until no gray object exists.
+    /// The cycle's `trace` bucket runs it after the third handshake, with
+    /// the card and root grays already on the mark stack.
+    ///
+    /// Each drain round moves the whole shared gray list onto the private
+    /// mark stack under one lock, then drains the stack lock-free.
     ///
     /// Termination is subtle on-the-fly: a mutator's write barrier first
-    /// CASes a color to gray and *then* pushes the object on the queue, so
-    /// an empty queue alone does not mean no gray objects.  Every
+    /// CASes a color to gray and *then* pushes the object on the gray
+    /// list, so an empty list alone does not mean no gray objects.  Every
     /// gray-producing mutator operation is bracketed by an epoch counter
-    /// (odd while inside); the collector believes an empty queue only
-    /// after observing all epochs even *and then* the queue still empty.
+    /// (odd while inside); the collector believes an empty list only
+    /// after observing all epochs even *and then* the list still empty.
     /// Any barrier that starts after that point can only shade objects the
     /// DLG invariants already guarantee are marked (see DESIGN.md §4.7).
     pub(crate) fn trace(&self, cx: &mut CycleCx) {
         let target = self.trace_target();
         let mut backoff = Backoff::new();
         loop {
-            // Drain: the private stack first (hot, lock-free), then the
-            // mutators' shared gray queue.
-            while let Some(obj) = cx.mark_stack.pop().or_else(|| self.gray.pop()) {
+            cx.mark_stack.append(&mut self.gray.lock());
+            while let Some(obj) = cx.mark_stack.pop() {
                 self.mark_black(obj, target, cx);
             }
             // §4.3 order: epochs even observed *before* the emptiness
-            // re-check.
+            // re-check (the mark stack is empty after the drain).
             let all_even = self.mutators_all_even();
-            if !self.gray.is_empty() || !cx.mark_stack.is_empty() {
+            let pushed = !self.gray.lock().is_empty();
+            if pushed {
                 backoff.reset();
             } else if !all_even {
                 // A barrier is between its gray CAS and its push.
@@ -107,7 +110,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(b, 0, c);
         let d = alloc(&sh, 0, Color::White); // unreachable
 
-        sh.mark_gray_clear(a);
+        sh.mark_gray_clear(a, |o| sh.gray.lock().push(o));
         sh.trace(&mut cx);
 
         for obj in [a, b, c] {
@@ -115,7 +118,7 @@ mod tests {
         }
         assert_eq!(sh.heap.colors().get(d.granule()), Color::White);
         assert_eq!(cx.counters.objects_traced, 3);
-        assert!(sh.gray.is_empty());
+        assert!(sh.gray.lock().is_empty());
     }
 
     #[test]
@@ -140,7 +143,8 @@ mod tests {
         let young = alloc(&sh, 0, Color::White);
         let old = alloc(&sh, 1, Color::Black);
         sh.heap.arena().store_ref_slot(old, 0, young);
-        assert!(sh.mark_gray_from_black(old)); // as ClearCards would
+        sh.cards.mark_byte(old.byte());
+        sh.clear_cards_simple(&mut cx); // grays the black parent
         sh.trace(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Black);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::Black);
@@ -154,7 +158,7 @@ mod tests {
         let infant = alloc(&sh, 0, Color::Yellow);
         let root = alloc(&sh, 1, Color::White);
         sh.heap.arena().store_ref_slot(root, 0, infant);
-        sh.mark_gray_clear(root);
+        sh.mark_gray_clear(root, |o| sh.gray.lock().push(o));
         sh.trace(&mut cx);
         // The yellow infant is not traced (not promoted, §4).
         assert_eq!(sh.heap.colors().get(infant.granule()), Color::Yellow);
@@ -183,7 +187,7 @@ mod tests {
         let m2 = Arc::clone(&m);
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(30));
-            sh2.gray.push(hidden);
+            sh2.gray.lock().push(hidden);
             m2.epoch.fetch_add(1, Ordering::SeqCst); // epoch_exit
         });
 
@@ -192,6 +196,48 @@ mod tests {
         pusher.join().unwrap();
         assert_eq!(sh.heap.colors().get(hidden.granule()), Color::Black);
         assert_eq!(cx.counters.objects_traced, 1);
+    }
+
+    #[test]
+    fn trace_takes_every_gray_pushed_while_it_drains() {
+        use std::sync::Arc;
+        const N: usize = 2_000;
+        let (sh, mut cx) = setup();
+        let sh = Arc::new(sh);
+        sh.colors.toggle(); // clear color is now White
+        let batches: Vec<Vec<ObjectRef>> = (0..2)
+            .map(|_| (0..N).map(|_| alloc(&sh, 0, Color::White)).collect())
+            .collect();
+        // Each pusher is a mutator inside one epoch bracket for its whole
+        // batch, entered before the trace starts, so the trace cannot
+        // terminate until both have pushed everything.
+        let pushers: Vec<_> = batches
+            .iter()
+            .cloned()
+            .map(|batch| {
+                let m = sh.register_mutator();
+                m.epoch_enter();
+                let sh = Arc::clone(&sh);
+                std::thread::spawn(move || {
+                    for (i, obj) in batch.into_iter().enumerate() {
+                        sh.mark_gray_clear(obj, |o| sh.gray.lock().push(o));
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    m.epoch_exit();
+                })
+            })
+            .collect();
+        sh.trace(&mut cx);
+        for p in pushers {
+            p.join().unwrap();
+        }
+        for obj in batches.iter().flatten() {
+            assert_eq!(sh.heap.colors().get(obj.granule()), Color::Black);
+        }
+        assert_eq!(cx.counters.objects_traced, 2 * N as u64);
+        assert!(sh.gray.lock().is_empty());
     }
 
     #[test]
@@ -204,7 +250,7 @@ mod tests {
         let mut cx = CycleCx::new(&sh);
         sh.colors.toggle(); // allocation Yellow, clear White
         let a = alloc(&sh, 0, Color::White);
-        sh.mark_gray_clear(a);
+        sh.mark_gray_clear(a, |o| sh.gray.lock().push(o));
         sh.trace(&mut cx);
         // Marked with the allocation color, not literal black.
         assert_eq!(sh.heap.colors().get(a.granule()), Color::Yellow);

@@ -143,7 +143,7 @@ impl ColorTable {
 
     /// Atomically recolors `granule` from `from` to `to`.  Returns `true`
     /// on success.  This is the mutator/collector graying primitive: only
-    /// the winner of the race pushes the object on the gray queue.
+    /// the winner of the race pushes the object on the gray list.
     #[inline]
     pub fn cas(&self, granule: usize, from: Color, to: Color) -> bool {
         self.bytes[granule]

@@ -21,8 +21,8 @@
 //! gracefully on a tight heap.  Bins are LIFO, so which chunk is taken
 //! depends only on the sequence of calls.
 //!
-//! Sweep batches arrive from every collector sweep lane through the same
-//! insert paths under the same lock.
+//! The collector's sweep hands its batches in through the same insert
+//! paths under the same lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

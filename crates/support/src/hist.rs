@@ -1,4 +1,4 @@
-//! A mergeable, log-bucketed concurrent latency histogram — the
+//! A log-bucketed concurrent latency histogram — the
 //! workspace's `hdrhistogram` replacement.
 //!
 //! [`Histogram`] records `u64` values (nanoseconds, by convention) into
@@ -15,7 +15,7 @@
 //!
 //! Queries ([`Histogram::quantile`], [`Histogram::max`]) read the live
 //! counters; [`Histogram::snapshot`] captures a plain-`u64` [`Snapshot`]
-//! for storage, merging across runs, and serialization.  Quantiles use
+//! for storage and serialization.  Quantiles use
 //! the nearest-rank definition over bucket counts and report the
 //! **upper bound** of the selected bucket (clamped to the exact recorded
 //! maximum), so they never under-report a latency and are monotone in
@@ -176,24 +176,6 @@ impl Histogram {
         )
     }
 
-    /// Adds every recorded value of `other` into `self` (bucket-wise).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let c = theirs.load(Ordering::Relaxed);
-            if c != 0 {
-                mine.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A plain-integer snapshot of the current contents.  Concurrent
     /// `record`s may or may not be included; each bucket is internally
     /// consistent.
@@ -220,8 +202,8 @@ impl Default for Histogram {
     }
 }
 
-/// An owned, mergeable snapshot of a [`Histogram`], with the same query
-/// API.  `Default` is the empty snapshot (every query returns 0).
+/// An owned snapshot of a [`Histogram`], with the same query API.
+/// `Default` is the empty snapshot (every query returns 0).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     counts: Vec<u64>,
@@ -284,24 +266,6 @@ impl Snapshot {
     /// Nearest-rank quantile; same semantics as [`Histogram::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_over(self.counts.iter().copied(), self.count, self.max(), q)
-    }
-
-    /// Merges `other` into `self` bucket-wise.  Merging is commutative
-    /// and associative: any merge order yields the same snapshot.
-    pub fn merge(&mut self, other: &Snapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; NUM_BUCKETS];
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
     }
 }
 
@@ -452,53 +416,6 @@ mod tests {
                 last = v;
             }
             assert!(h.quantile(1.0) <= h.max().max(1));
-        });
-    }
-
-    #[test]
-    fn merge_matches_single_histogram_and_is_associative() {
-        run_cases("hist_merge", 0x4242, 40, |g| {
-            let a = g.vec_of(0..120, log_uniform);
-            let b = g.vec_of(0..120, log_uniform);
-            let c = g.vec_of(0..120, log_uniform);
-            let hist_of = |vs: &[u64]| {
-                let h = Histogram::new();
-                for &v in vs {
-                    h.record(v);
-                }
-                h
-            };
-            // Oracle: one histogram fed the concatenation.
-            let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-            let oracle = hist_of(&all).snapshot();
-
-            // (a ⊔ b) ⊔ c via snapshots.
-            let mut left = hist_of(&a).snapshot();
-            left.merge(&hist_of(&b).snapshot());
-            left.merge(&hist_of(&c).snapshot());
-            // a ⊔ (b ⊔ c).
-            let mut right_tail = hist_of(&b).snapshot();
-            right_tail.merge(&hist_of(&c).snapshot());
-            let mut right = hist_of(&a).snapshot();
-            right.merge(&right_tail);
-
-            if all.is_empty() {
-                assert!(left.is_empty() && right.is_empty());
-                return;
-            }
-            assert_eq!(left, right, "merge not associative");
-            assert_eq!(left.count(), oracle.count());
-            assert_eq!(left.max(), oracle.max());
-            assert_eq!(left.min(), oracle.min());
-            for q in [0.25, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(left.quantile(q), oracle.quantile(q));
-            }
-
-            // The concurrent merge path agrees with the snapshot path.
-            let merged = hist_of(&a);
-            merged.merge_from(&hist_of(&b));
-            merged.merge_from(&hist_of(&c));
-            assert_eq!(merged.snapshot(), oracle);
         });
     }
 

@@ -4,19 +4,17 @@
 //! crate supplies the few primitives the collector and its harnesses used
 //! to pull from external crates:
 //!
-//! * [`sync`] — poison-free [`Mutex`](sync::Mutex)/[`Condvar`](sync::Condvar)/
-//!   [`RwLock`](sync::RwLock) wrappers over `std::sync` with the
-//!   `parking_lot`-style guard API (no `.unwrap()` at every lock site),
-//!   plus [`Backoff`](sync::Backoff), the exponential spin/yield/park
-//!   ramp for the trace's termination wait.
-//! * [`queue`] — [`SegQueue`](queue::SegQueue), a mutex-sharded MPMC
-//!   injector queue for the gray-object work list.
+//! * [`sync`] — poison-free [`Mutex`](sync::Mutex)/[`Condvar`](sync::Condvar)
+//!   wrappers over `std::sync` with the `parking_lot`-style guard API (no
+//!   `.unwrap()` at every lock site), plus [`Backoff`](sync::Backoff),
+//!   the exponential spin/yield/park ramp for the trace's termination
+//!   wait.
 //! * [`rand`] — a seedable SplitMix64-seeded xoshiro256++ PRNG behind the
 //!   small [`RngExt`](rand::RngExt)/[`SeedableRng`](rand::SeedableRng)
 //!   API the workloads consume.
 //! * [`check`] — deterministic randomized testing: a seeded case
 //!   generator plus shrink-by-halving, replacing `proptest`.
-//! * [`hist`] — a mergeable, log-bucketed concurrent latency histogram
+//! * [`hist`] — a log-bucketed concurrent latency histogram
 //!   with a lock-free, allocation-free record path, replacing
 //!   `hdrhistogram` (the substrate of the collector's pause-time
 //!   observability).
@@ -41,7 +39,6 @@
 pub mod check;
 pub mod fault;
 pub mod hist;
-pub mod queue;
 pub mod rand;
 pub mod sync;
 pub mod tablescan;

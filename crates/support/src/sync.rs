@@ -167,96 +167,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A reader-writer lock with the same poison-free guard API.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock holding `value`.
-    #[inline]
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
-/// RAII shared-read guard for an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII exclusive-write guard for an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Exponential backoff for spin-wait loops: a few `spin_loop` hints,
 /// then `yield_now`, then short bounded sleeps.
 ///
@@ -310,14 +220,6 @@ impl Backoff {
     #[inline]
     pub fn reset(&mut self) {
         self.step = 0;
-    }
-
-    /// True once the backoff has escalated past pure spinning — a hint
-    /// that the waiter should recheck slow-path conditions (e.g. take a
-    /// fresh registry snapshot) rather than keep spinning on a cache.
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        self.step > Self::YIELD_LIMIT
     }
 }
 
@@ -389,17 +291,18 @@ mod tests {
     #[test]
     fn backoff_escalates_and_resets() {
         let mut b = Backoff::new();
-        assert!(!b.is_completed());
+        assert_eq!(b.step, 0);
         for _ in 0..=Backoff::YIELD_LIMIT {
             b.snooze();
         }
-        assert!(b.is_completed());
-        // Completed backoff keeps sleeping without overflowing the step.
+        assert_eq!(b.step, Backoff::YIELD_LIMIT + 1);
+        // Past the yield phase it keeps sleeping without overflowing the
+        // step.
         b.snooze();
         b.snooze();
-        assert!(b.is_completed());
+        assert_eq!(b.step, Backoff::YIELD_LIMIT + 1);
         b.reset();
-        assert!(!b.is_completed());
+        assert_eq!(b.step, 0);
     }
 
     #[test]
@@ -412,18 +315,5 @@ mod tests {
             b.snooze();
         }
         assert!(start.elapsed() < Duration::from_millis(100));
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(7);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 14);
-        }
-        *l.write() += 1;
-        assert_eq!(*l.read(), 8);
-        assert_eq!(l.into_inner(), 8);
     }
 }

@@ -39,11 +39,6 @@ impl RunResult {
     pub fn max_pause(&self) -> Duration {
         self.stats.max_pause()
     }
-
-    /// The 99th-percentile GC-induced mutator pause of the run.
-    pub fn pause_p99(&self) -> Duration {
-        self.stats.pause_quantile(0.99)
-    }
 }
 
 /// Runs one copy of `workload` under `config` and returns the measured
@@ -145,25 +140,4 @@ pub fn percent_improvement(nogen: Duration, gen: Duration) -> f64 {
     } else {
         100.0 * (nogen.as_secs_f64() - gen.as_secs_f64()) / nogen.as_secs_f64()
     }
-}
-
-/// Convenience: measure `workload` under both collectors ("multiprocessor"
-/// = `copies` concurrent copies) and return
-/// `(improvement_multi, improvement_uni)` — the two columns of the paper's
-/// Figures 8 and 9.
-pub fn measure_improvement(
-    workload: &dyn Workload,
-    gen_cfg: GcConfig,
-    nogen_cfg: GcConfig,
-    seed: u64,
-    copies: usize,
-) -> (f64, f64) {
-    let (multi_nogen, _) = run_copies(workload, nogen_cfg, seed, copies);
-    let (multi_gen, _) = run_copies(workload, gen_cfg, seed, copies);
-    let uni_nogen = run_workload(workload, nogen_cfg, seed);
-    let uni_gen = run_workload(workload, gen_cfg, seed);
-    (
-        percent_improvement(multi_nogen, multi_gen),
-        percent_improvement(uni_nogen.elapsed, uni_gen.elapsed),
-    )
 }
