@@ -71,5 +71,6 @@ echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
 echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"
 echo "env reads in crates/:    $(grep -rn 'env::var' crates --include=*.rs | wc -l)"
 echo "dead_code allows in crates/: $(grep -rn 'allow(dead_code)' crates --include=*.rs | wc -l)"
+echo "thread_locals in crates/: $(grep -rn 'thread_local!' crates --include=*.rs | wc -l)"
 
 exit $failed

@@ -5,8 +5,14 @@
 //! the second handshake window (simple promotion before the color
 //! toggle, aging after it — Figure 2 vs Figure 5 order), the
 //! initialization pass in the init bucket of full collections.
+//!
+//! Like the sweep, all three passes find objects through the color table
+//! (DESIGN.md §4.17): a word skip to the next start byte above a floor,
+//! never a header-driven parse.  An object belongs to the card its start
+//! byte is on; a card holding only the tail of an object sees `Interior`
+//! bytes there and skips them.
 
-use otf_heap::{Color, GRANULE};
+use otf_heap::{Color, ObjectRef, GRANULE};
 
 use crate::cycle::CycleCx;
 use crate::obs::EventKind;
@@ -35,14 +41,19 @@ impl GcShared {
     /// pointed at is traced (and promoted) by this very cycle.  DESIGN.md
     /// §4.9 records what goes wrong when the scan is moved after the
     /// toggle.
+    ///
+    /// The card's objects are found in the color table, as
+    /// `InitFullCollection` finds them: `Gray` and `Black` are the only
+    /// bytes above `Yellow`, so the skip lands on old objects' start
+    /// bytes only, and an object starting on an earlier card shows only
+    /// `Interior` bytes here.  The `Black → Gray` CAS (AcqRel) licenses
+    /// the header read that follows it.
     pub(crate) fn clear_cards_simple(&self, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let dirty_before = cx.counters.dirty_cards;
-        // The per-card list of black objects to gray lives on the cycle
-        // context, reused across cards instead of allocated per card.
-        let mut grayed = std::mem::take(&mut cx.scratch_grayed);
+        let colors = self.heap.colors();
         // Word-skip the (typically long) clean runs between dirty cards.
         let mut from = 0;
         while let Some(card) = self.cards.next_dirty(from, n_cards) {
@@ -50,28 +61,25 @@ impl GcShared {
             cx.counters.dirty_cards += 1;
             self.cards.clear(card);
             let (gs, ge) = self.cards.granule_range(card);
-            cx.touch_color_range(gs, ge.min(self.heap.frontier_granule()));
-            grayed.clear();
-            self.heap
-                .for_each_object_start(gs, ge, |obj, color, header| {
-                    if color == Color::Black {
-                        grayed.push((obj, header.size_granules()));
-                    }
-                });
-            for &(obj, size) in &grayed {
-                if self
-                    .heap
-                    .colors()
-                    .cas(obj.granule(), Color::Black, Color::Gray)
-                {
+            let ge = ge.min(self.heap.frontier_granule());
+            cx.touch_color_range(gs, ge);
+            let mut g = gs;
+            loop {
+                g = colors.next_color_above(g, ge, Color::Yellow);
+                if g >= ge {
+                    break;
+                }
+                if colors.cas(g, Color::Black, Color::Gray) {
+                    let obj = ObjectRef::from_granule(g);
+                    let size = self.heap.arena().header(obj).size_granules();
                     cx.mark_stack.push(obj);
                     cx.counters.intergen_objects += 1;
                     cx.counters.intergen_bytes += (size * GRANULE) as u64;
-                    cx.touch_object_granules(obj.granule(), size);
+                    cx.touch_object_granules(g, size);
                 }
+                g += 1;
             }
         }
-        cx.scratch_grayed = grayed;
         self.obs.event(
             EventKind::CardClear,
             cx.counters.dirty_cards - dirty_before,
@@ -83,9 +91,9 @@ impl GcShared {
     /// clear/check/re-mark protocol): for every dirty card,
     ///
     /// 1. clear the mark,
-    /// 2. scan the objects on the card: tenured objects (black with age at
-    ///    the threshold) act as inter-generational roots — their sons are
-    ///    shaded gray; and
+    /// 2. scan the objects starting on the card: tenured objects (black
+    ///    with age at the threshold) act as inter-generational roots —
+    ///    their sons are shaded gray; and
     /// 3. re-mark the card if any object on it still references a young
     ///    object, so the inter-generational pointer is re-examined next
     ///    cycle.
@@ -96,14 +104,19 @@ impl GcShared {
     /// survive until then (see DESIGN.md §4 — this widens Figure 6's
     /// literal re-mark condition, which checks only tenured parents and
     /// would otherwise drop the pointer).
+    ///
+    /// Step 2 finds the objects in the color table: a word skip to each
+    /// start byte above `Interior`, then an acquire re-read of that byte
+    /// (pairing with the allocator's publication) before the header.
     pub(crate) fn clear_cards_aging(&self, threshold: u8, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let dirty_before = cx.counters.dirty_cards;
+        let colors = self.heap.colors();
         let ages = self.heap.ages();
-        // Per-card tenured-root list, reused across cards (and cycles).
-        let mut tenured_roots = std::mem::take(&mut cx.scratch_tenured);
+        let arena = self.heap.arena();
+        let is_young = |son: ObjectRef| !son.is_null() && ages.get(son.granule()) < threshold;
         // Word-skip clean runs; next_dirty's acquire re-read of the dirty
         // byte pairs with the mutator's release mark, so the pointer
         // stores that preceded a mark we observe are visible to step 2.
@@ -116,44 +129,37 @@ impl GcShared {
             // survives our clear).
             self.cards.clear(card);
             let (gs, ge) = self.cards.granule_range(card);
-            cx.touch_color_range(gs, ge.min(self.heap.frontier_granule()));
+            let ge = ge.min(self.heap.frontier_granule());
+            cx.touch_color_range(gs, ge);
             // Step 2: scan.
-            tenured_roots.clear();
             let mut remark = false;
-            self.heap
-                .for_each_object_start(gs, ge, |obj, color, header| {
-                    let g = obj.granule();
-                    let is_tenured = color == Color::Black && ages.get(g) >= threshold;
-                    if is_tenured {
-                        tenured_roots.push((obj, header.ref_slots(), header.size_granules()));
-                    } else if !remark {
-                        // A non-tenured object with any reference keeps the
-                        // card dirty if one of its sons is young: once this
-                        // parent is tenured the pointer becomes (or stays)
-                        // inter-generational.
-                        for i in 0..header.ref_slots() {
-                            let son = self.heap.arena().load_ref_slot(obj, i);
-                            if !son.is_null() && ages.get(son.granule()) < threshold {
-                                remark = true;
-                                break;
-                            }
-                        }
-                    }
-                });
-            for &(obj, ref_slots, size) in &tenured_roots {
-                cx.counters.intergen_objects += 1;
-                cx.counters.intergen_bytes += (size * GRANULE) as u64;
-                cx.touch_object(obj, 1 + ref_slots);
-                for i in 0..ref_slots {
-                    let son = self.heap.arena().load_ref_slot(obj, i);
-                    if son.is_null() {
-                        continue;
-                    }
-                    self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
-                    if ages.get(son.granule()) < threshold {
-                        remark = true;
-                    }
+            let mut g = gs;
+            loop {
+                g = colors.next_color_above(g, ge, Color::Interior);
+                if g >= ge {
+                    break;
                 }
+                let color = colors.get(g); // acquire pairs with allocation
+                let obj = ObjectRef::from_granule(g);
+                let header = arena.header(obj);
+                let ref_slots = header.ref_slots();
+                if color == Color::Black && ages.get(g) >= threshold {
+                    cx.counters.intergen_objects += 1;
+                    cx.counters.intergen_bytes += (header.size_granules() * GRANULE) as u64;
+                    cx.touch_object(obj, 1 + ref_slots);
+                    for i in 0..ref_slots {
+                        let son = arena.load_ref_slot(obj, i);
+                        self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
+                        remark |= is_young(son);
+                    }
+                } else if !remark {
+                    // A non-tenured object with any reference keeps the
+                    // card dirty if one of its sons is young: once this
+                    // parent is tenured the pointer becomes (or stays)
+                    // inter-generational.
+                    remark = (0..ref_slots).any(|i| is_young(arena.load_ref_slot(obj, i)));
+                }
+                g += 1;
             }
             // Step 3: re-mark if a young object is still referenced from
             // this card.
@@ -161,7 +167,6 @@ impl GcShared {
                 self.cards.mark_card(card);
             }
         }
-        cx.scratch_tenured = tenured_roots;
         self.obs.event(
             EventKind::CardClear,
             cx.counters.dirty_cards - dirty_before,
@@ -181,29 +186,18 @@ impl GcShared {
     /// mutators; this is safe because mutators never recolor black
     /// objects.
     ///
-    /// The pass is a single word-at-a-time skip: `Gray` and `Black` are
-    /// the only byte values above `Yellow`, and interior granules always
-    /// hold `Interior`, so scanning for "first byte > `Yellow`" lands
-    /// exactly on the start granules that need recoloring — no object
-    /// parsing (headers, extents) at all.  Concurrent allocation only
-    /// publishes `White`/`Yellow` start bytes, which the scan correctly
-    /// passes over, and no other thread writes `Black`/`Gray` while the
-    /// collector is here, so a relaxed scan plus release recoloring
-    /// store is sound.
+    /// The pass is one [`recolor_above`](otf_heap::ColorTable::recolor_above)
+    /// with floor `Yellow`: `Gray` and `Black` are the only byte values
+    /// above it, so the scan lands exactly on the start granules that need
+    /// recoloring — no object parsing (headers, extents) at all.
+    /// Concurrent allocation only publishes `White`/`Yellow` start bytes,
+    /// which the scan passes over.
     pub(crate) fn init_full_collection(&self, clear_cards: bool, cx: &mut CycleCx) {
-        let alloc = self.colors.allocation_color();
-        let colors = self.heap.colors();
         let end = self.heap.frontier_granule();
         cx.touch_color_range(1, end);
-        let mut g = 1;
-        loop {
-            g = colors.next_color_above(g, end, Color::Yellow);
-            if g >= end {
-                break;
-            }
-            colors.set(g, alloc);
-            g += 1;
-        }
+        self.heap
+            .colors()
+            .recolor_above(1, end, Color::Yellow, self.colors.allocation_color());
         // Only cards below the frontier can hold a mark: the frontier
         // never retreats, and a card marked past a frontier that moved on
         // after our read only costs the next card scan one extra card.
@@ -220,7 +214,7 @@ mod tests {
     use super::*;
     use crate::config::GcConfig;
     use crate::cycle::CycleCx;
-    use otf_heap::{ObjShape, ObjectRef};
+    use otf_heap::ObjShape;
 
     fn setup(cfg: GcConfig) -> (GcShared, CycleCx) {
         let sh = GcShared::new(cfg.with_max_heap(1 << 20).with_initial_heap(1 << 20));
@@ -317,6 +311,44 @@ mod tests {
         // But the son is NOT grayed from here: young parents are traced
         // through normal reachability.
         assert_eq!(sh.heap.colors().get(son.granule()), Color::White);
+    }
+
+    /// Both scans act only on objects *starting* on a dirty card: a
+    /// tenured object spanning two cards, with only its second card
+    /// dirty, is neither grayed (simple) nor a tenured root or re-mark
+    /// source (aging) — though its young, clear-colored son would show
+    /// either mistake.
+    #[test]
+    fn card_scans_skip_objects_starting_on_an_earlier_card() {
+        let threshold = 4;
+        for aging in [false, true] {
+            let cfg = if aging {
+                GcConfig::aging(threshold)
+            } else {
+                GcConfig::generational()
+            };
+            let (sh, mut cx) = setup(cfg);
+            let old = alloc(&sh, 3, Color::Black); // 2 granules
+            sh.heap.ages().set(old.granule(), threshold);
+            let son = alloc(&sh, 0, sh.colors.clear_color());
+            sh.heap.arena().store_ref_slot(old, 0, son);
+            let first = sh.cards.card_of_byte(old.byte());
+            let second = sh.cards.card_of_byte(old.byte() + GRANULE);
+            assert_eq!(second, first + 1, "the object spans two cards");
+            sh.cards.mark_card(second);
+
+            if aging {
+                sh.clear_cards_aging(threshold, &mut cx);
+            } else {
+                sh.clear_cards_simple(&mut cx);
+            }
+            assert_eq!(cx.counters.dirty_cards, 1);
+            assert_eq!(cx.counters.intergen_objects, 0, "aging={aging}");
+            assert!(cx.mark_stack.is_empty(), "aging={aging}");
+            assert_eq!(sh.heap.colors().get(old.granule()), Color::Black);
+            assert_eq!(sh.heap.colors().get(son.granule()), sh.colors.clear_color());
+            assert_eq!(sh.cards.count_dirty(sh.cards.len()), 0, "re-marked");
+        }
     }
 
     #[test]

@@ -291,8 +291,10 @@ impl GcShared {
     /// 4. repaints every object granule to the *live* color
     ///    ([`trace_target`](GcShared::trace_target): black for the
     ///    generational plans, the allocation color for the baseline)
-    ///    with the same SWAR scan `InitFullCollection` uses.  Nothing is
-    ///    freed by an aborted cycle, so the worst outcome is floating
+    ///    with the repaint loop `InitFullCollection` uses
+    ///    ([`recolor_above`](otf_heap::ColorTable::recolor_above), floor
+    ///    `Interior`).  Nothing is freed by an aborted cycle, so the
+    ///    worst outcome is floating
     ///    garbage; the forced full collection below re-traces everything
     ///    from roots, rebuilding real liveness (and, in the generational
     ///    plans, the generations — its init pass demotes every black
@@ -335,18 +337,10 @@ impl GcShared {
             panic!("injected collector panic (recovery window)");
         }
 
-        let live = self.trace_target();
-        let colors = self.heap.colors();
         let end = self.heap.frontier_granule();
-        let mut g = 1;
-        loop {
-            g = colors.next_color_above(g, end, Color::Interior);
-            if g >= end {
-                break;
-            }
-            colors.set(g, live);
-            g += 1;
-        }
+        self.heap
+            .colors()
+            .recolor_above(1, end, Color::Interior, self.trace_target());
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
         self.collecting.store(false, Ordering::Release);

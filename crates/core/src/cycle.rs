@@ -37,13 +37,6 @@ pub(crate) struct CycleCx {
     /// trace round moves the shared gray list onto it whole, so every pop
     /// is lock-free.
     pub mark_stack: Vec<ObjectRef>,
-    /// Scratch buffer for `clear_cards_simple`'s per-card list of black
-    /// objects to gray — reused across cards (and cycles) instead of
-    /// allocating a fresh `Vec` per dirty card.
-    pub scratch_grayed: Vec<(ObjectRef, usize)>,
-    /// Scratch buffer for `clear_cards_aging`'s per-card list of tenured
-    /// roots `(object, ref_slots, size_granules)` — reused likewise.
-    pub scratch_tenured: Vec<(ObjectRef, usize, usize)>,
 }
 
 impl CycleCx {
@@ -59,8 +52,6 @@ impl CycleCx {
             ),
             phases: PhaseTimes::default(),
             mark_stack: Vec::with_capacity(1024),
-            scratch_grayed: Vec::new(),
-            scratch_tenured: Vec::new(),
         }
     }
 
@@ -70,8 +61,6 @@ impl CycleCx {
         self.pages.reset();
         self.phases = PhaseTimes::default();
         self.mark_stack.clear();
-        self.scratch_grayed.clear();
-        self.scratch_tenured.clear();
     }
 
     /// Records that the collector read an object's header and its first

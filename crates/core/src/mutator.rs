@@ -767,13 +767,13 @@ mod tests {
         }
         // Moving from hole to hole is private: no flush, no second refill.
         assert_eq!(shared.heap.objects_allocated(), 0);
-        assert_eq!(shared.obs.lab_refill.count(), 1);
+        assert_eq!(shared.obs.lab_refill.snapshot().count(), 1);
         assert_eq!(shared.heap.lab_leased_granules(), 64);
         // The 65th allocation finds the queue used up: the refill reports
         // the 64 objects the retired queue holds.
         m.alloc(&shape).unwrap();
         assert_eq!(shared.heap.objects_allocated(), 64);
-        assert_eq!(shared.obs.lab_refill.count(), 2);
+        assert_eq!(shared.obs.lab_refill.snapshot().count(), 2);
         shared.post_handshake(Status::Sync1);
         m.cooperate();
         assert_eq!(shared.heap.objects_allocated(), 65);
@@ -805,11 +805,11 @@ mod tests {
     fn cooperate_slow_path_records_handshake_latency() {
         let (shared, mut m) = setup(GcConfig::generational());
         m.cooperate(); // fast path: statuses agree, nothing recorded
-        assert_eq!(shared.obs.handshake.count(), 0);
+        assert_eq!(shared.obs.handshake.snapshot().count(), 0);
         shared.post_handshake(Status::Sync1);
         m.cooperate();
-        assert_eq!(shared.obs.handshake.count(), 1);
-        assert_eq!(shared.obs.pause.count(), 1);
+        assert_eq!(shared.obs.handshake.snapshot().count(), 1);
+        assert_eq!(shared.obs.pause.snapshot().count(), 1);
     }
 
     #[test]
@@ -904,7 +904,11 @@ mod tests {
                 i + 1
             );
         }
-        assert_eq!(shared.obs.lab_refill.count(), 3, "one refill a queue");
+        assert_eq!(
+            shared.obs.lab_refill.snapshot().count(),
+            3,
+            "one refill a queue"
+        );
         assert!(
             shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
             "test premise: raw used crosses the 70% trigger"
@@ -926,7 +930,11 @@ mod tests {
                 m.alloc(&filler).unwrap();
             }
         }
-        assert_eq!(shared.obs.lab_refill.count(), 3, "still the first queues");
+        assert_eq!(
+            shared.obs.lab_refill.snapshot().count(),
+            3,
+            "still the first queues"
+        );
         assert!(!shared.control.has_request());
         drop(muts);
         assert_eq!(shared.heap.lab_leased_granules(), 0);
@@ -960,7 +968,7 @@ mod tests {
             objects += shape.size_granules();
             assert!(shared.heap.lab_leased_granules() <= lab);
         }
-        assert!(shared.obs.lab_refill.count() > 10);
+        assert!(shared.obs.lab_refill.snapshot().count() > 10);
         drop(m);
         assert_eq!(
             shared.heap.lab_leased_granules(),
@@ -1032,7 +1040,7 @@ mod tests {
         );
         // The holes were used: far fewer refills than holes, far more
         // than the frontier alone would have taken.
-        let refills = shared.obs.lab_refill.count();
+        let refills = shared.obs.lab_refill.snapshot().count();
         assert!(refills > 600 && refills < 6_000, "{refills} refills");
     }
 

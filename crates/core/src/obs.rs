@@ -475,8 +475,8 @@ mod tests {
         assert!(obs.events().is_empty());
         // Histograms still record regardless of the tracing flag.
         obs.note_alloc_stall(500);
-        assert_eq!(obs.alloc_stall.count(), 1);
-        assert_eq!(obs.pause.count(), 1);
+        assert_eq!(obs.alloc_stall.snapshot().count(), 1);
+        assert_eq!(obs.pause.snapshot().count(), 1);
     }
 
     #[test]
@@ -553,13 +553,14 @@ mod tests {
         obs.note_handshake_post(Status::Sync1);
         std::thread::sleep(std::time::Duration::from_millis(2));
         obs.note_handshake_ack(Status::Sync1, 10);
-        assert_eq!(obs.handshake.count(), 1);
+        let handshake = obs.handshake.snapshot();
+        assert_eq!(handshake.count(), 1);
         assert!(
-            obs.handshake.max() >= 1_000_000,
+            handshake.max() >= 1_000_000,
             "latency {} ns should cover the 2 ms sleep",
-            obs.handshake.max()
+            handshake.max()
         );
-        assert_eq!(obs.pause.max(), 10);
+        assert_eq!(obs.pause.snapshot().max(), 10);
     }
 
     #[test]

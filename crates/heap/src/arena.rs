@@ -104,17 +104,6 @@ impl Arena {
         }
     }
 
-    /// Sets the committed watermark to exactly
-    /// `clamp(target, floor, max)` — unlike [`grow_to`](Arena::grow_to)
-    /// this may shrink, as long as `floor` (the caller's allocation
-    /// high-watermark) is respected.
-    pub fn commit_to(&self, target: usize, floor: usize) -> usize {
-        let goal = target.max(floor).div_ceil(GRANULE) * GRANULE;
-        let goal = goal.min(self.bytes);
-        self.committed.store(goal, Ordering::Release);
-        goal
-    }
-
     /// Grows the committed watermark to `min(committed * 2, max)`.
     /// Returns the new committed size, or `None` if already at maximum.
     pub fn grow(&self) -> Option<usize> {

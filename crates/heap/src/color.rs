@@ -2,7 +2,8 @@
 //!
 //! The paper's collector colors every object white, yellow, gray, black or
 //! blue (free).  We keep the color in a side table rather than the object
-//! header so the concurrent sweep can *parse the heap from the table alone*:
+//! header so every collector walk — the sweep, both card scans, the
+//! repaints — can *find objects from the table alone*:
 //!
 //! * the byte of an object's **start granule** holds its color,
 //! * the bytes of its interior granules hold [`Color::Interior`],
@@ -188,8 +189,9 @@ impl ColorTable {
 
     /// Returns the first granule in `[from, to)` whose byte encodes a
     /// color strictly above `floor` (or `to`).  `floor = Interior` finds
-    /// the next object start; `floor = Yellow` finds black/gray bytes
-    /// directly — the whole of `InitFullCollection`'s search, since
+    /// the next object start (the sweep, the aging card scan);
+    /// `floor = Yellow` finds black/gray bytes directly — the whole of
+    /// `InitFullCollection`'s and the simple card scan's search, since
     /// `Gray` and `Black` are the only byte values above `Yellow` and
     /// interior granules always hold `Interior`.  A word-at-a-time
     /// relaxed scan (see [`get_raw_relaxed`](ColorTable::get_raw_relaxed)
@@ -198,6 +200,34 @@ impl ColorTable {
     #[inline]
     pub fn next_color_above(&self, from: usize, to: usize, floor: Color) -> usize {
         tablescan::find_byte_not_in(&self.bytes, from, to, floor as u8)
+    }
+
+    /// Recolors every byte in `[from, to)` above `floor` to `color` — the
+    /// one repaint loop (`InitFullCollection` with `floor = Yellow`, the
+    /// abort repaint with `floor = Interior`).  `floor` must be at least
+    /// `Interior`, so every byte the scan lands on is an object's start
+    /// byte.
+    ///
+    /// A relaxed word scan followed by a release store is sound here
+    /// because the loop never dereferences what it finds: it reads no
+    /// header and no slot, so no acquire is needed to license one, and
+    /// the store of the start byte is its whole effect.  A start byte
+    /// the scan reads stale belongs to an object some allocation is
+    /// publishing meanwhile; missing it leaves that object its
+    /// allocation color.  A byte another thread recolors meanwhile ends
+    /// with one of the two colors; each caller states why either is
+    /// acceptable to it.
+    pub fn recolor_above(&self, from: usize, to: usize, floor: Color, color: Color) {
+        debug_assert!(floor as u8 >= Color::Interior as u8);
+        let mut g = from;
+        loop {
+            g = self.next_color_above(g, to, floor);
+            if g >= to {
+                return;
+            }
+            self.set(g, color);
+            g += 1;
+        }
     }
 
     /// Returns one-past-the-end of the object starting at `start`, found

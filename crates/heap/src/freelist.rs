@@ -463,13 +463,14 @@ impl FreeLists {
         self.free.load(Ordering::Relaxed)
     }
 
-    /// The largest available chunk length (diagnostics / fragmentation
-    /// measurements).
+    /// The largest available chunk length.
+    #[cfg(test)]
     pub fn largest_chunk(&self) -> u32 {
         self.snapshot().iter().map(|c| c.len).max().unwrap_or(0)
     }
 
-    /// Number of distinct chunks (diagnostics).
+    /// Number of distinct chunks.
+    #[cfg(test)]
     pub fn chunk_count(&self) -> usize {
         self.inner.lock().by_start.len
     }

@@ -19,29 +19,10 @@ use crate::age::{AgeTable, INFANT_AGE};
 use crate::arena::Arena;
 use crate::color::{Color, ColorTable};
 use crate::freelist::{Chunk, FreeLists};
-use crate::layout::{Header, ObjShape};
+use crate::layout::ObjShape;
 
 /// Default LAB (local allocation buffer) size in granules (32 KB).
 pub const DEFAULT_LAB_GRANULES: u32 = 2048;
-
-/// One step of a linear heap parse (see [`HeapSpace::parse_at`]).
-#[derive(Copy, Clone, Debug)]
-pub enum ParseStep {
-    /// A free granule; advance by one.
-    Free,
-    /// An interior granule (only seen when racing an in-flight allocation
-    /// or when entering a region mid-object); advance by one.
-    Interior,
-    /// An object starts here; advance by `header.size_granules()`.
-    Object {
-        /// The object's reference.
-        obj: ObjectRef,
-        /// The color observed (acquire) at the start granule.
-        color: Color,
-        /// The object's decoded header.
-        header: Header,
-    },
-}
 
 /// The heap substrate shared by mutators and the collector.
 #[derive(Debug)]
@@ -134,14 +115,6 @@ impl HeapSpace {
     /// Grows the committed region to exactly `min(target, max)` bytes.
     pub fn grow_to(&self, target: usize) -> usize {
         self.arena.grow_to(target)
-    }
-
-    /// Resizes the committed region to `target` bytes (growing *or*
-    /// shrinking), clamped so it never drops below the bump-frontier
-    /// high-watermark (memory behind the frontier may be live).
-    pub fn commit_to(&self, target: usize) -> usize {
-        let floor = self.frontier_granule() * GRANULE;
-        self.arena.commit_to(target, floor)
     }
 
     /// The first granule the bump frontier has not yet passed.  A linear
@@ -361,57 +334,6 @@ impl HeapSpace {
         self.colors.set(start, color); // release: publishes the object
         obj
     }
-
-    /// Reads one parse step at granule `g`.  Drive a linear walk with:
-    ///
-    /// ```
-    /// # use otf_heap::{HeapSpace, ParseStep};
-    /// # let heap = HeapSpace::new(1 << 16, 1 << 16);
-    /// let mut g = 1;
-    /// while g < heap.frontier_granule() {
-    ///     g += match heap.parse_at(g) {
-    ///         ParseStep::Object { header, .. } => header.size_granules(),
-    ///         _ => 1,
-    ///     };
-    /// }
-    /// ```
-    #[inline]
-    pub fn parse_at(&self, g: usize) -> ParseStep {
-        match self.colors.get(g) {
-            Color::Free => ParseStep::Free,
-            Color::Interior => ParseStep::Interior,
-            color => {
-                let obj = ObjectRef::from_granule(g);
-                ParseStep::Object {
-                    obj,
-                    color,
-                    header: self.arena.header(obj),
-                }
-            }
-        }
-    }
-
-    /// Calls `f(obj, color, header)` for every object *starting* in the
-    /// granule range `[start, end)` — the dirty-card scan primitive.
-    pub fn for_each_object_start<F: FnMut(ObjectRef, Color, Header)>(
-        &self,
-        start: usize,
-        end: usize,
-        mut f: F,
-    ) {
-        let end = end.min(self.frontier_granule());
-        let mut g = start;
-        while g < end {
-            g += match self.parse_at(g) {
-                ParseStep::Object { obj, color, header } => {
-                    let size = header.size_granules();
-                    f(obj, color, header);
-                    size
-                }
-                _ => 1,
-            };
-        }
-    }
 }
 
 /// A mutator-private local allocation buffer (the paper's thread-local
@@ -573,40 +495,6 @@ mod tests {
         h.colors().fill(obj.granule(), n as usize, Color::Free);
         let obj2 = h.install_object(obj.granule(), &shape, Color::Yellow);
         assert!(h.arena().load_ref_slot(obj2, 0).is_null());
-    }
-
-    #[test]
-    fn parse_walk_sees_all_objects() {
-        let h = small_heap();
-        let mut allocated = Vec::new();
-        for i in 0..10 {
-            let shape = ObjShape::new(i % 3, i);
-            let n = shape.size_granules() as u32;
-            let c = h.alloc_chunk(n, n).unwrap();
-            allocated.push(h.install_object(c.start as usize, &shape, Color::White));
-        }
-        let mut seen = Vec::new();
-        h.for_each_object_start(1, h.frontier_granule(), |obj, color, _| {
-            assert_eq!(color, Color::White);
-            seen.push(obj);
-        });
-        assert_eq!(seen, allocated);
-    }
-
-    #[test]
-    fn for_each_object_start_respects_range() {
-        let h = small_heap();
-        let shape = ObjShape::new(1, 2); // 2 granules
-        let mut objs = Vec::new();
-        for _ in 0..4 {
-            let c = h.alloc_chunk(2, 2).unwrap();
-            objs.push(h.install_object(c.start as usize, &shape, Color::White));
-        }
-        // Objects start at granules 1,3,5,7. Range [3,5) should see only
-        // the one at granule 3.
-        let mut seen = Vec::new();
-        h.for_each_object_start(3, 5, |o, _, _| seen.push(o));
-        assert_eq!(seen, vec![objs[1]]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! halving).
 
 use otf_heap::{
-    CardTable, Chunk, Color, ColorTable, FreeLists, Header, HeapSpace, ObjShape, GRANULE,
+    CardTable, Chunk, Color, ColorTable, FreeLists, Header, HeapSpace, ObjShape, ObjectRef, GRANULE,
 };
 use otf_support::check::{run_cases, Gen};
 
@@ -97,8 +97,9 @@ fn card_geometry() {
 }
 
 /// The color table is a faithful parse map: installing random objects
-/// back-to-back and walking the heap sees exactly those objects, in
-/// address order, with correct headers.
+/// back-to-back and walking the table (`next_color_above` to each start,
+/// `object_end` to its extent) sees exactly those objects, in address
+/// order, with correct headers and extents equal to the header sizes.
 #[test]
 fn heap_parse_integrity() {
     run_cases("heap_parse_integrity", 0x9A45E, 128, |g| {
@@ -112,10 +113,17 @@ fn heap_parse_integrity() {
             let obj = heap.install_object(chunk.start as usize, &shape, Color::White);
             installed.push((obj, shape));
         }
+        let (colors, end) = (heap.colors(), heap.frontier_granule());
         let mut seen = Vec::new();
-        heap.for_each_object_start(1, heap.frontier_granule(), |obj, color, header| {
+        let mut gr = colors.next_color_above(1, end, Color::Interior);
+        while gr < end {
+            let (color, obj) = (colors.get(gr), ObjectRef::from_granule(gr));
+            let header = heap.arena().header(obj);
+            let obj_end = colors.object_end(gr, end);
+            assert_eq!(obj_end - gr, header.size_granules(), "extent of {obj:?}");
             seen.push((obj, color, header.ref_slots(), header.class_id()));
-        });
+            gr = colors.next_color_above(obj_end, end, Color::Interior);
+        }
         assert_eq!(seen.len(), installed.len());
         for ((obj, shape), (sobj, scolor, srefs, sclass)) in installed.iter().zip(&seen) {
             assert_eq!(obj, sobj);

@@ -8,14 +8,14 @@
 //! across the whole `u64` range with a fixed table of 1920 counters.
 //!
 //! The record path is **lock-free and allocation-free**: one bucket index
-//! computation (a `leading_zeros` and some shifts) plus five relaxed
+//! computation (a `leading_zeros` and some shifts) plus four relaxed
 //! atomic RMWs.  It is safe to call concurrently from any number of
 //! threads — this is what lets every mutator share one histogram without
 //! a merge step on the hot path.
 //!
-//! Queries ([`Histogram::quantile`], [`Histogram::max`]) read the live
-//! counters; [`Histogram::snapshot`] captures a plain-`u64` [`Snapshot`]
-//! for storage and serialization.  Quantiles use
+//! Every query goes through one surface: [`Histogram::snapshot`] captures
+//! a plain-`u64` [`Snapshot`], and its methods ([`Snapshot::quantile`],
+//! [`Snapshot::max`], ...) answer from that copy.  Quantiles use
 //! the nearest-rank definition over bucket counts and report the
 //! **upper bound** of the selected bucket (clamped to the exact recorded
 //! maximum), so they never under-report a latency and are monotone in
@@ -95,7 +95,6 @@ fn quantile_over(counts: impl IntoIterator<Item = u64>, n: u64, max: u64, q: f64
 #[derive(Debug)]
 pub struct Histogram {
     counts: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     min: AtomicU64,
@@ -106,7 +105,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -118,7 +116,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -128,52 +125,6 @@ impl Histogram {
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Exact maximum recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        if self.count() == 0 {
-            0
-        } else {
-            self.max.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Exact minimum recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count() == 0 {
-            0
-        } else {
-            self.min.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Mean of the recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// The nearest-rank `q`-quantile (`0.0 ..= 1.0`), reported as the
-    /// upper bound of the selected bucket clamped to the recorded
-    /// maximum — at most 1/32 above the exact order statistic, never
-    /// below it.  Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_over(
-            self.counts.iter().map(|c| c.load(Ordering::Relaxed)),
-            self.count(),
-            self.max(),
-            q,
-        )
     }
 
     /// A plain-integer snapshot of the current contents.  Concurrent
@@ -263,7 +214,10 @@ impl Snapshot {
         }
     }
 
-    /// Nearest-rank quantile; same semantics as [`Histogram::quantile`].
+    /// The nearest-rank `q`-quantile (`0.0 ..= 1.0`), reported as the
+    /// upper bound of the selected bucket clamped to the recorded
+    /// maximum — at most 1/32 above the exact order statistic, never
+    /// below it.  Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_over(self.counts.iter().copied(), self.count, self.max(), q)
     }
@@ -348,23 +302,23 @@ mod tests {
         for v in 0..SUB as u64 {
             h.record(v);
         }
+        let s = h.snapshot();
         for v in 0..SUB as u64 {
             // Quantile ranks are 1-based: value v is the (v+1)-th smallest.
             let q = (v + 1) as f64 / SUB as f64;
-            assert_eq!(h.quantile(q), v);
+            assert_eq!(s.quantile(q), v);
         }
     }
 
     #[test]
     fn empty_histogram_queries() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
-        let s = h.snapshot();
+        let s = Histogram::new().snapshot();
         assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.max(), 0);
+        assert_eq!(s.min(), 0);
+        assert_eq!(s.quantile(0.99), 0);
+        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.max(), Snapshot::default().max());
         assert_eq!(s.count(), Snapshot::default().count());
@@ -380,12 +334,13 @@ mod tests {
             }
             let mut sorted = values.clone();
             sorted.sort_unstable();
-            assert_eq!(h.count(), values.len() as u64);
-            assert_eq!(h.max(), *sorted.last().unwrap());
-            assert_eq!(h.min(), sorted[0]);
+            let s = h.snapshot();
+            assert_eq!(s.count(), values.len() as u64);
+            assert_eq!(s.max(), *sorted.last().unwrap());
+            assert_eq!(s.min(), sorted[0]);
             for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
                 let exact = oracle_quantile(&sorted, q);
-                let approx = h.quantile(q);
+                let approx = s.quantile(q);
                 // Never under-reports; over-reports by at most one bucket
                 // width (≤ exact/SUB + 1).
                 assert!(
@@ -408,14 +363,15 @@ mod tests {
             for &v in &values {
                 h.record(v);
             }
+            let s = h.snapshot();
             let mut last = 0;
             for i in 0..=20 {
                 let q = i as f64 / 20.0;
-                let v = h.quantile(q);
+                let v = s.quantile(q);
                 assert!(v >= last, "quantile not monotone at q={q}");
                 last = v;
             }
-            assert!(h.quantile(1.0) <= h.max().max(1));
+            assert!(s.quantile(1.0) <= s.max().max(1));
         });
     }
 
@@ -434,19 +390,21 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), threads as u64 * per_thread);
-        assert_eq!(h.max(), threads as u64 * per_thread - 1);
-        assert_eq!(h.min(), 0);
+        let s = h.snapshot();
+        assert_eq!(s.count(), threads as u64 * per_thread);
+        assert_eq!(s.max(), threads as u64 * per_thread - 1);
+        assert_eq!(s.min(), 0);
     }
 
     #[test]
     fn record_duration_saturates() {
         let h = Histogram::new();
         h.record_duration(Duration::from_nanos(1500));
-        assert_eq!(h.max(), 1500);
-        assert!(h.quantile(1.0) >= 1500);
+        let s = h.snapshot();
+        assert_eq!(s.max(), 1500);
+        assert!(s.quantile(1.0) >= 1500);
         let h = Histogram::new();
         h.record_duration(Duration::MAX);
-        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.snapshot().max(), u64::MAX);
     }
 }

@@ -53,12 +53,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {

@@ -2,11 +2,12 @@
 //!
 //! The collector's concurrent phases are dominated by linear walks over
 //! its side tables — the sweep parses the whole heap from the color
-//! table, `ClearCards` scans the card table, and `InitFullCollection`
-//! recolors every black object.  All of those tables are `[AtomicU8]`
-//! and all of those walks ask byte-wise questions ("first byte that is
-//! not `Free`/`Interior`", "first clean byte after this dirty run",
-//! "how many dirty bytes").  Answering them one `AtomicU8` load at a
+//! table, `ClearCards` scans the card table and then each dirty card's
+//! granules in the color table, and `InitFullCollection` recolors every
+//! black object.  All of those tables are `[AtomicU8]` and all of those
+//! walks ask byte-wise questions ("first byte that is not
+//! `Free`/`Interior`", "first clean byte after this dirty run", "how
+//! many dirty bytes").  Answering them one `AtomicU8` load at a
 //! time wastes ~7/8 of every cache line the scan already paid for.
 //!
 //! This module supplies SWAR (*SIMD within a register*) kernels that
@@ -15,9 +16,14 @@
 //! Production collectors do exactly this over their side metadata
 //! (MMTk's bulk side-metadata scans, Nofl's word-level sweeps over
 //! per-granule mark bytes); these kernels are the same idea reduced to
-//! the operations our tables need: two searches, a count, a fill, and
-//! the two counting scans ([`skip_and_count`], [`pair_run_end`]) that let
-//! the sweep work a run at a time.
+//! the operations our tables need: two searches, a count, the two
+//! counting scans ([`skip_and_count`], [`pair_run_end`]) that let the
+//! sweep work a run at a time, and a fill.  Every read kernel is one word
+//! loop (`scan`) given its own per-lane stop and count masks; the one
+//! write kernel is [`bulk_fill`].  The two searches and the count are
+//! `#[inline]`: most of their collector calls are tiny (a one-granule
+//! card window, the extent of a two-granule object), where a cross-crate
+//! call and its prologue cost more than the scan.
 //!
 //! # Memory model
 //!
@@ -61,7 +67,6 @@
 //! subsequent release store of the start byte orders the whole fill, as
 //! before.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Bytes per scan word.
@@ -72,72 +77,6 @@ const ONES: u64 = 0x0101_0101_0101_0101;
 const HIGH: u64 = 0x8080_8080_8080_8080;
 /// Every byte lane = `0x7f`.
 const LOW7: u64 = !HIGH;
-
-/// Adaptive byte/word mode for the two *search* kernels.
-///
-/// Word scans win on sparse tables (long clean runs) and lose on dense
-/// ones: when nearly every call hits within its first few bytes, the
-/// alignment setup and mask work are pure overhead and the plain byte
-/// loop is faster (PR 2's kernel microbench measured the word path at
-/// 0.77x on dense color- and card-table walks).  Both search kernels
-/// therefore byte-scan a head covering the first full word *before
-/// touching any per-thread state* — the dense regime resolves there at
-/// byte-loop cost, with zero thread-local traffic.  Scans that survive the head consult a
-/// per-thread mode: after **two consecutive** such scans hit on their
-/// very first byte past the head, the kernel falls back to the byte loop;
-/// once the byte loop has seen a **full clean word's worth** of bytes
-/// without a hit, it re-enters word mode.  The mode changes only *which
-/// loop* runs — the returned index is identical in both, so the
-/// differential oracles hold regardless of mode history.
-#[derive(Clone, Copy)]
-struct Adapt {
-    /// True in the dense regime (pure byte loop).
-    byte_mode: bool,
-    /// Word mode: consecutive scans that hit on their first byte.
-    first_hits: u8,
-    /// Byte mode: consecutive clean bytes since the last hit.
-    clean_run: u8,
-}
-
-impl Adapt {
-    const WORD_MODE: Adapt = Adapt {
-        byte_mode: false,
-        first_hits: 0,
-        clean_run: 0,
-    };
-    const BYTE_MODE: Adapt = Adapt {
-        byte_mode: true,
-        first_hits: 0,
-        clean_run: 0,
-    };
-}
-
-/// Consecutive first-word hits that demote a kernel to byte mode.
-const FIRST_HITS_TO_BYTE: u8 = 2;
-
-thread_local! {
-    /// [`find_byte_not_in`]'s mode (the color table's `next_color_above`,
-    /// the card scan's `next_dirty`).
-    static ADAPT_SKIP: Cell<Adapt> = const { Cell::new(Adapt::WORD_MODE) };
-    /// [`find_run_end`]'s mode (the color table's `object_end`).
-    static ADAPT_RUN: Cell<Adapt> = const { Cell::new(Adapt::WORD_MODE) };
-}
-
-/// Updates `st` after a scan over `[from, to)` returned `found`.  Only a
-/// hit on the *first byte* counts toward demotion: a hit deeper in the
-/// first word still cost just one word load, which the byte loop cannot
-/// beat.
-#[inline]
-fn note_scan_result(st: &mut Adapt, from: usize, to: usize, found: usize) {
-    if found < to && found == from {
-        st.first_hits += 1;
-        if st.first_hits >= FIRST_HITS_TO_BYTE {
-            *st = Adapt::BYTE_MODE;
-        }
-    } else {
-        st.first_hits = 0;
-    }
-}
 
 /// Splats `b` into every byte lane.
 #[inline]
@@ -211,244 +150,14 @@ fn first_flag(mask: u64) -> usize {
     mask.trailing_zeros() as usize / WORD
 }
 
-/// Returns the first index in `[from, to)` whose byte is **not** in
-/// `0..=max`, or `to` if every byte is.  `max` must be `< 0x80`.
-///
-/// This is the SWAR "memchr-style" skip: the sweep's fast-forward over
-/// `Free`/`Interior` runs (`max = Interior`), the card scan's skip over
-/// clean cards (`max = CLEAN`), and `InitFullCollection`'s search for
-/// black/gray bytes (`max = Yellow`) are all instances.  Dispatches
-/// adaptively between the word path and a plain byte loop (a per-thread
-/// mode, demoted after repeated first-byte hits) so dense tables are not
-/// taxed with word-path setup.
-///
-/// # Panics
-///
-/// Panics if `to > bytes.len()` or `max >= 0x80`.
-pub fn find_byte_not_in(bytes: &[AtomicU8], from: usize, to: usize, max: u8) -> usize {
-    assert!(to <= bytes.len());
-    assert!(max < 0x80, "find_byte_not_in requires max < 0x80");
-    // Byte-scan the unaligned head *plus* the first full word before
-    // touching any per-thread state: on dense tables the hit is almost
-    // always within the first few bytes, and for such tiny scans even
-    // the thread-local round-trip is measurable overhead.
-    let mut g = from;
-    let head_end = align_up(bytes, from + WORD).min(to);
-    while g < head_end {
-        if bytes[g].load(Ordering::Relaxed) > max {
-            return g;
-        }
-        g += 1;
-    }
-    if g == to {
-        return to;
-    }
-    skip_tail(bytes, g, to, max)
-}
-
-/// Cold continuation of [`find_byte_not_in`] past the head.  Outlined so
-/// the dense-regime hot path stays a tiny leaf function — keeping the
-/// TLS access and word machinery here keeps them off the common path's
-/// prologue entirely.
-#[cold]
-#[inline(never)]
-fn skip_tail(bytes: &[AtomicU8], from: usize, to: usize, max: u8) -> usize {
-    ADAPT_SKIP.with(|cell| {
-        let mut st = cell.get();
-        let found = scan_not_in(bytes, from, to, max, &mut st);
-        cell.set(st);
-        found
-    })
-}
-
-/// [`find_byte_not_in`] body past the head, threading the adaptive mode
-/// through `st`.  `from` is word-aligned on entry (the caller byte-scanned
-/// up to an alignment boundary).
-fn scan_not_in(bytes: &[AtomicU8], from: usize, to: usize, max: u8, st: &mut Adapt) -> usize {
-    let mut g = from;
-    // Dense regime: pure byte loop — no alignment, no masks.
-    if st.byte_mode {
-        while g < to {
-            if bytes[g].load(Ordering::Relaxed) > max {
-                st.clean_run = 0;
-                return g;
-            }
-            g += 1;
-            st.clean_run += 1;
-            if st.clean_run >= WORD as u8 {
-                // A full clean word's worth of bytes: sparse again.
-                *st = Adapt::WORD_MODE;
-                break;
-            }
-        }
-        if st.byte_mode {
-            return to; // range exhausted while still dense
-        }
-    }
-    let found = 'scan: {
-        // Re-align after a byte-mode exit at an arbitrary index (no-op
-        // straight off the aligned head).
-        let head_end = align_up(bytes, g).min(to);
-        while g < head_end {
-            if bytes[g].load(Ordering::Relaxed) > max {
-                break 'scan g;
-            }
-            g += 1;
-        }
-        // Aligned body, one word at a time.
-        while g + WORD <= to {
-            // SAFETY: g is address-aligned (align_up above, then += WORD)
-            // and g + WORD <= to <= bytes.len().
-            let w = unsafe { load_word(bytes, g) };
-            let m = gt_mask(w, max);
-            if m != 0 {
-                break 'scan g + first_flag(m);
-            }
-            g += WORD;
-        }
-        // Tail.
-        while g < to {
-            if bytes[g].load(Ordering::Relaxed) > max {
-                break 'scan g;
-            }
-            g += 1;
-        }
-        to
-    };
-    note_scan_result(st, from, to, found);
-    found
-}
-
-/// Returns the first index in `[from, to)` whose byte differs from
-/// `value`, or `to` if the whole range is a `value`-run.
-///
-/// This finds the end of a homogeneous run — the sweep's object-extent
-/// scan over `Interior` bytes is the canonical caller.  Adaptive like
-/// [`find_byte_not_in`]: a table of short runs (small objects) demotes
-/// the kernel to the byte loop until runs lengthen again.
-///
-/// # Panics
-///
-/// Panics if `to > bytes.len()`.
-pub fn find_run_end(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
-    assert!(to <= bytes.len());
-    // Head before any thread-local traffic — see find_byte_not_in: short
-    // runs (small objects) resolve here at plain byte-loop cost.
-    let mut g = from;
-    let head_end = align_up(bytes, from + WORD).min(to);
-    while g < head_end {
-        if bytes[g].load(Ordering::Relaxed) != value {
-            return g;
-        }
-        g += 1;
-    }
-    if g == to {
-        return to;
-    }
-    run_tail(bytes, g, to, value)
-}
-
-/// Cold continuation of [`find_run_end`] past the head — see
-/// [`skip_tail`].
-#[cold]
-#[inline(never)]
-fn run_tail(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
-    ADAPT_RUN.with(|cell| {
-        let mut st = cell.get();
-        let found = scan_run_end(bytes, from, to, value, &mut st);
-        cell.set(st);
-        found
-    })
-}
-
-/// [`find_run_end`] body past the head, threading the adaptive mode
-/// through `st`.  `from` is word-aligned on entry.
-fn scan_run_end(bytes: &[AtomicU8], from: usize, to: usize, value: u8, st: &mut Adapt) -> usize {
-    let mut g = from;
-    if st.byte_mode {
-        while g < to {
-            if bytes[g].load(Ordering::Relaxed) != value {
-                st.clean_run = 0;
-                return g;
-            }
-            g += 1;
-            st.clean_run += 1;
-            if st.clean_run >= WORD as u8 {
-                *st = Adapt::WORD_MODE;
-                break;
-            }
-        }
-        if st.byte_mode {
-            return to;
-        }
-    }
-    let found = 'scan: {
-        // Re-align after a byte-mode exit (no-op off the aligned head).
-        let head_end = align_up(bytes, g).min(to);
-        while g < head_end {
-            if bytes[g].load(Ordering::Relaxed) != value {
-                break 'scan g;
-            }
-            g += 1;
-        }
-        let v = splat(value);
-        while g + WORD <= to {
-            // SAFETY: as in find_byte_not_in.
-            let x = unsafe { load_word(bytes, g) } ^ v;
-            if x != 0 {
-                // Lowest nonzero lane = first byte differing from `value`.
-                break 'scan g + x.trailing_zeros() as usize / WORD;
-            }
-            g += WORD;
-        }
-        while g < to {
-            if bytes[g].load(Ordering::Relaxed) != value {
-                break 'scan g;
-            }
-            g += 1;
-        }
-        to
-    };
-    note_scan_result(st, from, to, found);
-    found
-}
-
-/// Number of bytes in `[from, to)` equal to `value`.
-///
-/// # Panics
-///
-/// Panics if `to > bytes.len()`.
-pub fn count_matching(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
-    assert!(to <= bytes.len());
-    let mut count = 0;
-    let mut g = from;
-    let head_end = align_up(bytes, g).min(to);
-    while g < head_end {
-        count += usize::from(bytes[g].load(Ordering::Relaxed) == value);
-        g += 1;
-    }
-    let v = splat(value);
-    while g + WORD <= to {
-        // SAFETY: as in find_byte_not_in.
-        let x = unsafe { load_word(bytes, g) } ^ v;
-        count += zero_mask(x).count_ones() as usize;
-        g += WORD;
-    }
-    while g < to {
-        count += usize::from(bytes[g].load(Ordering::Relaxed) == value);
-        g += 1;
-    }
-    count
-}
-
-/// Shared body of the two counting scans: walks `[from, to)` to the
+/// The one scan loop every read kernel is: walks `[from, to)` to the
 /// first byte that stops the scan and sums `N` per-byte counts over the
 /// bytes before it.  `flags` maps a word to its `(stops, counts)` flag
 /// masks, lane for lane (the masks above are exact per lane); the
 /// unaligned head and the sub-word tail run it on a one-byte word, so a
-/// kernel has a single definition.
+/// kernel is nothing but its masks.
 #[inline(always)]
-fn scan_counting<const N: usize>(
+fn scan<const N: usize>(
     bytes: &[AtomicU8],
     from: usize,
     to: usize,
@@ -460,7 +169,7 @@ fn scan_counting<const N: usize>(
     }
     // Scans `word` (its lanes above `live` are padding); on a stop,
     // counts only the lanes below the stopping one.
-    let mut scan = |word: u64, live: u64| {
+    let mut visit = |word: u64, live: u64| {
         let (stops, c) = flags(word);
         let stop = (stops & live != 0).then(|| first_flag(stops & live));
         let below = stop.map_or(live, |k| (1u64 << (k * WORD)) - 1);
@@ -474,7 +183,7 @@ fn scan_counting<const N: usize>(
     loop {
         // Unaligned head on the first pass, sub-word tail on the second.
         while g < byte_end {
-            if scan(u64::from(bytes[g].load(Ordering::Relaxed)), 0xff).is_some() {
+            if visit(u64::from(bytes[g].load(Ordering::Relaxed)), 0xff).is_some() {
                 return (g, counts);
             }
             g += 1;
@@ -483,14 +192,62 @@ fn scan_counting<const N: usize>(
             return (to, counts);
         }
         while g + WORD <= to {
-            // SAFETY: as in find_byte_not_in.
-            if let Some(k) = scan(unsafe { load_word(bytes, g) }, u64::MAX) {
+            // SAFETY: g is address-aligned (align_up above, then += WORD)
+            // and g + WORD <= to <= bytes.len().
+            if let Some(k) = visit(unsafe { load_word(bytes, g) }, u64::MAX) {
                 return (g + k, counts);
             }
             g += WORD;
         }
         byte_end = to;
     }
+}
+
+/// Returns the first index in `[from, to)` whose byte is **not** in
+/// `0..=max`, or `to` if every byte is.  `max` must be `< 0x80`.
+///
+/// This is the SWAR "memchr-style" skip: the sweep's fast-forward over
+/// `Free`/`Interior` runs (`max = Interior`), the card scan's skip over
+/// clean cards (`max = CLEAN`), and the searches for old objects
+/// (`max = Yellow`, only `Gray`/`Black` lie above) are all instances.
+///
+/// # Panics
+///
+/// Panics if `to > bytes.len()` or `max >= 0x80`.
+#[inline]
+pub fn find_byte_not_in(bytes: &[AtomicU8], from: usize, to: usize, max: u8) -> usize {
+    assert!(to <= bytes.len());
+    assert!(max < 0x80, "find_byte_not_in requires max < 0x80");
+    scan(bytes, from, to, |w| (gt_mask(w, max), [])).0
+}
+
+/// Returns the first index in `[from, to)` whose byte differs from
+/// `value`, or `to` if the whole range is a `value`-run.
+///
+/// This finds the end of a homogeneous run — the sweep's object-extent
+/// scan over `Interior` bytes is the canonical caller.
+///
+/// # Panics
+///
+/// Panics if `to > bytes.len()`.
+#[inline]
+pub fn find_run_end(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
+    assert!(to <= bytes.len());
+    let v = splat(value);
+    scan(bytes, from, to, |w| (zero_mask(w ^ v) ^ HIGH, [])).0
+}
+
+/// Number of bytes in `[from, to)` equal to `value`.
+///
+/// # Panics
+///
+/// Panics if `to > bytes.len()`.
+#[inline]
+pub fn count_matching(bytes: &[AtomicU8], from: usize, to: usize, value: u8) -> usize {
+    assert!(to <= bytes.len());
+    let v = splat(value);
+    let (_, [count]) = scan(bytes, from, to, |w| (0, [zero_mask(w ^ v)]));
+    count
 }
 
 /// Skip-and-count: returns `(index, above, nonzero)`, where `index` is
@@ -518,7 +275,7 @@ pub fn skip_and_count(
     assert!(to <= bytes.len());
     assert!(max < 0x80, "skip_and_count requires max < 0x80");
     let vp = splat(pass);
-    let (index, [above, nonzero]) = scan_counting(bytes, from, to, |w| {
+    let (index, [above, nonzero]) = scan(bytes, from, to, |w| {
         let gt = gt_mask(w, max);
         (gt & !zero_mask(w ^ vp), [gt, gt_mask(w, 0)])
     });
@@ -539,7 +296,7 @@ pub fn skip_and_count(
 pub fn pair_run_end(bytes: &[AtomicU8], from: usize, to: usize, a: u8, b: u8) -> (usize, usize) {
     assert!(to <= bytes.len());
     let (va, vb) = (splat(a), splat(b));
-    let (end, [count_a]) = scan_counting(bytes, from, to, |w| {
+    let (end, [count_a]) = scan(bytes, from, to, |w| {
         let is_a = zero_mask(w ^ va);
         ((is_a | zero_mask(w ^ vb)) ^ HIGH, [is_a])
     });
@@ -563,7 +320,7 @@ pub fn bulk_fill(bytes: &[AtomicU8], from: usize, to: usize, value: u8) {
     }
     let v = splat(value);
     while g + WORD <= to {
-        // SAFETY: as in find_byte_not_in.
+        // SAFETY: as in `scan`.
         unsafe { store_word(bytes, g, v) };
         g += WORD;
     }
@@ -913,40 +670,5 @@ mod tests {
         assert!(s[..5].iter().all(|&b| b == 7));
         assert!(s[5..27].iter().all(|&b| b == 0));
         assert!(s[27..].iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn adaptive_modes_agree_with_reference_across_regime_changes() {
-        // A dense prefix (hit every byte) demotes both search kernels to
-        // byte mode after two calls; the long clean run then promotes
-        // them back.  Every call in the churn must still agree with the
-        // byte-loop oracle — the mode changes cost, never results.
-        let mut v = vec![0u8; 256];
-        for (i, b) in v.iter_mut().enumerate().take(64) {
-            *b = if i % 2 == 0 { 2 } else { 1 }; // dense: hit at every even index
-        }
-        // v[64..] stays 0: one long sparse run.
-        let t = table(&v);
-        for from in 0..80 {
-            assert_eq!(
-                find_byte_not_in(&t, from, 256, 1),
-                reference::find_byte_not_in(&t, from, 256, 1),
-                "from={from}"
-            );
-            assert_eq!(
-                find_run_end(&t, from, 256, 1),
-                reference::find_run_end(&t, from, 256, 1),
-                "from={from}"
-            );
-        }
-        // And again starting sparse (byte mode left over from the dense
-        // churn must re-promote and still agree).
-        for from in [64, 100, 200, 255, 256] {
-            assert_eq!(
-                find_byte_not_in(&t, from, 256, 1),
-                reference::find_byte_not_in(&t, from, 256, 1),
-                "from={from}"
-            );
-        }
     }
 }
