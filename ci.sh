@@ -65,6 +65,7 @@ echo
 echo "=== size"
 echo "crates/ lines of Rust:   $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
+echo "GcConfig builders:       $(grep -c 'pub fn with_' crates/core/src/config.rs)"
 echo "GcConfig vestiges:       $(grep -c '/// Vestige:' crates/core/src/config.rs)"
 echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' | sort -u | wc -l)"
 echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"

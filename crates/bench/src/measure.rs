@@ -173,38 +173,6 @@ pub fn median_copies(w: &dyn Workload, cfg: GcConfig, o: &Options) -> Duration {
     times[times.len() / 2]
 }
 
-/// Percentage improvement of generational over non-generational for both
-/// the multiprocessor (concurrent copies) and uniprocessor (single copy)
-/// methodologies: `(multi, uni)`.
-pub fn improvements(
-    w: &dyn Workload,
-    gen_cfg: GcConfig,
-    nogen_cfg: GcConfig,
-    o: &Options,
-) -> (f64, f64) {
-    let multi_nogen = median_copies(w, nogen_cfg, o);
-    let multi_gen = median_copies(w, gen_cfg, o);
-    let uni_nogen = median_run(w, nogen_cfg, o).elapsed;
-    let uni_gen = median_run(w, gen_cfg, o).elapsed;
-    (
-        driver::percent_improvement(multi_nogen, multi_gen),
-        driver::percent_improvement(uni_nogen, uni_gen),
-    )
-}
-
-/// Uniprocessor-only improvement (used by the parameter-sweep figures,
-/// which the paper also measured on a single configuration axis).
-pub fn uni_improvement(
-    w: &dyn Workload,
-    gen_cfg: GcConfig,
-    nogen_cfg: GcConfig,
-    o: &Options,
-) -> f64 {
-    let nogen = median_run(w, nogen_cfg, o).elapsed;
-    let gen = median_run(w, gen_cfg, o).elapsed;
-    driver::percent_improvement(nogen, gen)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,7 +63,7 @@ impl GcShared {
         self.collecting.store(true, Ordering::Release);
         self.obs.note_cycle_begin(kind);
         let used_before = self.heap.used_bytes();
-        let allocated_since = self.control.bytes_since_cycle();
+        let allocated_since = self.bytes_since_cycle();
         cx.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
             if kind == CycleKind::Full {
                 match self.config.mode {
@@ -208,16 +208,12 @@ impl GcShared {
             // Running such a phantom would collect a half-empty young
             // generation back to back with the real cycle.
             if kind == CycleKind::Partial
-                && self.control.bytes_since_cycle() < self.config.young_size as u64 / 2
+                && self.bytes_since_cycle() < self.config.young_size as u64 / 2
             {
                 continue;
             }
             let stats = self.run_cycle(kind, &mut cx);
-            {
-                let mut s = self.stats.lock();
-                s.gc_active += stats.duration;
-                s.cycles.push(stats);
-            }
+            self.stats.lock().push(stats);
             if kind == CycleKind::Full {
                 let total_alloc = self.heap.bytes_allocated();
                 let since_last_full = total_alloc - alloc_at_last_full;

@@ -62,8 +62,6 @@ pub struct GcConfig {
     /// A full collection is triggered when the heap is "almost full":
     /// used ≥ `full_trigger_fraction · committed` (§3.3).
     pub full_trigger_fraction: f64,
-    /// LAB (thread-local allocation buffer) size in granules.
-    pub lab_granules: u32,
     /// Whether to record structured GC events into the trace ring
     /// (drainable as JSONL; see `Gc::events`).  Also enabled by setting
     /// the `OTF_GC_TRACE` environment variable.  Latency histograms are
@@ -99,7 +97,6 @@ impl GcConfig {
             card_size: 16,
             mode: Mode::Generational(Promotion::Simple),
             full_trigger_fraction: 0.75,
-            lab_granules: otf_heap::DEFAULT_LAB_GRANULES,
             trace_events: false,
             handshake_stall_ms: 1000,
             lazy_sweep: false,
@@ -155,12 +152,6 @@ impl GcConfig {
     /// Sets the promotion policy (switches to generational mode).
     pub fn with_promotion(mut self, promotion: Promotion) -> GcConfig {
         self.mode = Mode::Generational(promotion);
-        self
-    }
-
-    /// Sets the LAB size in granules.
-    pub fn with_lab_granules(mut self, granules: u32) -> GcConfig {
-        self.lab_granules = granules.max(1);
         self
     }
 

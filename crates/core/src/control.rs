@@ -31,7 +31,10 @@ pub(crate) struct Control {
     wake: Condvar,
     done: Mutex<Done>,
     done_cond: Condvar,
-    bytes_since_cycle: AtomicU64,
+    /// Allocated bytes the finished cycles have consumed: the §3.3
+    /// accumulator is the heap's allocation total minus this
+    /// ([`GcShared::bytes_since_cycle`](crate::shared::GcShared::bytes_since_cycle)).
+    consumed: AtomicU64,
     shutdown: AtomicBool,
     /// The collector thread panicked: no collection will ever complete
     /// again.  Like shutdown, but reported to blocked allocators as
@@ -47,7 +50,7 @@ impl Control {
             wake: Condvar::new(),
             done: Mutex::new(Done::default()),
             done_cond: Condvar::new(),
-            bytes_since_cycle: AtomicU64::new(0),
+            consumed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
         }
@@ -135,14 +138,9 @@ impl Control {
         true
     }
 
-    /// Adds to the §3.3 allocation accumulator; returns the new total.
-    pub(crate) fn add_allocated(&self, bytes: u64) -> u64 {
-        self.bytes_since_cycle.fetch_add(bytes, Ordering::Relaxed) + bytes
-    }
-
-    /// Reads the §3.3 allocation accumulator.
-    pub(crate) fn bytes_since_cycle(&self) -> u64 {
-        self.bytes_since_cycle.load(Ordering::Relaxed)
+    /// Allocated bytes consumed by finished cycles so far.
+    pub(crate) fn consumed(&self) -> u64 {
+        self.consumed.load(Ordering::Relaxed)
     }
 
     /// Consumes `bytes` from the accumulator (at cycle end, the amount
@@ -150,7 +148,7 @@ impl Control {
     /// while the cycle ran keeps counting toward the next trigger —
     /// exactly the objects that form the next young generation.
     pub(crate) fn consume_allocated(&self, bytes: u64) {
-        self.bytes_since_cycle.fetch_sub(bytes, Ordering::Relaxed);
+        self.consumed.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Cycle-abort recovery: drops any stale pending request and re-arms
@@ -234,18 +232,6 @@ mod tests {
         assert_eq!(c.next_request(), Some(CycleKind::Partial));
         c.begin_shutdown();
         assert_eq!(c.next_request(), None);
-    }
-
-    #[test]
-    fn allocation_accumulator() {
-        let c = Control::new();
-        assert_eq!(c.add_allocated(100), 100);
-        assert_eq!(c.add_allocated(50), 150);
-        assert_eq!(c.bytes_since_cycle(), 150);
-        // A cycle that started when 100 bytes were pending consumes only
-        // those 100; the 50 allocated "during" it roll over.
-        c.consume_allocated(100);
-        assert_eq!(c.bytes_since_cycle(), 50);
     }
 
     #[test]

@@ -196,13 +196,13 @@ impl Gc {
     /// histograms.  Its allocation and barrier counters lag as
     /// [`Gc::objects_allocated`] documents.
     pub fn stats(&self) -> GcStats {
-        let inner = self.shared.stats.lock();
+        let cycles = self.shared.stats.lock().clone();
         GcStats {
-            cycles: inner.cycles.clone(),
+            gc_active: cycles.iter().map(|c| c.duration).sum(),
+            cycles,
             objects_allocated: self.shared.heap.objects_allocated(),
             bytes_allocated: self.shared.heap.bytes_allocated(),
-            elapsed: self.shared.start.elapsed(),
-            gc_active: inner.gc_active,
+            elapsed: self.shared.obs.elapsed(),
             pause: self.shared.obs.pause.snapshot(),
             handshake: self.shared.obs.handshake.snapshot(),
             alloc_stall: self.shared.obs.alloc_stall.snapshot(),

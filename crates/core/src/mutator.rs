@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use otf_heap::{Chunk, Header, Lab, ObjShape, ObjectRef};
+use otf_heap::{Header, HeapSpace, Lab, ObjShape, ObjectRef, LAB_GRANULES};
 
 use crate::config::{Mode, Promotion};
 use crate::obs::dur_ns;
@@ -165,17 +165,16 @@ impl Mutator {
     /// refill (DESIGN.md §4.13).  Only the refill meets anything shared —
     /// the pool, the clock, the histogram, the flush.
     fn acquire_granules_slow(&mut self, n: u32) -> Result<usize, AllocError> {
-        let lab_granules = self.shared.config.lab_granules;
-        if n >= lab_granules / 2 {
+        if n >= LAB_GRANULES / 2 {
             // Large object: allocate its chunk directly (it is carved into
             // an object immediately, so it never counts as leased-unused).
-            let c = self.alloc_chunk_blocking(n, n)?;
+            let c = self.blocking(n, |heap, _| heap.alloc_chunk(n, n))?;
             if c.len < n {
                 // A chunk shorter than `min` is a substrate bug, but a
                 // short carve must degrade to AllocError, not abort the
                 // process: return the chunk and report the failure.
                 debug_assert!(false, "alloc_chunk returned {} < min {}", c.len, n);
-                self.shared.heap.free_chunk(c);
+                self.shared.heap.free_chunk_batch(&[c]);
                 return Err(self.alloc_failure(n));
             }
             return Ok(c.start as usize);
@@ -187,7 +186,9 @@ impl Mutator {
         // The refill latency histogram times the whole acquisition,
         // including a blocking collection, so a stall shows in its tail.
         let refill_start = Instant::now();
-        let refilled = self.refill(n, lab_granules);
+        let refilled = self.blocking(n, |heap, lab| {
+            heap.exchange_lab(lab, n, LAB_GRANULES).then_some(())
+        });
         self.shared
             .obs
             .note_lab_refill(dur_ns(refill_start.elapsed()));
@@ -207,21 +208,6 @@ impl Mutator {
         }
     }
 
-    /// Replaces the used-up queue: one exchange with the pool, else — the
-    /// heap is dry — whatever chunk the blocking path ends up with.
-    fn refill(&mut self, n: u32, lab_granules: u32) -> Result<(), AllocError> {
-        if self
-            .shared
-            .heap
-            .exchange_lab(&mut self.lab, n, lab_granules)
-        {
-            return Ok(());
-        }
-        let chunk = self.alloc_chunk_blocking(n, lab_granules)?;
-        self.shared.heap.refill_lab(&mut self.lab, chunk);
-        Ok(())
-    }
-
     /// The terminal allocation error for a request of `n` granules:
     /// `CollectorUnavailable` when the collector thread has panicked
     /// (space could exist, but nothing will ever reclaim it), otherwise
@@ -235,8 +221,12 @@ impl Mutator {
         }
     }
 
-    /// Gets a chunk, blocking on a full collection (and growing the heap)
-    /// when the committed region is exhausted.
+    /// Runs `attempt` — a large object's `alloc_chunk`, or a refill's
+    /// `exchange_lab` — for a request of `n` granules until it succeeds,
+    /// blocking on a full collection (and growing the heap) when the
+    /// committed region is exhausted.  The one place a mutator waits for
+    /// space: after a collection a refill leases a hole queue like any
+    /// other.
     ///
     /// Collector-supervision interplay (DESIGN.md §4.8): a collector
     /// panic is *transparent* here.  The abort protocol re-arms a
@@ -247,10 +237,18 @@ impl Mutator {
     /// consecutive-restart budget spent, or a panic during the abort
     /// itself) trips the `is_poisoned` checks below and degrades
     /// allocation to grow-only with `CollectorUnavailable` at exhaustion.
-    fn alloc_chunk_blocking(&mut self, min: u32, preferred: u32) -> Result<Chunk, AllocError> {
+    ///
+    /// Never inlined: both instances inlined into [`Mutator::alloc`]
+    /// would grow the allocation fast path's function fourfold.
+    #[inline(never)]
+    fn blocking<T>(
+        &mut self,
+        n: u32,
+        mut attempt: impl FnMut(&HeapSpace, &mut Lab) -> Option<T>,
+    ) -> Result<T, AllocError> {
         for _attempt in 0..8 {
-            if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
-                return Ok(c);
+            if let Some(t) = attempt(&self.shared.heap, &mut self.lab) {
+                return Ok(t);
             }
             if self.shared.control.is_shutdown() || self.shared.control.is_poisoned() {
                 // No collector to help us (clean shutdown or poisoned by
@@ -271,15 +269,15 @@ impl Mutator {
             self.shared
                 .obs
                 .note_alloc_stall(dur_ns(stall_start.elapsed()));
-            if let Some(c) = self.shared.heap.alloc_chunk(min, preferred) {
-                return Ok(c);
+            if let Some(t) = attempt(&self.shared.heap, &mut self.lab) {
+                return Ok(t);
             }
             // The collection did not produce enough space: grow.
             if self.shared.heap.grow().is_none() && !completed {
                 break;
             }
         }
-        Err(self.alloc_failure(min))
+        Err(self.alloc_failure(n))
     }
 
     fn after_alloc(&mut self, bytes: usize) {
@@ -290,8 +288,9 @@ impl Mutator {
         }
     }
 
-    /// Publishes the private counts (heap totals, §3.3 trigger
-    /// accumulator + evaluation, `Obs::barrier_slow`) at the boundaries
+    /// Publishes the private counts (the heap totals, which the §3.3
+    /// trigger accumulator reads, then a trigger evaluation;
+    /// `Obs::barrier_slow`) at the boundaries
     /// the protocol already has: LAB refill, the `cooperate` slow path,
     /// `parked` entry, every [`TRIGGER_CHECK_BYTES`] allocated, drop.
     /// `Gc::stats()` is therefore exact whenever every mutator is parked
@@ -307,8 +306,8 @@ impl Mutator {
             return;
         }
         let bytes = std::mem::take(&mut self.unflushed_bytes) as u64;
+        // The §3.3 accumulator reads these totals; nothing else counts.
         shared.heap.note_allocated(objects, bytes);
-        shared.control.add_allocated(bytes);
         // While a cycle runs this is a no-op; the collector re-evaluates
         // the triggers itself when the cycle finishes, so a threshold
         // crossed mid-cycle is never starved waiting for the next batch.
@@ -736,47 +735,42 @@ mod tests {
         m.alloc(&shape).unwrap();
         // The first allocation refilled the (empty) LAB, which flushed
         // nothing; both objects are still private.
-        assert_eq!(shared.control.bytes_since_cycle(), 0);
+        assert_eq!(shared.bytes_since_cycle(), 0);
         assert_eq!(shared.heap.objects_allocated(), 0);
         m.parked(|| {
             assert_eq!(shared.heap.objects_allocated(), 2);
             assert_eq!(shared.heap.bytes_allocated(), 2 * shape.size_bytes() as u64);
-            assert_eq!(
-                shared.control.bytes_since_cycle(),
-                2 * shape.size_bytes() as u64
-            );
+            assert_eq!(shared.bytes_since_cycle(), 2 * shape.size_bytes() as u64);
         });
         m.alloc(&shape).unwrap();
         assert_eq!(shared.heap.objects_allocated(), 2);
         drop(m);
         assert_eq!(shared.heap.objects_allocated(), 3);
-        assert_eq!(
-            shared.control.bytes_since_cycle(),
-            3 * shape.size_bytes() as u64
-        );
+        assert_eq!(shared.bytes_since_cycle(), 3 * shape.size_bytes() as u64);
     }
 
     #[test]
     fn lab_refill_and_handshake_ack_flush() {
-        let (shared, mut m) = setup(GcConfig::generational().with_lab_granules(64));
-        // Eight-granule holes: one refill queues eight of them.
+        let (shared, mut m) = setup(GcConfig::generational());
+        // Eight-granule holes: one refill queues as many as a queue holds.
+        const QUEUE: usize = otf_heap::LAB_MAX_HOLES * 8;
         fragment(&shared, 8, None);
         let shape = ObjShape::new(0, 0); // one granule
-        for _ in 0..64 {
+        for _ in 0..QUEUE {
             m.alloc(&shape).unwrap();
         }
         // Moving from hole to hole is private: no flush, no second refill.
         assert_eq!(shared.heap.objects_allocated(), 0);
         assert_eq!(shared.obs.lab_refill.snapshot().count(), 1);
-        assert_eq!(shared.heap.lab_leased_granules(), 64);
-        // The 65th allocation finds the queue used up: the refill reports
-        // the 64 objects the retired queue holds.
+        assert_eq!(shared.heap.lab_leased_granules(), QUEUE);
+        // The next allocation finds the queue used up: the refill reports
+        // the objects the retired queue holds.
         m.alloc(&shape).unwrap();
-        assert_eq!(shared.heap.objects_allocated(), 64);
+        assert_eq!(shared.heap.objects_allocated(), QUEUE as u64);
         assert_eq!(shared.obs.lab_refill.snapshot().count(), 2);
         shared.post_handshake(Status::Sync1);
         m.cooperate();
-        assert_eq!(shared.heap.objects_allocated(), 65);
+        assert_eq!(shared.heap.objects_allocated(), QUEUE as u64 + 1);
     }
 
     #[test]
@@ -880,29 +874,23 @@ mod tests {
     #[test]
     fn mostly_empty_labs_do_not_trigger_full_collection() {
         // Regression for the premature-full-collection bug: three
-        // mutators each lease a 256 KB LAB on a 1 MB heap and install one
+        // mutators each lease a 32 KB LAB on a 128 KB heap and install one
         // tiny object.  Raw `used_bytes` crosses the trigger (70% here),
         // but almost all of it is leased-unused LAB space.  The heap is
-        // all 1000-granule holes, so each of those LABs is a queue of 16
-        // or 17 of them, leased in one refill.
-        const LAB: usize = 16384;
+        // all half-LAB holes, so each of those LABs is a queue of two of
+        // them, leased in one refill.
+        const LAB: usize = LAB_GRANULES as usize;
         let mut cfg = GcConfig::generational()
-            .with_max_heap(1 << 20)
-            .with_initial_heap(1 << 20)
-            .with_lab_granules(LAB as u32);
+            .with_max_heap(128 << 10)
+            .with_initial_heap(128 << 10);
         cfg.full_trigger_fraction = 0.7;
         let shared = Arc::new(GcShared::new(cfg));
-        fragment(&shared, 1000, None);
+        fragment(&shared, LAB_GRANULES / 2, None);
         let mut muts: Vec<Mutator> = (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
         for (i, m) in muts.iter_mut().enumerate() {
             let r = m.alloc(&ObjShape::new(0, 0)).unwrap();
             m.root_push(r);
-            let leased = shared.heap.lab_leased_granules();
-            assert!(
-                leased <= (i + 1) * LAB && leased >= (i + 1) * 15_000,
-                "{leased} granules leased by {} LABs",
-                i + 1
-            );
+            assert_eq!(shared.heap.lab_leased_granules(), (i + 1) * LAB);
         }
         assert_eq!(
             shared.obs.lab_refill.snapshot().count(),
@@ -913,7 +901,7 @@ mod tests {
             shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
             "test premise: raw used crosses the 70% trigger"
         );
-        shared.control.add_allocated(128 << 10); // past the progress floor
+        shared.heap.note_allocated(0, 128 << 10); // past the progress floor
         shared.evaluate_triggers();
         assert!(
             !shared.control.has_request(),
@@ -921,12 +909,12 @@ mod tests {
         );
         // The other side of the same accounting: a lease is subtracted
         // whole for as long as its queue lives, so queues carved nearly
-        // empty (and the 64 KB flushes on the way) still read as unused —
-        // the trigger runs late by under one LAB per live mutator — and
-        // the space counts as used the moment the queues retire.
+        // empty still read as unused — the trigger runs late by under one
+        // LAB per live mutator — and the space counts as used the moment
+        // the queues retire (each drop flushes its fillers).
         let filler = ObjShape::new(0, 199); // 100 granules, ten to a hole
         for m in &mut muts {
-            for _ in 0..155 {
+            for _ in 0..20 {
                 m.alloc(&filler).unwrap();
             }
         }
@@ -935,6 +923,7 @@ mod tests {
             3,
             "still the first queues"
         );
+        shared.evaluate_triggers();
         assert!(!shared.control.has_request());
         drop(muts);
         assert_eq!(shared.heap.lab_leased_granules(), 0);
@@ -947,7 +936,7 @@ mod tests {
     #[test]
     fn lab_lease_accounting_balances_on_drop() {
         let (shared, mut m) = setup(GcConfig::generational());
-        let lab = shared.config.lab_granules as usize;
+        let lab = LAB_GRANULES as usize;
         // Holes of 37 granules: a LAB's worth is a queue of 55 of them and
         // a piece of the 56th.
         let fenced = fragment(&shared, 37, None);
@@ -978,6 +967,46 @@ mod tests {
         // Only the objects are still in use: every tail and every hole
         // not reached went back.
         assert_eq!(shared.heap.used_granules(), fenced + objects);
+    }
+
+    /// A refill that has to wait for a full collection leases a hole
+    /// queue like any other.  The heap fills with a comb — one-granule
+    /// objects kept alive, four-granule ones dropped — and only the
+    /// allocation that finds it full starts a cycle; the refill after
+    /// that cycle takes many of the freed holes at once, so the next
+    /// allocations meet no pool.
+    #[test]
+    fn blocking_refill_leases_a_queue_of_the_holes_a_full_collection_frees() {
+        const HEAP: usize = 256 << 10;
+        let mut cfg = GcConfig::non_generational()
+            .with_max_heap(HEAP)
+            .with_initial_heap(HEAP);
+        cfg.full_trigger_fraction = 1.0;
+        let gc = crate::Gc::new(cfg);
+        let shared = Arc::clone(&gc.shared);
+        let mut m = gc.mutator();
+        let (live, dead) = (ObjShape::new(1, 0), ObjShape::new(0, 7));
+        let stalls = || shared.obs.alloc_stall.snapshot().count();
+        m.root_push(ObjectRef::NULL);
+        while stalls() == 0 {
+            let x = m.alloc(&live).unwrap();
+            let prev = m.root_get(0);
+            m.write_ref(x, 0, prev);
+            m.root_set(0, x);
+            if stalls() == 0 {
+                m.alloc(&dead).unwrap();
+            }
+        }
+        assert_eq!(gc.cycles_completed(), 1, "the stall was the first cycle");
+        let leased = shared.heap.lab_leased_granules();
+        assert!(leased >= 16 * 4, "the refill leased {leased} granules");
+        let refills = shared.obs.lab_refill.snapshot().count();
+        for _ in 0..15 {
+            m.alloc(&dead).unwrap();
+        }
+        assert_eq!(shared.obs.lab_refill.snapshot().count(), refills);
+        drop(m);
+        gc.shutdown();
     }
 
     #[test]
@@ -1024,10 +1053,7 @@ mod tests {
         });
         assert_eq!(shared.heap.objects_allocated(), THREADS * (ALLOCS + 1));
         assert_eq!(shared.heap.bytes_allocated(), THREADS * per_thread_bytes);
-        assert_eq!(
-            shared.control.bytes_since_cycle(),
-            THREADS * per_thread_bytes
-        );
+        assert_eq!(shared.bytes_since_cycle(), THREADS * per_thread_bytes);
         assert_eq!(
             shared.obs.barrier_slow.load(Ordering::Relaxed),
             THREADS * STORES

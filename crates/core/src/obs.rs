@@ -375,10 +375,17 @@ impl Obs {
         self.enabled
     }
 
+    /// Time since collector creation: the origin of every `t_ns` and of
+    /// `GcStats::elapsed`.
+    #[inline]
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
     /// Nanoseconds since collector creation (saturating).
     #[inline]
     pub(crate) fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        dur_ns(self.elapsed())
     }
 
     /// Emits a trace event.  When tracing is disabled this is a single

@@ -43,12 +43,6 @@ pub(crate) fn bucket_label(code: u64) -> &'static str {
     }
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub cycles: Vec<CycleStats>,
-    pub gc_active: Duration,
-}
-
 /// State shared between all mutators and the collector.
 pub(crate) struct GcShared {
     pub config: GcConfig,
@@ -79,10 +73,11 @@ pub(crate) struct GcShared {
     /// handshake.
     pub globals: Mutex<Vec<ObjectRef>>,
     pub control: Control,
-    pub stats: Mutex<StatsInner>,
-    /// Pause histograms and the GC event trace ring.
+    /// Every completed cycle, in order.
+    pub stats: Mutex<Vec<CycleStats>>,
+    /// Pause histograms and the GC event trace ring; its clock is the
+    /// collector's time origin.
     pub obs: Obs,
-    pub start: Instant,
     /// Handshake wakeup: mutators notify after adopting a posted status
     /// (and when parking), so the collector sleeps instead of spinning —
     /// essential on machines with fewer cores than threads.
@@ -119,9 +114,8 @@ impl GcShared {
             next_mutator_id: AtomicU64::new(1),
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
-            stats: Mutex::new(StatsInner::default()),
+            stats: Mutex::new(Vec::new()),
             obs: Obs::new(config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some()),
-            start: Instant::now(),
             hs_lock: Mutex::new(()),
             hs_cond: Condvar::new(),
         }
@@ -188,6 +182,14 @@ impl GcShared {
         }
     }
 
+    /// The §3.3 allocation accumulator: bytes allocated (as flushed into
+    /// the heap totals) that no finished cycle has consumed yet.
+    pub(crate) fn bytes_since_cycle(&self) -> u64 {
+        self.heap
+            .bytes_allocated()
+            .saturating_sub(self.control.consumed())
+    }
+
     /// Evaluates the §3.3 collection triggers against the current
     /// accumulator and heap occupancy, requesting a partial and/or full
     /// collection as needed.  Shared by the allocation slow path, the
@@ -201,7 +203,7 @@ impl GcShared {
         if self.collecting.load(Ordering::Acquire) {
             return;
         }
-        let since = self.control.bytes_since_cycle();
+        let since = self.bytes_since_cycle();
         if self.config.is_generational() && since >= self.config.young_size as u64 {
             self.control.request_partial();
         }
@@ -586,7 +588,7 @@ mod tests {
                 .with_initial_heap(8 << 20)
                 .with_young_size(1 << 20),
         );
-        sh.control.add_allocated(1 << 20);
+        sh.heap.note_allocated(0, 1 << 20);
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
@@ -597,7 +599,7 @@ mod tests {
     #[test]
     fn evaluate_triggers_noop_while_collecting() {
         let sh = small();
-        sh.control.add_allocated(64 << 20);
+        sh.heap.note_allocated(0, 64 << 20);
         sh.collecting.store(true, Ordering::Release);
         sh.evaluate_triggers();
         sh.control.begin_shutdown();
@@ -613,7 +615,7 @@ mod tests {
                 break;
             }
         }
-        sh.control.add_allocated(128 << 10); // past the progress floor
+        sh.heap.note_allocated(0, 128 << 10); // past the progress floor
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
@@ -628,9 +630,10 @@ mod tests {
         // pressure and fire premature full collections.
         let sh = small(); // 1 MB heap
         let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32; // 80%
-        let c = sh.heap.alloc_chunk(granules, granules).unwrap();
-        sh.heap.refill_lab(&mut otf_heap::Lab::new(), c);
-        sh.control.add_allocated(128 << 10); // past the progress floor
+        assert!(sh
+            .heap
+            .exchange_lab(&mut otf_heap::Lab::new(), granules, granules));
+        sh.heap.note_allocated(0, 128 << 10); // past the progress floor
         sh.evaluate_triggers();
         sh.control.begin_shutdown();
         assert_eq!(
@@ -644,17 +647,28 @@ mod tests {
     fn retired_lab_granules_still_fire_full_trigger() {
         let sh = small();
         let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32;
-        let c = sh.heap.alloc_chunk(granules, granules).unwrap();
         let mut lab = otf_heap::Lab::new();
-        sh.heap.refill_lab(&mut lab, c);
+        assert!(sh.heap.exchange_lab(&mut lab, granules, granules));
         lab.carve(granules).unwrap(); // all of it now holds objects
         sh.heap.retire_lab(&mut lab);
-        sh.control.add_allocated(128 << 10);
+        sh.heap.note_allocated(0, 128 << 10);
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
             Some(crate::stats::CycleKind::Full)
         );
+    }
+
+    #[test]
+    fn allocation_accumulator() {
+        let sh = small();
+        sh.heap.note_allocated(2, 100);
+        sh.heap.note_allocated(1, 50);
+        assert_eq!(sh.bytes_since_cycle(), 150);
+        // A cycle that started when 100 bytes were pending consumes only
+        // those 100; the 50 allocated "during" it roll over.
+        sh.control.consume_allocated(100);
+        assert_eq!(sh.bytes_since_cycle(), 50);
     }
 
     #[test]

@@ -297,7 +297,8 @@ mod tests {
         let sh = setup();
         let a = alloc(&sh, 0);
         // Lie to the pool: insert a "free" chunk right on top of a.
-        sh.heap.free_chunk(otf_heap::Chunk::new(a.raw() / 16, 1));
+        sh.heap
+            .free_chunk_batch(&[otf_heap::Chunk::new(a.raw() / 16, 1)]);
         let v = sh.verify_heap();
         assert!(
             v.iter()

@@ -80,19 +80,6 @@ impl AgeTable {
     pub fn clear(&self, start: usize, len: usize) {
         otf_support::tablescan::bulk_zero(&self.bytes, start, start + len);
     }
-
-    /// Increments the age at `granule`, saturating at `cap` (the tenuring
-    /// threshold).  Returns the new age.
-    #[inline]
-    pub fn increment_capped(&self, granule: usize, cap: u8) -> u8 {
-        let cur = self.get(granule);
-        if cur < cap {
-            self.set(granule, cur + 1);
-            cur + 1
-        } else {
-            cur
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,15 +114,5 @@ mod tests {
         for g in 0..40 {
             assert_eq!(t.get(g), if (5..35).contains(&g) { 0 } else { 3 });
         }
-    }
-
-    #[test]
-    fn increment_saturates_at_cap() {
-        let t = AgeTable::new(2);
-        t.set(0, INFANT_AGE);
-        assert_eq!(t.increment_capped(0, 3), 2);
-        assert_eq!(t.increment_capped(0, 3), 3);
-        assert_eq!(t.increment_capped(0, 3), 3);
-        assert_eq!(t.get(0), 3);
     }
 }

@@ -164,17 +164,6 @@ impl CardTable {
         }
     }
 
-    /// Calls `f(card)` for every dirty card index in `[0, cards)`,
-    /// word-skipping clean runs via [`next_dirty`](CardTable::next_dirty).
-    #[inline]
-    pub fn for_each_dirty<F: FnMut(usize)>(&self, cards: usize, mut f: F) {
-        let mut from = 0;
-        while let Some(card) = self.next_dirty(from, cards) {
-            f(card);
-            from = card + 1;
-        }
-    }
-
     /// Number of dirty cards among the first `cards` cards.
     pub fn count_dirty(&self, cards: usize) -> usize {
         tablescan::count_matching(&self.bytes, 0, cards.min(self.bytes.len()), DIRTY)
@@ -260,21 +249,6 @@ mod tests {
         // Range end caps the scan, and an out-of-range `from` is safe.
         assert_eq!(t.next_dirty(1235, 4095), None);
         assert_eq!(t.next_dirty(9999, 99999), None);
-    }
-
-    #[test]
-    fn for_each_dirty_enumerates_in_order() {
-        let t = CardTable::new(1 << 14, 64); // 256 cards
-        for c in [3usize, 7, 64, 65, 255] {
-            t.mark_card(c);
-        }
-        let mut seen = Vec::new();
-        t.for_each_dirty(t.len(), |c| seen.push(c));
-        assert_eq!(seen, vec![3, 7, 64, 65, 255]);
-        // A bounded scan stops at the bound.
-        seen.clear();
-        t.for_each_dirty(65, |c| seen.push(c));
-        assert_eq!(seen, vec![3, 7, 64]);
     }
 
     #[test]

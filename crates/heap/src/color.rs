@@ -258,12 +258,6 @@ impl ColorTable {
     pub fn dead_run_end(&self, from: usize, to: usize, clear: Color) -> (usize, usize) {
         tablescan::pair_run_end(&self.bytes, from, to, clear as u8, Color::Interior as u8)
     }
-
-    /// Number of granules in `[from, to)` holding exactly `color`
-    /// (diagnostics and differential tests).
-    pub fn count_matching(&self, from: usize, to: usize, color: Color) -> usize {
-        tablescan::count_matching(&self.bytes, from, to, color as u8)
-    }
 }
 
 #[cfg(test)]

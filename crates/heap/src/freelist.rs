@@ -21,8 +21,8 @@
 //! gracefully on a tight heap.  Bins are LIFO, so which chunk is taken
 //! depends only on the sequence of calls.
 //!
-//! The collector's sweep hands its batches in through the same insert
-//! paths under the same lock.
+//! Space comes back one way: the sweep's runs and a retired LAB's tails
+//! alike arrive as one `insert_batch` under the lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -410,13 +410,8 @@ impl FreeLists {
         r
     }
 
-    /// Inserts a free chunk, merging it with adjacent free space.
-    pub fn insert(&self, chunk: Chunk) {
-        self.locked(|p| p.insert_coalescing(chunk));
-    }
-
-    /// Inserts many chunks under a single lock acquisition (the sweep's
-    /// batching path).
+    /// Inserts free chunks under a single lock acquisition, merging each
+    /// with adjacent free space; a single chunk is a batch of one.
     pub fn insert_batch(&self, chunks: &[Chunk]) {
         if chunks.is_empty() {
             return;
@@ -443,7 +438,7 @@ impl FreeLists {
 
     /// Gives back, then takes, in one critical section — a LAB's whole
     /// traffic with the pool (DESIGN.md §4.13).  Exactly
-    /// `insert(c)` for every `c` of `give` followed by
+    /// `insert_batch(give)` followed by
     /// `alloc(min, budget − taken so far)` until the budget cannot cover
     /// another `min`, [`LAB_MAX_HOLES`] chunks are out, or the pool has
     /// no chunk of `min` left: the same chunks in the same order, for one
@@ -601,7 +596,7 @@ mod tests {
     #[test]
     fn exact_alloc() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(10, 4));
+        f.insert_batch(&[Chunk::new(10, 4)]);
         assert_eq!(f.free_granules(), 4);
         let c = f.alloc(4, 4).unwrap();
         assert_eq!(c, Chunk::new(10, 4));
@@ -612,7 +607,7 @@ mod tests {
     #[test]
     fn split_returns_remainder() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 100));
+        f.insert_batch(&[Chunk::new(0, 100)]);
         let c = f.alloc(8, 8).unwrap();
         assert_eq!(c.len, 8);
         assert_eq!(f.free_granules(), 92);
@@ -640,8 +635,8 @@ mod tests {
     #[test]
     fn exact_request_takes_the_exact_bin_before_splitting() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 50));
-        f.insert(Chunk::new(100, 10));
+        f.insert_batch(&[Chunk::new(0, 50)]);
+        f.insert_batch(&[Chunk::new(100, 10)]);
         assert_eq!(f.alloc(10, 10), Some(Chunk::new(100, 10)));
         assert_eq!(f.chunk_count(), 1, "the big run was not split");
     }
@@ -649,8 +644,8 @@ mod tests {
     #[test]
     fn lab_refill_skips_fragments_when_a_full_lab_fits() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 3));
-        f.insert(Chunk::new(100, 200));
+        f.insert_batch(&[Chunk::new(0, 3)]);
+        f.insert_batch(&[Chunk::new(100, 200)]);
         // min 2, preferred 64: must NOT hand out the 3-granule fragment.
         assert_eq!(f.alloc(2, 64), Some(Chunk::new(100, 64)));
         assert_eq!(f.free_granules(), 3 + 136);
@@ -659,9 +654,9 @@ mod tests {
     #[test]
     fn falls_back_to_the_highest_class_below_preferred() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 3));
-        f.insert(Chunk::new(100, 30));
-        f.insert(Chunk::new(200, 5));
+        f.insert_batch(&[Chunk::new(0, 3)]);
+        f.insert_batch(&[Chunk::new(100, 30)]);
+        f.insert_batch(&[Chunk::new(200, 5)]);
         assert_eq!(f.alloc(2, 64), Some(Chunk::new(100, 30)));
         assert_eq!(f.alloc(4, 64), Some(Chunk::new(200, 5)));
         assert_eq!(f.alloc(4, 64), None, "only the 3-granule fragment is left");
@@ -672,8 +667,8 @@ mod tests {
         // 65 and 75 share a bin and no higher bin is occupied: the walk
         // starts at the head (75, inserted last), split to `preferred`.
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 65));
-        f.insert(Chunk::new(100, 75));
+        f.insert_batch(&[Chunk::new(0, 65)]);
+        f.insert_batch(&[Chunk::new(100, 75)]);
         assert_eq!(bin_of(65), bin_of(75));
         assert_eq!(f.alloc(70, 72), Some(Chunk::new(100, 72)));
         // The 3-granule tail went to a lower bin: the walk sees only 65.
@@ -687,7 +682,7 @@ mod tests {
             let f = FreeLists::new();
             let mut got = Vec::new();
             for i in 0..400u32 {
-                f.insert(Chunk::new(i * 40, 1 + i * 7 % 31));
+                f.insert_batch(&[Chunk::new(i * 40, 1 + i * 7 % 31)]);
                 if i % 3 == 0 {
                     got.push(f.alloc(2, 16));
                 }
@@ -701,11 +696,11 @@ mod tests {
     #[test]
     fn coalesces_with_predecessor_and_successor() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 10));
-        f.insert(Chunk::new(20, 10));
+        f.insert_batch(&[Chunk::new(0, 10)]);
+        f.insert_batch(&[Chunk::new(20, 10)]);
         assert_eq!(f.chunk_count(), 2);
         // The middle piece glues everything into one run.
-        f.insert(Chunk::new(10, 10));
+        f.insert_batch(&[Chunk::new(10, 10)]);
         assert_eq!(f.chunk_count(), 1);
         assert_eq!(f.largest_chunk(), 30);
         let c = f.alloc(30, 30).unwrap();
@@ -715,8 +710,8 @@ mod tests {
     #[test]
     fn no_coalescing_across_gaps() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 5));
-        f.insert(Chunk::new(6, 5)); // gap at granule 5
+        f.insert_batch(&[Chunk::new(0, 5)]);
+        f.insert_batch(&[Chunk::new(6, 5)]); // gap at granule 5
         assert_eq!(f.chunk_count(), 2);
         assert_eq!(f.largest_chunk(), 5);
     }
@@ -726,7 +721,7 @@ mod tests {
         // Allocate many small pieces out of one run, free them all in a
         // scrambled order: the pool must return to a single chunk.
         let f = FreeLists::new();
-        f.insert(Chunk::new(0, 1024));
+        f.insert_batch(&[Chunk::new(0, 1024)]);
         let mut held = Vec::new();
         while let Some(c) = f.alloc(7, 7) {
             held.push(c);
@@ -821,7 +816,7 @@ mod tests {
                     0 => {
                         let to = to.min(from + 300);
                         for c in cut_runs(&mut held, (from, to), to - from, g, |_| false) {
-                            f.insert(c);
+                            f.insert_batch(&[c]);
                             oracle.insert_coalescing(c);
                         }
                     }
@@ -853,7 +848,7 @@ mod tests {
                             if used < c.len {
                                 let tail = Chunk::new(c.start + used, c.len - used);
                                 held[tail.start as usize..tail.end() as usize].fill(false);
-                                f.insert(tail);
+                                f.insert_batch(&[tail]);
                                 oracle.insert_coalescing(tail);
                             }
                         }
@@ -877,8 +872,8 @@ mod tests {
     #[test]
     fn split_keeps_the_record_and_rebins_only_across_classes() {
         let f = FreeLists::new();
-        f.insert(Chunk::new(100, 1000));
-        f.insert(Chunk::new(5000, 900));
+        f.insert_batch(&[Chunk::new(100, 1000)]);
+        f.insert_batch(&[Chunk::new(5000, 900)]);
         let mut p = f.inner.lock();
         // 900 → 896 stays in its bin, at its head; 896 → 40 does not.
         assert_eq!(bin_of(900), bin_of(896));
@@ -893,8 +888,8 @@ mod tests {
         assert_eq!(p.free_granules, 1040);
     }
 
-    /// `exchange` against the calls it stands for — `insert` for each
-    /// chunk given, then `alloc` while the budget lasts — on a twin pool:
+    /// `exchange` against the calls it stands for — `insert_batch` of the
+    /// chunks given, then `alloc` while the budget lasts — on a twin pool:
     /// the same chunks in the same order.  The B-tree oracle follows both
     /// (every chunk taken is carved out of it), so the pool stays a set of
     /// disjoint maximal runs, and `Pool::check` runs after every step.
@@ -933,8 +928,8 @@ mod tests {
 
                 let mut want = Vec::new();
                 let mut left = budget;
+                twin.insert_batch(&give);
                 for &c in &give {
-                    twin.insert(c);
                     oracle.insert_coalescing(c);
                 }
                 while want.len() < LAB_MAX_HOLES && left >= min {
@@ -974,7 +969,7 @@ mod tests {
     fn two_thread_churn_conserves_granules() {
         const TOTAL: u32 = 1 << 16;
         let f = FreeLists::new();
-        f.insert(Chunk::new(1, TOTAL));
+        f.insert_batch(&[Chunk::new(1, TOTAL)]);
         let start = Barrier::new(2);
         std::thread::scope(|s| {
             for t in 0..2u32 {
@@ -988,7 +983,7 @@ mod tests {
                             // Keep the front, hand the LAB tail back.
                             let keep = min.max(c.len / 2);
                             if keep < c.len {
-                                f.insert(Chunk::new(c.start + keep, c.len - keep));
+                                f.insert_batch(&[Chunk::new(c.start + keep, c.len - keep)]);
                             }
                             held.push(Chunk::new(c.start, keep));
                         }

@@ -16,7 +16,7 @@
 //! headers to parse the heap during trace, sweep and card scanning, exactly
 //! like the JVM heap manager the paper's collector was embedded in.
 
-use crate::addr::{granules_for_words, WORDS_PER_GRANULE};
+use crate::addr::granules_for_words;
 
 /// Maximum object size in granules (20-bit field: 16 MB objects).
 pub const MAX_SIZE_GRANULES: usize = (1 << 20) - 1;
@@ -203,13 +203,6 @@ impl Header {
     pub fn class_id(&self) -> u32 {
         self.class_id
     }
-
-    /// Number of data payload words in an object of this header, given the
-    /// granule-rounded size (includes rounding padding).
-    #[inline]
-    pub fn data_words_upper_bound(&self) -> usize {
-        self.size_granules as usize * WORDS_PER_GRANULE - 1 - self.ref_slots as usize
-    }
 }
 
 #[cfg(test)]
@@ -248,13 +241,6 @@ mod tests {
     fn size_bytes_is_granule_rounded() {
         let s = ObjShape::new(2, 0); // 3 words = 24 bytes -> 32
         assert_eq!(s.size_bytes(), 32);
-    }
-
-    #[test]
-    fn data_words_upper_bound_accounts_padding() {
-        let s = ObjShape::new(1, 1); // 3 words -> 2 granules = 4 words
-        let h = Header::decode(s.encode_header());
-        assert_eq!(h.data_words_upper_bound(), 2); // 1 real + 1 padding
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use color::{Color, ColorTable};
 pub use freelist::{Chunk, FreeLists, LAB_MAX_HOLES};
 pub use layout::{Header, ObjShape, MAX_CLASS_ID, MAX_REF_SLOTS, MAX_SIZE_GRANULES};
 pub use page::{PageTracker, Space};
-pub use space::{HeapSpace, Lab, DEFAULT_LAB_GRANULES};
+pub use space::{HeapSpace, Lab, LAB_GRANULES};
 
 mod layout;

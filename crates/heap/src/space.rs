@@ -21,8 +21,9 @@ use crate::color::{Color, ColorTable};
 use crate::freelist::{Chunk, FreeLists};
 use crate::layout::ObjShape;
 
-/// Default LAB (local allocation buffer) size in granules (32 KB).
-pub const DEFAULT_LAB_GRANULES: u32 = 2048;
+/// LAB (local allocation buffer) size in granules (32 KB): the most one
+/// refill leases.  Objects of half a LAB or more bypass it.
+pub const LAB_GRANULES: u32 = 2048;
 
 /// The heap substrate shared by mutators and the collector.
 #[derive(Debug)]
@@ -36,7 +37,7 @@ pub struct HeapSpace {
     /// Granules currently held by objects or leased LABs.
     used_granules: AtomicUsize,
     /// Granules of every live LAB lease (see
-    /// [`HeapSpace::refill_lab`]).  Subtracted from the trigger policy's
+    /// [`HeapSpace::exchange_lab`]).  Subtracted from the trigger policy's
     /// used figure so mostly-empty LABs don't read as pressure.
     lab_leased: AtomicUsize,
     /// Totals handed over in batches ([`HeapSpace::note_allocated`]).
@@ -195,17 +196,9 @@ impl HeapSpace {
         }
     }
 
-    /// Returns a chunk to the free lists (sweep-reclaimed runs and retired
-    /// LAB tails).  The chunk's granules must already be `Free` in the
-    /// color table.
-    pub fn free_chunk(&self, chunk: Chunk) {
-        debug_assert!(chunk.len > 0);
-        self.used_granules
-            .fetch_sub(chunk.len as usize, Ordering::Relaxed);
-        self.freelists.insert(chunk);
-    }
-
-    /// Returns many chunks to the free lists under one lock acquisition.
+    /// Returns chunks to the free lists (sweep-reclaimed runs, retired LAB
+    /// tails) under one lock acquisition; a single chunk is a batch of
+    /// one.  Their granules must already be `Free` in the color table.
     /// Empty batches return without touching the lock.
     pub fn free_chunk_batch(&self, chunks: &[Chunk]) {
         if chunks.is_empty() {
@@ -232,31 +225,21 @@ impl HeapSpace {
         self.freelists.snapshot()
     }
 
-    /// Leases `chunk` to `lab` as a one-hole queue, retiring whatever
-    /// `lab` held before.
+    /// One pool exchange (DESIGN.md §4.13), the only way a LAB is leased:
+    /// what is left of `lab`'s queue goes back and up to `budget` granules
+    /// come out as up to [`LAB_MAX_HOLES`](crate::LAB_MAX_HOLES) chunks of
+    /// at least `min` (`budget >= min > 0`), the old lease off the books
+    /// and the new one on — one critical section, topped by a frontier
+    /// bump when the pool had nothing.  `false` — and an empty, lease-free
+    /// `lab` — when nothing of `min` granules could be had without
+    /// collecting or growing.
+    ///
     /// The lease figure is the correction term for the collection-trigger
-    /// policy: `used_granules` counts whole LABs as used the moment they
-    /// are granted, so without it many mostly-empty LABs read as heap
-    /// pressure and fire premature full collections.  The whole lease
-    /// goes on here (or in [`exchange_lab`](Self::exchange_lab)) and comes
-    /// off when the queue is given up; carving objects out of the LAB in
-    /// between touches nothing shared.
-    pub fn refill_lab(&self, lab: &mut Lab, chunk: Chunk) {
-        self.retire_lab(lab);
-        self.lab_leased
-            .fetch_add(chunk.len as usize, Ordering::Relaxed);
-        lab.leased = chunk.len;
-        lab.holes.push(chunk);
-    }
-
-    /// One pool exchange (DESIGN.md §4.13): what is left of `lab`'s queue
-    /// goes back and up to `budget` granules come out as up to
-    /// [`LAB_MAX_HOLES`](crate::LAB_MAX_HOLES) chunks of at least `min`
-    /// (`budget >= min > 0`), the old lease off the books and the new one
-    /// on — one critical section, topped by a frontier bump when the pool
-    /// had nothing.  `false` — and an empty, lease-free `lab` — when
-    /// nothing of `min` granules could be had without collecting or
-    /// growing.
+    /// policy: `used_granules` counts a whole LAB as used the moment it is
+    /// granted, so without it many mostly-empty LABs read as heap pressure
+    /// and fire premature full collections.  The whole lease goes on here
+    /// and comes off when the queue is given up; carving objects out of
+    /// the LAB in between touches nothing shared.
     pub fn exchange_lab(&self, lab: &mut Lab, min: u32, budget: u32) -> bool {
         // The same hook, and the same meaning, as in `alloc_chunk`: the
         // heap "is" dry.  The queue stays as it was.
@@ -342,8 +325,7 @@ impl HeapSpace {
 /// short for the request that reached it, wait here until the next visit
 /// to the pool takes them back — so the mutator meets the pool once per
 /// queue, not once per hole (DESIGN.md §4.13).  Queues go in and out
-/// through [`HeapSpace::exchange_lab`], [`HeapSpace::refill_lab`] and
-/// [`HeapSpace::retire_lab`].
+/// through [`HeapSpace::exchange_lab`] and [`HeapSpace::retire_lab`].
 #[derive(Debug, Default)]
 pub struct Lab {
     /// The open hole: `[cur, end)` is uncarved.
@@ -428,7 +410,7 @@ mod tests {
         let c = h.alloc_chunk(4, 4).unwrap();
         h.colors()
             .fill(c.start as usize, c.len as usize, Color::Free);
-        h.free_chunk(c);
+        h.free_chunk_batch(&[c]);
         let c2 = h.alloc_chunk(2, 2).unwrap();
         assert_eq!(c2.start, 1); // reused, not frontier
     }
@@ -439,7 +421,7 @@ mod tests {
         let before = h.used_granules();
         let c = h.alloc_chunk(8, 8).unwrap();
         assert_eq!(h.used_granules(), before + 8);
-        h.free_chunk(c);
+        h.free_chunk_batch(&[c]);
         assert_eq!(h.used_granules(), before);
     }
 
@@ -504,14 +486,16 @@ mod tests {
         h.retire_lab(&mut lab); // an empty LAB retires to nothing
         assert_eq!(h.lab_leased_granules(), 0);
         let used = h.used_granules();
-        h.refill_lab(&mut lab, h.alloc_chunk(100, 100).unwrap());
+        // On an empty pool an exchange leases one frontier chunk.
+        assert!(h.exchange_lab(&mut lab, 100, 100));
         assert_eq!(h.lab_leased_granules(), 100);
         // Carving is private: the whole lease stays on the books.
         lab.carve(30).unwrap();
         lab.try_carve(20).unwrap();
         assert_eq!((h.lab_leased_granules(), lab.leased), (100, 100));
-        // A refill retires the old lease whole and frees its tail.
-        h.refill_lab(&mut lab, h.alloc_chunk(40, 40).unwrap());
+        // A refill ends the old lease whole and hands its tail back: the
+        // 50-granule tail is what a 40-granule lease then gets.
+        assert!(h.exchange_lab(&mut lab, 40, 40));
         assert_eq!(h.lab_leased_granules(), 40);
         assert_eq!(h.used_granules(), used + 50 + 40);
         h.retire_lab(&mut lab);
@@ -658,7 +642,7 @@ mod tests {
                         }
                     }
                     2 if !held.is_empty() => {
-                        h.free_chunk(held.swap_remove(g.usize_in(0..held.len())));
+                        h.free_chunk_batch(&[held.swap_remove(g.usize_in(0..held.len()))]);
                     }
                     3 if held.len() >= 4 => {
                         let batch = held.split_off(held.len() - 4);
@@ -718,7 +702,7 @@ mod tests {
         let h = small_heap();
         let mut lab = Lab::new();
         assert!(lab.try_carve(1).is_none());
-        h.refill_lab(&mut lab, h.alloc_chunk(8, 8).unwrap());
+        assert!(h.exchange_lab(&mut lab, 8, 8));
         // The queued hole opens on the slow path, not in `try_carve`.
         assert!(lab.try_carve(3).is_none());
         assert_eq!(lab.carve(3), Some(1));

@@ -43,11 +43,6 @@ impl Gen {
         }
     }
 
-    /// The current shrink level (0 = unshrunk).
-    pub fn shrink_level(&self) -> u32 {
-        self.shrink
-    }
-
     /// Applies the shrink level to an offset.
     #[inline]
     fn shrunk(&self, offset: u64) -> u64 {

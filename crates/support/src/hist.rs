@@ -22,7 +22,6 @@
 //! the requested rank.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets,
 /// so quantization error is bounded by `2^-SUB_BITS` of the value.
@@ -119,12 +118,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// A plain-integer snapshot of the current contents.  Concurrent
@@ -394,17 +387,5 @@ mod tests {
         assert_eq!(s.count(), threads as u64 * per_thread);
         assert_eq!(s.max(), threads as u64 * per_thread - 1);
         assert_eq!(s.min(), 0);
-    }
-
-    #[test]
-    fn record_duration_saturates() {
-        let h = Histogram::new();
-        h.record_duration(Duration::from_nanos(1500));
-        let s = h.snapshot();
-        assert_eq!(s.max(), 1500);
-        assert!(s.quantile(1.0) >= 1500);
-        let h = Histogram::new();
-        h.record_duration(Duration::MAX);
-        assert_eq!(h.snapshot().max(), u64::MAX);
     }
 }

@@ -142,12 +142,6 @@ impl Condvar {
         result.timed_out()
     }
 
-    /// Wakes one waiter.
-    #[inline]
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wakes all waiters.
     #[inline]
     pub fn notify_all(&self) {

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use otf_gengc::gc::{CycleKind, Gc, GcConfig};
-use otf_gengc::heap::{ObjShape, ObjectRef};
+use otf_gengc::heap::{ObjShape, ObjectRef, LAB_GRANULES};
 
 /// A small heap so collections are frequent.
 fn small(cfg: GcConfig) -> GcConfig {
@@ -408,7 +408,7 @@ fn parked_mutator_on_a_full_queue_does_not_starve_the_other() {
         .with_max_heap(HEAP)
         .with_initial_heap(HEAP);
     cfg.full_trigger_fraction = 1.0;
-    let lab_bytes = cfg.lab_granules as usize * 16;
+    let lab_bytes = LAB_GRANULES as usize * 16;
     let mut gc = Gc::new(cfg);
     let mut sitter = gc.mutator();
     let mut runner = gc.mutator();
@@ -577,7 +577,7 @@ fn allocation_totals_lag_by_under_one_lab_per_mutator_and_are_exact_when_parked(
     // young generation still keeps partial collections running.
     let gc = Gc::new(small(GcConfig::generational()).with_initial_heap(4 << 20));
     let shape = ObjShape::new(1, 2); // 2 granules
-    let per_lab = (gc.config().lab_granules as usize / shape.size_granules()) as u64;
+    let per_lab = (LAB_GRANULES as usize / shape.size_granules()) as u64;
     let mut a = gc.mutator();
     let mut b = gc.mutator();
     let mut truth = 0u64;
