@@ -73,5 +73,10 @@ echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"
 echo "env reads in crates/:    $(grep -rn 'env::var' crates --include=*.rs | wc -l)"
 echo "dead_code allows in crates/: $(grep -rn 'allow(dead_code)' crates --include=*.rs | wc -l)"
 echo "thread_locals in crates/: $(grep -rn 'thread_local!' crates --include=*.rs | wc -l)"
+echo "process-global statics in crates/: $(grep -rnE '^\s*(pub(\([a-z]+\))? )?static [A-Z_]+\b' crates --include=*.rs | wc -l)"
+# Code size of the allocation fast path's function in the release build.
+alloc_hex=$(nm -C -S target/release/examples/quickstart 2>/dev/null |
+    awk '$4 == "otf_gc::mutator::Mutator::alloc" { print $2 }')
+echo "Mutator::alloc bytes:    $([ -n "$alloc_hex" ] && printf '%d' "0x$alloc_hex" || echo n/a)"
 
 exit $failed

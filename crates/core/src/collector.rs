@@ -24,7 +24,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use otf_heap::Color;
-use otf_support::fault;
 
 use crate::config::{Mode, Promotion};
 use crate::cycle::CycleCx;
@@ -54,7 +53,7 @@ impl GcShared {
         let cycle_start = Instant::now();
         // Chaos kill site 1 of 6 (cycle start, before any bucket opens);
         // the remaining five fire as each later bucket opens.
-        if fault::point("collector.phase") {
+        if self.fault("collector.phase") {
             panic!("injected collector panic (phase: cycle-start)");
         }
         cx.reset();
@@ -168,7 +167,7 @@ impl GcShared {
     /// phase `id` ([`GcShared::timed`]).
     fn bucket(&self, code: u8, id: u64, body: impl FnOnce()) -> Duration {
         self.open_bucket.store(code, Ordering::Release);
-        if code != bucket::INIT && fault::point("collector.phase") {
+        if code != bucket::INIT && self.fault("collector.phase") {
             panic!(
                 "injected collector panic (phase: {})",
                 bucket_label(code as u64)
@@ -198,7 +197,7 @@ impl GcShared {
             // Chaos hook: a failing injection here kills the collector
             // thread, exercising the panic-containment path (poisoned
             // shutdown, `AllocError::CollectorUnavailable`).
-            if fault::point("collector.panic") {
+            if self.fault("collector.panic") {
                 panic!("injected collector panic (chaos fault plan)");
             }
             // Re-validate partial requests: a mutator can re-post one in
@@ -329,7 +328,7 @@ impl GcShared {
         // Chaos window: a failing injection here models a panic *during*
         // recovery (the double-panic path — the supervisor falls back to
         // permanent poison).
-        if fault::point("collector.recovery") {
+        if self.fault("collector.recovery") {
             panic!("injected collector panic (recovery window)");
         }
 

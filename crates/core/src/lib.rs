@@ -78,6 +78,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use otf_support::fault::Faults;
+
 pub use config::{GcConfig, Mode, Promotion};
 pub use mutator::{AllocError, Mutator};
 pub use obs::{phase, EventKind, GcEvent};
@@ -110,7 +112,27 @@ impl Gc {
     /// Panics if the configuration is invalid (see
     /// [`GcConfig::validate`]).
     pub fn new(config: GcConfig) -> Gc {
-        let shared = Arc::new(GcShared::new(config));
+        Gc::start(GcShared::new(config))
+    }
+
+    /// Like [`new`](Gc::new), with `faults` armed at this collector's
+    /// injection points (DESIGN.md §4.3): only this collector and its
+    /// mutators consult the plan, so collectors in one process never
+    /// share hits.  Keep a clone of the `Arc` to read the log after
+    /// [`shutdown`](Gc::shutdown).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`GcConfig::validate`]).
+    pub fn with_faults(config: GcConfig, faults: Arc<Faults>) -> Gc {
+        let mut shared = GcShared::new(config);
+        shared.faults = Some(faults);
+        Gc::start(shared)
+    }
+
+    fn start(shared: GcShared) -> Gc {
+        let shared = Arc::new(shared);
         let collector = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -377,7 +399,7 @@ fn supervise_collector(shared: Arc<GcShared>) {
             // `collector.recovery` point's first hit is the abort-repaint
             // window inside `abort_cycle`; later hits land here, in the
             // fresh incarnation, still inside this `catch_unwind`).
-            if respawned && otf_support::fault::point("collector.recovery") {
+            if respawned && loop_shared.fault("collector.recovery") {
                 panic!("injected collector panic (respawn window)");
             }
             loop_shared.collector_loop()

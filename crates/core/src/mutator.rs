@@ -182,7 +182,7 @@ impl Mutator {
         if let Some(s) = self.lab.carve(n) {
             return Ok(s as usize);
         }
-        otf_support::fault::point("mutator.lab.refill");
+        self.shared.fault("mutator.lab.refill");
         // The refill latency histogram times the whole acquisition,
         // including a blocking collection, so a stall shows in its tail.
         let refill_start = Instant::now();
@@ -246,8 +246,18 @@ impl Mutator {
         n: u32,
         mut attempt: impl FnMut(&HeapSpace, &mut Lab) -> Option<T>,
     ) -> Result<T, AllocError> {
+        // Chaos hook: a failing injection refuses one attempt before it
+        // reaches the heap (the committed region "is" exhausted, the LAB
+        // queue stays as it was), driving this loop into its
+        // collection-or-grow path on a deterministic schedule.
+        let mut attempt = |shared: &GcShared, lab: &mut Lab| {
+            if shared.fault("heap.alloc_chunk") {
+                return None;
+            }
+            attempt(&shared.heap, lab)
+        };
         for _attempt in 0..8 {
-            if let Some(t) = attempt(&self.shared.heap, &mut self.lab) {
+            if let Some(t) = attempt(&self.shared, &mut self.lab) {
                 return Ok(t);
             }
             if self.shared.control.is_shutdown() || self.shared.control.is_poisoned() {
@@ -269,7 +279,7 @@ impl Mutator {
             self.shared
                 .obs
                 .note_alloc_stall(dur_ns(stall_start.elapsed()));
-            if let Some(t) = attempt(&self.shared.heap, &mut self.lab) {
+            if let Some(t) = attempt(&self.shared, &mut self.lab) {
                 return Ok(t);
             }
             // The collection did not produce enough space: grow.
@@ -343,7 +353,7 @@ impl Mutator {
             // this mutator's period perception and acting on it, a delay
             // here stretches the window in which the collector can advance
             // the cycle underneath us (once per store, on either path).
-            otf_support::fault::point("mutator.barrier.window");
+            self.shared.fault("mutator.barrier.window");
             self.store_and_mark_card(x, i, y, true);
             return;
         }
@@ -359,7 +369,7 @@ impl Mutator {
         let push = |o| shared.gray.lock().push(o);
         self.me.epoch_enter();
         let is_async = self.me.status.load(Ordering::Acquire) == Status::Async as u8;
-        otf_support::fault::point("mutator.barrier.window");
+        shared.fault("mutator.barrier.window");
         if !is_async {
             self.unflushed_barrier_slow += 1;
             let old = shared.heap.arena().load_ref_slot(x, i);
@@ -451,7 +461,7 @@ impl Mutator {
         // Chaos hook: delaying here models a mutator that is slow to
         // reach its safe point, stretching the handshake window (and, at
         // the extreme, exercising the collector's stall watchdog).
-        otf_support::fault::point("mutator.cooperate");
+        self.shared.fault("mutator.cooperate");
         let sc = self.shared.status_c.load(Ordering::Acquire);
         if self.me.status.load(Ordering::Relaxed) == sc {
             return;

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use otf_heap::{CardTable, Color, HeapSpace, ObjectRef};
+use otf_support::fault::Faults;
 use otf_support::sync::{Condvar, Mutex};
 
 use crate::config::GcConfig;
@@ -83,6 +84,10 @@ pub(crate) struct GcShared {
     /// essential on machines with fewer cores than threads.
     hs_lock: Mutex<()>,
     hs_cond: Condvar,
+    /// The fault plan this collector's injection points consult
+    /// ([`Gc::with_faults`](crate::Gc::with_faults)); `None` outside the
+    /// chaos harness.
+    pub faults: Option<Arc<Faults>>,
 }
 
 impl std::fmt::Debug for GcShared {
@@ -118,7 +123,16 @@ impl GcShared {
             obs: Obs::new(config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some()),
             hs_lock: Mutex::new(()),
             hs_cond: Condvar::new(),
+            faults: None,
         }
+    }
+
+    /// An injection point (DESIGN.md §4.3): `true` when this collector's
+    /// fault plan injects a failure at this hit.  Without a plan it is one
+    /// field load and one branch.
+    #[inline]
+    pub(crate) fn fault(&self, name: &'static str) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.point(name))
     }
 
     /// Wakes a collector blocked in [`wait_handshake`].  Called by
@@ -256,7 +270,7 @@ impl GcShared {
         let mut next_report = stall;
         let mut reports = 0u32;
         loop {
-            otf_support::fault::point("collector.handshake.wait");
+            self.fault("collector.handshake.wait");
             let mut all_responded = true;
             for m in &snapshot {
                 if m.status.load(Ordering::Acquire) == target {
@@ -463,6 +477,15 @@ mod tests {
         let c = sh.heap.alloc_chunk(n, n).unwrap();
         sh.heap
             .install_object(c.start as usize, &shape, sh.colors.allocation_color())
+    }
+
+    #[test]
+    fn a_collector_without_a_plan_injects_nothing() {
+        let sh = small();
+        assert!(sh.faults.is_none());
+        for name in ["anything.at.all", "collector.phase", "heap.alloc_chunk"] {
+            assert!(!sh.fault(name));
+        }
     }
 
     #[test]

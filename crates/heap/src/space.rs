@@ -154,12 +154,6 @@ impl HeapSpace {
     /// exhausted — the caller then grows the heap or triggers a
     /// collection.
     pub fn alloc_chunk(&self, min: u32, preferred: u32) -> Option<Chunk> {
-        // Chaos harness hook: a failing injection simulates heap pressure
-        // (the committed region "is" exhausted), driving the caller into
-        // its collection-or-grow slow path on a deterministic schedule.
-        if otf_support::fault::point("heap.alloc_chunk") {
-            return None;
-        }
         let chunk = self
             .freelists
             .alloc(min, preferred)
@@ -241,11 +235,6 @@ impl HeapSpace {
     /// and comes off when the queue is given up; carving objects out of
     /// the LAB in between touches nothing shared.
     pub fn exchange_lab(&self, lab: &mut Lab, min: u32, budget: u32) -> bool {
-        // The same hook, and the same meaning, as in `alloc_chunk`: the
-        // heap "is" dry.  The queue stays as it was.
-        if otf_support::fault::point("heap.alloc_chunk") {
-            return false;
-        }
         lab.close();
         let given: usize = lab.tails.iter().map(|c| c.len as usize).sum();
         self.freelists

@@ -8,7 +8,7 @@
 //! the narrow interleaving windows instead of waiting for the scheduler
 //! to stumble into them:
 //!
-//! * **Injection points** are named call sites (`fault::point("...")`)
+//! * **Injection points** are named call sites (`faults.point("...")`)
 //!   placed inside the race windows: the handshake ack, the write-barrier
 //!   window between the status read and the card mark, LAB refill, chunk
 //!   allocation, collector phase transitions.
@@ -24,39 +24,36 @@
 //!   thread interleaving; a single-threaded schedule reproduces the
 //!   whole log exactly.
 //!
-//! ## Cost when disabled
+//! ## Ownership
 //!
-//! The registry is process-global and off by default.  A disabled
-//! [`point`] is **one relaxed atomic load and one predictable branch** —
-//! it never touches the plan, the log, or any lock — so the hooks can
-//! stay compiled into release binaries (the collector's tier-1 pause
-//! benchmarks run with the hooks in place).
+//! A [`Faults`] is a value: one armed plan with its hit counters and its
+//! log.  A collector holds at most one (`otf_gc::Gc::with_faults`), and
+//! only its own threads consult it, so independent collectors in one
+//! process never share hits.  A collector that holds none pays one field
+//! load and one predictable branch per point and never reaches this
+//! module, so the hooks stay compiled into release binaries.
 //!
 //! ## Usage
 //!
 //! ```
-//! use otf_support::fault::{self, FaultPlan, FaultRule};
+//! use otf_support::fault::{FaultPlan, FaultRule, Faults};
 //!
-//! let _serial = fault::exclusive(); // serialize chaos tests per process
-//! fault::install(
+//! let faults = Faults::new(
 //!     FaultPlan::new(42)
 //!         .rule(FaultRule::at("mutator.cooperate").yielding(0.5))
-//!         .rule(FaultRule::at("heap.alloc_chunk").failing(0.1).max_fires(3)),
+//!         .rule(FaultRule::at("heap.alloc_chunk").failing(1.0).max_fires(3)),
 //! );
-//! // ... run the system; call sites consult the plan ...
-//! assert!(!fault::point("unlisted.point"));
-//! let log = fault::uninstall();
-//! // Same seed ⇒ same per-point decision sequence.
-//! # let _ = log;
+//! // ... run the system; its call sites consult the plan ...
+//! assert!(!faults.point("unlisted.point"));
+//! assert!(faults.point("heap.alloc_chunk"));
+//! // Every fired injection; the same seed gives the same log.
+//! assert_eq!(faults.log().len(), 1);
 //! ```
-//!
-//! The global registry is shared by every collector in the process, so
-//! concurrent tests that install plans must serialize via
-//! [`exclusive`]; the chaos harnesses in this workspace do.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use crate::sync::Mutex;
 
 /// What an injection point did for one hit.  `None` decisions (the
 /// overwhelming majority under small probabilities) are not logged.
@@ -194,22 +191,15 @@ struct PointState {
     fires: AtomicU64,
 }
 
-/// The installed plan plus its counters and log.
+/// An armed [`FaultPlan`]: the plan, per-rule counters and the log of
+/// every fired injection.  Hand it to the collector it is meant for and
+/// keep a clone of the `Arc` to read [`log`](Faults::log) afterwards.
 #[derive(Debug)]
-struct Active {
+pub struct Faults {
     plan: FaultPlan,
     states: Vec<PointState>,
-    log: std::sync::Mutex<Vec<FaultEvent>>,
+    log: Mutex<Vec<FaultEvent>>,
 }
-
-/// Fast gate: the only state a disabled [`point`] reads.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The installed plan.  Read-locked per *enabled* hit only.
-static ACTIVE: std::sync::RwLock<Option<Arc<Active>>> = std::sync::RwLock::new(None);
-
-/// Serializes chaos schedules within a process (the registry is global).
-static EXCLUSIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// FNV-1a, the point-name half of the decision function's input.
 fn fnv1a(s: &str) -> u64 {
@@ -249,133 +239,83 @@ fn decide(seed: u64, name_hash: u64, k: u64, rule: &FaultRule) -> Option<FaultAc
     }
 }
 
-fn read_active() -> Option<Arc<Active>> {
-    ACTIVE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Installs `plan` as the process-wide fault plan and enables injection.
-/// Replaces any previous plan (its log is discarded).
-pub fn install(plan: FaultPlan) {
-    let states = plan
-        .rules
-        .iter()
-        .map(|r| PointState {
-            name_hash: fnv1a(&r.point),
-            hits: AtomicU64::new(0),
-            fires: AtomicU64::new(0),
-        })
-        .collect();
-    let active = Arc::new(Active {
-        plan,
-        states,
-        log: std::sync::Mutex::new(Vec::new()),
-    });
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(active);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Disables injection, removes the plan, and returns the log of every
-/// fired injection.  A no-op empty log if nothing was installed.
-pub fn uninstall() -> Vec<FaultEvent> {
-    ENABLED.store(false, Ordering::Release);
-    let active = ACTIVE.write().unwrap_or_else(|e| e.into_inner()).take();
-    match active {
-        Some(a) => std::mem::take(&mut *a.log.lock().unwrap_or_else(|e| e.into_inner())),
-        None => Vec::new(),
-    }
-}
-
-/// Total injections fired so far under the installed plan.
-pub fn fires() -> u64 {
-    match read_active() {
-        Some(a) => a
-            .states
+impl Faults {
+    /// Arms `plan`: every counter at zero, the log empty.
+    pub fn new(plan: FaultPlan) -> Faults {
+        let states = plan
+            .rules
             .iter()
-            .map(|s| s.fires.load(Ordering::Relaxed))
-            .sum(),
-        None => 0,
+            .map(|r| PointState {
+                name_hash: fnv1a(&r.point),
+                hits: AtomicU64::new(0),
+                fires: AtomicU64::new(0),
+            })
+            .collect();
+        Faults {
+            plan,
+            states,
+            log: Mutex::new(Vec::new()),
+        }
     }
-}
 
-/// Guard serializing chaos schedules: the registry is process-global, so
-/// tests that install plans take this first.
-pub fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-    EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// An injection point.  Returns `true` when the installed plan injects a
-/// *failure* at this hit — the call site decides what failing means (a
-/// refused allocation, a panic).  Delays and yields are performed inside
-/// this call, right in the caller's race window.
-///
-/// With no plan installed this is one relaxed load and one branch.
-#[inline]
-pub fn point(name: &'static str) -> bool {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return false;
-    }
-    point_slow(name)
-}
-
-#[cold]
-fn point_slow(name: &'static str) -> bool {
-    let Some(active) = read_active() else {
-        return false;
-    };
-    let Some(idx) = active.plan.rules.iter().position(|r| r.point == name) else {
-        return false;
-    };
-    let rule = &active.plan.rules[idx];
-    let st = &active.states[idx];
-    let k = st.hits.fetch_add(1, Ordering::Relaxed);
-    if k < rule.after {
-        return false;
-    }
-    let Some(action) = decide(active.plan.seed, st.name_hash, k, rule) else {
-        return false;
-    };
-    // The fire cap counts only hits whose decision fired; the fired-hit
-    // sequence is deterministic per point, so the cap is too.
-    if st.fires.fetch_add(1, Ordering::Relaxed) >= rule.max_fires {
-        return false;
-    }
-    active
-        .log
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(FaultEvent {
+    /// An injection point.  Returns `true` when the plan injects a
+    /// *failure* at this hit — the call site decides what failing means
+    /// (a refused allocation, a panic).  Delays and yields are performed
+    /// inside this call, right in the caller's race window.
+    ///
+    /// Every rule that names the point counts the hit; the first of them
+    /// that fires acts, so several rules on one point are several windows.
+    #[cold]
+    pub fn point(&self, name: &'static str) -> bool {
+        let mut fired = None;
+        for (rule, st) in self.plan.rules.iter().zip(&self.states) {
+            if rule.point != name {
+                continue;
+            }
+            let k = st.hits.fetch_add(1, Ordering::Relaxed);
+            if fired.is_some() || k < rule.after {
+                continue;
+            }
+            let Some(action) = decide(self.plan.seed, st.name_hash, k, rule) else {
+                continue;
+            };
+            // The fire cap counts only hits whose decision fired; the
+            // fired-hit sequence is deterministic per point, so the cap is
+            // too.
+            if st.fires.fetch_add(1, Ordering::Relaxed) < rule.max_fires {
+                fired = Some((k, action));
+            }
+        }
+        let Some((hit, action)) = fired else {
+            return false;
+        };
+        self.log.lock().push(FaultEvent {
             point: name,
-            hit: k,
+            hit,
             action,
         });
-    match action {
-        FaultAction::Yield => {
-            std::thread::yield_now();
-            false
+        match action {
+            FaultAction::Yield => {
+                std::thread::yield_now();
+                false
+            }
+            FaultAction::Delay { micros } => {
+                std::thread::sleep(Duration::from_micros(micros));
+                false
+            }
+            FaultAction::Fail => true,
         }
-        FaultAction::Delay { micros } => {
-            std::thread::sleep(Duration::from_micros(micros));
-            false
-        }
-        FaultAction::Fail => true,
+    }
+
+    /// Every injection fired so far, in the order it was logged.
+    pub fn log(&self) -> Vec<FaultEvent> {
+        self.log.lock().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_point_is_inert() {
-        let _g = exclusive();
-        assert!(!point("anything.at.all"));
-        assert_eq!(fires(), 0);
-        assert!(uninstall().is_empty());
-    }
 
     #[test]
     fn decision_is_pure_in_seed_name_hit() {
@@ -407,49 +347,61 @@ mod tests {
     }
 
     #[test]
-    fn install_point_uninstall_round_trip() {
-        let _g = exclusive();
-        install(FaultPlan::new(3).rule(FaultRule::at("t.always").failing(1.0)));
-        assert!(point("t.always"));
-        assert!(point("t.always"));
-        assert!(!point("t.unlisted"));
-        assert_eq!(fires(), 2);
-        let log = uninstall();
+    fn point_fails_logs_and_ignores_unlisted_points() {
+        let faults = Faults::new(FaultPlan::new(3).rule(FaultRule::at("t.always").failing(1.0)));
+        assert!(faults.point("t.always"));
+        assert!(faults.point("t.always"));
+        assert!(!faults.point("t.unlisted"));
+        let log = faults.log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].point, "t.always");
         assert_eq!(log[0].hit, 0);
         assert_eq!(log[1].hit, 1);
         assert!(log.iter().all(|e| e.action == FaultAction::Fail));
-        assert!(!point("t.always"));
     }
 
     #[test]
     fn max_fires_caps_injections() {
-        let _g = exclusive();
-        install(FaultPlan::new(5).rule(FaultRule::at("t.cap").failing(1.0).max_fires(3)));
-        let fired = (0..10).filter(|_| point("t.cap")).count();
-        let log = uninstall();
+        let faults =
+            Faults::new(FaultPlan::new(5).rule(FaultRule::at("t.cap").failing(1.0).max_fires(3)));
+        let fired = (0..10).filter(|_| faults.point("t.cap")).count();
         assert_eq!(fired, 3);
-        assert_eq!(log.len(), 3);
+        assert_eq!(faults.log().len(), 3);
     }
 
     #[test]
     fn after_skips_leading_hits() {
-        let _g = exclusive();
-        install(
+        let faults = Faults::new(
             FaultPlan::new(5).rule(FaultRule::at("t.after").failing(1.0).after(3).max_fires(1)),
         );
-        let fired: Vec<bool> = (0..6).map(|_| point("t.after")).collect();
-        let log = uninstall();
+        let fired: Vec<bool> = (0..6).map(|_| faults.point("t.after")).collect();
+        let log = faults.log();
         assert_eq!(fired, [false, false, false, true, false, false]);
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].hit, 3);
         assert_eq!(log[0].action, FaultAction::Fail);
     }
 
+    /// Two rules on one point are two windows: both count every hit, and
+    /// the second acts once the first has spent its cap.
+    #[test]
+    fn every_rule_on_a_point_counts_its_hits() {
+        let faults = Faults::new(
+            FaultPlan::new(5)
+                .rule(FaultRule::at("t.two").failing(1.0).after(2).max_fires(1))
+                .rule(FaultRule::at("t.two").failing(1.0).after(5).max_fires(1)),
+        );
+        let fired: Vec<bool> = (0..8).map(|_| faults.point("t.two")).collect();
+        assert_eq!(
+            fired,
+            [false, false, true, false, false, true, false, false]
+        );
+        let hits: Vec<u64> = faults.log().iter().map(|e| e.hit).collect();
+        assert_eq!(hits, [2, 5]);
+    }
+
     #[test]
     fn same_seed_same_log_single_threaded() {
-        let _g = exclusive();
         let plan = || {
             FaultPlan::new(99)
                 .rule(FaultRule::at("t.a").delaying(0.4, 3).yielding(0.3))
@@ -457,12 +409,12 @@ mod tests {
         };
         let mut logs = Vec::new();
         for _ in 0..2 {
-            install(plan());
+            let faults = Faults::new(plan());
             for _ in 0..200 {
-                let _ = point("t.a");
-                let _ = point("t.b");
+                let _ = faults.point("t.a");
+                let _ = faults.point("t.b");
             }
-            logs.push(uninstall());
+            logs.push(faults.log());
         }
         assert_eq!(logs[0], logs[1]);
         assert!(!logs[0].is_empty());
@@ -470,13 +422,11 @@ mod tests {
 
     #[test]
     fn delays_actually_sleep() {
-        let _g = exclusive();
-        install(FaultPlan::new(1).rule(FaultRule::at("t.d").delaying(1.0, 200)));
+        let faults = Faults::new(FaultPlan::new(1).rule(FaultRule::at("t.d").delaying(1.0, 200)));
         let start = std::time::Instant::now();
         for _ in 0..20 {
-            let _ = point("t.d");
+            let _ = faults.point("t.d");
         }
         assert!(start.elapsed() >= Duration::from_micros(20));
-        uninstall();
     }
 }

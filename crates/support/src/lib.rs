@@ -21,10 +21,10 @@
 //! * [`tablescan`] — SWAR word-at-a-time scanning kernels over
 //!   `[AtomicU8]` side tables (skip, run-end, count, bulk fill), the
 //!   substrate under the collector's sweep and card scans.
-//! * [`fault`] — deterministic, seeded fault injection: named injection
-//!   points threaded through the collector's race windows that can
-//!   delay, yield, or fail on a reproducible schedule; one relaxed load
-//!   and a branch when disabled.
+//! * [`fault`] — deterministic, seeded fault injection: a plan armed on
+//!   one collector whose named injection points, threaded through its
+//!   race windows, delay, yield, or fail on a reproducible schedule; a
+//!   collector without a plan pays one field load and a branch per point.
 //! * [`zeroed`] — zero-initialised atomic tables from the allocator's
 //!   zeroed path: the heap's arena and side tables are reserved at their
 //!   maximum size and mapped a page at a time on first touch.

@@ -45,15 +45,7 @@ impl RunResult {
 /// result.  Spawns `workload.threads()` mutator threads.
 pub fn run_workload(workload: &dyn Workload, config: GcConfig, seed: u64) -> RunResult {
     let gc = Gc::new(config);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..workload.threads() {
-            let mut m = gc.mutator();
-            let w = &workload;
-            s.spawn(move || w.run(t, seed, &mut m));
-        }
-    });
-    let elapsed = start.elapsed();
+    let elapsed = run_mutators(workload, &gc, seed);
     // Shutdown first, snapshot second: `Gc::shutdown` joins the collector
     // thread, so a cycle that was mid-flight when the mutators finished
     // lands in the stats instead of being silently dropped (it used to be
@@ -62,12 +54,26 @@ pub fn run_workload(workload: &dyn Workload, config: GcConfig, seed: u64) -> Run
     RunResult { elapsed, stats }
 }
 
-/// Like [`run_workload`], but verifies the heap's structural invariants
-/// before shutting the collector down: after the mutator threads join, a
-/// blocking full collection settles the heap, [`Gc::stop_collector`]
-/// joins the collector thread (true quiescence — a follow-on cycle the
-/// trigger re-evaluation launched must not race the walk), and
-/// [`Gc::verify_heap`] walks the heap.  Returns the violations alongside
+/// Spawns `workload.threads()` mutator threads on `gc`, joins them, and
+/// returns the wall time between the two.
+fn run_mutators(workload: &dyn Workload, gc: &Gc, seed: u64) -> Duration {
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..workload.threads() {
+            let mut m = gc.mutator();
+            s.spawn(move || workload.run(t, seed, &mut m));
+        }
+    });
+    start.elapsed()
+}
+
+/// Like [`run_workload`], but on a collector its caller built (a chaos
+/// test arms a fault plan with [`Gc::with_faults`]), and it verifies the
+/// heap's structural invariants before shutting the collector down: after
+/// the mutator threads join, a blocking full collection settles the heap,
+/// [`Gc::stop_collector`] joins the collector thread (true quiescence — a
+/// follow-on cycle the trigger re-evaluation launched must not race the
+/// walk), and [`Gc::verify_heap`] walks the heap.  Returns the violations alongside
 /// the result — an empty vector means the workload left a consistent
 /// heap.
 ///
@@ -76,19 +82,10 @@ pub fn run_workload(workload: &dyn Workload, config: GcConfig, seed: u64) -> Run
 /// happens: a dead collector must not leave a *structurally* broken heap.
 pub fn run_workload_verified(
     workload: &dyn Workload,
-    config: GcConfig,
+    mut gc: Gc,
     seed: u64,
 ) -> (RunResult, Vec<HeapViolation>) {
-    let mut gc = Gc::new(config);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..workload.threads() {
-            let mut m = gc.mutator();
-            let w = &workload;
-            s.spawn(move || w.run(t, seed, &mut m));
-        }
-    });
-    let elapsed = start.elapsed();
+    let elapsed = run_mutators(workload, &gc, seed);
     if !gc.is_poisoned() {
         // Two settling collections, not one: garbage carrying the
         // allocation color of the last concurrent cycle survives the

@@ -96,7 +96,7 @@ pub fn suite(scale: f64) -> Vec<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otf_gc::GcConfig;
+    use otf_gc::{Gc, GcConfig};
 
     /// Each workload runs correctly (its internal checksum assertions
     /// pass) under every collector variant at a small scale, AND leaves a
@@ -113,7 +113,7 @@ mod tests {
             GcConfig::aging(3).with_young_size(256 << 10),
         ] {
             for w in suite(scale) {
-                let (r, violations) = driver::run_workload_verified(w.as_ref(), cfg, 7);
+                let (r, violations) = driver::run_workload_verified(w.as_ref(), Gc::new(cfg), 7);
                 assert!(r.elapsed.as_nanos() > 0, "{} did not run", w.name());
                 assert!(
                     violations.is_empty(),
@@ -127,7 +127,7 @@ mod tests {
     }
 
     /// The chaos workload itself is a well-behaved citizen with no fault
-    /// plan installed: it runs to completion and verifies clean.
+    /// plan armed: it runs to completion and verifies clean.
     #[test]
     fn chaos_workload_verifies_clean_without_faults() {
         let w = Chaos::new().scaled(0.2);
@@ -136,7 +136,7 @@ mod tests {
             GcConfig::non_generational(),
             GcConfig::aging(3).with_young_size(256 << 10),
         ] {
-            let (_, violations) = driver::run_workload_verified(&w, cfg, 11);
+            let (_, violations) = driver::run_workload_verified(&w, Gc::new(cfg), 11);
             assert!(
                 violations.is_empty(),
                 "chaos left violations: {violations:?}"

@@ -13,8 +13,8 @@
 //! * [`workloads`] — synthetic re-creations of the paper's benchmarks
 //!   (SPECjvm-like programs, Anagram, the multithreaded Ray Tracer);
 //! * [`support`] — dependency-free utilities, including the
-//!   [`support::fault`] deterministic fault-injection registry the chaos
-//!   harness drives.
+//!   [`support::fault`] deterministic fault plans the chaos harness arms,
+//!   one per collector ([`gc::Gc::with_faults`]).
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for the paper-vs-measured record.

@@ -1,8 +1,9 @@
 //! Chaos harness: seeded fault-injection schedules against the live
 //! collector.
 //!
-//! Each test installs a [`FaultPlan`] in the process-global registry
-//! (serialized via [`fault::exclusive`] — the registry is shared), drives
+//! Each test arms a [`FaultPlan`] on its own collector
+//! ([`Gc::with_faults`] — no other collector sees its hits, so the
+//! schedules run in parallel), drives
 //! real mutator threads against the collector, and then asserts the
 //! hardened failure paths held: the heap verifies clean, a panicked
 //! collector surfaces as [`AllocError::CollectorUnavailable`] instead of
@@ -11,13 +12,16 @@
 //! Every schedule that could wedge runs under [`bounded`], so a liveness
 //! bug fails its test instead of hanging the suite.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use otf_gengc::gc::{AllocError, Gc, GcConfig, Mutator, MAX_COLLECTOR_RESTARTS};
 use otf_gengc::heap::ObjShape;
-use otf_gengc::support::fault::{self, FaultEvent, FaultPlan, FaultRule};
+use otf_gengc::support::fault::{FaultEvent, FaultPlan, FaultRule, Faults};
 use otf_gengc::workloads::{driver, Chaos, Workload};
+
+mod common;
+use common::silence_injected_panics;
 
 /// How long one schedule may run before [`bounded`] calls it a hang —
 /// far above any healthy run (well under a second each).
@@ -27,8 +31,7 @@ const HANG_BOUND: Duration = Duration::from_secs(60);
 /// `"{label}: HANG"` if it has not returned within [`HANG_BOUND`]:
 /// `cargo test` has no timeout, so without this a wedged schedule hangs
 /// the suite.  A panic inside `f` is re-raised here.  The hung thread is
-/// left behind; the test fails anyway, after uninstalling the fault plan
-/// so later tests in the binary do not run against it.
+/// left behind; the test fails anyway.
 fn bounded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
@@ -37,9 +40,6 @@ fn bounded<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'stati
     match rx.recv_timeout(HANG_BOUND) {
         Ok(v) => v,
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            fault::uninstall();
-            // Tests that silence the injected panics must still print this.
-            let _ = std::panic::take_hook();
             panic!("{label}: HANG — no completion within {HANG_BOUND:?}");
         }
         Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -63,7 +63,6 @@ fn variants() -> [GcConfig; 3] {
 /// one thread the hit order is the program order.
 #[test]
 fn same_seed_reproduces_identical_injection_sequence() {
-    let _serial = fault::exclusive();
     let plan = || {
         FaultPlan::new(0xC0FFEE)
             .rule(
@@ -77,9 +76,13 @@ fn same_seed_reproduces_identical_injection_sequence() {
     let w = Chaos::new().with_threads(1).scaled(0.1);
     let mut logs = Vec::new();
     for _ in 0..2 {
-        fault::install(plan());
-        let _ = driver::run_workload(&w, GcConfig::generational().with_young_size(256 << 10), 17);
-        logs.push(fault::uninstall());
+        let faults = Arc::new(Faults::new(plan()));
+        let gc = Gc::with_faults(
+            GcConfig::generational().with_young_size(256 << 10),
+            Arc::clone(&faults),
+        );
+        let _ = driver::run_workload_verified(&w, gc, 17);
+        logs.push(faults.log());
     }
     assert!(!logs[0].is_empty(), "the plan never fired");
     assert_eq!(
@@ -94,7 +97,6 @@ fn same_seed_reproduces_identical_injection_sequence() {
 /// structurally consistent heap at the end.
 #[test]
 fn chaos_matrix_verifies_clean_under_fault_plans() {
-    let _serial = fault::exclusive();
     let storm: fn() -> FaultPlan = || {
         FaultPlan::new(7)
             .rule(
@@ -120,13 +122,14 @@ fn chaos_matrix_verifies_clean_under_fault_plans() {
     let w = Chaos::new().with_threads(3).scaled(0.2);
     for cfg in variants() {
         for (name, mk) in [("storm", storm), ("failures", failures)] {
-            fault::install(mk());
+            let faults = Arc::new(Faults::new(mk()));
+            let gc = Gc::with_faults(cfg, Arc::clone(&faults));
             let w = w.clone();
             let (_, violations) = bounded(
                 &format!("plan {name:?} under {}", cfg.plan_name()),
-                move || driver::run_workload_verified(&w, cfg, 23),
+                move || driver::run_workload_verified(&w, gc, 23),
             );
-            let log = fault::uninstall();
+            let log = faults.log();
             assert!(
                 violations.is_empty(),
                 "plan {name:?} under {:?} left heap violations \
@@ -213,14 +216,13 @@ impl Workload for TokenShuffle {
 /// lost and the heap must verify clean in gen, nogen and aging.
 #[test]
 fn barrier_window_delays_never_lose_a_moved_reference() {
-    let _serial = fault::exclusive();
     for cfg in variants() {
-        fault::install(
+        let faults = Arc::new(Faults::new(
             FaultPlan::new(0xBA22).rule(FaultRule::at("mutator.barrier.window").delaying(1.0, 20)),
-        );
-        let (result, violations) =
-            driver::run_workload_verified(&TokenShuffle, cfg.with_young_size(64 << 10), 0xBA22);
-        let log = fault::uninstall();
+        ));
+        let gc = Gc::with_faults(cfg.with_young_size(64 << 10), Arc::clone(&faults));
+        let (result, violations) = driver::run_workload_verified(&TokenShuffle, gc, 0xBA22);
+        let log = faults.log();
         assert!(
             violations.is_empty(),
             "barrier-window delays under {:?} left heap violations: {violations:?}",
@@ -246,19 +248,19 @@ fn barrier_window_delays_never_lose_a_moved_reference() {
 /// [`HANG_BOUND`], and the poisoned state is visible in the stats.
 #[test]
 fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
-    let _serial = fault::exclusive();
-    // The injected panics are expected; silence the default hook's
-    // backtrace spam for the duration (restored before any assertion).
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    fault::install(FaultPlan::new(1).rule(FaultRule::at("collector.panic").failing(1.0)));
-    let (gc, outcome) = bounded("crash loop", || {
-        let gc = Gc::new(
+    // The injected panics are expected; silence their backtrace spam.
+    silence_injected_panics();
+    let faults = Arc::new(Faults::new(
+        FaultPlan::new(1).rule(FaultRule::at("collector.panic").failing(1.0)),
+    ));
+    let gc_faults = Arc::clone(&faults);
+    let (gc, outcome) = bounded("crash loop", move || {
+        let gc = Gc::with_faults(
             GcConfig::generational()
                 .with_initial_heap(1 << 20)
                 .with_max_heap(1 << 20)
                 .with_young_size(256 << 10),
+            gc_faults,
         );
         let mut m = gc.mutator();
         let shape = ObjShape::new(0, 6);
@@ -275,8 +277,7 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
         drop(m);
         (gc, outcome)
     });
-    let log = fault::uninstall();
-    std::panic::set_hook(prev_hook);
+    let log = faults.log();
 
     assert_eq!(
         log.len(),
@@ -301,18 +302,19 @@ fn panicked_collector_unblocks_allocators_with_collector_unavailable() {
 /// retained objects intact, and the heap verifying clean.  Returns the
 /// injection log.
 fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
-    fault::install(
+    let faults = Arc::new(Faults::new(
         FaultPlan::new(0xFA11).rule(
             FaultRule::at("collector.phase")
                 .failing(1.0)
                 .after(k)
                 .max_fires(1),
         ),
-    );
-    let mut gc = Gc::new(
+    ));
+    let mut gc = Gc::with_faults(
         cfg.with_initial_heap(1 << 20)
             .with_max_heap(8 << 20)
             .with_young_size(64 << 10),
+        Arc::clone(&faults),
     );
     let mut m = gc.mutator();
     let shape = ObjShape::new(1, 2);
@@ -329,7 +331,7 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
     // collection, and the restarted loop's completion of it serves this
     // wait — recovery is transparent to blocked callers.
     m.parked(|| gc.collect_full_blocking());
-    let log = fault::uninstall();
+    let log = faults.log();
 
     let label = format!("plan {} k={k}", gc.config().plan_name(),);
     assert_eq!(log.len(), 1, "{label}: expected exactly one injected panic");
@@ -370,9 +372,7 @@ fn kill_at_phase_and_recover(cfg: GcConfig, k: u64) -> Vec<FaultEvent> {
 /// once more: the same seed must reproduce its injection log exactly.
 #[test]
 fn collector_panic_at_every_phase_recovers_under_restarts() {
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    silence_injected_panics();
     let recover = |cfg: GcConfig, k: u64| {
         let label = format!("plan {} k={k}", cfg.plan_name());
         bounded(&label, move || kill_at_phase_and_recover(cfg, k))
@@ -394,7 +394,6 @@ fn collector_panic_at_every_phase_recovers_under_restarts() {
         Some(recover(GcConfig::generational(), 4)),
         "same seed must reproduce the recovery round's injection log"
     );
-    std::panic::set_hook(prev_hook);
 }
 
 /// A kill in the *respawn* window (the `collector.recovery` point's
@@ -404,10 +403,8 @@ fn collector_panic_at_every_phase_recovers_under_restarts() {
 /// completes the re-armed full collection.
 #[test]
 fn respawn_window_kill_consumes_an_extra_restart() {
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    fault::install(
+    silence_injected_panics();
+    let faults = Arc::new(Faults::new(
         FaultPlan::new(3)
             .rule(FaultRule::at("collector.phase").failing(1.0).max_fires(1))
             .rule(
@@ -416,11 +413,13 @@ fn respawn_window_kill_consumes_an_extra_restart() {
                     .after(1)
                     .max_fires(1),
             ),
+    ));
+    let gc = Gc::with_faults(
+        GcConfig::generational().with_young_size(64 << 10),
+        Arc::clone(&faults),
     );
-    let gc = Gc::new(GcConfig::generational().with_young_size(64 << 10));
     gc.collect_full_blocking();
-    let log = fault::uninstall();
-    std::panic::set_hook(prev_hook);
+    let log = faults.log();
 
     assert_eq!(log.len(), 2, "phase kill + respawn kill: {log:?}");
     let stats = gc.stats();
@@ -442,10 +441,8 @@ fn respawn_window_kill_consumes_an_extra_restart() {
 /// and shutdown still joins cleanly.
 #[test]
 fn panic_during_abort_falls_back_to_permanent_poison() {
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    fault::install(
+    silence_injected_panics();
+    let faults = Arc::new(Faults::new(
         FaultPlan::new(5)
             .rule(FaultRule::at("collector.phase").failing(1.0).max_fires(1))
             .rule(
@@ -453,15 +450,14 @@ fn panic_during_abort_falls_back_to_permanent_poison() {
                     .failing(1.0)
                     .max_fires(1),
             ),
-    );
-    let gc = Gc::new(GcConfig::generational());
+    ));
+    let gc = Gc::with_faults(GcConfig::generational(), Arc::clone(&faults));
     gc.request_full();
     let start = Instant::now();
     while !gc.is_poisoned() && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let log = fault::uninstall();
-    std::panic::set_hook(prev_hook);
+    let log = faults.log();
 
     assert_eq!(log.len(), 2, "phase kill + abort kill: {log:?}");
     assert!(gc.is_poisoned(), "double panic must poison permanently");
@@ -479,22 +475,31 @@ fn panic_during_abort_falls_back_to_permanent_poison() {
 #[test]
 fn kills_separated_by_completed_cycles_never_exhaust_the_budget() {
     const KILLS: u64 = 5;
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut gc = Gc::new(GcConfig::generational().with_young_size(64 << 10));
-    let mut injected = 0;
+    // Hits of `collector.phase` one incident spends: the kill at the
+    // requested full's cycle start, then the six sites (cycle start and
+    // five buckets) of the re-armed full the respawned collector
+    // completes, which serves this wait.
+    const HITS_PER_INCIDENT: u64 = 1 + 6;
+    silence_injected_panics();
+    // One plan, one window per incident: every rule counts each hit, and
+    // rule `i` fires once, at the cycle start of incident `i`.
+    let plan = (0..KILLS).fold(FaultPlan::new(0xB0D6), |plan, i| {
+        plan.rule(
+            FaultRule::at("collector.phase")
+                .failing(1.0)
+                .after(HITS_PER_INCIDENT * i)
+                .max_fires(1),
+        )
+    });
+    let faults = Arc::new(Faults::new(plan));
+    let mut gc = Gc::with_faults(
+        GcConfig::generational().with_young_size(64 << 10),
+        Arc::clone(&faults),
+    );
     for _ in 0..KILLS {
-        // A fresh plan per incident: the requested full dies at its
-        // cycle start, and the respawned collector completes the re-armed
-        // one, which serves this wait.
-        fault::install(
-            FaultPlan::new(0xB0D6).rule(FaultRule::at("collector.phase").failing(1.0).max_fires(1)),
-        );
         gc.collect_full_blocking();
-        injected += fault::uninstall().len();
     }
-    std::panic::set_hook(prev_hook);
+    let injected = faults.log().len();
 
     const { assert!(KILLS > MAX_COLLECTOR_RESTARTS as u64) };
     let stats = gc.stats();
@@ -513,9 +518,7 @@ fn kills_separated_by_completed_cycles_never_exhaust_the_budget() {
 /// collection completes.
 #[test]
 fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    silence_injected_panics();
     let gc = Gc::new(GcConfig::generational().with_handshake_stall_ms(20));
     let mut m = gc.mutator();
     let r = m.alloc(&ObjShape::new(1, 1)).unwrap();
@@ -541,7 +544,6 @@ fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
         m.cooperate();
         std::thread::sleep(Duration::from_millis(1));
     }
-    std::panic::set_hook(prev_hook);
     assert!(gc.cycles_completed() >= 1, "re-armed cycle never completed");
     assert!(!gc.is_poisoned());
     assert!(gc.debug_is_object(r), "rooted object lost across the abort");
@@ -557,7 +559,6 @@ fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
 /// [`watchdog_trips`]: otf_gengc::gc::GcStats::watchdog_trips
 #[test]
 fn watchdog_reports_stalled_handshake() {
-    let _serial = fault::exclusive();
     let gc = Gc::new(GcConfig::generational().with_handshake_stall_ms(50));
     let mut m = gc.mutator();
     let r = m.alloc(&ObjShape::new(1, 1)).unwrap();
@@ -584,4 +585,38 @@ fn watchdog_reports_stalled_handshake() {
         "stalled cycle never completed"
     );
     gc.shutdown();
+}
+
+/// Faults belong to a collector: two collectors running at once under
+/// different plans each log only the hits of their own point, so
+/// neither steals the other's.
+#[test]
+fn concurrent_collectors_keep_their_own_fault_plans() {
+    let runs = ["mutator.cooperate", "mutator.lab.refill"].map(|point| {
+        let faults = Arc::new(Faults::new(
+            FaultPlan::new(0x2C0).rule(FaultRule::at(point).yielding(1.0)),
+        ));
+        let gc = Gc::with_faults(
+            GcConfig::generational().with_young_size(256 << 10),
+            Arc::clone(&faults),
+        );
+        let w = Chaos::new().with_threads(1).scaled(0.1);
+        let run = std::thread::spawn(move || {
+            bounded(point, move || driver::run_workload_verified(&w, gc, 29))
+        });
+        (point, faults, run)
+    });
+    for (point, faults, run) in runs {
+        let (_, violations) = run.join().expect("schedule panicked");
+        let log = faults.log();
+        assert!(
+            violations.is_empty(),
+            "{point}: heap violations: {violations:?}"
+        );
+        assert!(!log.is_empty(), "{point}: the plan never fired");
+        assert!(
+            log.iter().all(|e| e.point == point),
+            "{point}: a hit of another collector's point: {log:?}"
+        );
+    }
 }

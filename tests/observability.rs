@@ -6,10 +6,14 @@
 //! must return statistics that include the final cycle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use otf_gengc::gc::{phase, EventKind, Gc, GcConfig};
 use otf_gengc::heap::{ObjShape, ObjectRef};
+
+mod common;
+use common::silence_injected_panics;
 
 fn tiny(cfg: GcConfig) -> GcConfig {
     cfg.with_max_heap(4 << 20)
@@ -29,11 +33,6 @@ fn run_cooperating_cycles(cfg: GcConfig, cycles: usize) -> Gc {
 /// `live` nodes, built by the mutator before the first blocking cycle,
 /// so the trace and the sweep have work to do.
 fn run_cooperating_cycles_over(cfg: GcConfig, cycles: usize, live: usize) -> Gc {
-    // The fault registry is process-global: without the guard these
-    // cycles steal the hits (and the panic) of the plan that
-    // `injected_panic_produces_a_coherent_recovery_event_story` installs
-    // on a parallel test thread.
-    let _serial = otf_gengc::support::fault::exclusive();
     let gc = Gc::new(tiny(cfg));
     let stop = AtomicBool::new(false);
     let built = AtomicBool::new(false);
@@ -232,20 +231,21 @@ fn tracing_is_off_by_default_and_histograms_still_work() {
 /// and a post-recovery cycle whose end state passes `verify_heap`.
 #[test]
 fn injected_panic_produces_a_coherent_recovery_event_story() {
-    use otf_gengc::support::fault::{self, FaultPlan, FaultRule};
-    let _serial = fault::exclusive();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    use otf_gengc::support::fault::{FaultPlan, FaultRule, Faults};
+    silence_injected_panics();
     // Phase hit 4 of the first cycle is the trace bucket's kill site.
-    fault::install(
+    let faults = Arc::new(Faults::new(
         FaultPlan::new(9).rule(
             FaultRule::at("collector.phase")
                 .failing(1.0)
                 .after(4)
                 .max_fires(1),
         ),
+    ));
+    let mut gc = Gc::with_faults(
+        tiny(GcConfig::generational().with_event_trace(true)),
+        Arc::clone(&faults),
     );
-    let mut gc = Gc::new(tiny(GcConfig::generational().with_event_trace(true)));
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let mut m = gc.mutator();
@@ -260,8 +260,7 @@ fn injected_panic_produces_a_coherent_recovery_event_story() {
         gc.collect_full_blocking(); // clean post-recovery cycle
         stop.store(true, Ordering::Relaxed);
     });
-    let log = fault::uninstall();
-    std::panic::set_hook(prev_hook);
+    let log = faults.log();
     assert_eq!(log.len(), 1, "exactly one injected panic: {log:?}");
 
     let stats = gc.stats();
