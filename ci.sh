@@ -74,6 +74,8 @@ echo "env reads in crates/:    $(grep -rn 'env::var' crates --include=*.rs | wc 
 echo "dead_code allows in crates/: $(grep -rn 'allow(dead_code)' crates --include=*.rs | wc -l)"
 echo "thread_locals in crates/: $(grep -rn 'thread_local!' crates --include=*.rs | wc -l)"
 echo "process-global statics in crates/: $(grep -rnE '^\s*(pub(\([a-z]+\))? )?static [A-Z_]+\b' crates --include=*.rs | wc -l)"
+# Distinct fault-injection points: a test hook that replaces a knob shows.
+echo "fault points in crates/: $(grep -rhoE 'fault\("[a-z_.]+"\)' crates --include=*.rs | sort -u | wc -l)"
 # Code size of the allocation fast path's function in the release build.
 alloc_hex=$(nm -C -S target/release/examples/quickstart 2>/dev/null |
     awk '$4 == "otf_gc::mutator::Mutator::alloc" { print $2 }')

@@ -657,6 +657,31 @@ mod tests {
         assert_eq!(sh.status_c(), Status::Async);
     }
 
+    /// `Gc::request_partial` is dropped, whoever posts it, while less
+    /// than half a young generation has been allocated since the last
+    /// cycle: only the full collection asked for next runs.
+    #[test]
+    fn partial_request_without_allocation_runs_no_cycle() {
+        for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
+            let gc = crate::Gc::new(cfg);
+            let mut m = gc.mutator();
+            let r = m.alloc(&ObjShape::new(0, 1)).unwrap();
+            m.root_push(r);
+            m.parked(|| {
+                gc.request_partial();
+                // None pending: the collector has taken the request.
+                while gc.shared.control.has_request() {
+                    std::thread::yield_now();
+                }
+                gc.collect_full_blocking();
+            });
+            let kinds: Vec<CycleKind> = gc.stats().cycles.iter().map(|c| c.kind).collect();
+            assert_eq!(kinds, [CycleKind::Full], "{}", cfg.plan_name());
+            drop(m);
+            gc.shutdown();
+        }
+    }
+
     #[test]
     fn cycle_stats_account_bytes() {
         let (sh, mut cx) = setup(GcConfig::generational());

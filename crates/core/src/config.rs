@@ -52,29 +52,18 @@ pub struct GcConfig {
     pub max_heap: usize,
     /// Initially committed heap size in bytes.
     pub initial_heap: usize,
-    /// Young-generation size in bytes: a partial collection is triggered
-    /// once this much has been allocated since the last collection (§3.3).
+    /// Young-generation size in bytes, non-zero: a partial collection is
+    /// triggered once this much has been allocated since the last
+    /// collection (§3.3).
     pub young_size: usize,
     /// Card size in bytes; power of two in `[16, 4096]` (§8.5.3).
     pub card_size: usize,
     /// Generational or baseline mode.
     pub mode: Mode,
-    /// A full collection is triggered when the heap is "almost full":
-    /// used ≥ `full_trigger_fraction · committed` (§3.3).
-    pub full_trigger_fraction: f64,
     /// Whether to record structured GC events into the trace ring
-    /// (drainable as JSONL; see `Gc::events`).  Also enabled by setting
-    /// the `OTF_GC_TRACE` environment variable.  Latency histograms are
+    /// (drainable as JSONL; see `Gc::events`).  Latency histograms are
     /// always on; only event tracing is gated.
     pub trace_events: bool,
-    /// Handshake-watchdog stall threshold in milliseconds: when a
-    /// handshake has been outstanding this long, the collector names the
-    /// non-cooperating mutators on stderr (and dumps the event-trace
-    /// ring, when tracing is on) instead of hanging silently.  Reports
-    /// repeat at 1×, 3× and 7× this threshold; the third aborts the
-    /// wedged cycle into the collector supervisor (DESIGN.md §4.8).  `0`
-    /// disables the watchdog.
-    pub handshake_stall_ms: u64,
     /// Vestige: recorded, never read.  The allocation-time sweep it used
     /// to select is gone (DESIGN.md §4.6); the collector always sweeps
     /// at the end of its cycle.  The field stays only because
@@ -96,9 +85,7 @@ impl GcConfig {
             young_size: 4 << 20,
             card_size: 16,
             mode: Mode::Generational(Promotion::Simple),
-            full_trigger_fraction: 0.75,
             trace_events: false,
-            handshake_stall_ms: 1000,
             lazy_sweep: false,
         }
     }
@@ -158,13 +145,6 @@ impl GcConfig {
     /// Enables (or disables) structured GC event tracing.
     pub fn with_event_trace(mut self, enabled: bool) -> GcConfig {
         self.trace_events = enabled;
-        self
-    }
-
-    /// Sets the handshake-watchdog stall threshold in milliseconds
-    /// (`0` disables the watchdog).
-    pub fn with_handshake_stall_ms(mut self, ms: u64) -> GcConfig {
-        self.handshake_stall_ms = ms;
         self
     }
 
@@ -236,6 +216,9 @@ impl GcConfig {
         if self.initial_heap > self.max_heap {
             return Err("initial heap exceeds maximum heap".into());
         }
+        if self.young_size == 0 {
+            return Err("young generation size must be non-zero".into());
+        }
         if !self.card_size.is_power_of_two()
             || !(MIN_CARD_SIZE..=MAX_CARD_SIZE).contains(&self.card_size)
         {
@@ -243,9 +226,6 @@ impl GcConfig {
                 "card size {} not a power of two in [16, 4096]",
                 self.card_size
             ));
-        }
-        if !(0.0..=1.0).contains(&self.full_trigger_fraction) {
-            return Err("full trigger fraction must be in [0, 1]".into());
         }
         if let Some(t) = self.aging_threshold() {
             if t < 2 {
@@ -336,6 +316,10 @@ mod tests {
     #[test]
     fn validation_catches_bad_heaps() {
         let c = GcConfig::generational().with_initial_heap(64 << 20);
+        assert!(c.validate().is_err());
+        // A zero young generation reads every trigger check as past its
+        // budget: a partial request on each, none dropped as a phantom.
+        let c = GcConfig::generational().with_young_size(0);
         assert!(c.validate().is_err());
     }
 

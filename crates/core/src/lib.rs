@@ -164,6 +164,14 @@ impl Gc {
 
     /// Asynchronously requests a partial collection (in non-generational
     /// mode the cycle still collects the full heap).
+    ///
+    /// The collector drops a partial request that it takes while less
+    /// than half of [`GcConfig::young_size`] has been allocated since the
+    /// last cycle (as [`Gc::bytes_allocated`] counts it), whoever posted
+    /// it: it reads such a request as a phantom re-post of the trigger
+    /// the last cycle consumed.  So a request made right after a cycle,
+    /// or before that much allocation, runs no cycle.  A
+    /// [`request_full`](Gc::request_full) is never dropped.
     pub fn request_partial(&self) {
         self.shared.control.request_partial();
     }
@@ -249,17 +257,9 @@ impl Gc {
         self.shared.control.is_poisoned()
     }
 
-    /// Whether structured event tracing is enabled for this collector
-    /// ([`GcConfig::with_event_trace`] or the `OTF_GC_TRACE` environment
-    /// variable at construction time).
-    pub fn tracing_enabled(&self) -> bool {
-        self.shared.obs.tracing_enabled()
-    }
-
     /// The structured GC events retained in the trace ring, oldest first.
-    /// Empty unless tracing was enabled, via
-    /// [`GcConfig::with_event_trace`] or the `OTF_GC_TRACE` environment
-    /// variable.
+    /// Empty unless tracing was enabled with
+    /// [`GcConfig::with_event_trace`].
     pub fn events(&self) -> Vec<GcEvent> {
         self.shared.obs.events()
     }
@@ -343,18 +343,6 @@ impl Gc {
         self.shared.control.begin_shutdown();
         if let Some(h) = self.collector.take() {
             let _ = h.join();
-            // With the collector joined the trace ring is quiescent: dump
-            // it if the user asked for a trace file.  Append, so multiple
-            // collectors in one process share the file.
-            if let Some(path) = std::env::var_os("OTF_GC_TRACE") {
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                {
-                    let _ = self.shared.obs.write_jsonl(&mut f);
-                }
-            }
         }
     }
 }

@@ -592,6 +592,7 @@ mod tests {
     use crate::config::GcConfig;
     use crate::state::Status;
     use otf_heap::Color;
+    use otf_support::fault::{FaultPlan, FaultRule, Faults};
 
     fn setup(cfg: GcConfig) -> (Arc<GcShared>, Mutator) {
         let shared = Arc::new(GcShared::new(
@@ -885,16 +886,16 @@ mod tests {
     fn mostly_empty_labs_do_not_trigger_full_collection() {
         // Regression for the premature-full-collection bug: three
         // mutators each lease a 32 KB LAB on a 128 KB heap and install one
-        // tiny object.  Raw `used_bytes` crosses the trigger (70% here),
-        // but almost all of it is leased-unused LAB space.  The heap is
+        // tiny object.  Raw `used_bytes` crosses the 75% trigger, but
+        // almost all of it is leased-unused LAB space.  The heap is
         // all half-LAB holes, so each of those LABs is a queue of two of
         // them, leased in one refill.
         const LAB: usize = LAB_GRANULES as usize;
-        let mut cfg = GcConfig::generational()
-            .with_max_heap(128 << 10)
-            .with_initial_heap(128 << 10);
-        cfg.full_trigger_fraction = 0.7;
-        let shared = Arc::new(GcShared::new(cfg));
+        let shared = Arc::new(GcShared::new(
+            GcConfig::generational()
+                .with_max_heap(128 << 10)
+                .with_initial_heap(128 << 10),
+        ));
         fragment(&shared, LAB_GRANULES / 2, None);
         let mut muts: Vec<Mutator> = (0..3).map(|_| Mutator::new(Arc::clone(&shared))).collect();
         for (i, m) in muts.iter_mut().enumerate() {
@@ -908,8 +909,8 @@ mod tests {
             "one refill a queue"
         );
         assert!(
-            shared.heap.used_bytes() * 10 >= shared.heap.committed_bytes() * 7,
-            "test premise: raw used crosses the 70% trigger"
+            shared.heap.used_bytes() * 4 >= shared.heap.committed_bytes() * 3,
+            "test premise: raw used crosses the 75% trigger"
         );
         shared.heap.note_allocated(0, 128 << 10); // past the progress floor
         shared.evaluate_triggers();
@@ -937,6 +938,7 @@ mod tests {
         assert!(!shared.control.has_request());
         drop(muts);
         assert_eq!(shared.heap.lab_leased_granules(), 0);
+        assert!(shared.control.has_request(), "retired queues fired nothing");
         assert_eq!(
             shared.control.next_request(),
             Some(crate::stats::CycleKind::Full)
@@ -981,18 +983,20 @@ mod tests {
 
     /// A refill that has to wait for a full collection leases a hole
     /// queue like any other.  The heap fills with a comb — one-granule
-    /// objects kept alive, four-granule ones dropped — and only the
+    /// objects kept alive, four-granule ones dropped — and, with the
+    /// almost-full trigger failed by the fault plan, only the
     /// allocation that finds it full starts a cycle; the refill after
     /// that cycle takes many of the freed holes at once, so the next
     /// allocations meet no pool.
     #[test]
     fn blocking_refill_leases_a_queue_of_the_holes_a_full_collection_frees() {
         const HEAP: usize = 256 << 10;
-        let mut cfg = GcConfig::non_generational()
+        let cfg = GcConfig::non_generational()
             .with_max_heap(HEAP)
             .with_initial_heap(HEAP);
-        cfg.full_trigger_fraction = 1.0;
-        let gc = crate::Gc::new(cfg);
+        let never_almost_full =
+            FaultPlan::new(0).rule(FaultRule::at("heap.almost_full").failing(1.0));
+        let gc = crate::Gc::with_faults(cfg, Arc::new(Faults::new(never_almost_full)));
         let shared = Arc::clone(&gc.shared);
         let mut m = gc.mutator();
         let (live, dead) = (ObjShape::new(1, 0), ObjShape::new(0, 7));

@@ -28,10 +28,10 @@
 //!
 //! Event tracing is off by default.  [`Obs::event`] costs exactly one
 //! predictable branch on a plain `bool` loaded from the `Obs` struct
-//! when disabled; when enabled (config flag or the `OTF_GC_TRACE`
-//! environment variable) events go into a fixed ring of 2¹⁴ slots via a
-//! wait-free claimed-slot protocol (`fetch_add` on the head, fields
-//! written, then a sequence stamp released).  The ring keeps the most
+//! when disabled; when enabled (`GcConfig::trace_events`) events go
+//! into a fixed ring of 2¹⁴ slots via a wait-free claimed-slot protocol
+//! (`fetch_add` on the head, fields written, then a sequence stamp
+//! released).  The ring keeps the most
 //! recent events; draining skips any slot whose stamp does not match,
 //! so a drain racing active recording yields only whole events.
 

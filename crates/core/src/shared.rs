@@ -44,6 +44,15 @@ pub(crate) fn bucket_label(code: u64) -> &'static str {
     }
 }
 
+/// The §3.3 "almost full" threshold: a full collection is requested once
+/// the heap's used bytes reach this fraction of its committed bytes.
+const FULL_TRIGGER_FRACTION: f64 = 0.75;
+
+/// How long a handshake may stay outstanding before the watchdog's first
+/// report; later reports come at 3× and 7× this, and the third aborts
+/// the wedged cycle into the collector supervisor (DESIGN.md §4.8).
+const HANDSHAKE_STALL: Duration = Duration::from_secs(1);
+
 /// State shared between all mutators and the collector.
 pub(crate) struct GcShared {
     pub config: GcConfig,
@@ -120,7 +129,7 @@ impl GcShared {
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
             stats: Mutex::new(Vec::new()),
-            obs: Obs::new(config.trace_events || std::env::var_os("OTF_GC_TRACE").is_some()),
+            obs: Obs::new(config.trace_events),
             hs_lock: Mutex::new(()),
             hs_cond: Condvar::new(),
             faults: None,
@@ -213,6 +222,11 @@ impl GcShared {
     ///
     /// A no-op while a cycle is running: the collector re-evaluates when
     /// it finishes.
+    ///
+    /// Never inlined: it runs only at flush boundaries, and inlined into
+    /// [`Mutator::alloc`](crate::Mutator::alloc) it would grow the
+    /// allocation fast path's function from 0.9 to 1.4 KB.
+    #[inline(never)]
     pub(crate) fn evaluate_triggers(&self) {
         if self.collecting.load(Ordering::Acquire) {
             return;
@@ -234,7 +248,12 @@ impl GcShared {
             .used_bytes()
             .saturating_sub(self.heap.lab_leased_bytes()) as f64;
         let committed = self.heap.committed_bytes() as f64;
-        if used >= self.config.full_trigger_fraction * committed && since >= (64 << 10) {
+        // Chaos hook: a failing hit reads the heap as not almost full, so
+        // only a failed allocation starts a cycle.
+        if used >= FULL_TRIGGER_FRACTION * committed
+            && since >= (64 << 10)
+            && !self.fault("heap.almost_full")
+        {
             self.control.request_full();
         }
     }
@@ -256,21 +275,19 @@ impl GcShared {
     pub(crate) fn wait_handshake(&self) {
         let target = self.status_c.load(Ordering::Acquire);
         let snapshot: Vec<Arc<MutatorShared>> = self.mutators.lock().clone();
-        // Watchdog state: after `stall` without full adoption, name the
-        // non-cooperating mutators instead of hanging silently.  Reports
-        // are rate-limited — the gap doubles each time, so they come at
-        // 1×, 3× and 7× `stall` — and the third one panics into the
-        // supervisor, which runs the safe cycle abort and restarts the
-        // collector.
+        // Watchdog state: after `HANDSHAKE_STALL` without full adoption,
+        // name the non-cooperating mutators instead of hanging silently.
+        // Reports are rate-limited — the gap doubles each time, so they
+        // come at 1×, 3× and 7× `HANDSHAKE_STALL` — and the third one
+        // panics into the supervisor, which runs the safe cycle abort and
+        // restarts the collector.
         let started = Instant::now();
-        let stall = match self.config.handshake_stall_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        let mut next_report = stall;
+        let mut next_report = HANDSHAKE_STALL;
         let mut reports = 0u32;
         loop {
-            self.fault("collector.handshake.wait");
+            // Chaos hook: a failing hit makes this pass read as past its
+            // next report deadline.
+            let overdue = self.fault("collector.handshake.wait");
             let mut all_responded = true;
             for m in &snapshot {
                 if m.status.load(Ordering::Acquire) == target {
@@ -293,28 +310,26 @@ impl GcShared {
             if all_responded {
                 return;
             }
-            if let Some(at) = next_report {
-                let waited = started.elapsed();
-                if waited >= at {
-                    reports += 1;
-                    self.report_handshake_stall(&snapshot, target, waited, reports);
-                    if reports >= 3 {
-                        // Unwind into the supervisor, which aborts the
-                        // wedged cycle and restarts the collector loop —
-                        // a bounded degradation instead of a diagnosed
-                        // hang.  Once the restart budget is spent this
-                        // degrades to the verified poison path.
-                        panic!(
-                            "otf-gc watchdog: aborting wedged collection cycle \
-                             (handshake to status {:?} stalled for {:?})",
-                            Status::from_byte(target),
-                            waited,
-                        );
-                    }
-                    // Rate limit: double the spacing after every report
-                    // so a long stall logs O(log t) lines, not O(t).
-                    next_report = stall.map(|s| at + s * (1u32 << reports.min(16)));
+            let waited = started.elapsed();
+            if overdue || waited >= next_report {
+                reports += 1;
+                self.report_handshake_stall(&snapshot, target, waited, reports);
+                if reports >= 3 {
+                    // Unwind into the supervisor, which aborts the wedged
+                    // cycle and restarts the collector loop — a bounded
+                    // degradation instead of a diagnosed hang.  Once the
+                    // restart budget is spent this degrades to the
+                    // verified poison path.
+                    panic!(
+                        "otf-gc watchdog: aborting wedged collection cycle \
+                         (handshake to status {:?} stalled for {:?})",
+                        Status::from_byte(target),
+                        waited,
+                    );
                 }
+                // Rate limit: double the spacing after every report so a
+                // long stall logs O(log t) lines, not O(t).
+                next_report += HANDSHAKE_STALL * (1u32 << reports.min(16));
             }
             // Sleep until a mutator responds.  The status re-check under
             // the handshake lock pairs with the mutators' notify-under-
@@ -666,20 +681,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retired_lab_granules_still_fire_full_trigger() {
-        let sh = small();
+    /// Fills 80 % of the heap through one LAB carved whole and retired,
+    /// and counts enough allocation to pass the progress floor.
+    fn fill_through_retired_lab(sh: &GcShared) {
         let granules = (sh.heap.committed_bytes() * 4 / 5 / 16) as u32;
         let mut lab = otf_heap::Lab::new();
         assert!(sh.heap.exchange_lab(&mut lab, granules, granules));
         lab.carve(granules).unwrap(); // all of it now holds objects
         sh.heap.retire_lab(&mut lab);
         sh.heap.note_allocated(0, 128 << 10);
+    }
+
+    #[test]
+    fn retired_lab_granules_still_fire_full_trigger() {
+        let sh = small();
+        fill_through_retired_lab(&sh);
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
             Some(crate::stats::CycleKind::Full)
         );
+    }
+
+    /// The `heap.almost_full` hook: a failing hit reads the 80 %-used heap
+    /// above as not almost full.
+    #[test]
+    fn failed_almost_full_hit_requests_no_full_collection() {
+        use otf_support::fault::{FaultPlan, FaultRule, Faults};
+        let mut sh = small();
+        let faults = Arc::new(Faults::new(
+            FaultPlan::new(0).rule(FaultRule::at("heap.almost_full").failing(1.0)),
+        ));
+        sh.faults = Some(Arc::clone(&faults));
+        fill_through_retired_lab(&sh);
+        sh.evaluate_triggers();
+        sh.control.begin_shutdown();
+        assert_eq!(sh.control.next_request(), None);
+        let log = faults.log();
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert_eq!(log[0].point, "heap.almost_full");
+    }
+
+    /// The watchdog on the real clock: a handshake no mutator answers is
+    /// first reported `HANDSHAKE_STALL` after it was posted, and not
+    /// again until 3× that.
+    #[test]
+    fn watchdog_first_reports_a_stalled_handshake_after_one_second() {
+        let sh = Arc::new(small());
+        let m = sh.register_mutator();
+        let trips = || sh.obs.watchdog_trips.load(Ordering::Relaxed);
+        sh.post_handshake(Status::Sync1);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| sh.wait_handshake());
+            std::thread::sleep(Duration::from_millis(500));
+            assert_eq!(trips(), 0, "reported before the stall threshold");
+            std::thread::sleep(Duration::from_millis(1500).saturating_sub(start.elapsed()));
+            assert_eq!(trips(), 1, "one report between 1 s and 3 s");
+            m.status.store(Status::Sync1 as u8, Ordering::Release);
+            sh.notify_handshake();
+            waiter.join().unwrap();
+        });
     }
 
     #[test]

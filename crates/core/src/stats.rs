@@ -173,10 +173,10 @@ pub struct GcStats {
     /// Nonzero means any drained event trace is truncated at its old end
     /// (the ring keeps only the most recent 2¹⁴ events).
     pub dropped_events: u64,
-    /// Handshake-watchdog trips: times a handshake stalled past
-    /// [`GcConfig::handshake_stall_ms`](crate::GcConfig) and the
-    /// collector reported the unresponsive mutators instead of hanging
-    /// silently.
+    /// Handshake-watchdog trips: times a handshake stalled past a report
+    /// deadline (1 s, then 3 s and 7 s after it was posted; the third
+    /// aborts the cycle) and the collector reported the unresponsive
+    /// mutators instead of hanging silently.
     pub watchdog_trips: u64,
     /// Whether the collector is permanently gone (poisoned shutdown):
     /// no further collection will run; allocation continues in grow-only

@@ -519,14 +519,24 @@ fn kills_separated_by_completed_cycles_never_exhaust_the_budget() {
 #[test]
 fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
     silence_injected_panics();
-    let gc = Gc::new(GcConfig::generational().with_handshake_stall_ms(20));
+    // The first three wait passes each read as past their report
+    // deadline, so the watchdog's three reports come at once instead of
+    // at 1, 3 and 7 s.
+    let faults = Arc::new(Faults::new(
+        FaultPlan::new(0).rule(
+            FaultRule::at("collector.handshake.wait")
+                .failing(1.0)
+                .max_fires(3),
+        ),
+    ));
+    let gc = Gc::with_faults(GcConfig::generational(), faults);
     let mut m = gc.mutator();
     let r = m.alloc(&ObjShape::new(1, 1)).unwrap();
     m.root_push(r);
     gc.request_full();
     // Never cooperate: the first handshake wedges, the watchdog reports
-    // at 20/60/140 ms (the gap doubles after each report) and the third
-    // report panics the cycle into the supervisor.
+    // three times and the third report panics the cycle into the
+    // supervisor.
     let start = Instant::now();
     while gc.stats().cycles_aborted == 0 && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(5));
@@ -538,6 +548,10 @@ fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
     );
     assert!(stats.collector_restarts >= 1);
     assert!(stats.watchdog_trips >= 3, "escalation needs three reports");
+    assert!(
+        start.elapsed() < Duration::from_secs(7),
+        "the abort waited for the real third report at 7 s"
+    );
     // Cooperate now: the re-armed full collection must complete.
     let start = Instant::now();
     while gc.cycles_completed() == 0 && start.elapsed() < Duration::from_secs(10) {
@@ -559,18 +573,31 @@ fn watchdog_abort_cycle_unwedges_a_stalled_handshake() {
 /// [`watchdog_trips`]: otf_gengc::gc::GcStats::watchdog_trips
 #[test]
 fn watchdog_reports_stalled_handshake() {
-    let gc = Gc::new(GcConfig::generational().with_handshake_stall_ms(50));
+    // The first wait pass reads as past its report deadline: one report
+    // at once, and the next real deadline is a second away.
+    let faults = Arc::new(Faults::new(
+        FaultPlan::new(0).rule(
+            FaultRule::at("collector.handshake.wait")
+                .failing(1.0)
+                .max_fires(1),
+        ),
+    ));
+    let gc = Gc::with_faults(GcConfig::generational(), faults);
     let mut m = gc.mutator();
     let r = m.alloc(&ObjShape::new(1, 1)).unwrap();
     m.root_push(r);
     gc.request_full();
     // Never cooperate: the first handshake cannot complete.  Give the
-    // watchdog a few reporting intervals to trip.
+    // watchdog time to trip.
     let start = Instant::now();
     while gc.stats().watchdog_trips == 0 && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(gc.stats().watchdog_trips > 0, "watchdog never tripped");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "the report waited for the real 1 s threshold"
+    );
     // Dropping the mutator unregisters it; the stalled cycle must now
     // run to completion (the first report does not abort anything; were
     // the third to come first, the re-armed full would complete instead).

@@ -6,10 +6,12 @@
 //! thread) with small heaps so many cycles happen.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use otf_gengc::gc::{CycleKind, Gc, GcConfig};
 use otf_gengc::heap::{ObjShape, ObjectRef, LAB_GRANULES};
+use otf_gengc::support::fault::{FaultPlan, FaultRule, Faults};
 
 /// A small heap so collections are frequent.
 fn small(cfg: GcConfig) -> GcConfig {
@@ -396,20 +398,21 @@ fn comb_holes_are_allocated_at_one_refill_per_queue() {
 }
 
 /// One mutator sits parked on a whole LAB's queue while another fills a
-/// 1 MiB heap with garbage.  Nothing triggers a collection here but a
-/// failed allocation, so the first cycle must come only once the heap is
+/// 1 MiB heap with garbage.  The fault plan fails the almost-full
+/// trigger, so nothing starts a collection here but a failed
+/// allocation, and the first cycle must come only once the heap is
 /// genuinely full — all of it but the sitter's lease and the runner's own
 /// — and then as a blocking full collection the runner comes back from,
 /// not as `OutOfMemory`.
 #[test]
 fn parked_mutator_on_a_full_queue_does_not_starve_the_other() {
     const HEAP: usize = 1 << 20;
-    let mut cfg = GcConfig::non_generational()
+    let cfg = GcConfig::non_generational()
         .with_max_heap(HEAP)
         .with_initial_heap(HEAP);
-    cfg.full_trigger_fraction = 1.0;
+    let never_almost_full = FaultPlan::new(0).rule(FaultRule::at("heap.almost_full").failing(1.0));
     let lab_bytes = LAB_GRANULES as usize * 16;
-    let mut gc = Gc::new(cfg);
+    let mut gc = Gc::with_faults(cfg, Arc::new(Faults::new(never_almost_full)));
     let mut sitter = gc.mutator();
     let mut runner = gc.mutator();
     let kept = sitter.alloc(&ObjShape::new(0, 0)).unwrap();
@@ -433,15 +436,17 @@ fn parked_mutator_on_a_full_queue_does_not_starve_the_other() {
                 panic!("allocation {i} failed with {e} on a heap of garbage");
             }
         }
+        let stats = gc.stats();
+        // Release the sitter before checking, so a failed check fails the
+        // test instead of leaving the scope waiting on the barrier.
+        done.wait();
         let filled = before_first_cycle.expect("3 MiB through a 1 MiB heap without a cycle");
         assert!(
             filled + 3 * lab_bytes >= HEAP,
             "first collection after only {filled} bytes"
         );
-        let stats = gc.stats();
         assert!(stats.alloc_stall.count() >= 2, "no blocking collection");
         assert!(stats.cycles.iter().all(|c| c.kind == CycleKind::Full));
-        done.wait();
     });
     gc.stop_collector();
     let violations = gc.verify_heap();

@@ -139,7 +139,7 @@ fn phase_times_sum_to_cycle_durations() {
 #[test]
 fn trace_ring_records_a_coherent_cycle_story() {
     let gc = run_cooperating_cycles(GcConfig::generational().with_event_trace(true), 2);
-    assert!(gc.tracing_enabled());
+    assert!(gc.config().trace_events);
 
     let events = gc.events();
     let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
@@ -220,7 +220,7 @@ fn handshake_posts_and_nested_work_land_inside_handshake_windows() {
 #[test]
 fn tracing_is_off_by_default_and_histograms_still_work() {
     let gc = run_cooperating_cycles(GcConfig::generational(), 1);
-    assert!(!gc.tracing_enabled());
+    assert!(!gc.config().trace_events);
     assert!(gc.events().is_empty());
     assert!(gc.stats().handshake.count() >= 3);
 }
