@@ -291,7 +291,8 @@ impl Gc {
         self.shared.heap.colors().get(obj.granule()).is_object()
     }
 
-    /// Diagnostic: every chunk on the free lists, sorted by start granule.
+    /// Diagnostic: every chunk on the free lists, sorted by start granule
+    /// (maximal runs after a sweep; chunks returned since may touch).
     /// Whole only where [`verify_heap`](Gc::verify_heap) is: at a quiescent
     /// point.
     pub fn debug_free_chunks(&self) -> Vec<otf_heap::Chunk> {

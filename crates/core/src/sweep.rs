@@ -37,7 +37,9 @@
 //! statistic: the `Interior` tail of an in-flight object is crossed as
 //! if it were a survivor's and adds to `bytes_survived`.
 //!
-//! Reclaimed chunks reach the free lists in batches.  Colors are filled
+//! Reclaimed chunks reach the free lists in batches, and the sweep ends
+//! with one merge of the pool into maximal runs
+//! (`HeapSpace::merge_free_lists`, DESIGN.md §4.11).  Colors are filled
 //! `Free` *before* a chunk enters a batch, so every pooled chunk covers
 //! only `Free` granules (the `verify_heap` free-list pass relies on it).
 
@@ -93,7 +95,8 @@ impl GcShared {
 
     /// The sweep (the cycle's `reclaim` bucket): one pass over
     /// `[1, frontier)`, a run at a time (module docs; DESIGN.md §4.12),
-    /// ending in a `SweepProgress` event for the whole frontier.
+    /// ending in one merge of the free pool and a `SweepProgress` event
+    /// for the whole frontier.
     pub(crate) fn sweep(&self, cx: &mut CycleCx) {
         let frontier = self.heap.frontier_granule();
         // Sweep reads every color byte up to the frontier.
@@ -221,6 +224,7 @@ impl GcShared {
         }
         Self::flush_run(&mut run, &mut batch);
         self.heap.free_chunk_batch(&batch);
+        self.heap.merge_free_lists();
         self.obs
             .event(EventKind::SweepProgress, frontier as u64, frontier as u64);
     }

@@ -23,7 +23,7 @@
 //!
 //! [`Gc::verify_heap`]: crate::Gc::verify_heap
 
-use otf_heap::{Color, Header, ObjectRef, GRANULE};
+use otf_heap::{Color, Header, ObjectRef};
 
 use crate::config::Mode;
 use crate::shared::GcShared;
@@ -65,6 +65,20 @@ pub enum HeapViolation {
         /// What the color table says is there.
         color: Color,
     },
+    /// Two free-pool chunks overlap: some space was freed twice.
+    FreeChunksOverlap {
+        /// Start granule of the first chunk.
+        first: usize,
+        /// Start granule of the second, which begins inside the first.
+        second: usize,
+    },
+    /// The free-pool chunks do not add up to the pool's free total.
+    FreePoolTotal {
+        /// Granules the chunks cover.
+        chunks: u64,
+        /// Granules the pool accounts as free.
+        accounted: u64,
+    },
     /// A black (old) object references a young object but its card is
     /// clean — the next partial collection would miss the pointer.
     MissedIntergenPointer {
@@ -93,6 +107,14 @@ impl std::fmt::Display for HeapViolation {
             HeapViolation::FreeChunkOverObject { start, granule, color } => write!(
                 f,
                 "free chunk at granule {start} covers granule {granule} colored {color}"
+            ),
+            HeapViolation::FreeChunksOverlap { first, second } => write!(
+                f,
+                "free chunk at granule {second} overlaps the one at granule {first}"
+            ),
+            HeapViolation::FreePoolTotal { chunks, accounted } => write!(
+                f,
+                "free chunks cover {chunks} granules, the pool accounts {accounted}"
             ),
             HeapViolation::MissedIntergenPointer { from, slot, to } => write!(
                 f,
@@ -188,7 +210,7 @@ impl GcShared {
             }
         }
 
-        // Pass 3: free pool agrees with the color table.
+        // Pass 3: free pool agrees with the color table and with itself.
         let chunks = self.heap.free_list_snapshot();
         for c in &chunks {
             for gg in c.start as usize..c.end() as usize {
@@ -203,7 +225,22 @@ impl GcShared {
                 }
             }
         }
-        let _ = GRANULE;
+        for w in chunks.windows(2) {
+            if w[0].end() > w[1].start {
+                out.push(HeapViolation::FreeChunksOverlap {
+                    first: w[0].start as usize,
+                    second: w[1].start as usize,
+                });
+            }
+        }
+        let pooled: u64 = chunks.iter().map(|c| c.len as u64).sum();
+        let accounted = self.heap.free_list_granules();
+        if pooled != accounted {
+            out.push(HeapViolation::FreePoolTotal {
+                chunks: pooled,
+                accounted,
+            });
+        }
         out
     }
 }
@@ -304,6 +341,24 @@ mod tests {
             v.iter()
                 .any(|x| matches!(x, HeapViolation::FreeChunkOverObject { .. })),
             "{v:?}"
+        );
+    }
+
+    #[test]
+    fn detects_space_freed_twice() {
+        let sh = setup();
+        // Never installed on, so its granules are still `Free`.
+        let c = sh.heap.alloc_chunk(4, 4).unwrap();
+        sh.heap.free_chunk_batch(&[c]);
+        sh.heap.free_chunk_batch(&[c]);
+        let g = c.start as usize;
+        let v = sh.verify_heap();
+        assert_eq!(
+            v,
+            [HeapViolation::FreeChunksOverlap {
+                first: g,
+                second: g
+            }]
         );
     }
 

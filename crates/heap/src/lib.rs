@@ -6,8 +6,9 @@
 //! the paper's collector assumes from the JVM heap manager:
 //!
 //! * a **non-moving heap**: one contiguous word-atomic [`Arena`] carved by
-//!   segregated [`FreeLists`] (size-class bins over a coalescing pool, all
-//!   operations O(1)) and a bump frontier, with mutator-private [`Lab`]s
+//!   segregated [`FreeLists`] (size-class bins, O(1) insert and allocate,
+//!   touching chunks merged by one sorted pass per sweep) and a bump
+//!   frontier, with mutator-private [`Lab`]s
 //!   (thread-local allocation buffers);
 //! * the **side tables**: a [`ColorTable`] (one byte per 16-byte granule —
 //!   doubling as a race-free heap parse map), a [`CardTable`] (one byte per

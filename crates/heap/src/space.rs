@@ -208,13 +208,20 @@ impl HeapSpace {
         self.freelists.insert_batch(chunks);
     }
 
+    /// Merges touching free chunks into maximal runs, as the sweep does at
+    /// its end ([`FreeLists::merge`], DESIGN.md §4.11).
+    pub fn merge_free_lists(&self) {
+        self.freelists.merge();
+    }
+
     /// Free granules currently on the free lists.
     pub fn free_list_granules(&self) -> u64 {
         self.freelists.free_granules()
     }
 
     /// A copy of every free chunk (diagnostics / heap verification),
-    /// sorted by start granule.
+    /// sorted by start granule; touching chunks show apart until the
+    /// next merge.
     pub fn free_list_snapshot(&self) -> Vec<Chunk> {
         self.freelists.snapshot()
     }
@@ -666,7 +673,8 @@ mod tests {
             h.used_granules() + h.free_list_granules() as usize + committed - h.frontier_granule(),
             committed
         );
-        // The pool coalesces: its chunks neither overlap nor touch.
+        // Once merged, the pool's chunks neither overlap nor touch.
+        h.merge_free_lists();
         let snap = h.free_list_snapshot();
         assert!(snap.iter().all(|c| c.len > 0));
         assert!(

@@ -39,7 +39,9 @@ fn shape_size_invariants() {
     });
 }
 
-/// Free lists conserve granules and never hand out overlapping chunks.
+/// Free lists conserve granules and never hand out overlapping chunks;
+/// pooled chunks may touch between merges, and a merge leaves maximal
+/// runs.
 #[test]
 fn freelist_no_overlap_and_conservation() {
     run_cases("freelist_no_overlap_and_conservation", 0xF4EE, 128, |g| {
@@ -71,7 +73,17 @@ fn freelist_no_overlap_and_conservation() {
                 held.push(c);
             }
             assert_eq!(f.free_granules() + held_granules, total);
+            let snap = f.snapshot();
+            assert!(snap.windows(2).all(|w| w[0].end() <= w[1].start), "overlap");
         }
+        f.merge();
+        let snap = f.snapshot();
+        assert!(
+            snap.windows(2).all(|w| w[0].end() < w[1].start),
+            "not maximal runs"
+        );
+        let pooled: u64 = snap.iter().map(|c| c.len as u64).sum();
+        assert_eq!(pooled, f.free_granules());
     });
 }
 
