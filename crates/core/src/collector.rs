@@ -60,7 +60,7 @@ impl GcShared {
 
         // ----- clear (Figure 2/5: "clear: If (full collection) Init...")
         self.collecting.store(true, Ordering::Release);
-        self.obs.note_cycle_begin(kind);
+        self.obs.note_cycle_begin(kind, cx.cause);
         let used_before = self.heap.used_bytes();
         let allocated_since = self.bytes_since_cycle();
         cx.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
@@ -193,7 +193,7 @@ impl GcShared {
     pub(crate) fn collector_loop(self: Arc<GcShared>) {
         let mut cx = CycleCx::new(&self);
         let mut alloc_at_last_full = 0u64;
-        while let Some(kind) = self.control.next_request() {
+        while let Some((kind, cause)) = self.control.next_request() {
             // Chaos hook: a failing injection here kills the collector
             // thread, exercising the panic-containment path (poisoned
             // shutdown, `AllocError::CollectorUnavailable`).
@@ -211,6 +211,7 @@ impl GcShared {
             {
                 continue;
             }
+            cx.cause = cause;
             let stats = self.run_cycle(kind, &mut cx);
             self.stats.lock().push(stats);
             if kind == CycleKind::Full {
@@ -356,6 +357,7 @@ impl GcShared {
 mod tests {
     use super::*;
     use crate::config::GcConfig;
+    use crate::control::Cause;
     use otf_heap::{ObjShape, ObjectRef};
 
     fn setup(cfg: GcConfig) -> (GcShared, CycleCx) {
@@ -637,7 +639,10 @@ mod tests {
             assert!(sh.heap.colors().get(dead.granule()).is_object());
             // The re-armed request is a *full* collection; running it
             // rebuilds real liveness and reclaims the float.
-            assert_eq!(sh.control.next_request(), Some(CycleKind::Full));
+            assert_eq!(
+                sh.control.next_request(),
+                Some((CycleKind::Full, Cause::Recovery))
+            );
             sh.run_cycle(CycleKind::Full, &mut cx);
             assert!(sh.heap.colors().get(live.granule()).is_object());
             assert!(sh.heap.colors().get(son.granule()).is_object());
@@ -663,7 +668,7 @@ mod tests {
     #[test]
     fn partial_request_without_allocation_runs_no_cycle() {
         for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
-            let gc = crate::Gc::new(cfg);
+            let gc = crate::Gc::new(cfg.with_event_trace(true));
             let mut m = gc.mutator();
             let r = m.alloc(&ObjShape::new(0, 1)).unwrap();
             m.root_push(r);
@@ -677,6 +682,17 @@ mod tests {
             });
             let kinds: Vec<CycleKind> = gc.stats().cycles.iter().map(|c| c.kind).collect();
             assert_eq!(kinds, [CycleKind::Full], "{}", cfg.plan_name());
+            let begins: Vec<String> = gc
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::CycleBegin)
+                .map(|e| e.to_json())
+                .collect();
+            assert_eq!(begins.len(), 1, "{begins:?}");
+            assert!(
+                begins[0].ends_with(r#""cycle":"full","cause":"requested"}"#),
+                "{begins:?}"
+            );
             drop(m);
             gc.shutdown();
         }

@@ -12,10 +12,42 @@ use otf_support::sync::{Condvar, Mutex};
 
 use crate::stats::CycleKind;
 
+/// What requested a cycle: the `cause` of its `cycle_begin` event (the
+/// second word of [`EventKind::CycleBegin`](crate::EventKind::CycleBegin)).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) enum Cause {
+    /// The young generation's allocation budget ran out (§3.3).
+    YoungBudget = 0,
+    /// The heap is almost full (§3.3).
+    AlmostFull = 1,
+    /// An allocation found the heap dry and blocked for a full cycle.
+    AllocStall = 2,
+    /// `Gc::request_full`, `Gc::request_partial` or
+    /// `Gc::collect_full_blocking`.
+    Requested = 3,
+    /// The collector recovered from an aborted cycle (DESIGN.md §4.8).
+    Recovery = 4,
+}
+
+impl Cause {
+    /// The JSON name of a cause word.
+    pub(crate) fn name(word: u64) -> &'static str {
+        match word {
+            0 => "young_budget",
+            1 => "almost_full",
+            2 => "alloc_stall",
+            3 => "requested",
+            4 => "recovery",
+            _ => "unknown",
+        }
+    }
+}
+
+/// The pending requests, each with the cause that posted it first.
 #[derive(Debug, Default)]
 struct Pending {
-    partial: bool,
-    full: bool,
+    partial: Option<Cause>,
+    full: Option<Cause>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -56,41 +88,40 @@ impl Control {
         }
     }
 
-    /// Requests a partial collection (idempotent).
-    pub(crate) fn request_partial(&self) {
+    /// Requests a partial collection (idempotent: a pending request
+    /// keeps its first cause).
+    pub(crate) fn request_partial(&self, cause: Cause) {
         let mut p = self.pending.lock();
-        if !p.partial && !p.full {
-            p.partial = true;
+        if p.partial.is_none() && p.full.is_none() {
+            p.partial = Some(cause);
             self.wake.notify_all();
         }
     }
 
-    /// Requests a full collection (idempotent; supersedes a pending
-    /// partial).
-    pub(crate) fn request_full(&self) {
+    /// Requests a full collection (idempotent: a pending request keeps
+    /// its first cause; supersedes a pending partial).
+    pub(crate) fn request_full(&self, cause: Cause) {
         let mut p = self.pending.lock();
-        if !p.full {
-            p.full = true;
+        if p.full.is_none() {
+            p.full = Some(cause);
             self.wake.notify_all();
         }
     }
 
-    /// Collector thread: blocks until a request or shutdown.  Returns
-    /// `None` on shutdown.
-    pub(crate) fn next_request(&self) -> Option<CycleKind> {
+    /// Collector thread: blocks until a request or shutdown, and returns
+    /// its kind and cause.  Returns `None` on shutdown.
+    pub(crate) fn next_request(&self) -> Option<(CycleKind, Cause)> {
         let mut p = self.pending.lock();
         loop {
             if self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire) {
                 return None;
             }
-            if p.full {
-                p.full = false;
-                p.partial = false;
-                return Some(CycleKind::Full);
+            if let Some(cause) = p.full.take() {
+                p.partial = None;
+                return Some((CycleKind::Full, cause));
             }
-            if p.partial {
-                p.partial = false;
-                return Some(CycleKind::Partial);
+            if let Some(cause) = p.partial.take() {
+                return Some((CycleKind::Partial, cause));
             }
             self.wake.wait(&mut p);
         }
@@ -100,7 +131,7 @@ impl Control {
     #[cfg(test)]
     pub(crate) fn has_request(&self) -> bool {
         let p = self.pending.lock();
-        p.partial || p.full
+        p.partial.is_some() || p.full.is_some()
     }
 
     /// Collector thread: records a completed cycle and wakes waiters.
@@ -161,8 +192,8 @@ impl Control {
     /// cycle's completion instead of being poisoned awake.
     pub(crate) fn reset_for_recovery(&self) {
         let mut p = self.pending.lock();
-        p.partial = false;
-        p.full = true;
+        p.partial = None;
+        p.full = Some(Cause::Recovery);
         self.wake.notify_all();
     }
 
@@ -217,9 +248,11 @@ mod tests {
     #[test]
     fn full_supersedes_partial() {
         let c = Control::new();
-        c.request_partial();
-        c.request_full();
-        assert_eq!(c.next_request(), Some(CycleKind::Full));
+        c.request_partial(Cause::YoungBudget);
+        c.request_full(Cause::AlmostFull);
+        c.request_full(Cause::AllocStall);
+        // The full's first cause wins.
+        assert_eq!(c.next_request(), Some((CycleKind::Full, Cause::AlmostFull)));
         // The pending partial was absorbed by the full.
         c.begin_shutdown();
         assert_eq!(c.next_request(), None);
@@ -228,8 +261,11 @@ mod tests {
     #[test]
     fn partial_then_nothing() {
         let c = Control::new();
-        c.request_partial();
-        assert_eq!(c.next_request(), Some(CycleKind::Partial));
+        c.request_partial(Cause::YoungBudget);
+        assert_eq!(
+            c.next_request(),
+            Some((CycleKind::Partial, Cause::YoungBudget))
+        );
         c.begin_shutdown();
         assert_eq!(c.next_request(), None);
     }

@@ -3,6 +3,7 @@
 
 use otf_heap::{ObjectRef, PageTracker, Space, GRANULE};
 
+use crate::control::Cause;
 use crate::shared::GcShared;
 use crate::stats::PhaseTimes;
 
@@ -37,6 +38,11 @@ pub(crate) struct CycleCx {
     /// trace round moves the shared gray list onto it whole, so every pop
     /// is lock-free.
     pub mark_stack: Vec<ObjectRef>,
+    /// What requested the cycle about to run: the collector loop sets
+    /// it from the request it takes, and the cycle's `CycleBegin` event
+    /// records it.  A cycle run directly (the unit tests) reads
+    /// `Requested`.
+    pub cause: Cause,
 }
 
 impl CycleCx {
@@ -52,6 +58,7 @@ impl CycleCx {
             ),
             phases: PhaseTimes::default(),
             mark_stack: Vec::with_capacity(1024),
+            cause: Cause::Requested,
         }
     }
 

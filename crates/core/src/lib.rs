@@ -80,6 +80,8 @@ use std::thread::JoinHandle;
 
 use otf_support::fault::Faults;
 
+use crate::control::Cause;
+
 pub use config::{GcConfig, Mode, Promotion};
 pub use mutator::{AllocError, Mutator};
 pub use obs::{phase, EventKind, GcEvent};
@@ -159,7 +161,7 @@ impl Gc {
 
     /// Asynchronously requests a full collection.
     pub fn request_full(&self) {
-        self.shared.control.request_full();
+        self.shared.control.request_full(Cause::Requested);
     }
 
     /// Asynchronously requests a partial collection (in non-generational
@@ -173,7 +175,7 @@ impl Gc {
     /// or before that much allocation, runs no cycle.  A
     /// [`request_full`](Gc::request_full) is never dropped.
     pub fn request_partial(&self) {
-        self.shared.control.request_partial();
+        self.shared.control.request_partial(Cause::Requested);
     }
 
     /// Number of completed collection cycles.
@@ -188,7 +190,7 @@ impl Gc {
     /// tests.
     pub fn collect_full_blocking(&self) {
         let fulls = self.shared.control.fulls_done();
-        self.shared.control.request_full();
+        self.shared.control.request_full(Cause::Requested);
         self.shared.control.wait_for_full(fulls);
     }
 

@@ -9,6 +9,7 @@ use std::time::Instant;
 use otf_heap::{Header, HeapSpace, Lab, ObjShape, ObjectRef, LAB_GRANULES};
 
 use crate::config::{Mode, Promotion};
+use crate::control::Cause;
 use crate::obs::dur_ns;
 use crate::shared::GcShared;
 use crate::state::{MutatorShared, Status};
@@ -272,7 +273,7 @@ impl Mutator {
             // handshake on our behalf).  The stall — the one place a
             // mutator waits for the collector — feeds the pause histogram.
             let fulls = self.shared.control.fulls_done();
-            self.shared.control.request_full();
+            self.shared.control.request_full(Cause::AllocStall);
             let shared = Arc::clone(&self.shared);
             let stall_start = Instant::now();
             let completed = self.parked(move || shared.control.wait_for_full(fulls));
@@ -590,6 +591,7 @@ impl Drop for Mutator {
 mod tests {
     use super::*;
     use crate::config::GcConfig;
+    use crate::obs::EventKind;
     use crate::state::Status;
     use otf_heap::Color;
     use otf_support::fault::{FaultPlan, FaultRule, Faults};
@@ -941,7 +943,7 @@ mod tests {
         assert!(shared.control.has_request(), "retired queues fired nothing");
         assert_eq!(
             shared.control.next_request(),
-            Some(crate::stats::CycleKind::Full)
+            Some((crate::stats::CycleKind::Full, Cause::AlmostFull))
         );
     }
 
@@ -993,7 +995,8 @@ mod tests {
         const HEAP: usize = 256 << 10;
         let cfg = GcConfig::non_generational()
             .with_max_heap(HEAP)
-            .with_initial_heap(HEAP);
+            .with_initial_heap(HEAP)
+            .with_event_trace(true);
         let never_almost_full =
             FaultPlan::new(0).rule(FaultRule::at("heap.almost_full").failing(1.0));
         let gc = crate::Gc::with_faults(cfg, Arc::new(Faults::new(never_almost_full)));
@@ -1012,6 +1015,11 @@ mod tests {
             }
         }
         assert_eq!(gc.cycles_completed(), 1, "the stall was the first cycle");
+        let begin = gc
+            .events()
+            .into_iter()
+            .find(|e| e.kind == EventKind::CycleBegin);
+        assert_eq!(begin.map(|e| e.b), Some(Cause::AllocStall as u64));
         let leased = shared.heap.lab_leased_granules();
         assert!(leased >= 16 * 4, "the refill leased {leased} granules");
         let refills = shared.obs.lab_refill.snapshot().count();

@@ -46,8 +46,9 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
 }
 
 use otf_support::hist::Histogram;
-use otf_support::zeroed::zeroed_slice;
+use otf_support::zeroed::{zeroed_slice, Zeroed};
 
+use crate::control::Cause;
 use crate::state::Status;
 use crate::stats::CycleKind;
 
@@ -86,7 +87,11 @@ pub mod phase {
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A collection cycle began.  `a` = 0 for partial, 1 for full.
+    /// A collection cycle began.  `a` = 0 for partial, 1 for full; `b`
+    /// = what requested it: 0 the young-generation budget, 1 an almost
+    /// full heap, 2 a stalled allocation, 3 a `Gc` request, 4 recovery
+    /// from an aborted cycle (JSON `cause`: `young_budget`,
+    /// `almost_full`, `alloc_stall`, `requested`, `recovery`).
     CycleBegin = 0,
     /// A collection cycle finished.  `a` = 0/1 as above, `b` = cycle
     /// duration in nanoseconds.
@@ -192,7 +197,11 @@ impl GcEvent {
     pub fn to_json(&self) -> String {
         let head = format!("{{\"t_ns\":{},\"ev\":\"{}\"", self.t_ns, self.kind.name());
         let tail = match self.kind {
-            EventKind::CycleBegin => format!(",\"cycle\":\"{}\"}}", cycle_name(self.a)),
+            EventKind::CycleBegin => format!(
+                ",\"cycle\":\"{}\",\"cause\":\"{}\"}}",
+                cycle_name(self.a),
+                Cause::name(self.b)
+            ),
             EventKind::CycleEnd => {
                 format!(
                     ",\"cycle\":\"{}\",\"dur_ns\":{}}}",
@@ -251,12 +260,13 @@ const ARG_B: usize = 4;
 #[derive(Debug)]
 struct EventRing {
     head: AtomicU64,
-    slots: Box<[Slot]>,
+    slots: Zeroed<Slot>,
 }
 
 impl EventRing {
-    /// An empty ring: zero pages, mapped as events first reach them, so
-    /// a `Gc` that never traces never touches its 640 KiB.
+    /// An empty ring on a mapping of its own: zero pages, mapped as
+    /// events first reach them, so a `Gc` that never traces never
+    /// touches its 640 KiB.
     fn new() -> EventRing {
         EventRing {
             head: AtomicU64::new(0),
@@ -432,9 +442,9 @@ impl Obs {
         self.lab_refill.record(ns);
     }
 
-    /// Collector side: a cycle began.
-    pub(crate) fn note_cycle_begin(&self, kind: CycleKind) {
-        self.event(EventKind::CycleBegin, cycle_word(kind), 0);
+    /// Collector side: a cycle began, requested by `cause`.
+    pub(crate) fn note_cycle_begin(&self, kind: CycleKind, cause: Cause) {
+        self.event(EventKind::CycleBegin, cycle_word(kind), cause as u64);
     }
 
     /// Collector side: a cycle finished after `dur_ns` nanoseconds.
@@ -478,7 +488,7 @@ mod tests {
     fn disabled_ring_records_nothing() {
         let obs = Obs::new(false);
         obs.event(EventKind::CycleBegin, 1, 0);
-        obs.note_cycle_begin(CycleKind::Full);
+        obs.note_cycle_begin(CycleKind::Full, Cause::Requested);
         assert!(obs.events().is_empty());
         // Histograms still record regardless of the tracing flag.
         obs.note_alloc_stall(500);
@@ -489,7 +499,7 @@ mod tests {
     #[test]
     fn enabled_ring_round_trips_events() {
         let obs = Obs::new(true);
-        obs.note_cycle_begin(CycleKind::Full);
+        obs.note_cycle_begin(CycleKind::Full, Cause::Requested);
         obs.event(EventKind::PhaseBegin, phase::SWEEP, 0);
         obs.event(EventKind::PhaseEnd, phase::SWEEP, 1234);
         obs.note_cycle_end(CycleKind::Full, 9999);

@@ -10,7 +10,7 @@ use otf_support::fault::Faults;
 use otf_support::sync::{Condvar, Mutex};
 
 use crate::config::GcConfig;
-use crate::control::Control;
+use crate::control::{Cause, Control};
 use crate::obs::Obs;
 use crate::state::{ColorState, MutatorShared, Status};
 use crate::stats::CycleStats;
@@ -233,7 +233,7 @@ impl GcShared {
         }
         let since = self.bytes_since_cycle();
         if self.config.is_generational() && since >= self.config.young_size as u64 {
-            self.control.request_partial();
+            self.control.request_partial(Cause::YoungBudget);
         }
         // Full collection when the heap is "almost full" (§3.3) — but only
         // after some allocation progress, to avoid re-triggering endlessly
@@ -254,7 +254,7 @@ impl GcShared {
             && since >= (64 << 10)
             && !self.fault("heap.almost_full")
         {
-            self.control.request_full();
+            self.control.request_full(Cause::AlmostFull);
         }
     }
 
@@ -630,7 +630,7 @@ mod tests {
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
-            Some(crate::stats::CycleKind::Partial)
+            Some((crate::stats::CycleKind::Partial, Cause::YoungBudget))
         );
     }
 
@@ -657,7 +657,7 @@ mod tests {
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
-            Some(crate::stats::CycleKind::Full)
+            Some((crate::stats::CycleKind::Full, Cause::AlmostFull))
         );
     }
 
@@ -699,7 +699,7 @@ mod tests {
         sh.evaluate_triggers();
         assert_eq!(
             sh.control.next_request(),
-            Some(crate::stats::CycleKind::Full)
+            Some((crate::stats::CycleKind::Full, Cause::AlmostFull))
         );
     }
 

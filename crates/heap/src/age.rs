@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use otf_support::zeroed::zeroed_slice;
+use otf_support::zeroed::{zeroed_slice, Zeroed};
 
 /// Age assigned to an object at allocation.
 pub const INFANT_AGE: u8 = 1;
@@ -26,7 +26,7 @@ const _: () = assert!(INFANT_AGE > 0);
 /// One age byte per granule; only start granules are meaningful.
 #[derive(Debug)]
 pub struct AgeTable {
-    bytes: Box<[AtomicU8]>,
+    bytes: Zeroed<AtomicU8>,
 }
 
 impl AgeTable {

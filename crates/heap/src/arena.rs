@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use otf_support::zeroed::zeroed_slice;
+use otf_support::zeroed::{zeroed_slice, Zeroed};
 
 use crate::addr::{ObjectRef, GRANULE, MAX_HEAP_GRANULES, WORD};
 use crate::layout::Header;
@@ -24,7 +24,7 @@ const _: () = assert!(ObjectRef::NULL.to_slot() == 0);
 /// of which a run makes resident only the pages it allocates into.
 #[derive(Debug)]
 pub struct Arena {
-    words: Box<[AtomicU64]>,
+    words: Zeroed<AtomicU64>,
     bytes: usize,
     committed: AtomicUsize,
 }

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use otf_support::tablescan;
-use otf_support::zeroed::zeroed_slice;
+use otf_support::zeroed::{zeroed_slice, Zeroed};
 
 use crate::addr::{GRANULE, GRANULE_LOG2};
 
@@ -32,7 +32,7 @@ const _: () = assert!(CLEAN == 0);
 /// One atomic mark byte per card of the arena.
 #[derive(Debug)]
 pub struct CardTable {
-    bytes: Box<[AtomicU8]>,
+    bytes: Zeroed<AtomicU8>,
     shift: u32,
 }
 

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use otf_support::tablescan;
-use otf_support::zeroed::zeroed_slice;
+use otf_support::zeroed::{zeroed_slice, Zeroed};
 
 // A never-written table byte reads as `Free`.
 const _: () = assert!(Color::Free as u8 == 0);
@@ -99,7 +99,7 @@ impl std::fmt::Display for Color {
 /// One atomic color byte per granule of the arena.
 #[derive(Debug)]
 pub struct ColorTable {
-    bytes: Box<[AtomicU8]>,
+    bytes: Zeroed<AtomicU8>,
 }
 
 impl ColorTable {

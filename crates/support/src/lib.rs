@@ -25,9 +25,10 @@
 //!   one collector whose named injection points, threaded through its
 //!   race windows, delay, yield, or fail on a reproducible schedule; a
 //!   collector without a plan pays one field load and a branch per point.
-//! * [`zeroed`] — zero-initialised atomic tables from the allocator's
-//!   zeroed path: the heap's arena and side tables are reserved at their
-//!   maximum size and mapped a page at a time on first touch.
+//! * [`zeroed`] — zero-initialised atomic tables, each on a private
+//!   anonymous mapping of its own: the heap's arena and side tables are
+//!   reserved at their maximum size, mapped a page at a time on first
+//!   touch, and unmapped on drop.
 //!
 //! The paper's own system (Domani, Kolodner & Petrank, PLDI 2000) was
 //! self-contained inside the JVM, and the DLG lineage it extends needs
