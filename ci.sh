@@ -66,7 +66,7 @@ echo "=== size"
 echo "crates/ lines of Rust:   $(find crates -name '*.rs' | xargs cat | wc -l)"
 # Lines outside tests: every .rs not under a tests/ directory, cut at
 # its first column-0 #[cfg(test)].
-echo "crates/ non-test lines:  $(find crates -name '*.rs' -not -path '*/tests/*' | xargs awk 'FNR==1{s=0} /^#\[cfg\(test\)\]/{s=1} !s{n++} END{print n}')"
+echo "crates/ non-test lines:  $(find crates -name '*.rs' -not -path '*/tests/*' | xargs awk 'FNR==1{s=0} /^#!?\[cfg\(test\)\]/{s=1} !s{n++} END{print n}')"
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
 echo "GcConfig builders:       $(grep -c 'pub fn with_' crates/core/src/config.rs)"
 echo "GcConfig vestiges:       $(grep -c '/// Vestige:' crates/core/src/config.rs)"

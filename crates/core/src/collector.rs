@@ -59,7 +59,9 @@ impl GcShared {
         cx.reset();
 
         // ----- clear (Figure 2/5: "clear: If (full collection) Init...")
-        self.collecting.store(true, Ordering::Release);
+        // The cycle is in flight from here: the init bucket opens now,
+        // before the accumulator is read.
+        self.open_bucket.store(bucket::INIT, Ordering::Release);
         self.obs.note_cycle_begin(kind, cx.cause);
         let used_before = self.heap.used_bytes();
         let allocated_since = self.bytes_since_cycle();
@@ -134,7 +136,6 @@ impl GcShared {
         cx.phases.sweep = self.bucket(bucket::RECLAIM, phase::SWEEP, || self.sweep(cx));
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
-        self.collecting.store(false, Ordering::Release);
 
         let duration = cycle_start.elapsed();
         self.obs.note_cycle_end(kind, dur_ns(duration));
@@ -306,7 +307,7 @@ impl GcShared {
     pub(crate) fn abort_cycle(&self, restarts: u64) {
         let t = Instant::now();
         let open = self.open_bucket.load(Ordering::Acquire);
-        let had_cycle = open != bucket::NONE || self.collecting.load(Ordering::Acquire);
+        let had_cycle = open != bucket::NONE;
         self.obs.event(EventKind::RecoveryBegin, open as u64, 0);
 
         self.tracing.store(false, Ordering::Release);
@@ -339,7 +340,6 @@ impl GcShared {
             .recolor_above(1, end, Color::Interior, self.trace_target());
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
-        self.collecting.store(false, Ordering::Release);
         self.control.reset_for_recovery();
         self.evaluate_triggers();
 
@@ -599,7 +599,6 @@ mod tests {
         m.status.store(Status::Sync2 as u8, Ordering::Release);
         // Surrogate for a panic mid-trace: tracing raised, cycle in
         // flight, the trace bucket open, gray work queued.
-        sh.collecting.store(true, Ordering::Release);
         sh.tracing.store(true, Ordering::Release);
         sh.status_c.store(Status::Sync2 as u8, Ordering::Release);
         sh.open_bucket.store(bucket::TRACE, Ordering::Release);
@@ -609,7 +608,6 @@ mod tests {
         sh.abort_cycle(1);
 
         assert!(!sh.tracing.load(Ordering::Acquire));
-        assert!(!sh.collecting.load(Ordering::Acquire));
         assert_eq!(sh.status_c(), Status::Async);
         assert_eq!(m.status(), Status::Async, "handshake completed by fiat");
         assert!(sh.gray.lock().is_empty());
@@ -630,7 +628,6 @@ mod tests {
             sh.heap.arena().store_ref_slot(live, 0, son);
             let dead = alloc(&sh, 0);
             sh.add_global_root(live);
-            sh.collecting.store(true, Ordering::Release);
             sh.open_bucket.store(bucket::HANDSHAKE_1, Ordering::Release);
 
             sh.abort_cycle(1);

@@ -64,12 +64,11 @@ pub(crate) struct GcShared {
     /// True while the collector is tracing ("Collector is tracing" in the
     /// write barrier, Figure 1).
     pub tracing: AtomicBool,
-    /// True while any collection cycle is in progress.
-    pub collecting: AtomicBool,
-    /// The [`bucket`] code of the cycle bucket currently open (0 =
-    /// none).  Written by `run_cycle` as each bucket opens; read by the
-    /// watchdog (report enrichment) and the supervisor's abort routine
-    /// (which bucket the panic unwound out of).
+    /// The [`bucket`] code of the cycle bucket currently open;
+    /// [`bucket::NONE`] exactly while no cycle is in progress.  Written
+    /// by `run_cycle` as each bucket opens; read by `evaluate_triggers`
+    /// (a no-op during a cycle), the watchdog (report enrichment) and the
+    /// supervisor's abort routine (which bucket the panic unwound out of).
     pub open_bucket: AtomicU8,
     /// The gray list (DESIGN.md §4.16).  Mutators push after winning
     /// the gray-coloring CAS; the collector takes the whole list at once.
@@ -104,7 +103,7 @@ impl std::fmt::Debug for GcShared {
         f.debug_struct("GcShared")
             .field("config", &self.config)
             .field("status_c", &self.status_c)
-            .field("collecting", &self.collecting)
+            .field("open_bucket", &self.open_bucket)
             .finish_non_exhaustive()
     }
 }
@@ -121,7 +120,6 @@ impl GcShared {
             colors: ColorState::new(),
             status_c: AtomicU8::new(Status::Async as u8),
             tracing: AtomicBool::new(false),
-            collecting: AtomicBool::new(false),
             open_bucket: AtomicU8::new(bucket::NONE),
             gray: Mutex::new(Vec::new()),
             mutators: Mutex::new(Vec::new()),
@@ -228,7 +226,7 @@ impl GcShared {
     /// allocation fast path's function from 0.9 to 1.4 KB.
     #[inline(never)]
     pub(crate) fn evaluate_triggers(&self) {
-        if self.collecting.load(Ordering::Acquire) {
+        if self.open_bucket.load(Ordering::Acquire) != bucket::NONE {
             return;
         }
         let since = self.bytes_since_cycle();
@@ -389,7 +387,6 @@ impl GcShared {
     /// deadlocking.
     pub(crate) fn poison_after_panic(&self) {
         self.tracing.store(false, Ordering::Release);
-        self.collecting.store(false, Ordering::Release);
         self.open_bucket.store(bucket::NONE, Ordering::Release);
         self.status_c.store(Status::Async as u8, Ordering::Release);
         self.control.poison();
@@ -638,7 +635,7 @@ mod tests {
     fn evaluate_triggers_noop_while_collecting() {
         let sh = small();
         sh.heap.note_allocated(0, 64 << 20);
-        sh.collecting.store(true, Ordering::Release);
+        sh.open_bucket.store(bucket::TRACE, Ordering::Release);
         sh.evaluate_triggers();
         sh.control.begin_shutdown();
         assert_eq!(sh.control.next_request(), None);

@@ -1,19 +1,20 @@
 //! The free-space pool of the non-moving heap.
 //!
 //! Free space is tracked as `(start granule, length)` chunks under one
-//! lock.  Chunk records live in a side slab *outside* the heap memory, so
+//! lock.  The chunks live in plain vectors *outside* the heap memory, so
 //! free space needs no parseable headers and the concurrent sweep never
-//! reads metadata out of free memory.  Each record is linked into one of
-//! 124 **size-class bins** (one per length below 8, four per power of two
-//! above), and a non-empty-bin bitmap makes allocation a bit scan.  A
-//! freed chunk is pooled as it comes, one bin link; touching chunks are
-//! merged into maximal runs by one sorted pass over the slab
-//! ([`FreeLists::merge`]), which the sweep runs once at its end and a
-//! request runs when it finds nothing (DESIGN.md §4.11).  So insert and
-//! allocate are O(1), and the merge is O(n log n) in the records pooled.
+//! reads metadata out of free memory.  Each chunk sits in one of 124
+//! **size-class bins** (one per length below 8, four per power of two
+//! above), each bin a LIFO stack, and a non-empty-bin bitmap makes
+//! allocation a bit scan.  A freed chunk is pooled as it comes, one push;
+//! touching chunks are merged into maximal runs by one sorted pass over
+//! every bin ([`FreeLists::merge`]), which the sweep runs once at its end
+//! and a request runs when it finds nothing (DESIGN.md §4.11).  So insert
+//! and taking a bin's top are O(1), and the merge is O(n log n) in the
+//! chunks pooled.
 //!
 //! Allocation policy (**good fit**): a request of (`min`, `preferred`)
-//! granules takes the head of the lowest non-empty bin whose every chunk
+//! granules takes the top of the lowest non-empty bin whose every chunk
 //! holds `preferred`, and splits it; if there is none it takes a chunk of
 //! at least `min` from the *highest* non-empty bin — so LAB refills
 //! (`preferred ≫ min`) get big contiguous runs when available and degrade
@@ -63,10 +64,6 @@ impl Chunk {
 /// microseconds.
 pub const LAB_MAX_HOLES: usize = 64;
 
-/// "No record": ends a bin list, the spare-slot chain, and marks a list
-/// head's `prev`.
-const NIL: u32 = u32::MAX;
-
 /// Each power of two of lengths is cut into `1 << SUB_LOG` bins, which
 /// leaves lengths below `2 << SUB_LOG` a bin each (the bin index is the
 /// length).  The longest chunk lands in bin 123, so the non-empty-bin
@@ -94,43 +91,28 @@ fn bin_fitting(len: u32) -> usize {
     bin_of(len) + usize::from(len & ((1 << bin_shift(len)) - 1) != 0)
 }
 
-/// A record's extent and its links in its bin's list.  A spare slab slot
-/// has `len == 0` and is chained from `Pool::spare` by `next`.
-#[derive(Copy, Clone, Debug)]
-struct Node {
-    start: u32,
-    len: u32,
-    prev: u32,
-    next: u32,
-}
-
 /// Invariants (checked by the tests' `Pool::check`): a bin's bitmap bit is
-/// set exactly when its list is non-empty and every record sits in
+/// set exactly when the bin is non-empty and every chunk sits in
 /// `bin_of(len)`; while `merged` holds, no pooled chunk ends where another
 /// starts.
 #[derive(Debug)]
 struct Pool {
-    /// The record slab.
-    nodes: Vec<Node>,
-    spare: u32,
-    /// Head record of each bin's doubly linked LIFO list.
-    heads: [u32; BINS],
+    /// Each bin is a LIFO stack: its last chunk is taken first.
+    bins: [Vec<Chunk>; BINS],
     /// Bit `b` set = bin `b` is non-empty.
     nonempty: u128,
     free_granules: u64,
-    /// Nothing was inserted since the last merge: the records are maximal
+    /// Nothing was inserted since the last merge: the chunks are maximal
     /// runs.  Taking space out keeps them so.
     merged: bool,
-    /// The merge's scratch: `start << 32 | len` of every record.
+    /// The merge's scratch: `start << 32 | len` of every chunk.
     runs: Vec<u64>,
 }
 
 impl Pool {
     fn new() -> Pool {
         Pool {
-            nodes: Vec::new(),
-            spare: NIL,
-            heads: [NIL; BINS],
+            bins: std::array::from_fn(|_| Vec::new()),
             nonempty: 0,
             free_granules: 0,
             merged: true,
@@ -138,83 +120,45 @@ impl Pool {
         }
     }
 
-    /// Links record `n` at the head of `bin`'s list.
-    fn link(&mut self, n: u32, bin: usize) {
-        let head = self.heads[bin];
-        self.nodes[n as usize].prev = NIL;
-        self.nodes[n as usize].next = head;
-        if head != NIL {
-            self.nodes[head as usize].prev = n;
-        }
-        self.heads[bin] = n;
+    /// Pushes `c` onto its bin.
+    fn push(&mut self, c: Chunk) {
+        let bin = bin_of(c.len);
+        self.bins[bin].push(c);
         self.nonempty |= 1 << bin;
     }
 
-    /// Unlinks record `n` from its bin's list.
-    fn unlink(&mut self, n: u32) {
-        let node = self.nodes[n as usize];
-        if node.next != NIL {
-            self.nodes[node.next as usize].prev = node.prev;
+    /// Takes the chunk at `i` out of `bin`; the rest keep their order.
+    fn take(&mut self, bin: usize, i: usize) -> Chunk {
+        let c = self.bins[bin].remove(i);
+        if self.bins[bin].is_empty() {
+            self.nonempty &= !(1 << bin);
         }
-        if node.prev != NIL {
-            self.nodes[node.prev as usize].next = node.next;
-        } else {
-            let bin = bin_of(node.len);
-            self.heads[bin] = node.next;
-            if node.next == NIL {
-                self.nonempty &= !(1 << bin);
-            }
-        }
+        c
     }
 
-    /// Pools `[start, start + len)` as it is: a slab slot and one bin link,
-    /// no merging.
+    /// Pools `[start, start + len)` as it is: one push, no merging.
     fn insert(&mut self, start: u32, len: u32) {
-        let node = Node {
-            start,
-            len,
-            prev: NIL,
-            next: NIL,
-        };
-        let n = if self.spare == NIL {
-            self.nodes.push(node);
-            self.nodes.len() as u32 - 1
-        } else {
-            let n = self.spare;
-            self.spare = self.nodes[n as usize].next;
-            self.nodes[n as usize] = node;
-            n
-        };
-        self.link(n, bin_of(len));
+        self.push(Chunk::new(start, len));
         self.free_granules += len as u64;
         self.merged = false;
     }
 
-    /// Unpools record `n` and returns its chunk.
-    fn remove(&mut self, n: u32) -> Chunk {
-        let node = self.nodes[n as usize];
-        self.unlink(n);
-        self.nodes[n as usize].len = 0;
-        self.nodes[n as usize].next = self.spare;
-        self.spare = n;
-        self.free_granules -= node.len as u64;
-        Chunk::new(node.start, node.len)
-    }
-
     /// [`FreeLists::merge`] on the locked pool: one sorted pass, then the
-    /// pool is rebuilt from the runs in address order.
+    /// bins are refilled from the runs in address order.
     fn merge(&mut self) {
         if self.merged {
             return;
         }
         let mut runs = std::mem::take(&mut self.runs);
         runs.clear();
-        let live = self.nodes.iter().filter(|n| n.len > 0);
-        runs.extend(live.map(|n| (n.start as u64) << 32 | n.len as u64));
+        for bin in &mut self.bins {
+            runs.extend(bin.drain(..).map(|c| (c.start as u64) << 32 | c.len as u64));
+        }
+        self.nonempty = 0;
         runs.sort_unstable();
-        // `dedup_by` passes each record with the run kept before it: a
-        // record that starts where the run ends joins it (a run's length
-        // is the sum of its records', below 2³²).
+        // `dedup_by` passes each chunk with the run kept before it: a
+        // chunk that starts where the run ends joins it (a run's length
+        // is the sum of its chunks', below 2³²).
         runs.dedup_by(|next, run| {
             let (start, end) = (*next >> 32, (*run >> 32) + (*run as u32 as u64));
             assert!(start >= end, "free chunks overlap at granule {start}");
@@ -223,15 +167,8 @@ impl Pool {
             }
             start == end
         });
-        // Rebuild from empty, keeping the slab's memory.
-        let mut nodes = std::mem::take(&mut self.nodes);
-        nodes.clear();
-        *self = Pool {
-            nodes,
-            ..Pool::new()
-        };
         for &r in &runs {
-            self.insert((r >> 32) as u32, r as u32);
+            self.push(Chunk::new((r >> 32) as u32, r as u32));
         }
         self.runs = runs;
         self.merged = true;
@@ -248,48 +185,43 @@ impl Pool {
         self.nonempty.checked_ilog2().map(|bin| bin as usize)
     }
 
-    /// The record good fit picks for (`min`, `preferred`): see the module
-    /// header.
-    fn find(&self, min: u32, preferred: u32) -> Option<u32> {
+    /// The `(bin, index)` good fit picks for (`min`, `preferred`): see the
+    /// module header.
+    fn find(&self, min: u32, preferred: u32) -> Option<(usize, usize)> {
         if let Some(bin) = self.lowest_bin_from(bin_fitting(preferred)) {
-            return Some(self.heads[bin]);
+            return Some((bin, self.bins[bin].len() - 1));
         }
         let bin = self.highest_bin().filter(|&bin| bin >= bin_of(min))?;
-        // Every chunk of a bin above `min`'s fits: the walk goes past the
-        // head only in `min`'s own bin.
-        let mut n = self.heads[bin];
-        while self.nodes[n as usize].len < min {
-            n = self.nodes[n as usize].next;
-            if n == NIL {
-                return None;
-            }
-        }
-        Some(n)
+        // Every chunk of a bin above `min`'s fits: the search goes past
+        // the top only in `min`'s own bin.
+        let i = self.bins[bin].iter().rposition(|c| c.len >= min)?;
+        Some((bin, i))
     }
 
     /// Good fit, retried once after a merge when nothing fits, so `None`
     /// means no run of `min` free granules exists.
     fn alloc(&mut self, min: u32, preferred: u32) -> Option<Chunk> {
-        let n = match self.find(min, preferred) {
+        let (bin, i) = match self.find(min, preferred) {
             None if !self.merged => {
                 self.merge();
                 self.find(min, preferred)
             }
-            n => n,
+            found => found,
         }?;
-        let Node { start, len, .. } = self.nodes[n as usize];
+        let Chunk { start, len } = self.bins[bin][i];
         if len <= preferred {
-            return Some(self.remove(n));
+            self.free_granules -= len as u64;
+            return Some(self.take(bin, i));
         }
-        // Split in place: the record keeps its slot and its end, and moves
-        // bin only if the class changed.
-        let rest = len - preferred;
-        if bin_of(rest) != bin_of(len) {
-            self.unlink(n);
-            self.link(n, bin_of(rest));
+        // Split: the remainder keeps its end, and its place in the bin
+        // unless its class changed.
+        let rest = Chunk::new(start + preferred, len - preferred);
+        if bin_of(rest.len) == bin {
+            self.bins[bin][i] = rest;
+        } else {
+            self.take(bin, i);
+            self.push(rest);
         }
-        let node = &mut self.nodes[n as usize];
-        (node.start, node.len) = (start + preferred, rest);
         self.free_granules -= preferred as u64;
         Some(Chunk::new(start, preferred))
     }
@@ -309,8 +241,7 @@ impl Pool {
 
     /// Every pooled chunk, sorted by start.
     fn snapshot(&self) -> Vec<Chunk> {
-        let live = self.nodes.iter().filter(|n| n.len > 0);
-        let mut out: Vec<Chunk> = live.map(|n| Chunk::new(n.start, n.len)).collect();
+        let mut out: Vec<Chunk> = self.bins.concat();
         out.sort_unstable_by_key(|c| c.start);
         out
     }
@@ -321,7 +252,9 @@ impl Pool {
 pub struct FreeLists {
     inner: Mutex<Pool>,
     /// Mirror of the pool's `free_granules`, stored before every unlock
-    /// so that reading the total takes no lock.
+    /// so that reading the total takes no lock.  Release store, acquire
+    /// load: a reader of a total also sees the frontier bump that carved
+    /// every chunk counted in it (`HeapSpace::used_granules` relies on it).
     free: AtomicU64,
 }
 
@@ -344,7 +277,7 @@ impl FreeLists {
     fn locked<R>(&self, f: impl FnOnce(&mut Pool) -> R) -> R {
         let mut p = self.inner.lock();
         let r = f(&mut p);
-        self.free.store(p.free_granules, Ordering::Relaxed);
+        self.free.store(p.free_granules, Ordering::Release);
         r
     }
 
@@ -405,7 +338,7 @@ impl FreeLists {
     /// Total free granules in the pool.
     #[inline]
     pub fn free_granules(&self) -> u64 {
-        self.free.load(Ordering::Relaxed)
+        self.free.load(Ordering::Acquire)
     }
 
     /// The largest available chunk length.
@@ -414,13 +347,13 @@ impl FreeLists {
         self.snapshot().iter().map(|c| c.len).max().unwrap_or(0)
     }
 
-    /// Number of pooled records.
+    /// Number of pooled chunks.
     #[cfg(test)]
     pub fn chunk_count(&self) -> usize {
         self.snapshot().len()
     }
 
-    /// A copy of every chunk record currently in the pool, sorted by
+    /// A copy of every chunk currently in the pool, sorted by
     /// start (diagnostics); touching chunks show apart until a merge.
     pub fn snapshot(&self) -> Vec<Chunk> {
         self.inner.lock().snapshot()
@@ -429,32 +362,18 @@ impl FreeLists {
 
 #[cfg(test)]
 impl Pool {
-    /// Asserts the pool invariants plus slab and counter bookkeeping.
+    /// Asserts the pool invariants plus the granule count.
     fn check(&self) {
-        let mut pooled = 0;
         let mut granules = 0;
-        for (bin, &head) in self.heads.iter().enumerate() {
+        for (bin, chunks) in self.bins.iter().enumerate() {
             let bit = self.nonempty >> bin & 1 == 1;
-            assert_eq!(bit, head != NIL, "bitmap out of step with bin {bin}");
-            let (mut prev, mut n) = (NIL, head);
-            while n != NIL {
-                let node = self.nodes[n as usize];
-                assert_eq!(bin_of(node.len), bin, "{node:?} in the wrong bin");
-                assert_eq!(node.prev, prev, "broken back link at {node:?}");
-                pooled += 1;
-                granules += node.len as u64;
-                (prev, n) = (n, node.next);
+            assert_eq!(bit, !chunks.is_empty(), "bitmap out of step with bin {bin}");
+            for c in chunks {
+                assert_eq!(bin_of(c.len), bin, "{c:?} in the wrong bin");
+                granules += c.len as u64;
             }
         }
         assert_eq!(self.free_granules, granules);
-        let mut spare = 0;
-        let mut n = self.spare;
-        while n != NIL {
-            assert_eq!(self.nodes[n as usize].len, 0, "spare slot {n} in use");
-            spare += 1;
-            n = self.nodes[n as usize].next;
-        }
-        assert_eq!(pooled + spare, self.nodes.len(), "leaked slab slot");
         if self.merged {
             let snap = self.snapshot();
             assert!(
@@ -878,26 +797,40 @@ mod tests {
         });
     }
 
-    /// `alloc` shrinks a longer chunk's record where it sits: same slot,
-    /// same end, a new bin only when the remainder changes class.
+    /// `alloc` shrinks a longer chunk where it sits: same place in its
+    /// bin, same end, a new bin only when the remainder changes class.
     #[test]
     fn split_keeps_the_record_and_rebins_only_across_classes() {
         let f = FreeLists::new();
         f.insert_batch(&[Chunk::new(100, 1000)]);
         f.insert_batch(&[Chunk::new(5000, 900)]);
         let mut p = f.inner.lock();
-        // 900 → 896 stays in its bin, at its head; 896 → 40 does not.
+        // 900 → 896 stays in its bin, at its top; 896 → 40 does not.
         assert_eq!(bin_of(900), bin_of(896));
         assert_eq!(p.alloc(4, 4), Some(Chunk::new(5000, 4)));
         p.check();
-        assert_eq!(p.heads[bin_of(896)], 1);
+        assert_eq!(p.bins[bin_of(896)].last(), Some(&Chunk::new(5004, 896)));
         assert_eq!(p.alloc(856, 856), Some(Chunk::new(5004, 856)));
         p.check();
-        assert_eq!(p.heads[bin_of(40)], 1);
-        assert_eq!((p.nodes[1].start, p.nodes[1].len), (5860, 40));
-        assert_eq!((p.nodes.len(), p.spare), (2, NIL), "no slot changed hands");
+        assert_eq!(p.bins[bin_of(40)].last(), Some(&Chunk::new(5860, 40)));
+        assert_eq!(p.bins[bin_of(1000)], [Chunk::new(100, 1000)]);
         assert_eq!(p.snapshot(), [Chunk::new(100, 1000), Chunk::new(5860, 40)]);
         assert_eq!(p.free_granules, 1040);
+    }
+
+    /// Good fit's choices rest on each bin's order: taking a chunk out of
+    /// the middle of a bin must leave the others where they were.
+    #[test]
+    fn a_bin_keeps_its_order_across_a_middle_removal() {
+        let f = FreeLists::new();
+        for c in [(0, 65), (100, 75), (200, 66), (300, 67)] {
+            f.insert_batch(&[Chunk::new(c.0, c.1)]);
+        }
+        assert!([75, 66, 67].iter().all(|&len| bin_of(len) == bin_of(65)));
+        assert_eq!(f.alloc(70, 72), Some(Chunk::new(100, 72)));
+        assert_eq!(f.alloc(64, 64), Some(Chunk::new(300, 64)));
+        assert_eq!(f.alloc(64, 64), Some(Chunk::new(200, 64)));
+        assert_eq!(f.alloc(64, 64), Some(Chunk::new(0, 64)));
     }
 
     /// `exchange` against the calls it stands for — `insert_batch` of the

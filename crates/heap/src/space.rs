@@ -34,8 +34,6 @@ pub struct HeapSpace {
     freelists: FreeLists,
     /// Next never-allocated granule (bump frontier).
     frontier: AtomicUsize,
-    /// Granules currently held by objects or leased LABs.
-    used_granules: AtomicUsize,
     /// Granules of every live LAB lease (see
     /// [`HeapSpace::exchange_lab`]).  Subtracted from the trigger policy's
     /// used figure so mostly-empty LABs don't read as pressure.
@@ -58,7 +56,6 @@ impl HeapSpace {
             arena,
             freelists: FreeLists::new(),
             frontier: AtomicUsize::new(1), // granule 0 reserved for null
-            used_granules: AtomicUsize::new(1),
             lab_leased: AtomicUsize::new(0),
             objects_allocated: AtomicU64::new(0),
             bytes_allocated: AtomicU64::new(0),
@@ -83,10 +80,16 @@ impl HeapSpace {
         &self.ages
     }
 
-    /// Granules in use (objects + leased LABs), in granules.
+    /// Granules in use (objects + leased LABs, and the reserved granule
+    /// 0): everything below the frontier that is not pooled.
     #[inline]
     pub fn used_granules(&self) -> usize {
-        self.used_granules.load(Ordering::Relaxed)
+        // The pool total first, the frontier second: every pooled chunk
+        // lies below the frontier of its time (the total's acquire load
+        // shows the bump that carved it), and the frontier only grows,
+        // so the difference never goes negative.
+        let pooled = self.freelists.free_granules() as usize;
+        self.frontier.load(Ordering::Acquire) - pooled
     }
 
     /// Bytes in use.
@@ -154,13 +157,9 @@ impl HeapSpace {
     /// exhausted — the caller then grows the heap or triggers a
     /// collection.
     pub fn alloc_chunk(&self, min: u32, preferred: u32) -> Option<Chunk> {
-        let chunk = self
-            .freelists
+        self.freelists
             .alloc(min, preferred)
-            .or_else(|| self.bump_frontier(min, preferred))?;
-        self.used_granules
-            .fetch_add(chunk.len as usize, Ordering::Relaxed);
-        Some(chunk)
+            .or_else(|| self.bump_frontier(min, preferred))
     }
 
     /// Carves a chunk off never-allocated space inside the committed region.
@@ -203,8 +202,6 @@ impl HeapSpace {
             chunks.iter().all(|c| c.len > 0),
             "zero-length chunk in batch"
         );
-        let total: usize = chunks.iter().map(|c| c.len as usize).sum();
-        self.used_granules.fetch_sub(total, Ordering::Relaxed);
         self.freelists.insert_batch(chunks);
     }
 
@@ -236,14 +233,14 @@ impl HeapSpace {
     /// collecting or growing.
     ///
     /// The lease figure is the correction term for the collection-trigger
-    /// policy: `used_granules` counts a whole LAB as used the moment it is
-    /// granted, so without it many mostly-empty LABs read as heap pressure
-    /// and fire premature full collections.  The whole lease goes on here
+    /// policy: [`used_granules`](Self::used_granules) counts a whole LAB
+    /// as used the moment it is granted (it is off the pool or past the
+    /// frontier), so without it many mostly-empty LABs read as heap
+    /// pressure and fire premature full collections.  The whole lease goes on here
     /// and comes off when the queue is given up; carving objects out of
     /// the LAB in between touches nothing shared.
     pub fn exchange_lab(&self, lab: &mut Lab, min: u32, budget: u32) -> bool {
         lab.close();
-        let given: usize = lab.tails.iter().map(|c| c.len as usize).sum();
         self.freelists
             .exchange(&lab.tails, min, budget, &mut lab.holes);
         if lab.holes.is_empty() {
@@ -252,10 +249,8 @@ impl HeapSpace {
         lab.tails.clear();
         let taken: usize = lab.holes.iter().map(|c| c.len as usize).sum();
         debug_assert!(taken <= budget as usize, "lease {taken} over {budget}");
-        // One write per counter: `used` moves by the difference, the
-        // lease figure from the old queue's total to the new one's.
-        self.used_granules
-            .fetch_add(taken.wrapping_sub(given), Ordering::Relaxed);
+        // One write: the lease figure moves from the old queue's total to
+        // the new one's.
         self.lab_leased
             .fetch_add(taken.wrapping_sub(lab.leased as usize), Ordering::Relaxed);
         lab.leased = taken as u32;
@@ -664,15 +659,10 @@ mod tests {
             workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
 
-        // What was carved out of LABs is all that is still in use...
+        // What was carved out of LABs is all that is still in use: the
+        // frontier less the pool.
         assert_eq!(h.used_granules(), 1 + carved, "leaked or double-freed");
         assert_eq!(h.lab_leased_granules(), 0);
-        // ...and used + pooled + never-allocated is the whole heap.
-        let committed = h.arena().committed_granules();
-        assert_eq!(
-            h.used_granules() + h.free_list_granules() as usize + committed - h.frontier_granule(),
-            committed
-        );
         // Once merged, the pool's chunks neither overlap nor touch.
         h.merge_free_lists();
         let snap = h.free_list_snapshot();
