@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Duration;
 
-use otf_gc::{CycleKind, GcConfig, GcStats};
+use otf_gc::{CycleKind, CycleStats, GcConfig, GcStats};
 use otf_workloads::driver::{percent_improvement, RunResult};
 use otf_workloads::{suite, Anagram, RayTracer, Workload};
 
@@ -201,12 +201,13 @@ pub fn fig11(ctx: &Ctx) -> Table {
     ]);
     for w in suite(ctx.o.scale) {
         let (gs, ns, _, _) = stats_pair(ctx, w.as_ref());
+        let traced = |c: &CycleStats| c.objects_traced as f64;
         t.row([
             w.name().to_string(),
-            f0_opt(gs.avg_intergen_objects(CycleKind::Partial)),
-            f0_opt(gs.avg_objects_traced(CycleKind::Partial)),
-            f0_opt(gs.avg_objects_traced(CycleKind::Full)),
-            f0_opt(ns.avg_objects_traced(CycleKind::Full)),
+            f0_opt(gs.mean_over(CycleKind::Partial, |c| c.intergen_objects as f64)),
+            f0_opt(gs.mean_over(CycleKind::Partial, traced)),
+            f0_opt(gs.mean_over(CycleKind::Full, traced)),
+            f0_opt(ns.mean_over(CycleKind::Full, traced)),
         ]);
     }
     t
@@ -224,18 +225,14 @@ pub fn fig12(ctx: &Ctx) -> Table {
     ]);
     for w in suite(ctx.o.scale) {
         let (gs, ns, _, _) = stats_pair(ctx, w.as_ref());
+        let bytes = CycleStats::percent_bytes_freed;
+        let objects = CycleStats::percent_objects_freed;
         t.row([
             w.name().to_string(),
-            format!(
-                "{}%",
-                f1_opt(gs.avg_percent_bytes_freed(CycleKind::Partial))
-            ),
-            format!(
-                "{}%",
-                f1_opt(gs.avg_percent_objects_freed(CycleKind::Partial))
-            ),
-            format!("{}%", f1_opt(gs.avg_percent_objects_freed(CycleKind::Full))),
-            format!("{}%", f1_opt(ns.avg_percent_objects_freed(CycleKind::Full))),
+            format!("{}%", f1_opt(gs.mean_over(CycleKind::Partial, bytes))),
+            format!("{}%", f1_opt(gs.mean_over(CycleKind::Partial, objects))),
+            format!("{}%", f1_opt(gs.mean_over(CycleKind::Full, objects))),
+            format!("{}%", f1_opt(ns.mean_over(CycleKind::Full, objects))),
         ]);
     }
     t
@@ -252,11 +249,12 @@ pub fn fig13(ctx: &Ctx) -> Table {
     ]);
     for w in suite(ctx.o.scale) {
         let (gs, ns, _, _) = stats_pair(ctx, w.as_ref());
+        let ms = |c: &CycleStats| c.duration.as_secs_f64() * 1e3;
         t.row([
             w.name().to_string(),
-            f1_opt(gs.avg_cycle_ms(CycleKind::Partial)),
-            f1_opt(gs.avg_cycle_ms(CycleKind::Full)),
-            f1_opt(ns.avg_cycle_ms(CycleKind::Full)),
+            f1_opt(gs.mean_over(CycleKind::Partial, ms)),
+            f1_opt(gs.mean_over(CycleKind::Full, ms)),
+            f1_opt(ns.mean_over(CycleKind::Full, ms)),
         ]);
     }
     t
@@ -276,14 +274,16 @@ pub fn fig14(ctx: &Ctx) -> Table {
     ]);
     for w in suite(ctx.o.scale) {
         let (gs, ns, _, _) = stats_pair(ctx, w.as_ref());
+        let objects = |c: &CycleStats| c.objects_freed as f64;
+        let bytes = |c: &CycleStats| c.bytes_freed as f64;
         t.row([
             w.name().to_string(),
-            f0_opt(gs.avg_objects_freed(CycleKind::Partial)),
-            f0_opt(gs.avg_objects_freed(CycleKind::Full)),
-            f0_opt(ns.avg_objects_freed(CycleKind::Full)),
-            f0_opt(gs.avg_bytes_freed(CycleKind::Partial)),
-            f0_opt(gs.avg_bytes_freed(CycleKind::Full)),
-            f0_opt(ns.avg_bytes_freed(CycleKind::Full)),
+            f0_opt(gs.mean_over(CycleKind::Partial, objects)),
+            f0_opt(gs.mean_over(CycleKind::Full, objects)),
+            f0_opt(ns.mean_over(CycleKind::Full, objects)),
+            f0_opt(gs.mean_over(CycleKind::Partial, bytes)),
+            f0_opt(gs.mean_over(CycleKind::Full, bytes)),
+            f0_opt(ns.mean_over(CycleKind::Full, bytes)),
         ]);
     }
     t
@@ -295,11 +295,12 @@ pub fn fig15(ctx: &Ctx) -> Table {
     t.header(["Benchmark", "Partial", "Full", "w/o generations"]);
     for w in suite(ctx.o.scale) {
         let (gs, ns, _, _) = stats_pair(ctx, w.as_ref());
+        let pages = |c: &CycleStats| c.pages_touched as f64;
         t.row([
             w.name().to_string(),
-            f0_opt(gs.avg_pages_touched(CycleKind::Partial)),
-            f0_opt(gs.avg_pages_touched(CycleKind::Full)),
-            f0_opt(ns.avg_pages_touched(CycleKind::Full)),
+            f0_opt(gs.mean_over(CycleKind::Partial, pages)),
+            f0_opt(gs.mean_over(CycleKind::Full, pages)),
+            f0_opt(ns.mean_over(CycleKind::Full, pages)),
         ]);
     }
     t
@@ -445,7 +446,10 @@ pub fn fig22(ctx: &Ctx) -> Table {
         for card in CARD_SIZES {
             let cfg = gen_cfg().with_card_size(card);
             let r = ctx.run(w.name(), w.as_ref(), cfg);
-            row.push(f1_opt(r.stats.avg_percent_dirty_cards(CycleKind::Partial)));
+            row.push(f1_opt(
+                r.stats
+                    .mean_over(CycleKind::Partial, CycleStats::percent_dirty_cards),
+            ));
         }
         t.row(row);
     }
@@ -467,7 +471,7 @@ pub fn fig23(ctx: &Ctx) -> Table {
             let r = ctx.run(w.name(), w.as_ref(), cfg);
             row.push(f0_opt(
                 r.stats
-                    .avg_intergen_bytes(CycleKind::Partial)
+                    .mean_over(CycleKind::Partial, |c| c.intergen_bytes as f64)
                     .map(|b| b / 1024.0),
             ));
         }

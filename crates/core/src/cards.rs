@@ -15,7 +15,6 @@
 use otf_heap::{Color, ObjectRef, GRANULE};
 
 use crate::cycle::CycleCx;
-use crate::obs::EventKind;
 use crate::shared::GcShared;
 
 impl GcShared {
@@ -52,7 +51,6 @@ impl GcShared {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
-        let dirty_before = cx.counters.dirty_cards;
         let colors = self.heap.colors();
         // Word-skip the (typically long) clean runs between dirty cards.
         let mut from = 0;
@@ -80,11 +78,6 @@ impl GcShared {
                 g += 1;
             }
         }
-        self.obs.event(
-            EventKind::CardClear,
-            cx.counters.dirty_cards - dirty_before,
-            n_cards as u64,
-        );
     }
 
     /// `ClearCards`, aging variant (Figure 6, with the §7.2 three-step
@@ -112,7 +105,6 @@ impl GcShared {
         let n_cards = self.cards_in_use();
         cx.counters.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
-        let dirty_before = cx.counters.dirty_cards;
         let colors = self.heap.colors();
         let ages = self.heap.ages();
         let arena = self.heap.arena();
@@ -167,11 +159,6 @@ impl GcShared {
                 self.cards.mark_card(card);
             }
         }
-        self.obs.event(
-            EventKind::CardClear,
-            cx.counters.dirty_cards - dirty_before,
-            n_cards as u64,
-        );
     }
 
     /// `InitFullCollection` (Figures 3 and 6): recolor every black (and

@@ -214,7 +214,6 @@ impl GcShared {
             }
             cx.cause = cause;
             let stats = self.run_cycle(kind, &mut cx);
-            self.stats.lock().push(stats);
             if kind == CycleKind::Full {
                 let total_alloc = self.heap.bytes_allocated();
                 let since_last_full = total_alloc - alloc_at_last_full;
@@ -261,7 +260,7 @@ impl GcShared {
                 }
             }
             self.control.consume_allocated(stats.allocated_since_last);
-            self.control.note_cycle_done(kind);
+            self.control.note_cycle_done(stats);
             // Triggers crossed while the cycle ran were deliberately
             // ignored (`collecting` was set); re-evaluate them now so a
             // mutator that stopped allocating — or one still below its
@@ -387,7 +386,6 @@ mod tests {
         use crate::obs::phase::{CARDS, HANDSHAKE as HS, INIT, ROOTS, SWEEP, TRACE};
         use EventKind::{
             CycleBegin, CycleEnd, HandshakePost, PhaseBegin as Begin, PhaseEnd as End,
-            SweepProgress,
         };
         const SYNC1: u64 = Status::Sync1 as u64;
         const SYNC2: u64 = Status::Sync2 as u64;
@@ -413,7 +411,6 @@ mod tests {
                 (Begin, TRACE),
                 (End, TRACE),
                 (Begin, SWEEP),
-                (SweepProgress, 3),
                 (End, SWEEP),
                 (CycleEnd, k),
             ]
@@ -452,12 +449,7 @@ mod tests {
                 .obs
                 .events()
                 .iter()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        CycleBegin | Begin | End | HandshakePost | SweepProgress | CycleEnd
-                    )
-                })
+                .filter(|e| matches!(e.kind, CycleBegin | Begin | End | HandshakePost | CycleEnd))
                 .map(|e| (e.kind, e.a))
                 .collect();
             assert_eq!(got, expect, "{} {kind:?}", make().plan_name());

@@ -5,12 +5,14 @@
 //! allocation fails); the collector thread sleeps on a condition variable
 //! until a request (or shutdown) arrives.  A second condition variable lets
 //! an allocation-blocked mutator wait for a full collection to complete.
+//! The record of every finished cycle lives here, under that variable's
+//! lock: how many cycles have completed is its length.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use otf_support::sync::{Condvar, Mutex};
 
-use crate::stats::CycleKind;
+use crate::stats::{CycleKind, CycleStats};
 
 /// What requested a cycle: the `cause` of its `cycle_begin` event (the
 /// second word of [`EventKind::CycleBegin`](crate::EventKind::CycleBegin)).
@@ -50,9 +52,12 @@ struct Pending {
     full: Option<Cause>,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
+/// The finished cycles.
+#[derive(Debug, Default)]
 struct Done {
-    cycles: u64,
+    /// Every completed cycle's record, in order.
+    cycles: Vec<CycleStats>,
+    /// How many of them were full: what an allocation stall waits on.
     fulls: u64,
 }
 
@@ -135,12 +140,12 @@ impl Control {
     }
 
     /// Collector thread: records a completed cycle and wakes waiters.
-    pub(crate) fn note_cycle_done(&self, kind: CycleKind) {
+    pub(crate) fn note_cycle_done(&self, stats: CycleStats) {
         let mut d = self.done.lock();
-        d.cycles += 1;
-        if kind == CycleKind::Full {
+        if stats.kind == CycleKind::Full {
             d.fulls += 1;
         }
+        d.cycles.push(stats);
         self.done_cond.notify_all();
     }
 
@@ -151,7 +156,12 @@ impl Control {
 
     /// Number of cycles completed so far.
     pub(crate) fn cycles_done(&self) -> u64 {
-        self.done.lock().cycles
+        self.done.lock().cycles.len() as u64
+    }
+
+    /// A copy of every completed cycle's record, oldest first.
+    pub(crate) fn cycles(&self) -> Vec<CycleStats> {
+        self.done.lock().cycles.clone()
     }
 
     /// Blocks until more than `observed_fulls` full collections have
@@ -243,6 +253,7 @@ impl Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::tests::cycle;
     use std::sync::Arc;
 
     #[test]
@@ -273,8 +284,8 @@ mod tests {
     #[test]
     fn done_counters() {
         let c = Control::new();
-        c.note_cycle_done(CycleKind::Partial);
-        c.note_cycle_done(CycleKind::Full);
+        c.note_cycle_done(cycle(CycleKind::Partial, 1, 1));
+        c.note_cycle_done(cycle(CycleKind::Full, 1, 1));
         assert_eq!(c.cycles_done(), 2);
         assert_eq!(c.fulls_done(), 1);
     }
@@ -285,7 +296,7 @@ mod tests {
         let c2 = Arc::clone(&c);
         let h = std::thread::spawn(move || c2.wait_for_full(0));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        c.note_cycle_done(CycleKind::Full);
+        c.note_cycle_done(cycle(CycleKind::Full, 1, 1));
         assert!(h.join().unwrap());
     }
 

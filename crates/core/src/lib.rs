@@ -228,7 +228,7 @@ impl Gc {
     /// histograms.  Its allocation and barrier counters lag as
     /// [`Gc::objects_allocated`] documents.
     pub fn stats(&self) -> GcStats {
-        let cycles = self.shared.stats.lock().clone();
+        let cycles = self.shared.control.cycles();
         GcStats {
             gc_active: cycles.iter().map(|c| c.duration).sum(),
             cycles,

@@ -26,6 +26,10 @@
 //! allocation), never on the per-store barrier path, where a graying
 //! branch costs one increment of a mutator-private counter.
 //!
+//! Events carry only what a cycle's record cannot: when cycles and
+//! phases begin and end, handshake posts and acks, and recovery.  What a
+//! cycle counted lives in its [`CycleStats`](crate::CycleStats) alone.
+//!
 //! Event tracing is off by default.  [`Obs::event`] costs exactly one
 //! predictable branch on a plain `bool` loaded from the `Obs` struct
 //! when disabled; when enabled (`GcConfig::trace_events`) events go
@@ -84,6 +88,10 @@ pub mod phase {
 
 /// What a [`GcEvent`] describes.  The meaning of the event's `a`/`b`
 /// payload words depends on the kind (documented per variant).
+///
+/// Codes 6 and 7 are retired, not reused: they were the card-clear
+/// event, which repeated [`CycleStats`](crate::CycleStats)' `dirty_cards`
+/// and `cards_in_use`, and the sweep-progress event, which nothing read.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum EventKind {
@@ -107,12 +115,6 @@ pub enum EventKind {
     /// A mutator adopted a posted handshake in `cooperate`.  `a` = the
     /// adopted status, `b` = response latency in nanoseconds.
     HandshakeAck = 5,
-    /// A `ClearCards` pass finished.  `a` = dirty cards found, `b` =
-    /// cards scanned.
-    CardClear = 6,
-    /// Sweep progress.  `a` = granules processed so far, `b` = the
-    /// frontier granule (total to process).
-    SweepProgress = 7,
     /// The collector supervisor caught a panic and began the safe
     /// cycle-abort + restart protocol (DESIGN.md §4.8).  `a` = the code
     /// of the cycle bucket open when the panic unwound (0 = none; the
@@ -129,20 +131,20 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    fn from_word(w: u64) -> EventKind {
-        match w {
+    /// The kind whose code is `w`; `None` for a retired or unknown code.
+    fn from_word(w: u64) -> Option<EventKind> {
+        Some(match w {
             0 => EventKind::CycleBegin,
             1 => EventKind::CycleEnd,
             2 => EventKind::PhaseBegin,
             3 => EventKind::PhaseEnd,
             4 => EventKind::HandshakePost,
             5 => EventKind::HandshakeAck,
-            6 => EventKind::CardClear,
             8 => EventKind::RecoveryBegin,
             9 => EventKind::RecoveryEnd,
             10 => EventKind::CycleAborted,
-            _ => EventKind::SweepProgress,
-        }
+            _ => return None,
+        })
     }
 
     fn name(self) -> &'static str {
@@ -153,8 +155,6 @@ impl EventKind {
             EventKind::PhaseEnd => "phase_end",
             EventKind::HandshakePost => "handshake_post",
             EventKind::HandshakeAck => "handshake_ack",
-            EventKind::CardClear => "card_clear",
-            EventKind::SweepProgress => "sweep_progress",
             EventKind::RecoveryBegin => "recovery_begin",
             EventKind::RecoveryEnd => "recovery_end",
             EventKind::CycleAborted => "cycle_aborted",
@@ -223,10 +223,6 @@ impl GcEvent {
                 status_name(self.a),
                 self.b
             ),
-            EventKind::CardClear => format!(",\"dirty\":{},\"scanned\":{}}}", self.a, self.b),
-            EventKind::SweepProgress => {
-                format!(",\"granules\":{},\"frontier\":{}}}", self.a, self.b)
-            }
             EventKind::RecoveryBegin => {
                 format!(",\"bucket\":\"{}\"}}", crate::shared::bucket_label(self.a))
             }
@@ -298,7 +294,8 @@ impl EventRing {
 
     /// Snapshot of the retained events, oldest first by timestamp (slot
     /// order breaks ties).  Slots being overwritten concurrently are
-    /// skipped (sequence mismatch).
+    /// skipped (sequence mismatch), and so is a slot whose kind word
+    /// names no kind (none does: only `record` writes slots).
     fn drain(&self) -> Vec<GcEvent> {
         let head = self.head.load(Ordering::Acquire);
         let start = head.saturating_sub(RING_CAP as u64);
@@ -308,9 +305,12 @@ impl EventRing {
             if slot[SEQ].load(Ordering::Acquire) != pos + 1 {
                 continue;
             }
+            let Some(kind) = EventKind::from_word(slot[KIND].load(Ordering::Relaxed)) else {
+                continue;
+            };
             out.push(GcEvent {
                 t_ns: slot[T_NS].load(Ordering::Relaxed),
-                kind: EventKind::from_word(slot[KIND].load(Ordering::Relaxed)),
+                kind,
                 a: slot[ARG_A].load(Ordering::Relaxed),
                 b: slot[ARG_B].load(Ordering::Relaxed),
             });
@@ -526,7 +526,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..PER_THREAD {
-                        obs.event(EventKind::SweepProgress, i, t);
+                        obs.event(EventKind::HandshakeAck, i, t);
                     }
                 });
             }
@@ -545,7 +545,7 @@ mod tests {
         let obs = Obs::new(true);
         let total = RING_CAP as u64 + 100;
         for i in 0..total {
-            obs.event(EventKind::SweepProgress, i, total);
+            obs.event(EventKind::HandshakeAck, i, total);
         }
         let evs = obs.events();
         assert_eq!(evs.len(), RING_CAP);
@@ -559,9 +559,32 @@ mod tests {
     fn no_drops_below_capacity() {
         let obs = Obs::new(true);
         for i in 0..100 {
-            obs.event(EventKind::SweepProgress, i, 100);
+            obs.event(EventKind::HandshakeAck, i, 100);
         }
         assert_eq!(obs.events_dropped(), 0);
+    }
+
+    /// Every live kind round-trips through its word; the retired codes
+    /// 6 and 7, and any unknown word, name no kind.
+    #[test]
+    fn retired_and_unknown_words_name_no_kind() {
+        use EventKind::*;
+        for k in [
+            CycleBegin,
+            CycleEnd,
+            PhaseBegin,
+            PhaseEnd,
+            HandshakePost,
+            HandshakeAck,
+            RecoveryBegin,
+            RecoveryEnd,
+            CycleAborted,
+        ] {
+            assert_eq!(EventKind::from_word(k as u64), Some(k));
+        }
+        for w in [6, 7, 11, u64::MAX] {
+            assert_eq!(EventKind::from_word(w), None);
+        }
     }
 
     #[test]
@@ -585,7 +608,7 @@ mod tests {
         let obs = Obs::new(true);
         obs.note_handshake_post(Status::Sync2);
         obs.note_handshake_ack(Status::Sync2, 77);
-        obs.event(EventKind::CardClear, 5, 300);
+        obs.event(EventKind::RecoveryEnd, 5, 300);
         let mut buf = Vec::new();
         obs.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -600,7 +623,7 @@ mod tests {
         assert!(lines[0].contains("\"ev\":\"handshake_post\""));
         assert!(lines[0].contains("\"status\":\"sync2\""));
         assert!(lines[1].contains("\"latency_ns\":"));
-        assert!(lines[2].contains("\"dirty\":5"));
+        assert!(lines[2].contains("\"restarts\":5"));
     }
 
     #[test]
@@ -628,7 +651,7 @@ mod tests {
                 let obs = std::sync::Arc::clone(&obs);
                 s.spawn(move || {
                     for i in 0..5000u64 {
-                        obs.event(EventKind::SweepProgress, t, i);
+                        obs.event(EventKind::HandshakeAck, t, i);
                     }
                 });
             }

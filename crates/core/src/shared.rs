@@ -13,7 +13,6 @@ use crate::config::GcConfig;
 use crate::control::{Cause, Control};
 use crate::obs::Obs;
 use crate::state::{ColorState, MutatorShared, Status};
-use crate::stats::CycleStats;
 
 /// Codes for the cycle bucket currently open, published in
 /// [`GcShared::open_bucket`] so the supervisor's abort routine and the
@@ -81,9 +80,8 @@ pub(crate) struct GcShared {
     /// Global (static) roots, marked by the collector at the third
     /// handshake.
     pub globals: Mutex<Vec<ObjectRef>>,
+    /// Cycle requests and the record of every completed cycle.
     pub control: Control,
-    /// Every completed cycle, in order.
-    pub stats: Mutex<Vec<CycleStats>>,
     /// Pause histograms and the GC event trace ring; its clock is the
     /// collector's time origin.
     pub obs: Obs,
@@ -126,7 +124,6 @@ impl GcShared {
             next_mutator_id: AtomicU64::new(1),
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
-            stats: Mutex::new(Vec::new()),
             obs: Obs::new(config.trace_events),
             hs_lock: Mutex::new(()),
             hs_cond: Condvar::new(),

@@ -226,16 +226,10 @@ impl GcStats {
         self.cycles_of(CycleKind::Full).count()
     }
 
-    /// Percentage of wall-clock time a collection was active (Figure 10).
-    pub fn percent_time_gc_active(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            100.0 * self.gc_active.as_secs_f64() / self.elapsed.as_secs_f64()
-        }
-    }
-
     /// Mean of `f` over cycles of `kind`; `None` if there were none.
+    /// The figures' per-kind averages are this over one field, e.g.
+    /// `mean_over(kind, |c| c.objects_freed as f64)` (Figure 14) or
+    /// `mean_over(kind, CycleStats::percent_dirty_cards)` (Figure 22).
     pub fn mean_over<F: Fn(&CycleStats) -> f64>(&self, kind: CycleKind, f: F) -> Option<f64> {
         let mut n = 0u64;
         let mut sum = 0.0;
@@ -248,58 +242,6 @@ impl GcStats {
         } else {
             Some(sum / n as f64)
         }
-    }
-
-    /// Average cycle duration in milliseconds for `kind` (Figure 13).
-    pub fn avg_cycle_ms(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.duration.as_secs_f64() * 1e3)
-    }
-
-    /// Average objects freed per cycle of `kind` (Figure 14).
-    pub fn avg_objects_freed(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.objects_freed as f64)
-    }
-
-    /// Average bytes freed per cycle of `kind` (Figure 14).
-    pub fn avg_bytes_freed(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.bytes_freed as f64)
-    }
-
-    /// Average objects traced per cycle of `kind` (Figure 11).
-    pub fn avg_objects_traced(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.objects_traced as f64)
-    }
-
-    /// Average old objects scanned for inter-generational pointers per
-    /// cycle of `kind` (Figure 11, first column).
-    pub fn avg_intergen_objects(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.intergen_objects as f64)
-    }
-
-    /// Average pages touched per cycle of `kind` (Figure 15).
-    pub fn avg_pages_touched(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.pages_touched as f64)
-    }
-
-    /// Average percentage of objects freed per cycle of `kind` (Figure 12).
-    pub fn avg_percent_objects_freed(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, CycleStats::percent_objects_freed)
-    }
-
-    /// Average percentage of bytes freed per cycle of `kind` (Figure 12).
-    pub fn avg_percent_bytes_freed(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, CycleStats::percent_bytes_freed)
-    }
-
-    /// Average percentage of dirty cards per cycle of `kind` (Figure 22).
-    pub fn avg_percent_dirty_cards(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, CycleStats::percent_dirty_cards)
-    }
-
-    /// Average bytes scanned on dirty cards per cycle of `kind`
-    /// (Figure 23).
-    pub fn avg_intergen_bytes(&self, kind: CycleKind) -> Option<f64> {
-        self.mean_over(kind, |c| c.intergen_bytes as f64)
     }
 
     /// The longest GC-induced mutator pause observed.
@@ -319,10 +261,12 @@ impl GcStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn cycle(kind: CycleKind, freed: u64, survived: u64) -> CycleStats {
+    /// A cycle record with `freed` objects freed and `survived` traced
+    /// and surviving (32 bytes each); the other counts are fixed.
+    pub(crate) fn cycle(kind: CycleKind, freed: u64, survived: u64) -> CycleStats {
         CycleStats {
             kind,
             duration: Duration::from_millis(10),
@@ -382,9 +326,9 @@ mod tests {
         };
         assert_eq!(stats.partial_count(), 2);
         assert_eq!(stats.full_count(), 1);
-        assert_eq!(stats.avg_objects_freed(CycleKind::Partial), Some(20.0));
-        assert_eq!(stats.avg_objects_freed(CycleKind::Full), Some(100.0));
-        assert!((stats.percent_time_gc_active() - 30.0).abs() < 1e-9);
+        let freed = |c: &CycleStats| c.objects_freed as f64;
+        assert_eq!(stats.mean_over(CycleKind::Partial, freed), Some(20.0));
+        assert_eq!(stats.mean_over(CycleKind::Full, freed), Some(100.0));
     }
 
     #[test]
@@ -406,8 +350,11 @@ mod tests {
     #[test]
     fn means_over_empty_are_none() {
         let stats = GcStats::default();
-        assert_eq!(stats.avg_cycle_ms(CycleKind::Partial), None);
-        assert_eq!(stats.avg_pages_touched(CycleKind::Full), None);
-        assert_eq!(stats.percent_time_gc_active(), 0.0);
+        let ms = |c: &CycleStats| c.duration.as_secs_f64() * 1e3;
+        assert_eq!(stats.mean_over(CycleKind::Partial, ms), None);
+        assert_eq!(
+            stats.mean_over(CycleKind::Full, |c| c.pages_touched as f64),
+            None
+        );
     }
 }

@@ -16,7 +16,8 @@
 //! * a **dead run** — a clear-colored start and everything up to the
 //!   first byte that is neither clear nor `Interior` — is measured by one
 //!   `dead_run_end` scan, which also counts its start bytes, then filled
-//!   `Free`, age-zeroed and turned into one chunk for the free lists;
+//!   `Free`, age-zeroed and turned into one chunk for the free lists.
+//!   The run is maximal, so no two chunks of one sweep touch;
 //! * every other object start is **visited** singly, as before:
 //!   allocation-colored objects in the generational variants (created
 //!   during the cycle — the paper's yellow; counted, left untouched, so
@@ -47,7 +48,6 @@ use otf_heap::{Chunk, Color, GRANULE};
 
 use crate::config::{Mode, Promotion};
 use crate::cycle::CycleCx;
-use crate::obs::EventKind;
 use crate::shared::GcShared;
 
 /// Reclaimed chunks accumulate in a batch and are published to the free
@@ -55,11 +55,6 @@ use crate::shared::GcShared;
 /// starves behind a long sweep.  The batch is pre-sized to this
 /// threshold.
 const SWEEP_FLUSH_CHUNKS: usize = 256;
-
-/// Emit a `SweepProgress` event every time the sweep cursor advances this
-/// many granules, independent of chunk-batch flushes, so the event ring
-/// can reconstruct the sweep rate even on a heap that frees little.
-const SWEEP_PROGRESS_STRIDE: usize = 1 << 15;
 
 /// The cycle's sweep configuration: its clear / allocation colors and
 /// promotion policy, read once after the trace.
@@ -95,8 +90,7 @@ impl GcShared {
 
     /// The sweep (the cycle's `reclaim` bucket): one pass over
     /// `[1, frontier)`, a run at a time (module docs; DESIGN.md §4.12),
-    /// ending in one merge of the free pool and a `SweepProgress` event
-    /// for the whole frontier.
+    /// ending in one merge of the free pool.
     pub(crate) fn sweep(&self, cx: &mut CycleCx) {
         let frontier = self.heap.frontier_granule();
         // Sweep reads every color byte up to the frontier.
@@ -107,11 +101,7 @@ impl GcShared {
             aging,
             trace_target,
         } = self.sweep_params();
-        // The open reclaimed run, the pending chunk batch, and the
-        // granule mark for the next stride `SweepProgress` event.
-        let mut run: Option<Chunk> = None;
         let mut batch = Vec::with_capacity(SWEEP_FLUSH_CHUNKS);
-        let mut next_mark = 1 + SWEEP_PROGRESS_STRIDE;
         let colors = self.heap.colors();
         let ages = self.heap.ages();
         let CycleCx {
@@ -127,33 +117,20 @@ impl GcShared {
         };
         let mut g = 1;
         while g < frontier {
-            if g >= next_mark {
-                self.obs
-                    .event(EventKind::SweepProgress, g as u64, frontier as u64);
-                next_mark = g + SWEEP_PROGRESS_STRIDE;
-            }
-            // Each scan stops at the next progress mark as well as at
-            // the frontier, so a heap that frees nothing still reports
-            // its sweep rate on the stride.
-            let lim = frontier.min(next_mark);
-            let (next, objects, granules) = colors.skip_survivors(g, lim, pass);
+            let (next, objects, granules) = colors.skip_survivors(g, frontier, pass);
             if next != g {
-                // Space that is never reclaimed (again) by this sweep was
-                // crossed, so the pending run ends here: chunks must not
-                // merge into space someone else may own.  The granules
-                // crossed are `pass`-colored objects and their interiors
-                // (plus, stats-only, the interior of an object caught
-                // mid-installation).
+                // The granules crossed are `pass`-colored objects and
+                // their interiors (plus, stats-only, the interior of an
+                // object caught mid-installation).
                 let bytes = (granules * GRANULE) as u64;
                 counters.objects_survived += objects as u64;
                 counters.bytes_survived += bytes;
                 if pass == alloc {
                     counters.bytes_alloc_colored += bytes;
                 }
-                self.close_run(&mut run, &mut batch, g, frontier);
                 g = next;
-                if g == lim {
-                    continue;
+                if g == frontier {
+                    break;
                 }
             }
             // The color table alone drives the parse: extents are runs
@@ -163,35 +140,27 @@ impl GcShared {
             let color = colors.get(g); // acquire pairs with allocation
             if color == clear {
                 // Reclaim the whole dead run: free ← free ∪ run;
-                // color(run) ← blue.  Start bytes are searched for below
-                // `lim` only; the Interior tail of the run's last object
-                // is followed beyond a progress mark.
-                let (mut end, objects) = colors.dead_run_end(g, lim, clear);
-                if end == lim {
-                    end = colors.object_end(lim - 1, frontier);
-                }
+                // color(run) ← blue.  The run is maximal — it ends at a
+                // byte that is neither clear nor `Interior` — so it never
+                // touches the next one and goes to the batch as it is.
+                let (end, objects) = colors.dead_run_end(g, frontier, clear);
                 counters.objects_freed += objects as u64;
                 counters.bytes_freed += ((end - g) * GRANULE) as u64;
                 colors.fill(g, end - g, Color::Free);
                 // Zeroes interior ages as well as the starts': harmless,
                 // ages are read at start bytes only (DESIGN.md §4.12).
                 ages.clear(g, end - g);
-                // A run cut at a progress mark resumes where it stopped.
-                let begin = match run {
-                    Some(r) if r.end() as usize == g => r.start as usize,
-                    _ => {
-                        Self::flush_run(&mut run, &mut batch);
-                        g
-                    }
-                };
-                run = Some(Chunk::new(begin as u32, (end - begin) as u32));
+                batch.push(Chunk::new(g as u32, (end - g) as u32));
+                if batch.len() >= SWEEP_FLUSH_CHUNKS {
+                    self.heap.free_chunk_batch(&batch);
+                    batch.clear();
+                }
                 g = end;
                 continue;
             }
             // A visited survivor: created during the cycle, below the
             // tenuring threshold, or — for robustness — a leaked gray,
             // treated as live.
-            self.close_run(&mut run, &mut batch, g, frontier);
             let obj_end = colors.object_end(g, frontier);
             counters.objects_survived += 1;
             counters.bytes_survived += ((obj_end - g) * GRANULE) as u64;
@@ -222,39 +191,8 @@ impl GcShared {
             }
             g = obj_end;
         }
-        Self::flush_run(&mut run, &mut batch);
         self.heap.free_chunk_batch(&batch);
         self.heap.merge_free_lists();
-        self.obs
-            .event(EventKind::SweepProgress, frontier as u64, frontier as u64);
-    }
-
-    /// Ends the pending reclaimed run before the sweep crosses space it
-    /// does not reclaim, and publishes the batch to the free lists once
-    /// it is full, so concurrent allocation never starves behind a long
-    /// sweep.
-    fn close_run(
-        &self,
-        run: &mut Option<Chunk>,
-        batch: &mut Vec<Chunk>,
-        g: usize,
-        frontier: usize,
-    ) {
-        Self::flush_run(run, batch);
-        if batch.len() >= SWEEP_FLUSH_CHUNKS {
-            self.heap.free_chunk_batch(batch);
-            batch.clear();
-            self.obs
-                .event(EventKind::SweepProgress, g as u64, frontier as u64);
-        }
-    }
-
-    /// Moves a finished reclaimed run into the pending batch (inserted
-    /// into the free lists in bulk at the end of the sweep).
-    fn flush_run(run: &mut Option<Chunk>, batch: &mut Vec<Chunk>) {
-        if let Some(r) = run.take() {
-            batch.push(r);
-        }
     }
 }
 
@@ -417,29 +355,6 @@ mod tests {
         assert_eq!(c.start as usize, dead.granule());
     }
 
-    #[test]
-    fn sweep_emits_stride_progress_events_without_flushes() {
-        // All-survivor heap: no chunk batches ever flush, yet the sweep
-        // must still report progress on the granule stride.
-        let (sh, mut cx) = setup(GcConfig::generational().with_event_trace(true));
-        sh.colors.toggle();
-        while sh.heap.frontier_granule() < SWEEP_PROGRESS_STRIDE + 64 {
-            alloc(&sh, 512, Color::Black);
-        }
-        sh.sweep(&mut cx);
-        let end = sh.heap.frontier_granule() as u64;
-        let mid_sweep = sh
-            .obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SweepProgress) && e.a < end)
-            .count();
-        assert!(
-            mid_sweep >= 1,
-            "expected at least one stride progress event before the end"
-        );
-    }
-
     /// The object-at-a-time sweep the run kernels replaced, kept as the
     /// differential oracle: one skip, one acquire load and one extent
     /// scan per object start, serially over `[1, frontier)`.
@@ -455,11 +370,12 @@ mod tests {
         let frontier = sh.heap.frontier_granule();
         let mut run: Option<Chunk> = None;
         let mut batch = Vec::new();
+        let flush_run = |run: &mut Option<Chunk>, batch: &mut Vec<Chunk>| batch.extend(run.take());
         let mut g = 1;
         while g < frontier {
             let next = colors.next_color_above(g, frontier, Color::Interior);
             if next != g {
-                GcShared::flush_run(&mut run, &mut batch);
+                flush_run(&mut run, &mut batch);
                 g = next;
                 continue;
             }
@@ -480,7 +396,7 @@ mod tests {
                     None => Chunk::new(g as u32, size as u32),
                 });
             } else {
-                GcShared::flush_run(&mut run, &mut batch);
+                flush_run(&mut run, &mut batch);
                 counters.objects_survived += 1;
                 counters.bytes_survived += (size * GRANULE) as u64;
                 if color == alloc {
@@ -505,7 +421,7 @@ mod tests {
             }
             g = obj_end;
         }
-        GcShared::flush_run(&mut run, &mut batch);
+        flush_run(&mut run, &mut batch);
         sh.heap.free_chunk_batch(&batch);
     }
 
@@ -543,12 +459,18 @@ mod tests {
         }
     }
 
+    /// The granule offset (`1 + MARK_STRIDE`) at which `random_image`
+    /// places a giant that straddles it or a dead run that ends exactly
+    /// on it.  It is the stride at which the sweep once stopped to report
+    /// progress; the images keep it so their draws stay as they were.
+    const MARK_STRIDE: usize = 1 << 15;
+
     /// Draws an image of roughly `target` granules under the given clear
     /// color: small and 1-granule objects of every color, free gaps,
-    /// in-flight objects, rare `Gray` leaks, and — where the sweep's first
-    /// progress mark comes within reach — a giant that straddles it or a
-    /// dead run that ends exactly on it.  The last object is dead or live
-    /// at random, so dead runs also end exactly at the frontier.
+    /// in-flight objects, rare `Gray` leaks, and — where the mark at
+    /// `1 + MARK_STRIDE` comes within reach — a giant that straddles it or
+    /// a dead run that ends exactly on it.  The last object is dead or
+    /// live at random, so dead runs also end exactly at the frontier.
     fn random_image(g: &mut Gen, target: usize, clear: Color, alloc: Color) -> Image {
         let mut im = Image {
             colors: vec![Color::Free as u8],
@@ -557,7 +479,7 @@ mod tests {
         };
         while im.colors.len() < target {
             let at = im.colors.len();
-            let to_mark = (1 + SWEEP_PROGRESS_STRIDE).saturating_sub(at);
+            let to_mark = (1 + MARK_STRIDE).saturating_sub(at);
             let color = match g.usize_in(0..16) {
                 0..=5 => clear,
                 6..=10 => Color::Black,

@@ -34,11 +34,6 @@ impl RunResult {
             100.0 * self.stats.gc_active.as_secs_f64() / self.elapsed.as_secs_f64()
         }
     }
-
-    /// The longest GC-induced mutator pause of the run.
-    pub fn max_pause(&self) -> Duration {
-        self.stats.max_pause()
-    }
 }
 
 /// Runs one copy of `workload` under `config` and returns the measured
@@ -136,5 +131,26 @@ pub fn percent_improvement(nogen: Duration, gen: Duration) -> f64 {
         0.0
     } else {
         100.0 * (nogen.as_secs_f64() - gen.as_secs_f64()) / nogen.as_secs_f64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(elapsed_ms: u64, gc_active_ms: u64) -> RunResult {
+        RunResult {
+            elapsed: Duration::from_millis(elapsed_ms),
+            stats: GcStats {
+                gc_active: Duration::from_millis(gc_active_ms),
+                ..GcStats::default()
+            },
+        }
+    }
+
+    #[test]
+    fn gc_active_share_is_of_the_run_wall_time() {
+        assert!((result(100, 30).percent_gc_active() - 30.0).abs() < 1e-9);
+        assert_eq!(result(0, 0).percent_gc_active(), 0.0);
     }
 }

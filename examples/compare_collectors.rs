@@ -10,7 +10,7 @@
 //! under the non-generational DLG baseline, the simple generational
 //! collector, and the aging variant.
 
-use otf_gengc::gc::{CycleKind, GcConfig};
+use otf_gengc::gc::{CycleKind, CycleStats, GcConfig};
 use otf_gengc::workloads::driver::{percent_improvement, run_workload};
 use otf_gengc::workloads::{Anagram, Compress, Db, Jack, Javac, Jess, RayTracer, Workload};
 
@@ -62,10 +62,11 @@ fn main() {
             r.stats.full_count(),
             improvement,
         );
-        if let Some(ms) = r.stats.avg_cycle_ms(CycleKind::Partial) {
+        let cycle_ms = |c: &CycleStats| c.duration.as_secs_f64() * 1e3;
+        if let Some(ms) = r.stats.mean_over(CycleKind::Partial, cycle_ms) {
             println!("{:<26}   avg partial {ms:.2} ms", "");
         }
-        if let Some(ms) = r.stats.avg_cycle_ms(CycleKind::Full) {
+        if let Some(ms) = r.stats.mean_over(CycleKind::Full, cycle_ms) {
             println!("{:<26}   avg full    {ms:.2} ms", "");
         }
     }

@@ -95,10 +95,11 @@ fn main() {
         misses.load(Ordering::Relaxed)
     );
     println!(
-        "collections: {} partial + {} full ({:.1}% of time GC active), heap used {} KB",
+        "collections: {} partial + {} full (GC active {:.1?} of {:.1?}), heap used {} KB",
         stats.partial_count(),
         stats.full_count(),
-        stats.percent_time_gc_active(),
+        stats.gc_active,
+        stats.elapsed,
         gc.used_bytes() / 1024
     );
     assert!(

@@ -5,7 +5,7 @@
 //! Usage:
 //! `cargo run --release --example cycle_inspector -- [workload] [gen|nogen|aging] [scale]`
 
-use otf_gengc::gc::{CycleKind, GcConfig};
+use otf_gengc::gc::{CycleKind, CycleStats, GcConfig};
 use otf_gengc::workloads::driver::run_workload;
 use otf_gengc::workloads::{Anagram, Compress, Db, Jack, Javac, Jess, RayTracer, Workload};
 
@@ -73,12 +73,13 @@ fn main() {
         );
     }
     for kind in [CycleKind::Partial, CycleKind::Full] {
-        if let Some(ms) = r.stats.avg_cycle_ms(kind) {
+        let mean = |f: fn(&CycleStats) -> f64| r.stats.mean_over(kind, f);
+        if let Some(ms) = mean(|c| c.duration.as_secs_f64() * 1e3) {
             println!(
                 "\navg {kind}: {ms:.2} ms, {:.0} objects traced, {:.0} freed, {:.0} pages",
-                r.stats.avg_objects_traced(kind).unwrap_or(0.0),
-                r.stats.avg_objects_freed(kind).unwrap_or(0.0),
-                r.stats.avg_pages_touched(kind).unwrap_or(0.0)
+                mean(|c| c.objects_traced as f64).unwrap_or(0.0),
+                mean(|c| c.objects_freed as f64).unwrap_or(0.0),
+                mean(|c| c.pages_touched as f64).unwrap_or(0.0)
             );
         }
     }

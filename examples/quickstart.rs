@@ -83,13 +83,16 @@ fn main() {
     drop(m);
     let stats = gc.stats();
     println!(
-        "   {} partial + {} full collections, {:.1}% of time GC active",
+        "   {} partial + {} full collections, GC active {:.1?} of {:.1?}",
         stats.partial_count(),
         stats.full_count(),
-        stats.percent_time_gc_active()
+        stats.gc_active,
+        stats.elapsed
     );
     for kind in [CycleKind::Partial, CycleKind::Full] {
-        if let (Some(ms), Some(freed)) = (stats.avg_cycle_ms(kind), stats.avg_objects_freed(kind)) {
+        let ms = stats.mean_over(kind, |c| c.duration.as_secs_f64() * 1e3);
+        let freed = stats.mean_over(kind, |c| c.objects_freed as f64);
+        if let (Some(ms), Some(freed)) = (ms, freed) {
             println!("   avg {kind}: {ms:.2} ms, {freed:.0} objects freed");
         }
     }

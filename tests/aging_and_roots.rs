@@ -13,11 +13,11 @@ fn tiny(cfg: GcConfig) -> GcConfig {
 /// Forces one partial collection by allocating past the young budget and
 /// waiting for the cycle counter to move (then settle).
 fn force_partial(gc: &Gc, m: &mut otf_gengc::gc::Mutator) {
-    // `stats().cycles` records only *completed* cycles, so polling it
+    // `cycles_completed` counts only *completed* cycles, so polling it
     // both forces a collection and waits for its sweep to finish.
-    let before = gc.stats().cycles.len();
+    let before = gc.cycles_completed();
     let junk = ObjShape::new(0, 6);
-    while gc.stats().cycles.len() == before {
+    while gc.cycles_completed() == before {
         for _ in 0..2000 {
             let _ = m.alloc(&junk).unwrap();
         }

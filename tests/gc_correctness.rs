@@ -165,6 +165,8 @@ fn multithreaded_churn_leaves_heap_verifiable() {
         gc.free_granules(),
         "pooled chunks do not sum to the free total"
     );
+    // One store of finished cycles: the count is the record's length.
+    assert_eq!(gc.cycles_completed(), gc.stats().cycles.len() as u64);
 }
 
 /// Every variant under four churning mutators.
@@ -222,11 +224,11 @@ fn inter_generational_pointer_keeps_young_alive() {
     m.write_ref(old, 0, young);
 
     // Force a partial collection: allocate past the young budget.
-    // `stats().cycles` records only completed cycles, so polling it also
-    // waits for the sweep to finish.
+    // `cycles_completed` counts only completed cycles, so polling it
+    // also waits for the sweep to finish.
     let filler = ObjShape::new(0, 6);
-    let before = gc.stats().cycles.len();
-    while gc.stats().cycles.len() == before {
+    let before = gc.cycles_completed();
+    while gc.cycles_completed() == before {
         for _ in 0..1000 {
             let _ = m.alloc(&filler).unwrap();
         }
