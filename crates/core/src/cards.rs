@@ -49,14 +49,14 @@ impl GcShared {
     /// the header read that follows it.
     pub(crate) fn clear_cards_simple(&self, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
-        cx.counters.cards_in_use = n_cards as u64;
+        cx.stats.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let colors = self.heap.colors();
         // Word-skip the (typically long) clean runs between dirty cards.
         let mut from = 0;
         while let Some(card) = self.cards.next_dirty(from, n_cards) {
             from = card + 1;
-            cx.counters.dirty_cards += 1;
+            cx.stats.dirty_cards += 1;
             self.cards.clear(card);
             let (gs, ge) = self.cards.granule_range(card);
             let ge = ge.min(self.heap.frontier_granule());
@@ -71,8 +71,8 @@ impl GcShared {
                     let obj = ObjectRef::from_granule(g);
                     let size = self.heap.arena().header(obj).size_granules();
                     cx.mark_stack.push(obj);
-                    cx.counters.intergen_objects += 1;
-                    cx.counters.intergen_bytes += (size * GRANULE) as u64;
+                    cx.stats.intergen_objects += 1;
+                    cx.stats.intergen_bytes += (size * GRANULE) as u64;
                     cx.touch_object_granules(g, size);
                 }
                 g += 1;
@@ -103,7 +103,7 @@ impl GcShared {
     /// (pairing with the allocator's publication) before the header.
     pub(crate) fn clear_cards_aging(&self, threshold: u8, cx: &mut CycleCx) {
         let n_cards = self.cards_in_use();
-        cx.counters.cards_in_use = n_cards as u64;
+        cx.stats.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let colors = self.heap.colors();
         let ages = self.heap.ages();
@@ -115,7 +115,7 @@ impl GcShared {
         let mut from = 0;
         while let Some(card) = self.cards.next_dirty(from, n_cards) {
             from = card + 1;
-            cx.counters.dirty_cards += 1;
+            cx.stats.dirty_cards += 1;
             // Step 1: clear first (the mutator stores first and marks
             // second, so either we see its pointer in step 2 or its mark
             // survives our clear).
@@ -136,8 +136,8 @@ impl GcShared {
                 let header = arena.header(obj);
                 let ref_slots = header.ref_slots();
                 if color == Color::Black && ages.get(g) >= threshold {
-                    cx.counters.intergen_objects += 1;
-                    cx.counters.intergen_bytes += (header.size_granules() * GRANULE) as u64;
+                    cx.stats.intergen_objects += 1;
+                    cx.stats.intergen_bytes += (header.size_granules() * GRANULE) as u64;
                     cx.touch_object(obj, 1 + ref_slots);
                     for i in 0..ref_slots {
                         let son = arena.load_ref_slot(obj, i);
@@ -226,8 +226,8 @@ mod tests {
         sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Gray);
         assert_eq!(cx.mark_stack.pop(), Some(old));
-        assert_eq!(cx.counters.dirty_cards, 1);
-        assert_eq!(cx.counters.intergen_objects, 1);
+        assert_eq!(cx.stats.dirty_cards, 1);
+        assert_eq!(cx.stats.intergen_objects, 1);
         // Card got cleared and stays clear (simple variant).
         assert!(!sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
     }
@@ -240,7 +240,7 @@ mod tests {
         sh.clear_cards_simple(&mut cx);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::White);
         assert!(cx.mark_stack.is_empty());
-        assert_eq!(cx.counters.intergen_objects, 0);
+        assert_eq!(cx.stats.intergen_objects, 0);
     }
 
     #[test]
@@ -259,7 +259,7 @@ mod tests {
         assert_eq!(cx.mark_stack.pop(), Some(son));
         // Young son referenced => card re-marked (step 3).
         assert!(sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
-        assert_eq!(cx.counters.intergen_objects, 1);
+        assert_eq!(cx.stats.intergen_objects, 1);
     }
 
     #[test]
@@ -329,8 +329,8 @@ mod tests {
             } else {
                 sh.clear_cards_simple(&mut cx);
             }
-            assert_eq!(cx.counters.dirty_cards, 1);
-            assert_eq!(cx.counters.intergen_objects, 0, "aging={aging}");
+            assert_eq!(cx.stats.dirty_cards, 1);
+            assert_eq!(cx.stats.intergen_objects, 0, "aging={aging}");
             assert!(cx.mark_stack.is_empty(), "aging={aging}");
             assert_eq!(sh.heap.colors().get(old.granule()), Color::Black);
             assert_eq!(sh.heap.colors().get(son.granule()), sh.colors.clear_color());
@@ -394,6 +394,6 @@ mod tests {
         assert_eq!(sh.heap.colors().get(a.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(b.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(c.granule()), Color::White);
-        assert_eq!(cx.counters.intergen_objects, 2);
+        assert_eq!(cx.stats.intergen_objects, 2);
     }
 }

@@ -56,16 +56,16 @@ impl GcShared {
         if self.fault("collector.phase") {
             panic!("injected collector panic (phase: cycle-start)");
         }
-        cx.reset();
+        cx.reset(kind);
 
         // ----- clear (Figure 2/5: "clear: If (full collection) Init...")
-        // The cycle is in flight from here: the init bucket opens now,
-        // before the accumulator is read.
+        // The init bucket opens before the accumulator is read (the
+        // cycle itself has been open in `Control` since its hand-out).
         self.open_bucket.store(bucket::INIT, Ordering::Release);
         self.obs.note_cycle_begin(kind, cx.cause);
-        let used_before = self.heap.used_bytes();
-        let allocated_since = self.bytes_since_cycle();
-        cx.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
+        cx.stats.used_before = self.heap.used_bytes();
+        cx.stats.allocated_since_last = self.bytes_since_cycle();
+        cx.stats.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
             if kind == CycleKind::Full {
                 match self.config.mode {
                     // The toggled non-generational baseline needs no
@@ -96,7 +96,8 @@ impl GcShared {
                     // Figure 2 order: ClearCards *before* the toggle, so
                     // card marks for parents of yellow objects are never
                     // lost (§7.1).  Both kinds scan.
-                    cx.phases.cards = self.timed(phase::CARDS, || self.clear_cards_simple(cx));
+                    cx.stats.phases.cards =
+                        self.timed(phase::CARDS, || self.clear_cards_simple(cx));
                     self.colors.toggle();
                 }
                 Mode::Generational(Promotion::Aging { threshold }) => {
@@ -106,7 +107,7 @@ impl GcShared {
                     // Full collections skip the scan entirely (§6).
                     self.colors.toggle();
                     if kind == CycleKind::Partial {
-                        cx.phases.cards =
+                        cx.stats.phases.cards =
                             self.timed(phase::CARDS, || self.clear_cards_aging(threshold, cx));
                     }
                 }
@@ -123,43 +124,25 @@ impl GcShared {
             self.tracing.store(true, Ordering::Release);
             self.post_handshake(Status::Async);
             // Global roots between the post and its wait (Figure 2).
-            cx.phases.roots =
+            cx.stats.phases.roots =
                 self.timed(phase::ROOTS, || self.mark_global_roots(&mut cx.mark_stack));
             self.wait_handshake();
         });
-        cx.phases.handshakes = windows
-            .saturating_sub(cx.phases.cards)
-            .saturating_sub(cx.phases.roots);
+        cx.stats.phases.handshakes = windows
+            .saturating_sub(cx.stats.phases.cards)
+            .saturating_sub(cx.stats.phases.roots);
 
-        cx.phases.trace = self.bucket(bucket::TRACE, phase::TRACE, || self.trace(cx));
+        cx.stats.phases.trace = self.bucket(bucket::TRACE, phase::TRACE, || self.trace(cx));
         self.tracing.store(false, Ordering::Release);
-        cx.phases.sweep = self.bucket(bucket::RECLAIM, phase::SWEEP, || self.sweep(cx));
+        cx.stats.phases.sweep = self.bucket(bucket::RECLAIM, phase::SWEEP, || self.sweep(cx));
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
 
-        let duration = cycle_start.elapsed();
-        self.obs.note_cycle_end(kind, dur_ns(duration));
-
-        let c = cx.counters;
-        CycleStats {
-            kind,
-            duration,
-            phases: cx.phases,
-            objects_traced: c.objects_traced,
-            intergen_objects: c.intergen_objects,
-            intergen_bytes: c.intergen_bytes,
-            dirty_cards: c.dirty_cards,
-            cards_in_use: c.cards_in_use,
-            objects_freed: c.objects_freed,
-            bytes_freed: c.bytes_freed,
-            objects_survived: c.objects_survived,
-            bytes_survived: c.bytes_survived,
-            bytes_alloc_colored: c.bytes_alloc_colored,
-            pages_touched: cx.pages.touched() as u64,
-            used_before,
-            used_after: self.heap.used_bytes(),
-            allocated_since_last: allocated_since,
-        }
+        cx.stats.duration = cycle_start.elapsed();
+        self.obs.note_cycle_end(kind, dur_ns(cx.stats.duration));
+        cx.stats.pages_touched = cx.pages.touched() as u64;
+        cx.stats.used_after = self.heap.used_bytes();
+        cx.stats
     }
 
     /// Runs `body` as the cycle's bucket `code`: publishes the code in
@@ -200,17 +183,6 @@ impl GcShared {
             // shutdown, `AllocError::CollectorUnavailable`).
             if self.fault("collector.panic") {
                 panic!("injected collector panic (chaos fault plan)");
-            }
-            // Re-validate partial requests: a mutator can re-post one in
-            // the window between this loop consuming the previous request
-            // and the cycle publishing its `collecting` flag, against an
-            // allocation counter the finished cycle was about to consume.
-            // Running such a phantom would collect a half-empty young
-            // generation back to back with the real cycle.
-            if kind == CycleKind::Partial
-                && self.bytes_since_cycle() < self.config.young_size as u64 / 2
-            {
-                continue;
             }
             cx.cause = cause;
             let stats = self.run_cycle(kind, &mut cx);
@@ -259,12 +231,11 @@ impl GcShared {
                         .grow_to(self.heap.committed_bytes() + self.config.young_size);
                 }
             }
-            self.control.consume_allocated(stats.allocated_since_last);
-            self.control.note_cycle_done(stats);
-            // Triggers crossed while the cycle ran were deliberately
-            // ignored (`collecting` was set); re-evaluate them now so a
-            // mutator that stopped allocating — or one still below its
-            // next 64 KB batch — cannot starve a due collection.
+            self.control.close_cycle(stats);
+            // Triggers crossed while the cycle was open were dropped;
+            // re-evaluate them now so a mutator that stopped allocating —
+            // or one still below its next 64 KB batch — cannot starve a
+            // due collection.
             self.evaluate_triggers();
         }
     }
@@ -296,9 +267,9 @@ impl GcShared {
     ///    plans, the generations — its init pass demotes every black
     ///    object before the toggle, restoring the "all pre-cycle objects
     ///    carry the clear color" invariant the trace needs);
-    /// 5. clears the cycle-in-flight state and re-arms `Control` with a
-    ///    full-collection request, so allocators parked in
-    ///    `wait_for_full` are served by the restarted loop instead of
+    /// 5. clears `open_bucket`, closes the open cycle in `Control` and
+    ///    re-arms it with a full-collection request, so allocators parked
+    ///    in `wait_for_full` are served by the restarted loop instead of
     ///    poisoned, then replays `evaluate_triggers`.
     ///
     /// `restarts` is the restart ordinal this abort precedes (1-based),
@@ -651,11 +622,18 @@ mod tests {
         assert_eq!(sh.status_c(), Status::Async);
     }
 
-    /// `Gc::request_partial` is dropped, whoever posts it, while less
-    /// than half a young generation has been allocated since the last
-    /// cycle: only the full collection asked for next runs.
+    /// The `cause` of every `cycle_begin` event, in order.
+    fn begin_causes(gc: &crate::Gc) -> Vec<&'static str> {
+        gc.events()
+            .iter()
+            .filter(|e| e.kind == EventKind::CycleBegin)
+            .map(|e| Cause::name(e.b))
+            .collect()
+    }
+
+    /// A requested partial runs, with no allocation since the last cycle.
     #[test]
-    fn partial_request_without_allocation_runs_no_cycle() {
+    fn requested_partial_runs_without_allocation() {
         for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
             let gc = crate::Gc::new(cfg.with_event_trace(true));
             let mut m = gc.mutator();
@@ -663,28 +641,73 @@ mod tests {
             m.root_push(r);
             m.parked(|| {
                 gc.request_partial();
-                // None pending: the collector has taken the request.
+                // None pending: the collector has taken the request, so
+                // the full below cannot absorb it.
                 while gc.shared.control.has_request() {
                     std::thread::yield_now();
                 }
                 gc.collect_full_blocking();
             });
             let kinds: Vec<CycleKind> = gc.stats().cycles.iter().map(|c| c.kind).collect();
-            assert_eq!(kinds, [CycleKind::Full], "{}", cfg.plan_name());
-            let begins: Vec<String> = gc
-                .events()
-                .iter()
-                .filter(|e| e.kind == EventKind::CycleBegin)
-                .map(|e| e.to_json())
-                .collect();
-            assert_eq!(begins.len(), 1, "{begins:?}");
-            assert!(
-                begins[0].ends_with(r#""cycle":"full","cause":"requested"}"#),
-                "{begins:?}"
+            assert_eq!(
+                kinds,
+                [CycleKind::Partial, CycleKind::Full],
+                "{}",
+                cfg.plan_name()
             );
+            assert_eq!(begin_causes(&gc), ["requested", "requested"]);
             drop(m);
             gc.shutdown();
         }
+    }
+
+    /// A mutator crossing the almost-full line again while the collector
+    /// sits between taking a full request and starting the cycle (a
+    /// delay at `collector.panic` holds that window open) posts nothing:
+    /// the cycle is open from hand-out, so one full runs, not two.
+    #[test]
+    fn almost_full_in_the_start_window_runs_one_full() {
+        use otf_support::fault::{FaultAction, FaultPlan, FaultRule, Faults};
+        let faults = Arc::new(Faults::new(
+            FaultPlan::new(4).rule(
+                FaultRule::at("collector.panic")
+                    .delaying(1.0, 200_000)
+                    .max_fires(1),
+            ),
+        ));
+        let cfg = GcConfig::generational()
+            .with_max_heap(8 << 20)
+            .with_initial_heap(2 << 20)
+            .with_young_size(8 << 20)
+            .with_event_trace(true);
+        let gc = crate::Gc::with_faults(cfg, Arc::clone(&faults));
+        let mut m = gc.mutator();
+        let shape = ObjShape::new(0, 127); // 1 KB
+        let rooted_alloc = |m: &mut crate::Mutator| {
+            let r = m.alloc(&shape).unwrap();
+            m.root_push(r);
+        };
+        // Fill up to the almost-full request, then wait for the collector
+        // to take it and sleep in its start window.
+        while faults.log().is_empty() {
+            if gc.shared.control.has_request() {
+                std::thread::yield_now();
+            } else {
+                rooted_alloc(&mut m);
+            }
+        }
+        let FaultAction::Delay { micros } = faults.log()[0].action else {
+            panic!("{:?}", faults.log());
+        };
+        assert!(micros >= 20_000, "window too short: {micros} us");
+        // Cross the line again by four trigger batches.
+        for _ in 0..256 {
+            rooted_alloc(&mut m);
+        }
+        m.parked(|| gc.collect_full_blocking());
+        assert_eq!(begin_causes(&gc), ["almost_full", "requested"]);
+        drop(m);
+        gc.shutdown();
     }
 
     #[test]

@@ -318,7 +318,7 @@ mod tests {
         let c = GcConfig::generational().with_initial_heap(64 << 20);
         assert!(c.validate().is_err());
         // A zero young generation reads every trigger check as past its
-        // budget: a partial request on each, none dropped as a phantom.
+        // budget: a partial after every cycle, allocation or not.
         let c = GcConfig::generational().with_young_size(0);
         assert!(c.validate().is_err());
     }

@@ -1,12 +1,17 @@
 //! Collection triggering and collector-thread control (§3.3).
 //!
-//! Mutators request collections (partial when the young-generation
-//! allocation budget is exhausted, full when the heap is almost full or an
-//! allocation fails); the collector thread sleeps on a condition variable
-//! until a request (or shutdown) arrives.  A second condition variable lets
-//! an allocation-blocked mutator wait for a full collection to complete.
-//! The record of every finished cycle lives here, under that variable's
-//! lock: how many cycles have completed is its length.
+//! `Control` owns a cycle's life, under one lock.  Mutators request
+//! collections (partial when the young-generation allocation budget is
+//! exhausted, full when the heap is almost full or an allocation stalls);
+//! the collector thread sleeps until a request (or shutdown) arrives, and
+//! [`next_request`](Control::next_request) opens the cycle it hands out.
+//! [`close_cycle`](Control::close_cycle) closes it once the collector has
+//! grown the heap: it consumes the cycle's budget, counts a full and
+//! stores the record, whose count is how many cycles have completed.  A
+//! request the open cycle answers is dropped under the same lock: a
+//! trigger while any cycle is open (the collector re-evaluates the
+//! triggers after the close), an allocation stall while a full is open or
+//! once one has completed since the stalled mutator read the count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -45,30 +50,42 @@ impl Cause {
     }
 }
 
-/// The pending requests, each with the cause that posted it first.
+/// Requests, the open cycle and the finished ones.
 #[derive(Debug, Default)]
-struct Pending {
+struct State {
+    /// The pending requests, each with the cause that posted it first.
     partial: Option<Cause>,
     full: Option<Cause>,
-}
-
-/// The finished cycles.
-#[derive(Debug, Default)]
-struct Done {
-    /// Every completed cycle's record, in order.
+    /// The kind of the cycle handed out and not yet closed.
+    open: Option<CycleKind>,
+    /// Every closed cycle's record, in order.
     cycles: Vec<CycleStats>,
     /// How many of them were full: what an allocation stall waits on.
     fulls: u64,
 }
 
+impl State {
+    /// Posts a request (idempotent: a pending request keeps its first
+    /// cause; a pending full supersedes a partial).
+    fn post(&mut self, kind: CycleKind, cause: Cause) {
+        let slot = match kind {
+            CycleKind::Full => &mut self.full,
+            CycleKind::Partial if self.full.is_none() => &mut self.partial,
+            CycleKind::Partial => return,
+        };
+        slot.get_or_insert(cause);
+    }
+}
+
 /// Trigger state shared between mutators and the collector thread.
 #[derive(Debug)]
 pub(crate) struct Control {
-    pending: Mutex<Pending>,
-    wake: Condvar,
-    done: Mutex<Done>,
-    done_cond: Condvar,
-    /// Allocated bytes the finished cycles have consumed: the §3.3
+    state: Mutex<State>,
+    /// Signalled when a request is posted (the collector waits on it), a
+    /// cycle closes (stalled mutators wait on that) and on shutdown or
+    /// poison.
+    changed: Condvar,
+    /// Allocated bytes the closed cycles have consumed: the §3.3
     /// accumulator is the heap's allocation total minus this
     /// ([`GcShared::bytes_since_cycle`](crate::shared::GcShared::bytes_since_cycle)).
     consumed: AtomicU64,
@@ -83,128 +100,132 @@ pub(crate) struct Control {
 impl Control {
     pub(crate) fn new() -> Control {
         Control {
-            pending: Mutex::new(Pending::default()),
-            wake: Condvar::new(),
-            done: Mutex::new(Done::default()),
-            done_cond: Condvar::new(),
+            state: Mutex::new(State::default()),
+            changed: Condvar::new(),
             consumed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Requests a partial collection (idempotent: a pending request
-    /// keeps its first cause).
-    pub(crate) fn request_partial(&self, cause: Cause) {
-        let mut p = self.pending.lock();
-        if p.partial.is_none() && p.full.is_none() {
-            p.partial = Some(cause);
-            self.wake.notify_all();
+    /// Requests a collection of `kind`.  A trigger cause (`YoungBudget`,
+    /// `AlmostFull`) is dropped while a cycle is open: the collector
+    /// re-evaluates the triggers once it closes.
+    pub(crate) fn request(&self, kind: CycleKind, cause: Cause) {
+        let mut s = self.state.lock();
+        if matches!(cause, Cause::YoungBudget | Cause::AlmostFull) && s.open.is_some() {
+            return;
         }
+        s.post(kind, cause);
+        self.changed.notify_all();
     }
 
-    /// Requests a full collection (idempotent: a pending request keeps
-    /// its first cause; supersedes a pending partial).
-    pub(crate) fn request_full(&self, cause: Cause) {
-        let mut p = self.pending.lock();
-        if p.full.is_none() {
-            p.full = Some(cause);
-            self.wake.notify_all();
-        }
-    }
-
-    /// Collector thread: blocks until a request or shutdown, and returns
-    /// its kind and cause.  Returns `None` on shutdown.
+    /// Collector thread: blocks until a request or shutdown, opens the
+    /// cycle it answers and returns its kind and cause.  Returns `None`
+    /// on shutdown.
     pub(crate) fn next_request(&self) -> Option<(CycleKind, Cause)> {
-        let mut p = self.pending.lock();
+        let mut s = self.state.lock();
         loop {
-            if self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire) {
+            if self.is_shutdown() || self.is_poisoned() {
                 return None;
             }
-            if let Some(cause) = p.full.take() {
-                p.partial = None;
-                return Some((CycleKind::Full, cause));
+            let next = match s.full.take() {
+                Some(cause) => {
+                    s.partial = None;
+                    Some((CycleKind::Full, cause))
+                }
+                None => s.partial.take().map(|cause| (CycleKind::Partial, cause)),
+            };
+            if let Some((kind, _)) = next {
+                s.open = Some(kind);
+                return next;
             }
-            if let Some(cause) = p.partial.take() {
-                return Some((CycleKind::Partial, cause));
-            }
-            self.wake.wait(&mut p);
+            self.changed.wait(&mut s);
         }
     }
 
     /// Non-blocking peek: is a cycle request pending?
     #[cfg(test)]
     pub(crate) fn has_request(&self) -> bool {
-        let p = self.pending.lock();
-        p.partial.is_some() || p.full.is_some()
+        let s = self.state.lock();
+        s.partial.is_some() || s.full.is_some()
     }
 
-    /// Collector thread: records a completed cycle and wakes waiters.
-    pub(crate) fn note_cycle_done(&self, stats: CycleStats) {
-        let mut d = self.done.lock();
+    /// Collector thread: closes the open cycle once the heap has grown.
+    /// Consumes the bytes that were pending when it *started*
+    /// (allocation performed while it ran keeps counting toward the next
+    /// trigger — exactly the objects that form the next young
+    /// generation), stores its record and wakes waiters.
+    pub(crate) fn close_cycle(&self, stats: CycleStats) {
+        let mut s = self.state.lock();
+        self.consumed
+            .fetch_add(stats.allocated_since_last, Ordering::Relaxed);
+        s.open = None;
         if stats.kind == CycleKind::Full {
-            d.fulls += 1;
+            s.fulls += 1;
         }
-        d.cycles.push(stats);
-        self.done_cond.notify_all();
+        s.cycles.push(stats);
+        self.changed.notify_all();
     }
 
     /// Number of full collections completed so far.
     pub(crate) fn fulls_done(&self) -> u64 {
-        self.done.lock().fulls
+        self.state.lock().fulls
     }
 
     /// Number of cycles completed so far.
     pub(crate) fn cycles_done(&self) -> u64 {
-        self.done.lock().cycles.len() as u64
+        self.state.lock().cycles.len() as u64
     }
 
     /// A copy of every completed cycle's record, oldest first.
     pub(crate) fn cycles(&self) -> Vec<CycleStats> {
-        self.done.lock().cycles.clone()
+        self.state.lock().cycles.clone()
     }
 
-    /// Blocks until more than `observed_fulls` full collections have
-    /// completed.  Returns `false` if the collector shut down first.
-    /// The caller must be *parked* (the collector may need to handshake
+    /// Requests a full collection by `cause` and blocks until more than
+    /// `observed_fulls` full collections have completed.  An
+    /// `AllocStall` posts nothing while a full is open or once one has
+    /// completed since the caller read `observed_fulls`: that full serves
+    /// the wait.  Returns `false` if the collector shut down first.  The
+    /// caller must be *parked* (the collector may need to handshake
     /// while we wait).
-    pub(crate) fn wait_for_full(&self, observed_fulls: u64) -> bool {
-        let mut d = self.done.lock();
-        while d.fulls <= observed_fulls {
-            if self.shutdown.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire) {
+    pub(crate) fn wait_for_full(&self, cause: Cause, observed_fulls: u64) -> bool {
+        let mut s = self.state.lock();
+        let answered = s.fulls > observed_fulls || s.open == Some(CycleKind::Full);
+        if !(cause == Cause::AllocStall && answered) {
+            s.post(CycleKind::Full, cause);
+            self.changed.notify_all();
+        }
+        while s.fulls <= observed_fulls {
+            if self.is_shutdown() || self.is_poisoned() {
                 return false;
             }
-            self.done_cond.wait(&mut d);
+            self.changed.wait(&mut s);
         }
         true
     }
 
-    /// Allocated bytes consumed by finished cycles so far.
+    /// Allocated bytes consumed by closed cycles so far.
     pub(crate) fn consumed(&self) -> u64 {
         self.consumed.load(Ordering::Relaxed)
     }
 
-    /// Consumes `bytes` from the accumulator (at cycle end, the amount
-    /// that was pending when the cycle *started*).  Allocation performed
-    /// while the cycle ran keeps counting toward the next trigger —
-    /// exactly the objects that form the next young generation.
-    pub(crate) fn consume_allocated(&self, bytes: u64) {
-        self.consumed.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Cycle-abort recovery: drops any stale pending request and re-arms
-    /// a *full* collection in its place.  The aborted cycle conservatively
-    /// repainted the whole heap live, so only a full trace from roots can
-    /// rebuild real liveness — and because a pending full supersedes any
-    /// partial in [`next_request`](Control::next_request), the restarted
-    /// collector is guaranteed to run it first.  Allocators parked in
+    /// Cycle-abort recovery: closes the open cycle, drops any stale
+    /// pending request and re-arms a *full* collection in its place.  The
+    /// aborted cycle conservatively repainted the whole heap live, so only
+    /// a full trace from roots can rebuild real liveness — and because a
+    /// pending full supersedes any partial in
+    /// [`next_request`](Control::next_request), the restarted collector
+    /// is guaranteed to run it first.  Allocators parked in
     /// [`wait_for_full`](Control::wait_for_full) are then served by that
     /// cycle's completion instead of being poisoned awake.
     pub(crate) fn reset_for_recovery(&self) {
-        let mut p = self.pending.lock();
-        p.partial = None;
-        p.full = Some(Cause::Recovery);
-        self.wake.notify_all();
+        let mut s = self.state.lock();
+        s.open = None;
+        s.partial = None;
+        s.full = Some(Cause::Recovery);
+        self.changed.notify_all();
     }
 
     /// Signals shutdown and wakes everything.
@@ -219,7 +240,7 @@ impl Control {
     }
 
     /// Marks the control poisoned (the collector thread died) and wakes
-    /// every waiter: the collector's request queue (its thread is gone,
+    /// every waiter: the collector's request wait (its thread is gone,
     /// but a re-spawned loop would observe the flag) and — critically —
     /// every mutator parked in [`wait_for_full`](Control::wait_for_full),
     /// which would otherwise sleep forever on a collection that can no
@@ -229,19 +250,13 @@ impl Control {
         self.notify_waiters();
     }
 
-    /// Wakes both condvars after a flag store.  Lock-then-notify, so a
+    /// Wakes every waiter after a flag store.  Lock-then-notify, so a
     /// waiter between its flag check and its wait cannot miss the wakeup
     /// (`Gc::stop_collector` joins a collector that may be exactly there
     /// in `next_request`).
     fn notify_waiters(&self) {
-        {
-            let _p = self.pending.lock();
-            self.wake.notify_all();
-        }
-        {
-            let _d = self.done.lock();
-            self.done_cond.notify_all();
-        }
+        let _s = self.state.lock();
+        self.changed.notify_all();
     }
 
     /// Whether the collector thread has panicked.
@@ -259,9 +274,9 @@ mod tests {
     #[test]
     fn full_supersedes_partial() {
         let c = Control::new();
-        c.request_partial(Cause::YoungBudget);
-        c.request_full(Cause::AlmostFull);
-        c.request_full(Cause::AllocStall);
+        c.request(CycleKind::Partial, Cause::YoungBudget);
+        c.request(CycleKind::Full, Cause::AlmostFull);
+        c.request(CycleKind::Full, Cause::AllocStall);
         // The full's first cause wins.
         assert_eq!(c.next_request(), Some((CycleKind::Full, Cause::AlmostFull)));
         // The pending partial was absorbed by the full.
@@ -272,7 +287,7 @@ mod tests {
     #[test]
     fn partial_then_nothing() {
         let c = Control::new();
-        c.request_partial(Cause::YoungBudget);
+        c.request(CycleKind::Partial, Cause::YoungBudget);
         assert_eq!(
             c.next_request(),
             Some((CycleKind::Partial, Cause::YoungBudget))
@@ -284,8 +299,8 @@ mod tests {
     #[test]
     fn done_counters() {
         let c = Control::new();
-        c.note_cycle_done(cycle(CycleKind::Partial, 1, 1));
-        c.note_cycle_done(cycle(CycleKind::Full, 1, 1));
+        c.close_cycle(cycle(CycleKind::Partial, 1, 1));
+        c.close_cycle(cycle(CycleKind::Full, 1, 1));
         assert_eq!(c.cycles_done(), 2);
         assert_eq!(c.fulls_done(), 1);
     }
@@ -294,9 +309,9 @@ mod tests {
     fn wait_for_full_wakes_on_completion() {
         let c = Arc::new(Control::new());
         let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || c2.wait_for_full(0));
+        let h = std::thread::spawn(move || c2.wait_for_full(Cause::Requested, 0));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        c.note_cycle_done(cycle(CycleKind::Full, 1, 1));
+        c.close_cycle(cycle(CycleKind::Full, 1, 1));
         assert!(h.join().unwrap());
     }
 
@@ -304,7 +319,7 @@ mod tests {
     fn wait_for_full_bails_on_poison() {
         let c = Arc::new(Control::new());
         let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || c2.wait_for_full(5));
+        let h = std::thread::spawn(move || c2.wait_for_full(Cause::Requested, 5));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!c.is_poisoned());
         c.poison();
@@ -318,9 +333,46 @@ mod tests {
     fn wait_for_full_bails_on_shutdown() {
         let c = Arc::new(Control::new());
         let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || c2.wait_for_full(5));
+        let h = std::thread::spawn(move || c2.wait_for_full(Cause::Requested, 5));
         std::thread::sleep(std::time::Duration::from_millis(20));
         c.begin_shutdown();
         assert!(!h.join().unwrap());
+    }
+
+    /// A trigger posted while a cycle is open is dropped: nothing is
+    /// pending after the close, and a requested cycle still posts.
+    #[test]
+    fn trigger_during_open_cycle_leaves_nothing_pending() {
+        let c = Control::new();
+        c.request(CycleKind::Partial, Cause::YoungBudget);
+        assert_eq!(
+            c.next_request(),
+            Some((CycleKind::Partial, Cause::YoungBudget))
+        );
+        c.request(CycleKind::Partial, Cause::YoungBudget);
+        c.request(CycleKind::Full, Cause::AlmostFull);
+        c.close_cycle(cycle(CycleKind::Partial, 1, 1));
+        assert!(!c.has_request());
+        c.request(CycleKind::Partial, Cause::YoungBudget);
+        assert!(c.has_request(), "a closed cycle drops nothing");
+    }
+
+    /// An allocation stall during an open full posts nothing, and that
+    /// full's close wakes it.
+    #[test]
+    fn stall_during_open_full_waits_for_it() {
+        let c = Arc::new(Control::new());
+        c.request(CycleKind::Full, Cause::AlmostFull);
+        assert_eq!(c.next_request(), Some((CycleKind::Full, Cause::AlmostFull)));
+        let c2 = Arc::clone(&c);
+        let h = std::thread::spawn(move || c2.wait_for_full(Cause::AllocStall, 0));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!c.has_request());
+        c.close_cycle(cycle(CycleKind::Full, 1, 1));
+        assert!(h.join().unwrap());
+        assert!(!c.has_request());
+        // A stall that read the count before that close is served by it.
+        assert!(c.wait_for_full(Cause::AllocStall, 0));
+        assert!(!c.has_request());
     }
 }

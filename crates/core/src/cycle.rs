@@ -1,38 +1,19 @@
-//! Per-cycle collector context: raw counters, page-touch tracking and
-//! phase timing, threaded through every collection phase.
+//! Per-cycle collector context: the cycle's record, page-touch tracking
+//! and the mark stack, threaded through every collection phase.
 
 use otf_heap::{ObjectRef, PageTracker, Space, GRANULE};
 
 use crate::control::Cause;
 use crate::shared::GcShared;
-use crate::stats::PhaseTimes;
-
-/// Raw per-cycle counters (assembled into [`CycleStats`] at cycle end).
-///
-/// [`CycleStats`]: crate::stats::CycleStats
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Counters {
-    pub objects_traced: u64,
-    pub intergen_objects: u64,
-    pub intergen_bytes: u64,
-    pub dirty_cards: u64,
-    pub cards_in_use: u64,
-    pub objects_freed: u64,
-    pub bytes_freed: u64,
-    pub objects_survived: u64,
-    pub bytes_survived: u64,
-    /// Survivors that carried the allocation color (created during the
-    /// cycle): not live-set members yet, just allocation that raced the
-    /// collection.
-    pub bytes_alloc_colored: u64,
-}
+use crate::stats::{CycleKind, CycleStats};
 
 /// Collector-thread-private context for one cycle.
 #[derive(Debug)]
 pub(crate) struct CycleCx {
-    pub counters: Counters,
+    /// The cycle's record: every phase adds its counters and timings
+    /// here in place, and `run_cycle` returns it.
+    pub stats: CycleStats,
     pub pages: PageTracker,
-    pub phases: PhaseTimes,
     /// The collector's private mark stack: gray objects the collector
     /// discovers (sons, cards, global roots) go straight here, and each
     /// trace round moves the shared gray list onto it whole, so every pop
@@ -49,24 +30,25 @@ impl CycleCx {
     /// Creates a context sized for `shared`'s heap and tables.
     pub(crate) fn new(shared: &GcShared) -> CycleCx {
         CycleCx {
-            counters: Counters::default(),
+            stats: CycleStats::default(),
             pages: PageTracker::new(
                 shared.heap.max_bytes(),
                 shared.heap.colors().table_bytes(),
                 shared.cards.table_bytes(),
                 shared.heap.ages().table_bytes(),
             ),
-            phases: PhaseTimes::default(),
             mark_stack: Vec::with_capacity(1024),
             cause: Cause::Requested,
         }
     }
 
-    /// Resets all per-cycle state.
-    pub(crate) fn reset(&mut self) {
-        self.counters = Counters::default();
+    /// Resets all per-cycle state for a cycle of `kind`.
+    pub(crate) fn reset(&mut self, kind: CycleKind) {
+        self.stats = CycleStats {
+            kind,
+            ..CycleStats::default()
+        };
         self.pages.reset();
-        self.phases = PhaseTimes::default();
         self.mark_stack.clear();
     }
 

@@ -161,21 +161,18 @@ impl Gc {
 
     /// Asynchronously requests a full collection.
     pub fn request_full(&self) {
-        self.shared.control.request_full(Cause::Requested);
+        self.shared
+            .control
+            .request(CycleKind::Full, Cause::Requested);
     }
 
     /// Asynchronously requests a partial collection (in non-generational
-    /// mode the cycle still collects the full heap).
-    ///
-    /// The collector drops a partial request that it takes while less
-    /// than half of [`GcConfig::young_size`] has been allocated since the
-    /// last cycle (as [`Gc::bytes_allocated`] counts it), whoever posted
-    /// it: it reads such a request as a phantom re-post of the trigger
-    /// the last cycle consumed.  So a request made right after a cycle,
-    /// or before that much allocation, runs no cycle.  A
-    /// [`request_full`](Gc::request_full) is never dropped.
+    /// mode the cycle still collects the full heap).  A pending full
+    /// absorbs it.
     pub fn request_partial(&self) {
-        self.shared.control.request_partial(Cause::Requested);
+        self.shared
+            .control
+            .request(CycleKind::Partial, Cause::Requested);
     }
 
     /// Number of completed collection cycles.
@@ -190,8 +187,7 @@ impl Gc {
     /// tests.
     pub fn collect_full_blocking(&self) {
         let fulls = self.shared.control.fulls_done();
-        self.shared.control.request_full(Cause::Requested);
-        self.shared.control.wait_for_full(fulls);
+        self.shared.control.wait_for_full(Cause::Requested, fulls);
     }
 
     /// Heap bytes currently in use (live objects + leased LABs).

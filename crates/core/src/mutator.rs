@@ -270,13 +270,15 @@ impl Mutator {
                 continue;
             }
             // Block for a full collection (we park so the collector can
-            // handshake on our behalf).  The stall — the one place a
-            // mutator waits for the collector — feeds the pause histogram.
+            // handshake on our behalf): a full that is open, or that has
+            // closed since we read the count, serves the wait; otherwise
+            // the stall posts one.  The stall — the one place a mutator
+            // waits for the collector — feeds the pause histogram.
             let fulls = self.shared.control.fulls_done();
-            self.shared.control.request_full(Cause::AllocStall);
             let shared = Arc::clone(&self.shared);
             let stall_start = Instant::now();
-            let completed = self.parked(move || shared.control.wait_for_full(fulls));
+            let completed =
+                self.parked(move || shared.control.wait_for_full(Cause::AllocStall, fulls));
             self.shared
                 .obs
                 .note_alloc_stall(dur_ns(stall_start.elapsed()));

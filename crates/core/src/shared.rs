@@ -13,6 +13,7 @@ use crate::config::GcConfig;
 use crate::control::{Cause, Control};
 use crate::obs::Obs;
 use crate::state::{ColorState, MutatorShared, Status};
+use crate::stats::CycleKind;
 
 /// Codes for the cycle bucket currently open, published in
 /// [`GcShared::open_bucket`] so the supervisor's abort routine and the
@@ -64,10 +65,10 @@ pub(crate) struct GcShared {
     /// write barrier, Figure 1).
     pub tracing: AtomicBool,
     /// The [`bucket`] code of the cycle bucket currently open;
-    /// [`bucket::NONE`] exactly while no cycle is in progress.  Written
-    /// by `run_cycle` as each bucket opens; read by `evaluate_triggers`
-    /// (a no-op during a cycle), the watchdog (report enrichment) and the
-    /// supervisor's abort routine (which bucket the panic unwound out of).
+    /// [`bucket::NONE`] between cycles.  A diagnostic label, written by
+    /// `run_cycle` as each bucket opens and read by the watchdog (report
+    /// enrichment) and the supervisor's abort routine (which bucket the
+    /// panic unwound out of); whether a cycle is open is `Control`'s.
     pub open_bucket: AtomicU8,
     /// The gray list (DESIGN.md §4.16).  Mutators push after winning
     /// the gray-coloring CAS; the collector takes the whole list at once.
@@ -171,14 +172,16 @@ impl GcShared {
     /// `MarkGray` under the clear-color rule (the collector's son
     /// shading, the aging card scan, and the write barrier in `async` or
     /// under aging promotion): shade the object only if it has the clear
-    /// color, and hand it to `push` if this call shaded it.
+    /// color, and hand it to `push` if this call shaded it.  A relaxed
+    /// read skips the CAS unless the byte holds the clear color; the CAS
+    /// still decides.
     #[inline]
     pub(crate) fn mark_gray_clear(&self, obj: ObjectRef, push: impl FnOnce(ObjectRef)) {
         if obj.is_null() {
             return;
         }
-        let clear = self.colors.clear_color();
-        if self.heap.colors().cas(obj.granule(), clear, Color::Gray) {
+        let (g, clear, ct) = (obj.granule(), self.colors.clear_color(), self.heap.colors());
+        if ct.get_raw_relaxed(g) == clear as u8 && ct.cas(g, clear, Color::Gray) {
             push(obj);
         }
     }
@@ -214,21 +217,17 @@ impl GcShared {
     /// collector's end-of-cycle check (so a trigger crossed *during* a
     /// cycle is not starved until the next 64 KB allocation batch), and
     /// `Mutator::drop` (which flushes its unflushed bytes first).
-    ///
-    /// A no-op while a cycle is running: the collector re-evaluates when
-    /// it finishes.
+    /// [`Control`] drops the request while a cycle is open; the collector
+    /// re-evaluates when it closes.
     ///
     /// Never inlined: it runs only at flush boundaries, and inlined into
     /// [`Mutator::alloc`](crate::Mutator::alloc) it would grow the
     /// allocation fast path's function from 0.9 to 1.4 KB.
     #[inline(never)]
     pub(crate) fn evaluate_triggers(&self) {
-        if self.open_bucket.load(Ordering::Acquire) != bucket::NONE {
-            return;
-        }
         let since = self.bytes_since_cycle();
         if self.config.is_generational() && since >= self.config.young_size as u64 {
-            self.control.request_partial(Cause::YoungBudget);
+            self.control.request(CycleKind::Partial, Cause::YoungBudget);
         }
         // Full collection when the heap is "almost full" (§3.3) — but only
         // after some allocation progress, to avoid re-triggering endlessly
@@ -249,7 +248,7 @@ impl GcShared {
             && since >= (64 << 10)
             && !self.fault("heap.almost_full")
         {
-            self.control.request_full(Cause::AlmostFull);
+            self.control.request(CycleKind::Full, Cause::AlmostFull);
         }
     }
 
@@ -628,14 +627,16 @@ mod tests {
         );
     }
 
+    /// A trigger crossed while a cycle is open posts nothing: `Control`
+    /// drops it, and the collector re-evaluates after the close.
     #[test]
     fn evaluate_triggers_noop_while_collecting() {
         let sh = small();
+        sh.control.request(CycleKind::Full, Cause::Requested);
+        assert!(sh.control.next_request().is_some(), "opens the cycle");
         sh.heap.note_allocated(0, 64 << 20);
-        sh.open_bucket.store(bucket::TRACE, Ordering::Release);
         sh.evaluate_triggers();
-        sh.control.begin_shutdown();
-        assert_eq!(sh.control.next_request(), None);
+        assert!(!sh.control.has_request());
     }
 
     #[test]
@@ -746,7 +747,10 @@ mod tests {
         assert_eq!(sh.bytes_since_cycle(), 150);
         // A cycle that started when 100 bytes were pending consumes only
         // those 100; the 50 allocated "during" it roll over.
-        sh.control.consume_allocated(100);
+        sh.control.close_cycle(crate::stats::CycleStats {
+            allocated_since_last: 100,
+            ..crate::stats::tests::cycle(CycleKind::Partial, 0, 0)
+        });
         assert_eq!(sh.bytes_since_cycle(), 50);
     }
 

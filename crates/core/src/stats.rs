@@ -7,9 +7,10 @@ use std::time::Duration;
 use otf_support::hist::Snapshot;
 
 /// Kind of a collection cycle.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum CycleKind {
     /// Collection of the young generation only (§3.2).
+    #[default]
     Partial,
     /// Collection of the entire heap.  Every non-generational cycle is
     /// `Full`.
@@ -50,7 +51,7 @@ pub struct PhaseTimes {
 }
 
 /// Everything measured about one collection cycle.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct CycleStats {
     /// Partial or full.
     pub kind: CycleKind,

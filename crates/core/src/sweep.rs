@@ -104,9 +104,7 @@ impl GcShared {
         let mut batch = Vec::with_capacity(SWEEP_FLUSH_CHUNKS);
         let colors = self.heap.colors();
         let ages = self.heap.ages();
-        let CycleCx {
-            counters, pages, ..
-        } = cx;
+        let CycleCx { stats, pages, .. } = cx;
         // The one survivor color that needs nothing from this sweep: it
         // is counted on the way past, never visited.  Under aging every
         // survivor needs its age touched, so no color passes.
@@ -123,10 +121,10 @@ impl GcShared {
                 // their interiors (plus, stats-only, the interior of an
                 // object caught mid-installation).
                 let bytes = (granules * GRANULE) as u64;
-                counters.objects_survived += objects as u64;
-                counters.bytes_survived += bytes;
+                stats.objects_survived += objects as u64;
+                stats.bytes_survived += bytes;
                 if pass == alloc {
-                    counters.bytes_alloc_colored += bytes;
+                    stats.bytes_alloc_colored += bytes;
                 }
                 g = next;
                 if g == frontier {
@@ -144,8 +142,8 @@ impl GcShared {
                 // byte that is neither clear nor `Interior` — so it never
                 // touches the next one and goes to the batch as it is.
                 let (end, objects) = colors.dead_run_end(g, frontier, clear);
-                counters.objects_freed += objects as u64;
-                counters.bytes_freed += ((end - g) * GRANULE) as u64;
+                stats.objects_freed += objects as u64;
+                stats.bytes_freed += ((end - g) * GRANULE) as u64;
                 colors.fill(g, end - g, Color::Free);
                 // Zeroes interior ages as well as the starts': harmless,
                 // ages are read at start bytes only (DESIGN.md §4.12).
@@ -162,10 +160,10 @@ impl GcShared {
             // tenuring threshold, or — for robustness — a leaked gray,
             // treated as live.
             let obj_end = colors.object_end(g, frontier);
-            counters.objects_survived += 1;
-            counters.bytes_survived += ((obj_end - g) * GRANULE) as u64;
+            stats.objects_survived += 1;
+            stats.bytes_survived += ((obj_end - g) * GRANULE) as u64;
             if color == alloc {
-                counters.bytes_alloc_colored += ((obj_end - g) * GRANULE) as u64;
+                stats.bytes_alloc_colored += ((obj_end - g) * GRANULE) as u64;
             }
             match aging {
                 Some(threshold) => {
@@ -200,7 +198,8 @@ impl GcShared {
 mod tests {
     use super::*;
     use crate::config::GcConfig;
-    use crate::cycle::{Counters, CycleCx};
+    use crate::cycle::CycleCx;
+    use crate::stats::CycleStats;
     use otf_heap::{ObjShape, ObjectRef};
     use otf_support::check::{run_cases, Gen};
 
@@ -232,9 +231,9 @@ mod tests {
         assert_eq!(sh.heap.colors().get(dead.granule()), Color::Free);
         assert_eq!(sh.heap.colors().get(black.granule()), Color::Black);
         assert_eq!(sh.heap.colors().get(infant.granule()), Color::Yellow);
-        assert_eq!(cx.counters.objects_freed, 1);
-        assert_eq!(cx.counters.bytes_freed, 32);
-        assert_eq!(cx.counters.objects_survived, 2);
+        assert_eq!(cx.stats.objects_freed, 1);
+        assert_eq!(cx.stats.bytes_freed, 32);
+        assert_eq!(cx.stats.objects_survived, 2);
     }
 
     #[test]
@@ -246,7 +245,7 @@ mod tests {
         let _c = alloc(&sh, 1, Color::White);
         let live = alloc(&sh, 1, Color::Black);
         sh.sweep(&mut cx);
-        assert_eq!(cx.counters.objects_freed, 3);
+        assert_eq!(cx.stats.objects_freed, 3);
         // One coalesced chunk of 6 granules is available again.
         let chunk = sh.heap.alloc_chunk(6, 6).expect("coalesced chunk");
         assert_eq!(chunk.start as usize, a.granule());
@@ -358,7 +357,7 @@ mod tests {
     /// The object-at-a-time sweep the run kernels replaced, kept as the
     /// differential oracle: one skip, one acquire load and one extent
     /// scan per object start, serially over `[1, frontier)`.
-    fn sweep_oracle(sh: &GcShared, counters: &mut Counters) {
+    fn sweep_oracle(sh: &GcShared, stats: &mut CycleStats) {
         let SweepParams {
             clear,
             alloc,
@@ -383,8 +382,8 @@ mod tests {
             let obj_end = colors.object_end(g, frontier);
             let size = obj_end - g;
             if color == clear {
-                counters.objects_freed += 1;
-                counters.bytes_freed += (size * GRANULE) as u64;
+                stats.objects_freed += 1;
+                stats.bytes_freed += (size * GRANULE) as u64;
                 colors.fill(g, size, Color::Free);
                 ages.set(g, 0);
                 run = Some(match run.take() {
@@ -397,10 +396,10 @@ mod tests {
                 });
             } else {
                 flush_run(&mut run, &mut batch);
-                counters.objects_survived += 1;
-                counters.bytes_survived += (size * GRANULE) as u64;
+                stats.objects_survived += 1;
+                stats.bytes_survived += (size * GRANULE) as u64;
                 if color == alloc {
-                    counters.bytes_alloc_colored += (size * GRANULE) as u64;
+                    stats.bytes_alloc_colored += (size * GRANULE) as u64;
                 }
                 match aging {
                     Some(threshold) => {
@@ -522,7 +521,7 @@ mod tests {
         im
     }
 
-    fn sweep_counters(c: &Counters) -> [u64; 5] {
+    fn sweep_counters(c: &CycleStats) -> [u64; 5] {
         [
             c.objects_freed,
             c.bytes_freed,
@@ -572,7 +571,7 @@ mod tests {
                 let image = random_image(g, target, clear, alloc);
                 let len = image.colors.len();
                 image.install(&oracle);
-                let mut expect = Counters::default();
+                let mut expect = CycleStats::default();
                 sweep_oracle(&oracle, &mut expect);
                 let mut expect_tables = table_bytes(&oracle, len);
                 // The one deliberate difference in the tables: the oracle
@@ -596,7 +595,7 @@ mod tests {
                 let (swept, mut cx) = build(modes[mode]());
                 image.install(&swept);
                 swept.sweep(&mut cx);
-                let got = sweep_counters(&cx.counters);
+                let got = sweep_counters(&cx.stats);
                 assert_eq!(got[..3], expect[..3], "{ctx}");
                 assert_eq!(got[3], expect[3] + fuzz, "{ctx}");
                 assert_eq!(got[4], expect[4] + alloc_fuzz, "{ctx}");

@@ -8,29 +8,32 @@ use crate::cycle::CycleCx;
 use crate::shared::GcShared;
 
 impl GcShared {
-    /// `MarkBlack` (Figure 3): *claim* the object with a gray→target
-    /// color CAS, then shade every son gray.
+    /// `MarkBlack` (Figure 3): *claim* the object by storing the target
+    /// color over its gray, then shade every son gray.
     ///
     /// Every push site (write barrier, card scan, root marking, the
     /// collector's own son-shading) CASes the color to gray before
     /// pushing, so a popped object is gray unless a duplicate entry from
-    /// a re-graying already claimed it.  The losing CAS returns without
-    /// scanning or counting, so no object is traced or counted twice.
-    /// Claiming *before* shading the sons is safe under the snapshot
-    /// write barrier: a mutator racing this window grays the overwritten
-    /// value regardless of the parent's color.
+    /// a re-graying already claimed it.  Only this thread moves a gray
+    /// object on, so a load and a store claim it: an entry that is no
+    /// longer gray returns without scanning or counting, so no object is
+    /// traced or counted twice.  Claiming *before* shading the sons is
+    /// safe under the snapshot write barrier: a mutator racing this
+    /// window grays the overwritten value regardless of the parent's
+    /// color.
     pub(crate) fn mark_black(&self, obj: ObjectRef, target: Color, cx: &mut CycleCx) {
         let g = obj.granule();
         let colors = self.heap.colors();
-        if !colors.cas(g, Color::Gray, target) {
+        if colors.get(g) != Color::Gray {
             return; // a duplicate entry, already claimed
         }
+        colors.set(g, target);
         let ref_slots = self.heap.arena().header(obj).ref_slots();
         for i in 0..ref_slots {
             let son = self.heap.arena().load_ref_slot(obj, i);
             self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
         }
-        cx.counters.objects_traced += 1;
+        cx.stats.objects_traced += 1;
         cx.touch_object(obj, 1 + ref_slots);
         cx.touch_color(g);
     }
@@ -117,8 +120,25 @@ mod tests {
             assert_eq!(sh.heap.colors().get(obj.granule()), Color::Black);
         }
         assert_eq!(sh.heap.colors().get(d.granule()), Color::White);
-        assert_eq!(cx.counters.objects_traced, 3);
+        assert_eq!(cx.stats.objects_traced, 3);
         assert!(sh.gray.lock().is_empty());
+    }
+
+    /// A duplicate mark-stack entry is scanned and counted once: the
+    /// second pop finds the object no longer gray.
+    #[test]
+    fn duplicate_entry_is_traced_once() {
+        let (sh, mut cx) = setup();
+        sh.colors.toggle(); // clear color is now White
+        let son = alloc(&sh, 0, Color::White);
+        let a = alloc(&sh, 1, Color::White);
+        sh.heap.arena().store_ref_slot(a, 0, son);
+        sh.mark_gray_clear(a, |o| sh.gray.lock().push(o));
+        sh.gray.lock().push(a);
+        sh.trace(&mut cx);
+        assert_eq!(sh.heap.colors().get(a.granule()), Color::Black);
+        assert_eq!(sh.heap.colors().get(son.granule()), Color::Black);
+        assert_eq!(cx.stats.objects_traced, 2);
     }
 
     #[test]
@@ -133,7 +153,7 @@ mod tests {
         // No roots at all.
         sh.trace(&mut cx);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::White);
-        assert_eq!(cx.counters.objects_traced, 0);
+        assert_eq!(cx.stats.objects_traced, 0);
     }
 
     #[test]
@@ -148,7 +168,7 @@ mod tests {
         sh.trace(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Black);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::Black);
-        assert_eq!(cx.counters.objects_traced, 2);
+        assert_eq!(cx.stats.objects_traced, 2);
     }
 
     #[test]
@@ -195,7 +215,7 @@ mod tests {
         sh.trace(&mut cx);
         pusher.join().unwrap();
         assert_eq!(sh.heap.colors().get(hidden.granule()), Color::Black);
-        assert_eq!(cx.counters.objects_traced, 1);
+        assert_eq!(cx.stats.objects_traced, 1);
     }
 
     #[test]
@@ -236,7 +256,7 @@ mod tests {
         for obj in batches.iter().flatten() {
             assert_eq!(sh.heap.colors().get(obj.granule()), Color::Black);
         }
-        assert_eq!(cx.counters.objects_traced, 2 * N as u64);
+        assert_eq!(cx.stats.objects_traced, 2 * N as u64);
         assert!(sh.gray.lock().is_empty());
     }
 
