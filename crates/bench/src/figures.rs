@@ -2,7 +2,8 @@
 //!
 //! Each function returns a rendered [`Table`] whose rows mirror the
 //! corresponding figure.  Measurements are memoized inside a [`Ctx`] so
-//! that `figall` (and figures sharing a baseline) never repeat a run.
+//! that the `figures` binary (and figures sharing a baseline) never
+//! repeat a run.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

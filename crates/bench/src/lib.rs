@@ -1,11 +1,13 @@
 //! # otf-bench — the figure harness
 //!
 //! Regenerates every table and figure of the paper's evaluation
-//! (Figures 7–23).  Each `fig*` binary prints the corresponding table;
-//! `figall` runs everything and appends the results to `EXPERIMENTS.md`.
+//! (Figures 7–23).  The one binary, `figures`, runs the figures named on
+//! its command line (all of them by default) and prints them as one
+//! Markdown document on stdout; `figures > EXPERIMENTS_RESULTS.md` is how
+//! the repo's results file is made.
 //!
-//! All binaries accept `--scale X --reps N --copies N --seed N` and
-//! `--quick` (a fast smoke configuration).
+//! It accepts `--scale X --reps N --copies N --seed N` and `--quick` (a
+//! fast smoke configuration); see [`Options`].
 
 pub mod figures;
 pub mod measure;

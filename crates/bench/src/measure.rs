@@ -8,7 +8,21 @@ use otf_gc::GcConfig;
 use otf_workloads::driver::{self, RunResult};
 use otf_workloads::Workload;
 
-/// Harness options shared by all figure binaries.
+/// The paper's evaluation figures (§8) the harness regenerates, in paper
+/// order.
+const FIGURES: std::ops::RangeInclusive<u8> = 7..=23;
+
+/// The two tenuring thresholds that Figure 18 (`[4, 6]`) or Figure 19
+/// (`[8, 10]`) compares.
+pub fn aging_thresholds(figure: u8) -> [u8; 2] {
+    if figure == 18 {
+        [4, 6]
+    } else {
+        [8, 10]
+    }
+}
+
+/// Harness options shared by all figures.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Options {
     /// Workload scale factor (1.0 = full size).
@@ -33,19 +47,23 @@ impl Default for Options {
     }
 }
 
-/// Result of parsing a figure binary's command line.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Result of parsing the `figures` command line.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Parsed {
-    /// Run with these options.
-    Run(Options),
+    /// Run these figures, in this order, with these options.
+    Run(Options, Vec<u8>),
     /// `--help`/`-h` was given: print usage and exit successfully.
     Help,
 }
 
 impl Options {
-    /// Usage text shared by every figure binary.
+    /// Usage text of the `figures` binary.
     pub const USAGE: &'static str = "\
-Options (every fig* binary accepts the same set):
+Usage: figures [FIGURE...] [OPTIONS]
+Prints the selected figures as one document on stdout.
+  FIGURE       7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23, run in
+               the order given (default: every one, in this order)
+Options:
   --scale X    workload scale factor (1.0 = full size; default 1.0)
   --reps N     repetitions per measurement, median taken (default 3)
   --copies N   concurrent application copies for the multiprocessor
@@ -54,11 +72,13 @@ Options (every fig* binary accepts the same set):
   --quick      smoke configuration (= --scale 0.15 --reps 1 --copies 2)
   --help, -h   print this help and exit";
 
-    /// Parses harness options from an argument list (the program name
-    /// must already be stripped).  Never panics: unknown flags and
-    /// malformed or missing values produce a warning on stderr and are
-    /// ignored, so a figure binary always runs to completion with sane
-    /// options; `--help`/`-h` yields [`Parsed::Help`].
+    /// Parses harness options and figure numbers from an argument list
+    /// (the program name must already be stripped).  Never panics:
+    /// unknown flags, malformed or missing values and arguments that are
+    /// not a figure number produce a warning on stderr and are ignored,
+    /// so a run always completes with sane options; `--help`/`-h` yields
+    /// [`Parsed::Help`].  With no positional argument every figure is
+    /// selected; with only unknown ones, none is.
     pub fn parse<I, S>(args: I) -> Parsed
     where
         I: IntoIterator<Item = S>,
@@ -75,6 +95,8 @@ Options (every fig* binary accepts the same set):
         }
 
         let mut o = Options::default();
+        let mut selected = Vec::new();
+        let mut positional = false;
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
             // A flag's value is the next argument unless it is itself a flag.
@@ -110,16 +132,28 @@ Options (every fig* binary accepts the same set):
                     "an integer",
                     &mut o.seed,
                 ),
-                other => eprintln!("warning: ignoring unknown argument {other:?} (try --help)"),
+                other if other.starts_with('-') => {
+                    eprintln!("warning: ignoring unknown argument {other:?} (try --help)")
+                }
+                other => {
+                    positional = true;
+                    match other.parse() {
+                        Ok(n) if FIGURES.contains(&n) => selected.push(n),
+                        _ => eprintln!("warning: ignoring {other:?}: not a figure number (7-23)"),
+                    }
+                }
             }
         }
-        Parsed::Run(o)
+        if !positional {
+            selected.extend(FIGURES);
+        }
+        Parsed::Run(o, selected)
     }
 
     /// Parses `std::env::args()`; on `--help` prints usage and exits 0.
-    pub fn from_args() -> Options {
+    pub fn from_args() -> (Options, Vec<u8>) {
         match Options::parse(std::env::args().skip(1)) {
-            Parsed::Run(o) => o,
+            Parsed::Run(o, selected) => (o, selected),
             Parsed::Help => {
                 println!("{}", Options::USAGE);
                 std::process::exit(0);
@@ -183,7 +217,7 @@ mod tests {
 
     #[test]
     fn defaults_with_no_args() {
-        let Parsed::Run(o) = parse(&[]) else {
+        let Parsed::Run(o, _) = parse(&[]) else {
             panic!("expected Run")
         };
         assert_eq!((o.scale, o.reps, o.copies, o.seed), (1.0, 3, 4, 42));
@@ -191,7 +225,7 @@ mod tests {
 
     #[test]
     fn all_flags_parse() {
-        let Parsed::Run(o) = parse(&[
+        let Parsed::Run(o, _) = parse(&[
             "--scale", "0.5", "--reps", "7", "--copies", "2", "--seed", "9",
         ]) else {
             panic!("expected Run")
@@ -201,7 +235,7 @@ mod tests {
 
     #[test]
     fn quick_preset() {
-        let Parsed::Run(o) = parse(&["--quick"]) else {
+        let Parsed::Run(o, _) = parse(&["--quick"]) else {
             panic!("expected Run")
         };
         assert_eq!((o.scale, o.reps, o.copies), (0.15, 1, 2));
@@ -216,21 +250,52 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_ignored_not_fatal() {
-        let Parsed::Run(o) = parse(&["--bogus", "--reps", "5", "also-bogus"]) else {
+        let Parsed::Run(o, _) = parse(&["--bogus", "--reps", "5", "also-bogus"]) else {
             panic!("expected Run")
         };
         assert_eq!(o.reps, 5);
     }
 
+    fn selected(args: &[&str]) -> Vec<u8> {
+        let Parsed::Run(_, figures) = parse(args) else {
+            panic!("expected Run")
+        };
+        figures
+    }
+
+    #[test]
+    fn no_figure_selects_all_in_paper_order() {
+        assert_eq!(selected(&["--reps", "1"]), (7..=23).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn figures_run_in_the_order_given() {
+        assert_eq!(selected(&["13", "--scale", "0.1", "7"]), [13, 7]);
+    }
+
+    #[test]
+    fn aging_figures_map_to_their_thresholds() {
+        assert_eq!(selected(&["18", "19"]), [18, 19]);
+        assert_eq!(aging_thresholds(18), [4, 6]);
+        assert_eq!(aging_thresholds(19), [8, 10]);
+    }
+
+    #[test]
+    fn unknown_figures_select_nothing() {
+        assert_eq!(selected(&["99"]), []);
+        assert_eq!(selected(&["foo", "6", "24"]), []);
+        assert_eq!(selected(&["99", "9"]), [9]);
+    }
+
     #[test]
     fn malformed_and_missing_values_keep_defaults() {
-        let Parsed::Run(o) = parse(&["--scale", "not-a-float", "--reps"]) else {
+        let Parsed::Run(o, _) = parse(&["--scale", "not-a-float", "--reps"]) else {
             panic!("expected Run")
         };
         assert_eq!(o.scale, 1.0);
         assert_eq!(o.reps, 3);
         // A flag directly following another flag is not consumed as its value.
-        let Parsed::Run(o) = parse(&["--reps", "--seed", "5"]) else {
+        let Parsed::Run(o, _) = parse(&["--reps", "--seed", "5"]) else {
             panic!("expected Run")
         };
         assert_eq!(o.reps, 3);

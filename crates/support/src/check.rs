@@ -16,7 +16,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::rand::{RngCore, RngExt, SeedableRng, StdRng};
+use crate::rand::StdRng;
 
 /// The deterministic value source handed to a test case.
 #[derive(Debug)]

@@ -8,7 +8,7 @@
 //! across the whole `u64` range with a fixed table of 1920 counters.
 //!
 //! The record path is **lock-free and allocation-free**: one bucket index
-//! computation (a `leading_zeros` and some shifts) plus four relaxed
+//! computation (a `leading_zeros` and some shifts) plus three relaxed
 //! atomic RMWs.  It is safe to call concurrently from any number of
 //! threads — this is what lets every mutator share one histogram without
 //! a merge step on the hot path.
@@ -32,12 +32,12 @@ const SUB: usize = 1 << SUB_BITS;
 /// Total bucket count covering all of `u64`: the `SUB` exact low buckets
 /// plus `64 - SUB_BITS` octaves of `SUB` sub-buckets each (the first
 /// "octave" `[SUB, 2·SUB)` reuses the same indexing formula).
-pub const NUM_BUCKETS: usize = SUB * (64 - SUB_BITS as usize + 1);
+const NUM_BUCKETS: usize = SUB * (64 - SUB_BITS as usize + 1);
 
 /// The bucket index for a value.  Total and monotone: `v <= w` implies
 /// `bucket_index(v) <= bucket_index(w)`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
         v as usize
     } else {
@@ -50,7 +50,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// The smallest value mapping to bucket `i`.
 #[inline]
-pub fn bucket_low(i: usize) -> u64 {
+fn bucket_low(i: usize) -> u64 {
     debug_assert!(i < NUM_BUCKETS);
     if i < SUB {
         i as u64
@@ -63,7 +63,7 @@ pub fn bucket_low(i: usize) -> u64 {
 
 /// The largest value mapping to bucket `i` (inclusive).
 #[inline]
-pub fn bucket_high(i: usize) -> u64 {
+fn bucket_high(i: usize) -> u64 {
     if i < SUB {
         i as u64
     } else {
@@ -96,7 +96,6 @@ pub struct Histogram {
     counts: Box<[AtomicU64]>,
     sum: AtomicU64,
     max: AtomicU64,
-    min: AtomicU64,
 }
 
 impl Histogram {
@@ -106,7 +105,6 @@ impl Histogram {
             counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -117,7 +115,6 @@ impl Histogram {
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
     }
 
     /// A plain-integer snapshot of the current contents.  Concurrent
@@ -135,7 +132,6 @@ impl Histogram {
             count,
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
         }
     }
 }
@@ -148,25 +144,12 @@ impl Default for Histogram {
 
 /// An owned snapshot of a [`Histogram`], with the same query API.
 /// `Default` is the empty snapshot (every query returns 0).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counts: Vec<u64>,
     count: u64,
     sum: u64,
     max: u64,
-    min: u64,
-}
-
-impl Default for Snapshot {
-    fn default() -> Self {
-        Snapshot {
-            counts: Vec::new(),
-            count: 0,
-            sum: 0,
-            max: 0,
-            min: u64::MAX,
-        }
-    }
 }
 
 impl Snapshot {
@@ -186,15 +169,6 @@ impl Snapshot {
             0
         } else {
             self.max
-        }
-    }
-
-    /// Exact minimum recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
         }
     }
 
@@ -309,7 +283,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.count(), 0);
         assert_eq!(s.max(), 0);
-        assert_eq!(s.min(), 0);
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.5), 0);
@@ -330,7 +303,6 @@ mod tests {
             let s = h.snapshot();
             assert_eq!(s.count(), values.len() as u64);
             assert_eq!(s.max(), *sorted.last().unwrap());
-            assert_eq!(s.min(), sorted[0]);
             for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
                 let exact = oracle_quantile(&sorted, q);
                 let approx = s.quantile(q);
@@ -386,6 +358,5 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count(), threads as u64 * per_thread);
         assert_eq!(s.max(), threads as u64 * per_thread - 1);
-        assert_eq!(s.min(), 0);
     }
 }

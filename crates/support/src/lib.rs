@@ -9,9 +9,8 @@
 //!   `.unwrap()` at every lock site), plus [`Backoff`](sync::Backoff),
 //!   the exponential spin/yield/park ramp for the trace's termination
 //!   wait.
-//! * [`rand`] — a seedable SplitMix64-seeded xoshiro256++ PRNG behind the
-//!   small [`RngExt`](rand::RngExt)/[`SeedableRng`](rand::SeedableRng)
-//!   API the workloads consume.
+//! * [`rand`] — a seedable SplitMix64-seeded xoshiro256++ PRNG,
+//!   [`StdRng`](rand::StdRng), with the few draws the workloads make.
 //! * [`check`] — deterministic randomized testing: a seeded case
 //!   generator plus shrink-by-halving, replacing `proptest`.
 //! * [`hist`] — a log-bucketed concurrent latency histogram

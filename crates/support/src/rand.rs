@@ -1,7 +1,6 @@
 //! A small, seedable, deterministic PRNG: SplitMix64 seeding into
-//! xoshiro256++ (Blackman & Vigna), behind the minimal `rand`-shaped API
-//! the workloads and tests consume ([`SeedableRng`], [`RngExt`],
-//! [`rngs::StdRng`]).
+//! xoshiro256++ (Blackman & Vigna), one type, [`StdRng`], with the few
+//! draws the workloads and tests make.
 //!
 //! Not cryptographic — the workloads need reproducible distributions, not
 //! secrecy.  Every stream is fully determined by its `u64` seed, so
@@ -18,108 +17,42 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A source of random `u64`s.
-pub trait RngCore {
-    /// The next 64 random bits.
-    fn next_u64(&mut self) -> u64;
+/// The unsigned integer types [`StdRng::random_range`] draws.
+pub trait RangeInt: Copy + PartialOrd {
+    /// Widens to `u64`.
+    fn to_u64(self) -> u64;
+    /// Narrows a value below the range's end, so it fits.
+    fn from_u64(v: u64) -> Self;
 }
 
-/// Construction from a `u64` seed.
-pub trait SeedableRng: Sized {
-    /// Creates a generator whose stream is fully determined by `seed`.
-    fn seed_from_u64(seed: u64) -> Self;
-}
-
-/// The derived sampling methods used by the workloads.  Blanket-implemented
-/// for every [`RngCore`].
-pub trait RngExt: RngCore {
-    /// A uniform sample from `range` (half-open, `start < end` required).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty.
-    #[inline]
-    fn random_range<T: SampleUniform>(&mut self, range: std::ops::Range<T>) -> T {
-        T::sample_range(self, range)
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    fn random_bool(&mut self, p: f64) -> bool {
-        // 53 bits of mantissa give a uniform f64 in [0, 1).
-        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < p
-    }
-}
-
-impl<R: RngCore + ?Sized> RngExt for R {}
-
-/// Types that can be sampled uniformly from a half-open range.
-pub trait SampleUniform: Copy {
-    /// Uniform sample from `[range.start, range.end)`.
-    fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: std::ops::Range<Self>) -> Self;
-}
-
-/// Unbiased uniform draw from `[0, bound)` by rejection sampling.
-#[inline]
-fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
-    debug_assert!(bound > 0);
-    // Reject the final partial copy of [0, bound) in u64 space.
-    let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
-    loop {
-        let v = rng.next_u64();
-        if v <= zone {
-            return v % bound;
-        }
-    }
-}
-
-macro_rules! impl_sample_uniform_uint {
+macro_rules! range_int {
     ($($t:ty),*) => {$(
-        impl SampleUniform for $t {
+        impl RangeInt for $t {
             #[inline]
-            fn sample_range<R: RngCore + ?Sized>(
-                rng: &mut R,
-                range: std::ops::Range<Self>,
-            ) -> Self {
-                assert!(range.start < range.end, "empty sample range");
-                let span = (range.end as u64).wrapping_sub(range.start as u64);
-                range.start + uniform_below(rng, span) as $t
+            fn to_u64(self) -> u64 {
+                self as u64
+            }
+            #[inline]
+            fn from_u64(v: u64) -> Self {
+                v as $t
             }
         }
     )*};
 }
 
-impl_sample_uniform_uint!(u8, u16, u32, u64, usize);
+range_int!(usize, u32, u64);
 
-macro_rules! impl_sample_uniform_int {
-    ($($t:ty),*) => {$(
-        impl SampleUniform for $t {
-            #[inline]
-            fn sample_range<R: RngCore + ?Sized>(
-                rng: &mut R,
-                range: std::ops::Range<Self>,
-            ) -> Self {
-                assert!(range.start < range.end, "empty sample range");
-                let span = (range.end as i64).wrapping_sub(range.start as i64) as u64;
-                (range.start as i64).wrapping_add(uniform_below(rng, span) as i64) as $t
-            }
-        }
-    )*};
-}
-
-impl_sample_uniform_int!(i8, i16, i32, i64, isize);
-
-/// xoshiro256++ — the workspace's standard generator.
+/// xoshiro256++ — the workspace's one generator.
 #[derive(Clone, Debug)]
-pub struct Xoshiro256PlusPlus {
+pub struct StdRng {
     s: [u64; 4],
 }
 
-impl SeedableRng for Xoshiro256PlusPlus {
-    fn seed_from_u64(seed: u64) -> Self {
+impl StdRng {
+    /// Creates a generator whose stream is fully determined by `seed`.
+    pub fn seed_from_u64(seed: u64) -> StdRng {
         let mut sm = seed;
-        Xoshiro256PlusPlus {
+        StdRng {
             s: [
                 splitmix64(&mut sm),
                 splitmix64(&mut sm),
@@ -128,11 +61,10 @@ impl SeedableRng for Xoshiro256PlusPlus {
             ],
         }
     }
-}
 
-impl RngCore for Xoshiro256PlusPlus {
+    /// The next 64 random bits.
     #[inline]
-    fn next_u64(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -144,15 +76,41 @@ impl RngCore for Xoshiro256PlusPlus {
         s[3] = s[3].rotate_left(45);
         result
     }
-}
 
-/// Named generators (mirrors `rand::rngs`).
-pub mod rngs {
-    /// The default workload generator: xoshiro256++.
-    pub type StdRng = super::Xoshiro256PlusPlus;
-}
+    /// A uniform sample from `range` (half-open, `start < end` required).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty.
+    #[inline]
+    pub fn random_range<T: RangeInt>(&mut self, range: std::ops::Range<T>) -> T {
+        assert!(range.start < range.end, "empty sample range");
+        let start = range.start.to_u64();
+        T::from_u64(start + self.uniform_below(range.end.to_u64() - start))
+    }
 
-pub use rngs::StdRng;
+    /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
+    pub fn random_bool(&mut self, p: f64) -> bool {
+        // 53 bits of mantissa give a uniform f64 in [0, 1).
+        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        unit < p
+    }
+
+    /// Unbiased uniform draw from `[0, bound)` by rejection sampling.
+    #[inline]
+    fn uniform_below(&mut self, bound: u64) -> u64 {
+        debug_assert!(bound > 0);
+        // Reject the final partial copy of [0, bound) in u64 space.
+        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return v % bound;
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -171,14 +129,34 @@ mod tests {
 
     #[test]
     fn xoshiro_reference_vector() {
-        // First outputs for the all-SplitMix64(0) seeding of xoshiro256++,
-        // pinned so cross-platform determinism regressions are caught.
+        // SplitMix64 from seed 0 fills the state, xoshiro256++ runs from
+        // it, and `random_range` rejection-samples its output: each stage
+        // pinned to literal values, so a wrong constant anywhere fails here.
+        let mut sm = 0;
+        let state: Vec<u64> = (0..4).map(|_| splitmix64(&mut sm)).collect();
+        assert_eq!(
+            state,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f,
+                0xf88b_b8a8_724c_81ec
+            ]
+        );
         let mut r = StdRng::seed_from_u64(0);
         let first: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
-        let mut r2 = StdRng::seed_from_u64(0);
-        let again: Vec<u64> = (0..4).map(|_| r2.next_u64()).collect();
-        assert_eq!(first, again);
-        assert!(first.iter().any(|&x| x != 0), "degenerate zero state");
+        assert_eq!(
+            first,
+            [
+                0x5317_5d61_490b_23df,
+                0x61da_6f3d_c380_d507,
+                0x5c0f_df91_ec9a_7bfc,
+                0x02ee_bf8c_3bbe_5e1a
+            ]
+        );
+        let mut r = StdRng::seed_from_u64(1);
+        let draws: Vec<u32> = (0..8).map(|_| r.random_range(0..100u32)).collect();
+        assert_eq!(draws, [87, 65, 44, 70, 80, 85, 23, 45]);
     }
 
     #[test]
@@ -190,8 +168,6 @@ mod tests {
         }
         // Single-element range is always that element.
         assert_eq!(r.random_range(5..6u32), 5);
-        let v: i64 = r.random_range(-10..-3);
-        assert!((-10..-3).contains(&v));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! tests build on.
 
 use otf_gc::{AllocError, Mutator, ObjShape};
-use otf_support::rand::RngExt;
 
 use crate::toolkit::rng_for;
 use crate::Workload;

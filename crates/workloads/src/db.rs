@@ -13,7 +13,6 @@
 //! Generations are roughly performance-neutral (−0.9%/+0.7%, Figure 9).
 
 use otf_gc::{Mutator, ObjectRef};
-use otf_support::rand::RngExt;
 
 use crate::toolkit::{alloc_array, alloc_data, alloc_node, fill_data, mix, pick, rng_for};
 use crate::Workload;

@@ -20,7 +20,6 @@
 //! inside the young budget, cold slots only after it.
 
 use otf_gc::{Mutator, ObjectRef};
-use otf_support::rand::RngExt;
 
 use crate::toolkit::{alloc_array, alloc_data, alloc_node, mix, pick, rng_for};
 use crate::Workload;

@@ -1,7 +1,7 @@
 //! Shared building blocks for the synthetic workloads.
 
 use otf_gc::{Mutator, ObjShape, ObjectRef};
-use otf_support::rand::{RngExt, SeedableRng, StdRng};
+use otf_support::rand::StdRng;
 
 /// Class id for reference-array objects.
 pub const CLASS_ARRAY: u32 = 1;

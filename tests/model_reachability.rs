@@ -12,7 +12,7 @@ use std::collections::{HashSet, VecDeque};
 
 use otf_gengc::gc::{Gc, GcConfig, Mutator};
 use otf_gengc::heap::{ObjShape, ObjectRef};
-use otf_support::rand::{RngExt, SeedableRng, StdRng};
+use otf_support::rand::StdRng;
 
 /// The Rust-side model of the heap graph.
 struct Model {
