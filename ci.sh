@@ -82,6 +82,7 @@ echo "fault points in crates/: $(grep -rhoE 'fault\("[a-z_.]+"\)' crates --inclu
 echo "extern \"C\" blocks in crates/: $(grep -rnE '^\s*(unsafe )?extern "C"' crates --include=*.rs | wc -l)"
 echo "trace event kinds:       $(sed -n '/^pub enum EventKind {/,/^}/p' crates/core/src/obs.rs | grep -cE '^    [A-Z][A-Za-z]* = [0-9]+,')"
 echo "Mutex fields in crates/: $(grep -rnE '^\s+(pub(\([a-z]+\))? )?[a-z_]+: Mutex<' crates --include=*.rs | wc -l)"
+echo "Condvar fields in crates/: $(grep -rnE '^\s+(pub(\([a-z]+\))? )?[a-z_]+: Condvar,' crates --include=*.rs | wc -l)"
 # Code size of the allocation fast path's function in the release build.
 alloc_hex=$(nm -C -S target/release/examples/quickstart 2>/dev/null |
     awk '$4 == "otf_gc::mutator::Mutator::alloc" { print $2 }')

@@ -6,7 +6,7 @@
 //! toggle, aging after it — Figure 2 vs Figure 5 order), the
 //! initialization pass in the init bucket of full collections.
 //!
-//! Like the sweep, all three passes find objects through the color table
+//! Like the sweep, both passes find objects through the color table
 //! (DESIGN.md §4.17): a word skip to the next start byte above a floor,
 //! never a header-driven parse.  An object belongs to the card its start
 //! byte is on; a card holding only the tail of an object sees `Interior`
@@ -28,133 +28,95 @@ impl GcShared {
         }
     }
 
-    /// `ClearCards`, simple variant (Figure 3): for every dirty card,
-    /// clear the mark and shade gray every *black* (old) object starting
-    /// on the card, so the trace re-scans it and discovers any
-    /// inter-generational pointers it holds.
+    /// `ClearCards` (Figures 3 and 6): for every dirty card in use, clear
+    /// the mark and visit the objects starting on the card, found by a
+    /// word skip to each start byte above a floor.  The promotion policy
+    /// picks the floor, the per-object step and the re-mark:
     ///
-    /// Runs between the first and second handshakes, when every mutator
-    /// is in `sync1`/`sync2` and therefore performs no card marking
-    /// (§7.1) — clear-then-scan needs no re-marking protocol, and the
-    /// toggle has not happened yet, so every young object a cleared card
-    /// pointed at is traced (and promoted) by this very cycle.  DESIGN.md
-    /// §4.9 records what goes wrong when the scan is moved after the
-    /// toggle.
-    ///
-    /// The card's objects are found in the color table, as
-    /// `InitFullCollection` finds them: `Gray` and `Black` are the only
-    /// bytes above `Yellow`, so the skip lands on old objects' start
-    /// bytes only, and an object starting on an earlier card shows only
-    /// `Interior` bytes here.  The `Black → Gray` CAS (AcqRel) licenses
-    /// the header read that follows it.
-    pub(crate) fn clear_cards_simple(&self, cx: &mut CycleCx) {
-        let n_cards = self.cards_in_use();
-        cx.stats.cards_in_use = n_cards as u64;
-        cx.touch_card_range(0, n_cards);
-        let colors = self.heap.colors();
-        // Word-skip the (typically long) clean runs between dirty cards.
-        let mut from = 0;
-        while let Some(card) = self.cards.next_dirty(from, n_cards) {
-            from = card + 1;
-            cx.stats.dirty_cards += 1;
-            self.cards.clear(card);
-            let (gs, ge) = self.cards.granule_range(card);
-            let ge = ge.min(self.heap.frontier_granule());
-            cx.touch_color_range(gs, ge);
-            let mut g = gs;
-            loop {
-                g = colors.next_color_above(g, ge, Color::Yellow);
-                if g >= ge {
-                    break;
-                }
-                if colors.cas(g, Color::Black, Color::Gray) {
-                    let obj = ObjectRef::from_granule(g);
-                    let size = self.heap.arena().header(obj).size_granules();
-                    cx.mark_stack.push(obj);
-                    cx.stats.intergen_objects += 1;
-                    cx.stats.intergen_bytes += (size * GRANULE) as u64;
-                    cx.touch_object_granules(g, size);
-                }
-                g += 1;
-            }
-        }
-    }
-
-    /// `ClearCards`, aging variant (Figure 6, with the §7.2 three-step
-    /// clear/check/re-mark protocol): for every dirty card,
-    ///
-    /// 1. clear the mark,
-    /// 2. scan the objects starting on the card: tenured objects (black
-    ///    with age at the threshold) act as inter-generational roots —
-    ///    their sons are shaded gray; and
-    /// 3. re-mark the card if any object on it still references a young
-    ///    object, so the inter-generational pointer is re-examined next
-    ///    cycle.
-    ///
-    /// Step 3 deliberately considers *all* objects on the card, not only
-    /// tenured ones: a young parent holding a young son will eventually be
-    /// tenured while its son is still young, and the card mark must
-    /// survive until then (see DESIGN.md §4 — this widens Figure 6's
-    /// literal re-mark condition, which checks only tenured parents and
-    /// would otherwise drop the pointer).
-    ///
-    /// Step 2 finds the objects in the color table: a word skip to each
-    /// start byte above `Interior`, then an acquire re-read of that byte
-    /// (pairing with the allocator's publication) before the header.
-    pub(crate) fn clear_cards_aging(&self, threshold: u8, cx: &mut CycleCx) {
+    /// * **Simple promotion** (Figure 3): floor `Yellow`, so the skip lands
+    ///   on `Gray`/`Black` (old) starts only.  A `Black → Gray` CAS
+    ///   (AcqRel, licensing the header read after it) hands each black one
+    ///   to the trace, which re-scans it for inter-generational pointers.
+    ///   The scan runs before the toggle, while every mutator is in
+    ///   `sync1`/`sync2` and marks no card (§7.1): clear-then-scan needs no
+    ///   re-mark, and every young object a cleared card pointed at is
+    ///   traced (and promoted) by this very cycle.  DESIGN.md §4.9 records
+    ///   what goes wrong when the scan moves after the toggle.
+    /// * **Aging** (Figure 6, in the §7.2 clear/check/re-mark order):
+    ///   floor `Interior`, then an acquire re-read of the start byte
+    ///   (pairing with the allocator's publication) before the header.
+    ///   The mutator stores first and marks second, so either the check
+    ///   sees its pointer or its mark survives the clear.  A tenured object
+    ///   (black, age at the threshold) is an inter-generational root whose
+    ///   sons are shaded under the clear-color rule.  The card is re-marked
+    ///   if *any* object on it still references a young one: a young parent
+    ///   of a young son may be tenured while its son is still young, and
+    ///   Figure 6's literal condition, tenured parents only, would drop
+    ///   that pointer (DESIGN.md §4).
+    pub(crate) fn clear_cards(&self, cx: &mut CycleCx) {
+        let threshold = self.config.aging_threshold();
+        let floor = match threshold {
+            None => Color::Yellow,
+            Some(_) => Color::Interior,
+        };
         let n_cards = self.cards_in_use();
         cx.stats.cards_in_use = n_cards as u64;
         cx.touch_card_range(0, n_cards);
         let colors = self.heap.colors();
         let ages = self.heap.ages();
         let arena = self.heap.arena();
-        let is_young = |son: ObjectRef| !son.is_null() && ages.get(son.granule()) < threshold;
-        // Word-skip clean runs; next_dirty's acquire re-read of the dirty
-        // byte pairs with the mutator's release mark, so the pointer
-        // stores that preceded a mark we observe are visible to step 2.
+        // Word-skip the (typically long) clean runs between dirty cards.
+        // next_dirty's acquire re-read of the dirty byte pairs with the
+        // mutator's release mark, so the pointer stores that preceded a
+        // mark we observe are visible to the check.
         let mut from = 0;
         while let Some(card) = self.cards.next_dirty(from, n_cards) {
             from = card + 1;
             cx.stats.dirty_cards += 1;
-            // Step 1: clear first (the mutator stores first and marks
-            // second, so either we see its pointer in step 2 or its mark
-            // survives our clear).
             self.cards.clear(card);
             let (gs, ge) = self.cards.granule_range(card);
             let ge = ge.min(self.heap.frontier_granule());
             cx.touch_color_range(gs, ge);
-            // Step 2: scan.
             let mut remark = false;
             let mut g = gs;
             loop {
-                g = colors.next_color_above(g, ge, Color::Interior);
+                g = colors.next_color_above(g, ge, floor);
                 if g >= ge {
                     break;
                 }
-                let color = colors.get(g); // acquire pairs with allocation
                 let obj = ObjectRef::from_granule(g);
-                let header = arena.header(obj);
-                let ref_slots = header.ref_slots();
-                if color == Color::Black && ages.get(g) >= threshold {
-                    cx.stats.intergen_objects += 1;
-                    cx.stats.intergen_bytes += (header.size_granules() * GRANULE) as u64;
-                    cx.touch_object(obj, 1 + ref_slots);
-                    for i in 0..ref_slots {
-                        let son = arena.load_ref_slot(obj, i);
-                        self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
-                        remark |= is_young(son);
+                match threshold {
+                    None => {
+                        if colors.cas(g, Color::Black, Color::Gray) {
+                            let size = arena.header(obj).size_granules();
+                            cx.mark_stack.push(obj);
+                            cx.stats.intergen_objects += 1;
+                            cx.stats.intergen_bytes += (size * GRANULE) as u64;
+                            cx.touch_object_granules(g, size);
+                        }
                     }
-                } else if !remark {
-                    // A non-tenured object with any reference keeps the
-                    // card dirty if one of its sons is young: once this
-                    // parent is tenured the pointer becomes (or stays)
-                    // inter-generational.
-                    remark = (0..ref_slots).any(|i| is_young(arena.load_ref_slot(obj, i)));
+                    Some(threshold) => {
+                        let color = colors.get(g); // acquire pairs with allocation
+                        let header = arena.header(obj);
+                        let ref_slots = header.ref_slots();
+                        let is_young =
+                            |son: ObjectRef| !son.is_null() && ages.get(son.granule()) < threshold;
+                        if color == Color::Black && ages.get(g) >= threshold {
+                            cx.stats.intergen_objects += 1;
+                            cx.stats.intergen_bytes += (header.size_granules() * GRANULE) as u64;
+                            cx.touch_object(obj, 1 + ref_slots);
+                            for i in 0..ref_slots {
+                                let son = arena.load_ref_slot(obj, i);
+                                self.mark_gray_clear(son, |o| cx.mark_stack.push(o));
+                                remark |= is_young(son);
+                            }
+                        } else if !remark {
+                            remark = (0..ref_slots).any(|i| is_young(arena.load_ref_slot(obj, i)));
+                        }
+                    }
                 }
                 g += 1;
             }
-            // Step 3: re-mark if a young object is still referenced from
-            // this card.
             if remark {
                 self.cards.mark_card(card);
             }
@@ -163,11 +125,11 @@ impl GcShared {
 
     /// `InitFullCollection` (Figures 3 and 6): recolor every black (and
     /// leaked gray) object to the current allocation color so the
-    /// subsequent toggle makes the whole heap traceable, and — in the
-    /// simple variant only — clear all card marks (the aging variant keeps
-    /// them: they may still describe inter-generational pointers relevant
-    /// to later partial collections, §6).  The wipe covers the cards in
-    /// use, not the whole table sized for `max_heap`.
+    /// subsequent toggle makes the whole heap traceable, and — under
+    /// simple promotion only — clear all card marks (aging keeps them:
+    /// they may still describe inter-generational pointers relevant to
+    /// later partial collections, §6).  The wipe covers the cards in use,
+    /// not the whole table sized for `max_heap`.
     ///
     /// Runs before the first handshake, concurrently with fully-running
     /// mutators; this is safe because mutators never recolor black
@@ -179,7 +141,7 @@ impl GcShared {
     /// recoloring — no object parsing (headers, extents) at all.
     /// Concurrent allocation only publishes `White`/`Yellow` start bytes,
     /// which the scan passes over.
-    pub(crate) fn init_full_collection(&self, clear_cards: bool, cx: &mut CycleCx) {
+    pub(crate) fn init_full_collection(&self, cx: &mut CycleCx) {
         let end = self.heap.frontier_granule();
         cx.touch_color_range(1, end);
         self.heap
@@ -188,7 +150,7 @@ impl GcShared {
         // Only cards below the frontier can hold a mark: the frontier
         // never retreats, and a card marked past a frontier that moved on
         // after our read only costs the next card scan one extra card.
-        if clear_cards {
+        if self.config.aging_threshold().is_none() {
             let n_cards = self.cards_in_use();
             self.cards.clear_range(0, n_cards);
             cx.touch_card_range(0, n_cards);
@@ -223,7 +185,7 @@ mod tests {
         let young = alloc(&sh, 0, Color::White);
         sh.heap.arena().store_ref_slot(old, 0, young);
         sh.cards.mark_byte(old.byte());
-        sh.clear_cards_simple(&mut cx);
+        sh.clear_cards(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Gray);
         assert_eq!(cx.mark_stack.pop(), Some(old));
         assert_eq!(cx.stats.dirty_cards, 1);
@@ -237,7 +199,7 @@ mod tests {
         let (sh, mut cx) = setup(GcConfig::generational());
         let young = alloc(&sh, 1, Color::White);
         sh.cards.mark_byte(young.byte());
-        sh.clear_cards_simple(&mut cx);
+        sh.clear_cards(&mut cx);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::White);
         assert!(cx.mark_stack.is_empty());
         assert_eq!(cx.stats.intergen_objects, 0);
@@ -254,7 +216,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(old, 0, son);
         sh.cards.mark_byte(old.byte());
 
-        sh.clear_cards_aging(threshold, &mut cx);
+        sh.clear_cards(&mut cx);
         assert_eq!(sh.heap.colors().get(son.granule()), Color::Gray);
         assert_eq!(cx.mark_stack.pop(), Some(son));
         // Young son referenced => card re-marked (step 3).
@@ -273,7 +235,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(old, 0, son);
         sh.cards.mark_byte(old.byte());
 
-        sh.clear_cards_aging(threshold, &mut cx);
+        sh.clear_cards(&mut cx);
         // Old son: no young reference left, card cleared for good.
         assert!(!sh.cards.is_dirty(sh.cards.card_of_byte(old.byte())));
         // Black son is not grayed by mark_gray_clear.
@@ -293,7 +255,7 @@ mod tests {
         sh.heap.arena().store_ref_slot(parent, 0, son);
         sh.cards.mark_byte(parent.byte());
 
-        sh.clear_cards_aging(threshold, &mut cx);
+        sh.clear_cards(&mut cx);
         assert!(sh.cards.is_dirty(sh.cards.card_of_byte(parent.byte())));
         // But the son is NOT grayed from here: young parents are traced
         // through normal reachability.
@@ -324,11 +286,7 @@ mod tests {
             assert_eq!(second, first + 1, "the object spans two cards");
             sh.cards.mark_card(second);
 
-            if aging {
-                sh.clear_cards_aging(threshold, &mut cx);
-            } else {
-                sh.clear_cards_simple(&mut cx);
-            }
+            sh.clear_cards(&mut cx);
             assert_eq!(cx.stats.dirty_cards, 1);
             assert_eq!(cx.stats.intergen_objects, 0, "aging={aging}");
             assert!(cx.mark_stack.is_empty(), "aging={aging}");
@@ -345,7 +303,7 @@ mod tests {
         let b = alloc(&sh, 0, Color::Gray);
         let c = alloc(&sh, 0, Color::White);
         sh.cards.mark_byte(a.byte());
-        sh.init_full_collection(true, &mut cx);
+        sh.init_full_collection(&mut cx);
         assert_eq!(sh.heap.colors().get(a.granule()), Color::White);
         assert_eq!(sh.heap.colors().get(b.granule()), Color::White);
         assert_eq!(sh.heap.colors().get(c.granule()), Color::White);
@@ -365,7 +323,7 @@ mod tests {
         sh.cards.mark_card(in_use);
         sh.cards.mark_card(past);
 
-        sh.init_full_collection(true, &mut cx);
+        sh.init_full_collection(&mut cx);
         assert_eq!(sh.cards.next_dirty(0, in_use), None);
         assert!(sh.cards.is_dirty(in_use));
         assert!(sh.cards.is_dirty(past));
@@ -377,7 +335,7 @@ mod tests {
         let (sh, mut cx) = setup(GcConfig::aging(4));
         let a = alloc(&sh, 0, Color::Black);
         sh.cards.mark_byte(a.byte());
-        sh.init_full_collection(false, &mut cx);
+        sh.init_full_collection(&mut cx);
         assert_eq!(sh.heap.colors().get(a.granule()), Color::White);
         assert_eq!(sh.cards.count_dirty(sh.cards.len()), 1);
     }
@@ -390,7 +348,7 @@ mod tests {
         let b = alloc(&sh, 0, Color::Black);
         let c = alloc(&sh, 0, Color::White);
         sh.cards.mark_byte(b.byte());
-        sh.clear_cards_simple(&mut cx);
+        sh.clear_cards(&mut cx);
         assert_eq!(sh.heap.colors().get(a.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(b.granule()), Color::Gray);
         assert_eq!(sh.heap.colors().get(c.granule()), Color::White);

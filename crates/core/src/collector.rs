@@ -66,19 +66,10 @@ impl GcShared {
         cx.stats.used_before = self.heap.used_bytes();
         cx.stats.allocated_since_last = self.bytes_since_cycle();
         cx.stats.phases.init = self.bucket(bucket::INIT, phase::INIT, || {
-            if kind == CycleKind::Full {
-                match self.config.mode {
-                    // The toggled non-generational baseline needs no
-                    // initialization pass (Remark 5.1).
-                    Mode::NonGenerational => {}
-                    // Simple variant: recolor old objects young and wipe
-                    // all card marks (Figure 3).
-                    Mode::Generational(Promotion::Simple) => self.init_full_collection(true, cx),
-                    // Aging variant: recolor but *keep* the card marks (§6).
-                    Mode::Generational(Promotion::Aging { .. }) => {
-                        self.init_full_collection(false, cx)
-                    }
-                }
+            // The toggled non-generational baseline needs no
+            // initialization pass (Remark 5.1).
+            if kind == CycleKind::Full && self.config.is_generational() {
+                self.init_full_collection(cx);
             }
         });
 
@@ -96,19 +87,17 @@ impl GcShared {
                     // Figure 2 order: ClearCards *before* the toggle, so
                     // card marks for parents of yellow objects are never
                     // lost (§7.1).  Both kinds scan.
-                    cx.stats.phases.cards =
-                        self.timed(phase::CARDS, || self.clear_cards_simple(cx));
+                    cx.stats.phases.cards = self.timed(phase::CARDS, || self.clear_cards(cx));
                     self.colors.toggle();
                 }
-                Mode::Generational(Promotion::Aging { threshold }) => {
+                Mode::Generational(Promotion::Aging { .. }) => {
                     // Figure 5 order: toggle first, then scan — the aging
                     // scan grays the previous cycle's young survivors,
                     // which only carry the clear color after the toggle.
                     // Full collections skip the scan entirely (§6).
                     self.colors.toggle();
                     if kind == CycleKind::Partial {
-                        cx.stats.phases.cards =
-                            self.timed(phase::CARDS, || self.clear_cards_aging(threshold, cx));
+                        cx.stats.phases.cards = self.timed(phase::CARDS, || self.clear_cards(cx));
                     }
                 }
             }
@@ -197,12 +186,17 @@ impl GcShared {
                 // occupancy, and the almost-full trigger must leave
                 // headroom for a whole young-generation budget plus
                 // in-flight allocation above the live set — otherwise it
-                // would preempt every partial collection.  The same
-                // calculation serves non-generational mode (§8: "the
+                // would preempt every partial collection.
+                //
+                // Non-generational mode runs the same code (§8: "the
                 // calculation of the trigger for a full collection was
-                // the same with and without generations"), where it
-                // yields a cadence of roughly 1.7 young-budgets of
-                // garbage per collection.
+                // the same with and without generations") but not the
+                // same calculation: its mark color is its allocation
+                // color, so the sweep counts every survivor as
+                // allocation-colored and `live` reads 0 on every full.
+                // Its target is the constant 5/4 young budget, and its
+                // heap grows only through the backstop below and the
+                // allocation-stall `grow` (DESIGN.md §4.12).
                 let live = stats
                     .bytes_survived
                     .saturating_sub(stats.bytes_alloc_colored) as usize;
@@ -211,9 +205,7 @@ impl GcShared {
                 // allocation above the live set, or the almost-full
                 // trigger preempts every partial.  The non-generational
                 // heap has no such constraint and the paper's JDK grew it
-                // only under allocation pressure, leaving it snug around
-                // the live set — its Figure 10 cadences correspond to a
-                // gap of roughly one young budget per collection.
+                // only under allocation pressure.
                 let headroom = if self.config.is_generational() {
                     self.config.young_size * 9 / 4
                 } else {
@@ -225,7 +217,10 @@ impl GcShared {
                 // committed size was allocated since the previous full
                 // collection, the heap is simply too small; widen it by
                 // one young budget (gently — doubling here would blow the
-                // carefully-sized trigger gap apart).
+                // carefully-sized trigger gap apart).  It also fires
+                // right after the first full's `grow_to` in both modes:
+                // `since_last_full` counts from 0 and is compared with
+                // the size just grown.
                 if since_last_full < self.heap.committed_bytes() as u64 / 4 {
                     self.heap
                         .grow_to(self.heap.committed_bytes() + self.config.young_size);
@@ -286,7 +281,6 @@ impl GcShared {
         for m in &snapshot {
             m.force_async();
         }
-        self.notify_handshake();
 
         // Give in-flight write barriers a moment to drain; proceeding
         // past a wedged barrier is safe (see step 3 above), so the wait

@@ -2,12 +2,13 @@
 //! plus the graying primitives and the soft-handshake protocol.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use otf_heap::{CardTable, Color, HeapSpace, ObjectRef};
 use otf_support::fault::Faults;
-use otf_support::sync::{Condvar, Mutex};
+use otf_support::sync::Mutex;
 
 use crate::config::GcConfig;
 use crate::control::{Cause, Control};
@@ -86,11 +87,12 @@ pub(crate) struct GcShared {
     /// Pause histograms and the GC event trace ring; its clock is the
     /// collector's time origin.
     pub obs: Obs,
-    /// Handshake wakeup: mutators notify after adopting a posted status
-    /// (and when parking), so the collector sleeps instead of spinning —
-    /// essential on machines with fewer cores than threads.
-    hs_lock: Mutex<()>,
-    hs_cond: Condvar,
+    /// The thread that waits in [`wait_handshake`](GcShared::wait_handshake)
+    /// (the collector thread, or a unit test's own), registered by its
+    /// first call.  Mutators `unpark` it after adopting a posted status
+    /// (and when parking), so it sleeps instead of spinning — essential
+    /// on machines with fewer cores than threads.
+    waiter: OnceLock<Thread>,
     /// The fault plan this collector's injection points consult
     /// ([`Gc::with_faults`](crate::Gc::with_faults)); `None` outside the
     /// chaos harness.
@@ -126,8 +128,7 @@ impl GcShared {
             globals: Mutex::new(Vec::new()),
             control: Control::new(),
             obs: Obs::new(config.trace_events),
-            hs_lock: Mutex::new(()),
-            hs_cond: Condvar::new(),
+            waiter: OnceLock::new(),
             faults: None,
         }
     }
@@ -140,13 +141,15 @@ impl GcShared {
         self.faults.as_ref().is_some_and(|f| f.point(name))
     }
 
-    /// Wakes a collector blocked in [`wait_handshake`].  Called by
-    /// mutators right after adopting a posted status or parking.
+    /// Unparks the thread waiting in [`wait_handshake`], if one has
+    /// registered.  Called by mutators right after adopting a posted
+    /// status or parking.
     ///
     /// [`wait_handshake`]: GcShared::wait_handshake
     pub(crate) fn notify_handshake(&self) {
-        let _guard = self.hs_lock.lock();
-        self.hs_cond.notify_all();
+        if let Some(waiter) = self.waiter.get() {
+            waiter.unpark();
+        }
     }
 
     /// The collector's current status.
@@ -266,7 +269,15 @@ impl GcShared {
     /// status.  Parked mutators are responded-to on their behalf under the
     /// park lock: if the transition is to `Async` (the third handshake),
     /// the collector marks the parked mutator's snapshot roots gray.
+    /// Between scans the waiter parks until an ack unparks it or the
+    /// watchdog's next report is due.
     pub(crate) fn wait_handshake(&self) {
+        let waiter = self.waiter.get_or_init(std::thread::current);
+        debug_assert_eq!(
+            waiter.id(),
+            std::thread::current().id(),
+            "one thread waits on handshakes"
+        );
         let target = self.status_c.load(Ordering::Acquire);
         let snapshot: Vec<Arc<MutatorShared>> = self.mutators.lock().clone();
         // Watchdog state: after `HANDSHAKE_STALL` without full adoption,
@@ -324,18 +335,16 @@ impl GcShared {
                 // Rate limit: double the spacing after every report so a
                 // long stall logs O(log t) lines, not O(t).
                 next_report += HANDSHAKE_STALL * (1u32 << reports.min(16));
+                if overdue {
+                    // The injected deadline passed; the real one did not.
+                    continue;
+                }
             }
-            // Sleep until a mutator responds.  The status re-check under
-            // the handshake lock pairs with the mutators' notify-under-
-            // lock, so a response cannot be missed; the timeout only
-            // covers park-state transitions racing the check.
-            let mut guard = self.hs_lock.lock();
-            let responded_now = snapshot
-                .iter()
-                .all(|m| m.status.load(Ordering::Acquire) == target || m.park.lock().parked);
-            if !responded_now {
-                self.hs_cond.wait_for(&mut guard, Duration::from_millis(1));
-            }
+            // Sleep until a mutator responds or the next report is due.
+            // A response that lands after the scan above leaves its
+            // `unpark` as this thread's token, so the park returns at once
+            // and no wake-up is lost.
+            std::thread::park_timeout(next_report.saturating_sub(waited));
         }
     }
 
@@ -386,7 +395,6 @@ impl GcShared {
         self.open_bucket.store(bucket::NONE, Ordering::Release);
         self.status_c.store(Status::Async as u8, Ordering::Release);
         self.control.poison();
-        self.notify_handshake();
         eprintln!(
             "otf-gc: collector thread panicked; collection disabled, \
              allocation continues in grow-only mode"
@@ -737,6 +745,34 @@ mod tests {
             sh.notify_handshake();
             waiter.join().unwrap();
         });
+    }
+
+    /// Acks wake the waiter: a mutator that adopts the posted status
+    /// 20 ms after the post ends the wait long before the first report at
+    /// 1 s, which is where a lost wake-up would sleep until.
+    #[test]
+    fn an_ack_wakes_the_handshake_waiter() {
+        let sh = small();
+        let m = sh.register_mutator();
+        sh.post_handshake(Status::Sync1);
+        let start = Instant::now();
+        // The waiter is a thread of its own: the scope's end unparks the
+        // thread that opened it, which would mask a lost wake-up.
+        let waited = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                sh.wait_handshake();
+                start.elapsed()
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            m.status.store(Status::Sync1 as u8, Ordering::Release);
+            sh.notify_handshake();
+            waiter.join().unwrap()
+        });
+        assert!(
+            waited < Duration::from_millis(500),
+            "the ack did not wake the waiter: {waited:?}"
+        );
+        assert_eq!(sh.obs.watchdog_trips.load(Ordering::Relaxed), 0);
     }
 
     #[test]

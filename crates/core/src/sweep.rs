@@ -46,7 +46,6 @@
 
 use otf_heap::{Chunk, Color, GRANULE};
 
-use crate::config::{Mode, Promotion};
 use crate::cycle::CycleCx;
 use crate::shared::GcShared;
 
@@ -56,38 +55,7 @@ use crate::shared::GcShared;
 /// threshold.
 const SWEEP_FLUSH_CHUNKS: usize = 256;
 
-/// The cycle's sweep configuration: its clear / allocation colors and
-/// promotion policy, read once after the trace.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SweepParams {
-    /// The color being reclaimed (the dead color of the finished trace).
-    pub clear: Color,
-    /// The cycle's allocation color (left untouched / re-applied to
-    /// young survivors under aging).
-    pub alloc: Color,
-    /// `Some(threshold)` in the aging variant (Figure 5).
-    pub aging: Option<u8>,
-    /// The color a leaked gray is conservatively promoted to in the
-    /// non-aging arms (for the non-generational baseline this is the
-    /// cycle's mark color, which toggles).
-    pub trace_target: Color,
-}
-
 impl GcShared {
-    /// Captures the current cycle's sweep configuration (see
-    /// [`SweepParams`]), after the trace and before any reclamation.
-    pub(crate) fn sweep_params(&self) -> SweepParams {
-        SweepParams {
-            clear: self.colors.clear_color(),
-            alloc: self.colors.allocation_color(),
-            aging: match self.config.mode {
-                Mode::Generational(Promotion::Aging { threshold }) => Some(threshold),
-                _ => None,
-            },
-            trace_target: self.trace_target(),
-        }
-    }
-
     /// The sweep (the cycle's `reclaim` bucket): one pass over
     /// `[1, frontier)`, a run at a time (module docs; DESIGN.md §4.12),
     /// ending in one merge of the free pool.
@@ -95,12 +63,15 @@ impl GcShared {
         let frontier = self.heap.frontier_granule();
         // Sweep reads every color byte up to the frontier.
         cx.touch_color_range(1, frontier);
-        let SweepParams {
-            clear,
-            alloc,
-            aging,
-            trace_target,
-        } = self.sweep_params();
+        // The cycle's colors, read once after the trace: the dead color
+        // reclaimed, the allocation color (left untouched, or re-applied
+        // to young survivors under aging), and the color a leaked gray is
+        // conservatively kept as outside aging (the baseline's mark color
+        // toggles with the allocation color).
+        let clear = self.colors.clear_color();
+        let alloc = self.colors.allocation_color();
+        let aging = self.config.aging_threshold();
+        let trace_target = self.trace_target();
         let mut batch = Vec::with_capacity(SWEEP_FLUSH_CHUNKS);
         let colors = self.heap.colors();
         let ages = self.heap.ages();
@@ -358,12 +329,10 @@ mod tests {
     /// differential oracle: one skip, one acquire load and one extent
     /// scan per object start, serially over `[1, frontier)`.
     fn sweep_oracle(sh: &GcShared, stats: &mut CycleStats) {
-        let SweepParams {
-            clear,
-            alloc,
-            aging,
-            trace_target,
-        } = sh.sweep_params();
+        let clear = sh.colors.clear_color();
+        let alloc = sh.colors.allocation_color();
+        let aging = sh.config.aging_threshold();
+        let trace_target = sh.trace_target();
         let colors = sh.heap.colors();
         let ages = sh.heap.ages();
         let frontier = sh.heap.frontier_granule();

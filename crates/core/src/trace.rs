@@ -164,7 +164,7 @@ mod tests {
         let old = alloc(&sh, 1, Color::Black);
         sh.heap.arena().store_ref_slot(old, 0, young);
         sh.cards.mark_byte(old.byte());
-        sh.clear_cards_simple(&mut cx); // grays the black parent
+        sh.clear_cards(&mut cx); // grays the black parent
         sh.trace(&mut cx);
         assert_eq!(sh.heap.colors().get(old.granule()), Color::Black);
         assert_eq!(sh.heap.colors().get(young.granule()), Color::Black);

@@ -25,7 +25,6 @@
 
 use otf_heap::{Color, Header, ObjectRef};
 
-use crate::config::Mode;
 use crate::shared::GcShared;
 
 /// A violated heap invariant, as reported by
@@ -172,10 +171,8 @@ impl GcShared {
         }
 
         // Pass 2: every reference slot targets a live object start.
-        let is_gen_simple = matches!(
-            self.config.mode,
-            Mode::Generational(crate::config::Promotion::Simple)
-        );
+        let is_gen_simple =
+            self.config.is_generational() && self.config.aging_threshold().is_none();
         for &obj in &live_starts {
             let header = self.heap.arena().header(obj);
             let from_color = colors.get(obj.granule());

@@ -45,9 +45,9 @@ pub const PAGE: usize = 4096;
 ///
 /// ```
 /// use otf_heap::ObjectRef;
-/// let r = ObjectRef::from_raw(32);
+/// let r = ObjectRef::from_granule(2);
 /// assert!(!r.is_null());
-/// assert_eq!(r.granule(), 2);
+/// assert_eq!(r.byte(), 32);
 /// assert_eq!(ObjectRef::NULL.granule(), 0);
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -56,17 +56,6 @@ pub struct ObjectRef(u32);
 impl ObjectRef {
     /// The null reference (byte offset zero, which is never an object).
     pub const NULL: ObjectRef = ObjectRef(0);
-
-    /// Builds a reference from a raw byte offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `byte` is not granule-aligned.
-    #[inline]
-    pub fn from_raw(byte: u32) -> ObjectRef {
-        debug_assert_eq!(byte as usize % GRANULE, 0, "unaligned object ref {byte:#x}");
-        ObjectRef(byte)
-    }
 
     /// Builds a reference from a granule index.
     ///
@@ -170,7 +159,6 @@ mod tests {
             let r = ObjectRef::from_granule(g);
             assert_eq!(r.granule(), g);
             assert_eq!(r.byte(), g * GRANULE);
-            assert_eq!(ObjectRef::from_raw(r.raw()), r);
             assert_eq!(ObjectRef::from_slot(r.to_slot()), r);
         }
     }
@@ -196,13 +184,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(ObjectRef::NULL.to_string(), "null");
         assert_eq!(ObjectRef::from_granule(1).to_string(), "obj@0x10");
-    }
-
-    #[test]
-    #[should_panic(expected = "unaligned")]
-    #[cfg(debug_assertions)]
-    fn unaligned_ref_panics() {
-        let _ = ObjectRef::from_raw(7);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl CardTable {
         }
     }
 
-    /// The card size in bytes.
-    #[inline]
-    pub fn card_size(&self) -> usize {
-        1 << self.shift
-    }
-
     /// Number of cards.
     #[inline]
     pub fn len(&self) -> usize {
@@ -177,7 +171,6 @@ mod tests {
     #[test]
     fn geometry() {
         let t = CardTable::new(1 << 20, 512);
-        assert_eq!(t.card_size(), 512);
         assert_eq!(t.len(), 2048);
         assert_eq!(t.card_of_byte(0), 0);
         assert_eq!(t.card_of_byte(511), 0);

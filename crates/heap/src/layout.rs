@@ -101,16 +101,10 @@ impl ObjShape {
         self.class_id
     }
 
-    /// Total size in words including the header (before granule rounding).
-    #[inline]
-    pub fn size_words(&self) -> usize {
-        1 + self.ref_slots as usize + self.data_words as usize
-    }
-
     /// Total size in granules (header + slots + data, rounded up).
     #[inline]
     pub fn size_granules(&self) -> usize {
-        granules_for_words(self.size_words())
+        granules_for_words(1 + self.ref_slots as usize + self.data_words as usize)
     }
 
     /// Total size in bytes (granule-rounded).
