@@ -47,6 +47,16 @@ step doc env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-dep
 # benchmark driver.
 step benchmark-check benchmark/check.sh
 
+# The four release examples, run: `quickstart` and `concurrent_cache`
+# assert heap contents, and `compare_collectors` runs every plan on one
+# workload.  The build step above built them.
+run_examples() {
+    for e in quickstart compare_collectors concurrent_cache cycle_inspector; do
+        cargo run -q --release --offline --example "$e" || return 1
+    done
+}
+step examples run_examples
+
 # The plan matrix lives in the tests, each configuration written where
 # it is checked: `tests/plan_equivalence.rs` pins every plan's end state,
 # the `collector` unit tests pin every (plan × kind) event sequence, and
@@ -70,6 +80,7 @@ echo "crates/ non-test lines:  $(find crates -name '*.rs' -not -path '*/tests/*'
 echo "GcConfig pub fields:     $(sed -n '/^pub struct GcConfig {/,/^}/p' crates/core/src/config.rs | grep -c '^    pub [a-z_]*:')"
 echo "GcConfig builders:       $(grep -c 'pub fn with_' crates/core/src/config.rs)"
 echo "GcConfig vestiges:       $(grep -c '/// Vestige:' crates/core/src/config.rs)"
+echo "CycleStats pub fields:   $(sed -n '/^pub struct CycleStats {/,/^}/p' crates/core/src/stats.rs | grep -c '^    pub [a-z_]*:')"
 echo "OTF_GC_* set by ci.sh:   $(grep -v '^#' "$0" | grep -o 'OTF_GC_[A-Z_]*=' | sort -u | wc -l)"
 echo "steps setting OTF_GC_*:  $(grep -c '^step .*OTF_GC_[A-Z_]*=' "$0")"
 echo "crates/bench binaries:   $(ls crates/bench/src/bin | wc -l)"

@@ -38,6 +38,17 @@ use crate::stats::{CycleKind, CycleStats};
 const GROW_FRACTION: f64 = 0.55;
 
 impl GcShared {
+    /// The heap-sizing rule, one for every mode (§8: "the calculation of
+    /// the trigger for a full collection was the same with and without
+    /// generations"): the committed size a full collection that measured
+    /// `live` bytes grows the heap to.  Live data sits at most at
+    /// `GROW_FRACTION` occupancy, and above it stays room for a whole
+    /// young budget of garbage plus in-flight allocation, or the
+    /// almost-full trigger would preempt every partial collection.
+    pub(crate) fn sizing_target(&self, live: usize) -> usize {
+        ((live as f64 / GROW_FRACTION) as usize).max(live * 3 / 2 + self.config.young_size * 9 / 4)
+    }
+
     /// Runs one complete collection cycle.  Mutators keep running the
     /// whole time (on-the-fly): they cooperate via handshakes, their write
     /// barrier keeps the trace sound, and their allocations proceed with
@@ -103,6 +114,10 @@ impl GcShared {
             }
             self.wait_handshake();
         });
+        // Each mutator flushes its private counts on parking and right
+        // after it acks `sync2`, so this total is what was allocated
+        // before the toggle, to within one flush interval per mutator.
+        let allocated_at_toggle = self.heap.bytes_allocated();
 
         // ----- third handshake: root marking ---------------------------
         // Its kill site fires after the toggle and before tracing is
@@ -124,6 +139,12 @@ impl GcShared {
         cx.stats.phases.trace = self.bucket(bucket::TRACE, phase::TRACE, || self.trace(cx));
         self.tracing.store(false, Ordering::Release);
         cx.stats.phases.sweep = self.bucket(bucket::RECLAIM, phase::SWEEP, || self.sweep(cx));
+        if kind == CycleKind::Full {
+            // The survivors the sweep counted, less what the mutators
+            // allocated since the toggle: the same source in every mode.
+            let allocated = self.heap.bytes_allocated() - allocated_at_toggle;
+            cx.stats.live_bytes = cx.stats.bytes_survived.saturating_sub(allocated);
+        }
 
         self.open_bucket.store(bucket::NONE, Ordering::Release);
 
@@ -174,53 +195,21 @@ impl GcShared {
                 panic!("injected collector panic (chaos fault plan)");
             }
             cx.cause = cause;
-            let stats = self.run_cycle(kind, &mut cx);
+            let mut stats = self.run_cycle(kind, &mut cx);
             if kind == CycleKind::Full {
                 let total_alloc = self.heap.bytes_allocated();
                 let since_last_full = total_alloc - alloc_at_last_full;
                 alloc_at_last_full = total_alloc;
-                // Resize toward a target occupancy, like the paper's JVM
-                // heap manager, from the *measured live set* (the full
-                // collection's survivors minus allocation that raced the
-                // cycle): live data should sit at ≤ GROW_FRACTION
-                // occupancy, and the almost-full trigger must leave
-                // headroom for a whole young-generation budget plus
-                // in-flight allocation above the live set — otherwise it
-                // would preempt every partial collection.
-                //
-                // Non-generational mode runs the same code (§8: "the
-                // calculation of the trigger for a full collection was
-                // the same with and without generations") but not the
-                // same calculation: its mark color is its allocation
-                // color, so the sweep counts every survivor as
-                // allocation-colored and `live` reads 0 on every full.
-                // Its target is the constant 5/4 young budget, and its
-                // heap grows only through the backstop below and the
-                // allocation-stall `grow` (DESIGN.md §4.12).
-                let live = stats
-                    .bytes_survived
-                    .saturating_sub(stats.bytes_alloc_colored) as usize;
-                // The generational heap needs headroom for a whole young
-                // budget of uncollected garbage *plus* in-flight
-                // allocation above the live set, or the almost-full
-                // trigger preempts every partial.  The non-generational
-                // heap has no such constraint and the paper's JDK grew it
-                // only under allocation pressure.
-                let headroom = if self.config.is_generational() {
-                    self.config.young_size * 9 / 4
-                } else {
-                    self.config.young_size * 5 / 4
-                };
-                let target = ((live as f64 / GROW_FRACTION) as usize).max(live * 3 / 2 + headroom);
+                let target = self.sizing_target(stats.live_bytes as usize);
+                stats.target_bytes = target as u64;
                 self.heap.grow_to(target);
                 // Full-GC thrash backstop: if less than a quarter of the
                 // committed size was allocated since the previous full
                 // collection, the heap is simply too small; widen it by
                 // one young budget (gently — doubling here would blow the
                 // carefully-sized trigger gap apart).  It also fires
-                // right after the first full's `grow_to` in both modes:
-                // `since_last_full` counts from 0 and is compared with
-                // the size just grown.
+                // right after the first full's `grow_to`: `since_last_full`
+                // counts from 0 and is compared with the size just grown.
                 if since_last_full < self.heap.committed_bytes() as u64 / 4 {
                     self.heap
                         .grow_to(self.heap.committed_bytes() + self.config.young_size);
@@ -669,8 +658,9 @@ mod tests {
                     .max_fires(1),
             ),
         ));
+        // Fixed at 2 MB: no growth moves the almost-full line.
         let cfg = GcConfig::generational()
-            .with_max_heap(8 << 20)
+            .with_max_heap(2 << 20)
             .with_initial_heap(2 << 20)
             .with_young_size(8 << 20)
             .with_event_trace(true);
@@ -698,8 +688,88 @@ mod tests {
         for _ in 0..256 {
             rooted_alloc(&mut m);
         }
-        m.parked(|| gc.collect_full_blocking());
+        m.parked(|| {
+            gc.collect_full_blocking();
+            // The almost-full cycle's close wakes this wait; the requested
+            // one may not have begun yet.
+            while gc.cycles_completed() < 2 {
+                std::thread::yield_now();
+            }
+        });
         assert_eq!(begin_causes(&gc), ["almost_full", "requested"]);
+        drop(m);
+        gc.shutdown();
+    }
+
+    /// Every mode sizes the heap from the same live set: a full over a
+    /// retained 2 MB tree records it within 10 %, and the target the
+    /// rule derives from it.
+    #[test]
+    fn full_collection_sizes_the_heap_from_the_live_set_in_every_mode() {
+        for cfg in [GcConfig::generational(), GcConfig::non_generational()] {
+            let gc = crate::Gc::new(cfg);
+            let mut m = gc.mutator();
+            let node = ObjShape::new(2, 29); // 256 bytes
+            let nodes = (2 << 20) / node.size_bytes();
+            // A complete binary tree, every node rooted until linked.
+            for _ in 0..nodes {
+                let r = m.alloc(&node).unwrap();
+                m.root_push(r);
+            }
+            for i in 1..nodes {
+                let (parent, child) = (m.root_get((i - 1) / 2), m.root_get(i));
+                m.write_ref(parent, (i - 1) % 2, child);
+            }
+            m.root_truncate(1);
+            // The first wait may be served by a full that was open before
+            // the tree was complete; the second full starts after it.
+            m.parked(|| {
+                gc.collect_full_blocking();
+                gc.collect_full_blocking();
+            });
+            let last = *gc.stats().cycles.last().unwrap();
+            assert_eq!(last.kind, CycleKind::Full);
+            let (tree, live) = ((nodes * node.size_bytes()) as f64, last.live_bytes);
+            assert!(
+                (live as f64 - tree).abs() <= tree / 10.0,
+                "{}: live {live} for a {tree} byte tree",
+                cfg.plan_name()
+            );
+            let young = cfg.young_size as u64;
+            let rule = ((live as f64 / GROW_FRACTION) as u64).max(live * 3 / 2 + young * 9 / 4);
+            assert_eq!(last.target_bytes, rule, "{}", cfg.plan_name());
+            drop(m);
+            gc.shutdown();
+        }
+    }
+
+    /// The rule's floor is committed before the first full runs, so a
+    /// default heap that starts at 1 MB stalls no allocation while it
+    /// does, even with the collector held at the cycle's start (a delay
+    /// at `collector.panic`) while 2 MB are allocated.
+    #[test]
+    fn first_full_collection_stalls_no_allocation() {
+        use otf_support::fault::{FaultPlan, FaultRule, Faults};
+        let hold = FaultPlan::new(0).rule(
+            FaultRule::at("collector.panic")
+                .delaying(1.0, 200_000)
+                .max_fires(1),
+        );
+        let gc = crate::Gc::with_faults(GcConfig::default(), Arc::new(Faults::new(hold)));
+        let mut m = gc.mutator();
+        let shape = ObjShape::new(0, 7); // 64 bytes
+        for _ in 0..(2 << 20) / shape.size_bytes() {
+            m.alloc(&shape).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        m.parked(|| {
+            while gc.shared.control.fulls_done() == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let stats = gc.stats();
+        assert!(stats.cycles.iter().any(|c| c.kind == CycleKind::Full));
+        assert_eq!(stats.alloc_stall.count(), 0);
         drop(m);
         gc.shutdown();
     }

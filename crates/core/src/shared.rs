@@ -251,6 +251,12 @@ impl GcShared {
             && since >= (64 << 10)
             && !self.fault("heap.almost_full")
         {
+            // The sizing rule's floor, its target for an empty live set,
+            // is committed before the first full runs, so the mutators
+            // do not stall on the initial heap while it does.  Every
+            // full grows at least that far, so after the first this is
+            // a no-op.
+            self.heap.grow_to(self.sizing_target(0));
             self.control.request(CycleKind::Full, Cause::AlmostFull);
         }
     }

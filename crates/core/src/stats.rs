@@ -82,10 +82,6 @@ pub struct CycleStats {
     pub objects_survived: u64,
     /// Bytes of surviving objects.
     pub bytes_survived: u64,
-    /// Bytes of survivors that were created *during* the cycle (the
-    /// allocation color) — allocation racing the collection, not yet part
-    /// of the settled live set.
-    pub bytes_alloc_colored: u64,
     /// Distinct 4 KB pages the collector touched (arena + side tables) —
     /// Figure 15.
     pub pages_touched: u64,
@@ -95,6 +91,14 @@ pub struct CycleStats {
     pub used_after: usize,
     /// Bytes allocated since the previous cycle (the §3.3 trigger input).
     pub allocated_since_last: u64,
+    /// Full collections: the live set the heap was sized from, in bytes
+    /// (`bytes_survived` less what was allocated after the toggle
+    /// handshake).  Zero on partials.
+    pub live_bytes: u64,
+    /// Full collections: the committed size the sizing rule asked for
+    /// (before the `max_heap` cap and the thrash backstop).  Zero on
+    /// partials.
+    pub target_bytes: u64,
 }
 
 impl CycleStats {
@@ -281,11 +285,12 @@ pub(crate) mod tests {
             bytes_freed: freed * 32,
             objects_survived: survived,
             bytes_survived: survived * 32,
-            bytes_alloc_colored: 0,
             pages_touched: 7,
             used_before: 1000,
             used_after: 500,
             allocated_since_last: 4096,
+            live_bytes: 0,
+            target_bytes: 0,
         }
     }
 

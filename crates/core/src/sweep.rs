@@ -11,8 +11,8 @@
 //!   object starts and occupied granules it passes.  That color is
 //!   `Black` in the simple generational variant (black stays black: this
 //!   *is* promotion, §3) and the pinned mark/allocation color in the
-//!   non-generational baseline.  `objects_survived`, `bytes_survived`
-//!   and (non-generational) `bytes_alloc_colored` are those counts;
+//!   non-generational baseline.  `objects_survived` and
+//!   `bytes_survived` are those counts;
 //! * a **dead run** — a clear-colored start and everything up to the
 //!   first byte that is neither clear nor `Interior` — is measured by one
 //!   `dead_run_end` scan, which also counts its start bytes, then filled
@@ -91,12 +91,8 @@ impl GcShared {
                 // The granules crossed are `pass`-colored objects and
                 // their interiors (plus, stats-only, the interior of an
                 // object caught mid-installation).
-                let bytes = (granules * GRANULE) as u64;
                 stats.objects_survived += objects as u64;
-                stats.bytes_survived += bytes;
-                if pass == alloc {
-                    stats.bytes_alloc_colored += bytes;
-                }
+                stats.bytes_survived += (granules * GRANULE) as u64;
                 g = next;
                 if g == frontier {
                     break;
@@ -133,9 +129,6 @@ impl GcShared {
             let obj_end = colors.object_end(g, frontier);
             stats.objects_survived += 1;
             stats.bytes_survived += ((obj_end - g) * GRANULE) as u64;
-            if color == alloc {
-                stats.bytes_alloc_colored += ((obj_end - g) * GRANULE) as u64;
-            }
             match aging {
                 Some(threshold) => {
                     pages.touch_byte(otf_heap::Space::AgeTable, g);
@@ -367,9 +360,6 @@ mod tests {
                 flush_run(&mut run, &mut batch);
                 stats.objects_survived += 1;
                 stats.bytes_survived += (size * GRANULE) as u64;
-                if color == alloc {
-                    stats.bytes_alloc_colored += (size * GRANULE) as u64;
-                }
                 match aging {
                     Some(threshold) => {
                         let age = ages.get(g);
@@ -490,13 +480,12 @@ mod tests {
         im
     }
 
-    fn sweep_counters(c: &CycleStats) -> [u64; 5] {
+    fn sweep_counters(c: &CycleStats) -> [u64; 4] {
         [
             c.objects_freed,
             c.bytes_freed,
             c.objects_survived,
             c.bytes_survived,
-            c.bytes_alloc_colored,
         ]
     }
 
@@ -511,7 +500,7 @@ mod tests {
 
     /// The run-at-a-time sweep against the object-at-a-time oracle, on
     /// generated tables: all three modes × both toggle states.  Colors,
-    /// ages, the five sweep counters and the free lists (chunk for
+    /// ages, the four sweep counters and the free lists (chunk for
     /// chunk) must agree.
     #[test]
     fn run_sweep_matches_object_sweep_oracle() {
@@ -554,11 +543,8 @@ mod tests {
                     }
                 }
                 let expect = sweep_counters(&expect);
-                // Stats-only fuzz: in-flight interiors count as survived
-                // (and, where survivors are all allocation-colored, as
-                // that too).
+                // Stats-only fuzz: in-flight interiors count as survived.
                 let fuzz = image.inflight * GRANULE as u64;
-                let alloc_fuzz = if mode == 2 { fuzz } else { 0 };
                 let ctx = format!("mode={mode} toggled={toggled} len={len}");
 
                 let (swept, mut cx) = build(modes[mode]());
@@ -567,7 +553,6 @@ mod tests {
                 let got = sweep_counters(&cx.stats);
                 assert_eq!(got[..3], expect[..3], "{ctx}");
                 assert_eq!(got[3], expect[3] + fuzz, "{ctx}");
-                assert_eq!(got[4], expect[4] + alloc_fuzz, "{ctx}");
                 assert_eq!(table_bytes(&swept, len), expect_tables, "{ctx}");
                 assert_eq!(
                     swept.heap.free_list_snapshot(),
